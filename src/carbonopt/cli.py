@@ -234,8 +234,21 @@ def run_benchmark(args: dict, out_dir: Path | None) -> int:
 
 
 def run_replay(manifest_path: str, out_override: str | None) -> int:
+    """Re-run a manifest's command; refuse when the code or the scenario file has changed."""
     manifest = load_manifest(Path(manifest_path))
     args = dict(manifest.args)
+    if manifest.version != __version__:
+        raise CarbonOptError(
+            f"manifest version {manifest.version!r} differs from this carbonopt "
+            f"{__version__!r}; rerun the command instead"
+        )
+    if manifest.scenario_sha256 is not None:
+        scenario_path = _resolve_scenario(args["scenario"])
+        if file_sha256(scenario_path) != manifest.scenario_sha256:
+            raise CarbonOptError(
+                f"manifest scenario_sha256 does not match {scenario_path}: the scenario "
+                "changed since the run; rerun the command instead"
+            )
     out_dir = Path(out_override) if out_override else Path(args.get("out", _default_out_dir()))
     if manifest.command == "simulate":
         return run_simulate(args, out_dir)

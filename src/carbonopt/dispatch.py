@@ -6,14 +6,22 @@ and the last unit used sets a uniform clearing price. Demand is perfectly
 price inelastic; when available capacity falls short, the gap is priced
 at the scenario's loss-of-load price.
 
-All functions here are pure; segments could be cleared in parallel and
-reduced in day/segment order, though the sequential loop is fast enough
-in practice.
+SRMC depends on the year and the carbon price, not on the segment, so a
+market-year sorts its active plants once (``merit_order``) and walks that
+order through every segment. ``ProbeMarket`` goes one step further for
+the investment probes: it clears a base fleet's market-year once, then
+prices any one added unit by bisecting it into the base order and
+re-walking only the tail after it. Both paths run the one greedy fill
+loop that ``clear_segment`` runs, with the same float operations in the
+same order, so their results equal a fresh ``run_year`` bit for bit.
 """
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 
 from .errors import ConfigurationError
 from .scenario import DaySegment, PowerPlant, Scenario, Technology
@@ -72,37 +80,73 @@ def srmc_by_technology(
     return out
 
 
+def available_mw(plant: PowerPlant, segment: DaySegment) -> float:
+    """Full capacity, derated by the segment's weather for intermittents."""
+    tech = plant.technology
+    available = tech.capacity_mw * plant.unit_count
+    if tech.is_intermittent:
+        available *= segment.capacity_factor(tech.weather_profile)
+    return available
+
+
 def build_bids(
     fleet: list[PowerPlant],
     year: int,
     segment: DaySegment,
     carbon_price: float,
     s: Scenario,
-    srmc_by_tech: dict[str, float] | None = None,
 ) -> list[Bid]:
-    """One bid per plant: full capacity, derated by the segment's weather for intermittents.
+    """One bid per plant at its available MW in ``segment``.
 
     Callers are expected to pass a fleet already filtered to plants active
-    in ``year``. ``srmc_by_tech`` lets a caller clearing many segments of
-    the same year reuse the per-technology cost table.
+    in ``year``.
     """
-    if srmc_by_tech is None:
-        srmc_by_tech = srmc_by_technology(
-            {p.technology for p in fleet}, year, carbon_price, s
+    srmc_by_tech = srmc_by_technology({p.technology for p in fleet}, year, carbon_price, s)
+    return [
+        Bid(
+            plant=plant,
+            available_mw=available_mw(plant, segment),
+            srmc=srmc_by_tech[plant.technology.name],
         )
-    bids = []
-    for plant in fleet:
-        tech = plant.technology
-        available = tech.capacity_mw * plant.unit_count
-        if tech.is_intermittent:
-            available *= segment.capacity_factor(tech.weather_profile)
-        bids.append(Bid(plant=plant, available_mw=available, srmc=srmc_by_tech[tech.name]))
-    return bids
+        for plant in fleet
+    ]
+
+
+def merit_key(plant: PowerPlant, cost: float):
+    """Ascending SRMC; ties broken by lower emission factor, then plant id."""
+    return (cost, plant.technology.emission_factor, plant.id)
 
 
 def merit_order_key(bid: Bid):
-    """Ascending SRMC; ties broken by lower emission factor, then plant id."""
-    return (bid.srmc, bid.plant.technology.emission_factor, bid.plant.id)
+    """The merit key of one bid."""
+    return merit_key(bid.plant, bid.srmc)
+
+
+def _fill(demand_mw: float, offers) -> tuple[float, list[tuple[int, float]], float]:
+    """Greedy merit-order fill: the one loop every clearing path runs.
+
+    ``offers`` yields (available MW, SRMC) pairs cheapest first. Returns
+    the demand left over (<= 0 once met), the (offer position, MW taken)
+    of every dispatched offer, and the SRMC of the last one (0 if none).
+    """
+    remaining = demand_mw
+    taken: list[tuple[int, float]] = []
+    marginal_srmc = 0.0
+    for position, (available, cost) in enumerate(offers):
+        if remaining <= 0.0:
+            break
+        if available <= 0.0:
+            continue
+        take = available if available < remaining else remaining
+        remaining -= take
+        taken.append((position, take))
+        marginal_srmc = cost
+    return remaining, taken, marginal_srmc
+
+
+def _clearing_price(remaining: float, marginal_srmc: float, loss_of_load_price: float) -> float:
+    """Loss-of-load price under shortage, else the marginal offer's SRMC."""
+    return loss_of_load_price if remaining > 0.0 else marginal_srmc
 
 
 def clear_segment(
@@ -113,27 +157,59 @@ def clear_segment(
     If demand exceeds total availability the shortfall is reported as
     unserved and the segment clears at the loss-of-load price.
     """
-    remaining = demand_mw
-    dispatched: list[tuple[PowerPlant, float]] = []
-    marginal_srmc = 0.0
-    for bid in sorted(bids, key=merit_order_key):
-        if remaining <= 0.0:
-            break
-        if bid.available_mw <= 0.0:
-            continue
-        take = bid.available_mw if bid.available_mw < remaining else remaining
-        remaining -= take
-        dispatched.append((bid.plant, take))
-        marginal_srmc = bid.srmc
-    unserved = remaining if remaining > 0.0 else 0.0
-    if unserved > 0.0:
-        price = loss_of_load_price
-    elif dispatched:
-        price = marginal_srmc
-    else:
-        price = 0.0
+    ranked = sorted(bids, key=merit_order_key)
+    remaining, taken, marginal = _fill(demand_mw, ((b.available_mw, b.srmc) for b in ranked))
     return SegmentClearing(
-        dispatched=tuple(dispatched), clearing_price=price, unserved_mw=unserved
+        dispatched=tuple((ranked[k].plant, mw) for k, mw in taken),
+        clearing_price=_clearing_price(remaining, marginal, loss_of_load_price),
+        unserved_mw=remaining if remaining > 0.0 else 0.0,
+    )
+
+
+@dataclass(frozen=True)
+class MeritOrder:
+    """The plants active in one market-year, sorted once by merit key."""
+
+    year: int
+    carbon_price: float
+    plants: tuple[PowerPlant, ...]
+    keys: tuple[tuple, ...]  # ascending merit keys, for bisecting in an added unit
+    firm_offers: tuple[tuple[float, float], ...]  # (full capacity MW, SRMC) per plant
+    weather: tuple[tuple[int, str], ...]  # (position, profile) of each intermittent plant
+
+    def offers(self, segment: DaySegment) -> list[tuple[float, float]]:
+        """(available MW, SRMC) per plant in ``segment``, cheapest first (see ``available_mw``)."""
+        offers = list(self.firm_offers)
+        for k, profile in self.weather:
+            capacity, cost = offers[k]
+            offers[k] = (capacity * segment.capacity_factor(profile), cost)
+        return offers
+
+
+def merit_order(
+    fleet: list[PowerPlant], year: int, carbon_price: float, s: Scenario
+) -> MeritOrder:
+    """Sort the plants of ``fleet`` active in ``year`` by merit key (stable in fleet order)."""
+    active = [p for p in fleet if p.active_in(year)]
+    cost_of = srmc_by_technology({p.technology for p in active}, year, carbon_price, s)
+    ranked = sorted(
+        ((merit_key(p, cost_of[p.technology.name]), p) for p in active),
+        key=operator.itemgetter(0),
+    )
+    plants = tuple(p for _, p in ranked)
+    return MeritOrder(
+        year=year,
+        carbon_price=carbon_price,
+        plants=plants,
+        keys=tuple(k for k, _ in ranked),
+        firm_offers=tuple(
+            (p.technology.capacity_mw * p.unit_count, k[0]) for k, p in ranked
+        ),
+        weather=tuple(
+            (k, p.technology.weather_profile)
+            for k, p in enumerate(plants)
+            if p.technology.is_intermittent
+        ),
     )
 
 
@@ -151,10 +227,7 @@ def run_year(
     hook). Energies are weighted by segment duration and day weight so
     they sum to a full year.
     """
-    active = [p for p in fleet if p.active_in(year)]
-    srmc_by_tech = srmc_by_technology(
-        {p.technology for p in active}, year, carbon_price, s
-    )
+    order = merit_order(fleet, year, carbon_price, s)
     scale = s.demand_scale(year) * demand_scale
 
     energy_by_tech: dict[str, float] = {}
@@ -170,23 +243,21 @@ def run_year(
         hours_weight = day.weight_days
         for segment in day.segments:
             demand = segment.demand_mw * scale
-            bids = build_bids(active, year, segment, carbon_price, s, srmc_by_tech)
-            clearing = clear_segment(demand, bids, s.loss_of_load_price)
+            remaining, taken, marginal = _fill(demand, order.offers(segment))
+            price = _clearing_price(remaining, marginal, s.loss_of_load_price)
             seg_hours = segment.duration_hours * hours_weight
-            for plant, mw in clearing.dispatched:
+            for k, mw in taken:
+                plant = order.plants[k]
                 energy = mw * seg_hours
                 tech = plant.technology
                 energy_by_tech[tech.name] = energy_by_tech.get(tech.name, 0.0) + energy
                 energy_by_plant[plant.id] = energy_by_plant.get(plant.id, 0.0) + energy
-                revenue_by_plant[plant.id] = (
-                    revenue_by_plant.get(plant.id, 0.0)
-                    + energy * clearing.clearing_price
-                )
+                revenue_by_plant[plant.id] = revenue_by_plant.get(plant.id, 0.0) + energy * price
                 emissions += energy * tech.emission_factor
                 served_mwh += energy
-            unserved_mwh += clearing.unserved_mw * seg_hours
+            unserved_mwh += (remaining if remaining > 0.0 else 0.0) * seg_hours
             seg_demand_mwh = demand * seg_hours
-            price_weighted += clearing.clearing_price * seg_demand_mwh
+            price_weighted += price * seg_demand_mwh
             demand_mwh += seg_demand_mwh
 
     return YearResult(
@@ -198,3 +269,60 @@ def run_year(
         energy_by_plant=energy_by_plant,
         revenue_by_plant=revenue_by_plant,
     )
+
+
+class ProbeMarket:
+    """A base fleet's market-year, cleared once, that prices any one added unit.
+
+    Per segment it keeps the base offers in merit order, the positions
+    the fill dispatched and the demand left before each of them. A unit
+    bisected in at position ``p`` sees exactly the demand the full fill
+    would leave it, so only the offers after ``p`` are walked again.
+    """
+
+    def __init__(self, fleet: list[PowerPlant], year: int, carbon_price: float, s: Scenario):
+        self.order = merit_order(fleet, year, carbon_price, s)
+        self._s = s
+        scale = s.demand_scale(year)
+        self._segments = []
+        for day in s.representative_days:
+            for segment in day.segments:
+                demand = segment.demand_mw * scale
+                offers = self.order.offers(segment)
+                _, taken, _ = _fill(demand, offers)
+                positions = [k for k, _ in taken]
+                # demand left before the i-th dispatch: the fill's own running subtraction
+                left = list(accumulate((mw for _, mw in taken), operator.sub, initial=demand))
+                hours = segment.duration_hours * day.weight_days
+                self._segments.append((segment, hours, offers, positions, left))
+
+    def probe(self, unit: PowerPlant) -> tuple[float, float]:
+        """Energy (MWh) and revenue (£) of ``unit`` added to the base fleet.
+
+        Equal, with ``==``, to ``energy_by_plant`` / ``revenue_by_plant``
+        of ``run_year(fleet + [unit], ...)`` for the unit (0.0 when it is
+        never dispatched).
+        """
+        order = self.order
+        if not unit.active_in(order.year):
+            return 0.0, 0.0
+        cost = srmc_by_technology([unit.technology], order.year, order.carbon_price, self._s)[
+            unit.technology.name
+        ]
+        # a stable sort of fleet + [unit] puts the unit after every equal key
+        at = bisect_right(order.keys, merit_key(unit, cost))
+        energy = revenue = 0.0
+        for segment, hours, offers, positions, left in self._segments:
+            remaining = left[bisect_left(positions, at)]
+            available = available_mw(unit, segment)
+            if remaining <= 0.0 or available <= 0.0:
+                continue  # the fill ends before the unit, or passes it by
+            remaining, taken, marginal = _fill(
+                remaining, chain(((available, cost),), offers[at:])
+            )
+            seg_energy = taken[0][1] * hours
+            energy += seg_energy
+            revenue += seg_energy * _clearing_price(
+                remaining, marginal, self._s.loss_of_load_price
+            )
+        return energy, revenue

@@ -7,13 +7,19 @@ market ten years ahead with the candidate unit added to the fleet, at a
 carbon price projected by a linear regression over the realized tax
 history. Positive-NPV options are bought greedily, best first, while the
 budget lasts.
+
+All candidates of one investment state (decision year, fleet) share that
+future market: ``invest`` clears the base fleet's market-year once as a
+``ProbeMarket`` and prices each catalog candidate against it, instead of
+clearing the whole market again per candidate. The figures equal those
+of clearing ``fleet + [candidate]`` from scratch bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dispatch import run_year, srmc
+from .dispatch import ProbeMarket, srmc
 from .scenario import GenCo, PowerPlant, Scenario, Technology
 
 # How far ahead the revenue-probe market is simulated.
@@ -72,12 +78,24 @@ def npv(cash_flows, discount_rate: float) -> float:
     return sum(r / base**t for t, r in enumerate(cash_flows))
 
 
+def probe_market(
+    fleet: list[PowerPlant],
+    decision_year: int,
+    s: Scenario,
+    carbon_forecast: CarbonForecast,
+) -> ProbeMarket:
+    """The future market every candidate of one investment state is priced against."""
+    future_year = decision_year + REVENUE_PROBE_YEARS
+    return ProbeMarket(fleet, future_year, carbon_forecast.predict(future_year), s)
+
+
 def estimate_yearly_revenue(
     candidate: Technology,
     decision_year: int,
     s: Scenario,
     fleet: list[PowerPlant],
     carbon_forecast: CarbonForecast,
+    market: ProbeMarket | None = None,
 ) -> float:
     """Net yearly cash flow of one candidate unit in a simulated future market.
 
@@ -85,10 +103,14 @@ def estimate_yearly_revenue(
     unit added to the fleet that will still be active then, at the
     forecast carbon price. The unit's revenue at clearing prices minus
     its running costs (fuel, variable O&M, carbon, fixed O&M) stands in
-    for every operating year of its life.
+    for every operating year of its life. ``market`` is that future
+    market for this very (decision year, fleet, forecast); without it
+    one is built here.
     """
-    future_year = decision_year + REVENUE_PROBE_YEARS
-    carbon_price = carbon_forecast.predict(future_year)
+    if market is None:
+        market = probe_market(fleet, decision_year, s, carbon_forecast)
+    future_year = market.order.year
+    carbon_price = market.order.carbon_price
     probe = PowerPlant(
         id=_PROBE_PLANT_ID,
         technology=candidate,
@@ -96,9 +118,7 @@ def estimate_yearly_revenue(
         commission_year=future_year,
         unit_count=1,
     )
-    result = run_year(list(fleet) + [probe], future_year, carbon_price, s)
-    energy = result.energy_by_plant.get(_PROBE_PLANT_ID, 0.0)
-    revenue = result.revenue_by_plant.get(_PROBE_PLANT_ID, 0.0)
+    energy, revenue = market.probe(probe)
     fuel_price = (
         s.fuel_price(candidate.fuel_kind, future_year) if candidate.fuel_kind else 0.0
     )
@@ -112,9 +132,10 @@ def _unit_npv(
     s: Scenario,
     fleet: list[PowerPlant],
     forecast: CarbonForecast,
+    market: ProbeMarket,
 ) -> float:
     capital = tech.capital_cost * tech.capacity_mw
-    yearly = estimate_yearly_revenue(tech, decision_year, s, fleet, forecast)
+    yearly = estimate_yearly_revenue(tech, decision_year, s, fleet, forecast, market)
     return npv([-capital] + [yearly] * tech.lifetime_years, s.discount_rate)
 
 
@@ -132,7 +153,8 @@ def invest(
     ``fleet`` (commissioning after the technology's construction lag), so
     later decisions see the updated market. ``npv_cache`` memoizes unit
     valuations per (year, fleet-size) state; the fleet only ever grows,
-    so that pair identifies a state within one simulation run.
+    so that pair identifies a state within one simulation run. Each state
+    that is valued clears its future market once, shared by all candidates.
 
     Returns the executed decisions; an empty list means nothing was both
     positive-NPV and affordable.
@@ -144,8 +166,9 @@ def invest(
         if npv_cache is not None and state in npv_cache:
             valuations = npv_cache[state]
         else:
+            market = probe_market(fleet, decision_year, s, forecast)
             valuations = {
-                tech.name: _unit_npv(tech, decision_year, s, fleet, forecast)
+                tech.name: _unit_npv(tech, decision_year, s, fleet, forecast, market)
                 for tech in s.technologies
             }
             if npv_cache is not None:

@@ -270,6 +270,26 @@ def _evaluate_all(fitness, genomes: list[np.ndarray], map_fn) -> list[tuple[floa
     return results
 
 
+def _score(
+    fitness, genomes: list[np.ndarray], map_fn, known: dict[bytes, tuple[float, ...]]
+) -> list[tuple[float, ...]]:
+    """Objectives per genome, sending each genome not in ``known`` through ``map_fn`` once.
+
+    ``known`` maps genome bytes to objectives already scored; a genome
+    equal byte for byte to a known one, or to an earlier one in
+    ``genomes``, reuses those objectives; new scores are added to
+    ``known``. Fitness is pure, so reuse changes nothing but the number
+    of calls.
+    """
+    fresh: dict[bytes, np.ndarray] = {}
+    for genome in genomes:
+        key = genome.tobytes()
+        if key not in known:
+            fresh.setdefault(key, genome)
+    known.update(zip(fresh, _evaluate_all(fitness, list(fresh.values()), map_fn)))
+    return [known[g.tobytes()] for g in genomes]
+
+
 def _snapshot(generation: int, population: list[Individual]) -> GenerationSnapshot:
     return GenerationSnapshot(
         generation=generation,
@@ -289,10 +309,12 @@ def evolve(fitness, cfg: GAConfig, bounds, map_fn=None) -> FrontArchive:
     """Run the full loop and archive every generation (initial population included).
 
     ``fitness`` maps a genome array to a tuple of objectives to minimize;
-    it must be defined over the whole bound box. ``map_fn`` may be a
-    parallel order-preserving map; results are merged in submission
-    order. A failing evaluation aborts the run and reports the offending
-    genome.
+    it must be defined over the whole bound box and pure: a child equal
+    byte for byte to a current population member, or to an earlier child
+    of its generation, reuses that genome's objectives instead of being
+    scored again. ``map_fn`` may be a parallel order-preserving map;
+    results are merged in submission order. A failing evaluation aborts
+    the run and reports the offending genome.
     """
     rng = np.random.default_rng(cfg.seed)
     lows = np.array([b[0] for b in bounds], dtype=float)
@@ -305,7 +327,7 @@ def evolve(fitness, cfg: GAConfig, bounds, map_fn=None) -> FrontArchive:
     genomes = rng.uniform(lows, highs, size=(n, lows.shape[0]))
     population = [Individual(genome=genomes[i].copy(), index=i) for i in range(n)]
     for ind, objectives in zip(
-        population, _evaluate_all(fitness, [ind.genome for ind in population], mapper)
+        population, _score(fitness, [ind.genome for ind in population], mapper, {})
     ):
         ind.objectives = objectives
     _rank_population(population)
@@ -323,7 +345,9 @@ def evolve(fitness, cfg: GAConfig, bounds, map_fn=None) -> FrontArchive:
             )
             child_genomes.append(mutate(child_a, rng, cfg, lows, highs))
             child_genomes.append(mutate(child_b, rng, cfg, lows, highs))
-        child_objectives = _evaluate_all(fitness, child_genomes, mapper)
+        # children that copy a current member (or an earlier child) are not rescored
+        known = {ind.genome.tobytes(): ind.objectives for ind in population}
+        child_objectives = _score(fitness, child_genomes, mapper, known)
 
         merged = population + [
             Individual(genome=g, objectives=o, index=n + k)

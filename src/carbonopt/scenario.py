@@ -13,6 +13,7 @@ The on-disk format is a single JSON document; the schema is documented in
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -167,26 +168,56 @@ class Violation:
         return f"{self.path}: {self.message}"
 
 
+# Range rules of numeric fields; every numeric field must also be finite.
+_RULES = {
+    "> 0": lambda v: v > 0,
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    ">= 2": lambda v: v >= 2,
+    "> -1": lambda v: v > -1,
+    "in (0, 1]": lambda v: 0 < v <= 1,
+    "in [0, 1]": lambda v: 0 <= v <= 1,
+}
+
+_TECHNOLOGY_RULES = (
+    ("capacity_mw", "> 0"),
+    # a free-to-build technology would let the greedy investment loop buy
+    # forever without draining any budget
+    ("capital_cost", "> 0"),
+    ("fixed_om", ">= 0"),
+    ("variable_om", ">= 0"),
+    ("efficiency", "in (0, 1]"),
+    ("emission_factor", ">= 0"),
+    ("lifetime_years", ">= 1"),
+    ("construction_lag_years", ">= 0"),
+)
+
+
+def _check(out: list[Violation], path: str, value, rule: str) -> None:
+    """Record a violation unless ``value`` is finite and satisfies ``rule``."""
+    if not math.isfinite(value):
+        out.append(Violation(path, f"must be finite, got {value}"))
+    elif not _RULES[rule](value):
+        out.append(Violation(path, f"must be {rule}, got {value}"))
+
+
 def validate_scenario(s: Scenario) -> list[Violation]:
-    """Check every scenario invariant; an empty list means the scenario is valid."""
+    """Check every scenario invariant; an empty list means the scenario is valid.
+
+    Every numeric field must be finite (NaN and infinities would break the
+    merit order's total order or poison every sum); most also have a range.
+    """
     out: list[Violation] = []
 
-    if s.horizon_years < 2:
-        out.append(Violation("horizon_years", f"must be >= 2, got {s.horizon_years}"))
-    if s.discount_rate <= -1:
-        out.append(Violation("discount_rate", f"must be > -1, got {s.discount_rate}"))
-    if s.demand_growth <= 0:
-        out.append(Violation("demand_growth", f"must be > 0, got {s.demand_growth}"))
-    if s.base_carbon_intensity < 0:
-        out.append(
-            Violation("base_carbon_intensity", f"must be >= 0, got {s.base_carbon_intensity}")
-        )
-    if s.loss_of_load_price <= 0:
-        out.append(
-            Violation("loss_of_load_price", f"must be > 0, got {s.loss_of_load_price}")
-        )
-    if s.demand_noise_std < 0:
-        out.append(Violation("demand_noise_std", f"must be >= 0, got {s.demand_noise_std}"))
+    for name, rule in (
+        ("horizon_years", ">= 2"),
+        ("discount_rate", "> -1"),
+        ("demand_growth", "> 0"),
+        ("base_carbon_intensity", ">= 0"),
+        ("loss_of_load_price", "> 0"),
+        ("demand_noise_std", ">= 0"),
+    ):
+        _check(out, name, getattr(s, name), rule)
 
     if not s.technologies:
         out.append(Violation("technologies", "catalog is empty"))
@@ -196,33 +227,8 @@ def validate_scenario(s: Scenario) -> list[Violation]:
         if tech.name in seen_tech:
             out.append(Violation(path, "duplicate technology name"))
         seen_tech.add(tech.name)
-        if not 0 < tech.efficiency <= 1:
-            out.append(
-                Violation(f"{path}.efficiency", f"must be in (0, 1], got {tech.efficiency}")
-            )
-        if tech.emission_factor < 0:
-            out.append(
-                Violation(
-                    f"{path}.emission_factor", f"must be >= 0, got {tech.emission_factor}"
-                )
-            )
-        if tech.lifetime_years < 1:
-            out.append(
-                Violation(f"{path}.lifetime_years", f"must be >= 1, got {tech.lifetime_years}")
-            )
-        if tech.capacity_mw <= 0:
-            out.append(Violation(f"{path}.capacity_mw", f"must be > 0, got {tech.capacity_mw}"))
-        if tech.construction_lag_years < 0:
-            out.append(
-                Violation(
-                    f"{path}.construction_lag_years",
-                    f"must be >= 0, got {tech.construction_lag_years}",
-                )
-            )
-        if tech.capital_cost <= 0:
-            # a free-to-build technology would let the greedy investment loop
-            # buy forever without draining any budget
-            out.append(Violation(f"{path}.capital_cost", f"must be > 0, got {tech.capital_cost}"))
+        for name, rule in _TECHNOLOGY_RULES:
+            _check(out, f"{path}.{name}", getattr(tech, name), rule)
         if tech.is_intermittent and tech.weather_profile not in WEATHER_PROFILES:
             out.append(
                 Violation(
@@ -238,8 +244,7 @@ def validate_scenario(s: Scenario) -> list[Violation]:
         if genco.id in genco_ids:
             out.append(Violation(path, "duplicate genco id"))
         genco_ids.add(genco.id)
-        if genco.budget < 0:
-            out.append(Violation(f"{path}.budget", f"must be >= 0, got {genco.budget}"))
+        _check(out, f"{path}.budget", genco.budget, ">= 0")
 
     plant_ids: set[str] = set()
     for plant in s.initial_fleet:
@@ -253,30 +258,25 @@ def validate_scenario(s: Scenario) -> list[Violation]:
             )
         if plant.owner not in genco_ids:
             out.append(Violation(f"{path}.owner", f"unknown genco {plant.owner!r}"))
-        if plant.unit_count < 1:
-            out.append(Violation(f"{path}.unit_count", f"must be >= 1, got {plant.unit_count}"))
+        _check(out, f"{path}.unit_count", plant.unit_count, ">= 1")
 
     if not s.representative_days:
         out.append(Violation("representative_days", "at least one day is required"))
     weighted_hours = 0.0
     for day in s.representative_days:
         path = f"representative_days[{day.name}]"
-        if day.weight_days <= 0:
-            out.append(Violation(f"{path}.weight_days", f"must be > 0, got {day.weight_days}"))
+        _check(out, f"{path}.weight_days", day.weight_days, "> 0")
         if not day.segments:
             out.append(Violation(f"{path}.segments", "day has no segments"))
         for idx, seg in enumerate(day.segments):
             spath = f"{path}.segments[{idx}]"
-            if seg.duration_hours <= 0:
-                out.append(
-                    Violation(f"{spath}.duration_hours", f"must be > 0, got {seg.duration_hours}")
-                )
-            if seg.demand_mw <= 0:
-                out.append(Violation(f"{spath}.demand_mw", f"must be > 0, got {seg.demand_mw}"))
-            for attr in ("solar_capacity_factor", "wind_capacity_factor"):
-                value = getattr(seg, attr)
-                if not 0 <= value <= 1:
-                    out.append(Violation(f"{spath}.{attr}", f"must be in [0, 1], got {value}"))
+            for name, rule in (
+                ("duration_hours", "> 0"),
+                ("demand_mw", "> 0"),
+                ("solar_capacity_factor", "in [0, 1]"),
+                ("wind_capacity_factor", "in [0, 1]"),
+            ):
+                _check(out, f"{spath}.{name}", getattr(seg, name), rule)
         weighted_hours += day.weight_days * day.hours
     if s.representative_days and abs(weighted_hours - HOURS_PER_YEAR) > HOURS_TOLERANCE:
         names = ", ".join(day.name for day in s.representative_days)
@@ -299,11 +299,9 @@ def validate_scenario(s: Scenario) -> list[Violation]:
                     f"missing price for year(s) {', '.join(map(str, missing))}",
                 )
             )
+    for fuel, series in sorted(s.fuel_prices.items()):
         for year, price in series.items():
-            if price < 0:
-                out.append(
-                    Violation(f"fuel_prices[{fuel}][{year}]", f"must be >= 0, got {price}")
-                )
+            _check(out, f"fuel_prices[{fuel}][{year}]", price, ">= 0")
 
     return out
 
@@ -312,6 +310,17 @@ def _require(mapping: dict, key: str, where: str):
     if key not in mapping:
         raise ScenarioParseError(f"{where}: missing required key {key!r}")
     return mapping[key]
+
+
+def _integer(value, where: str) -> int:
+    """A whole JSON number (or numeral string) as int; NaN, infinities and fractions are refused."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or (not isinstance(value, str) and number != value):
+        raise ScenarioParseError(f"{where}: must be an integer, got {value!r}")
+    return number
 
 
 def _build_technology(raw: dict) -> Technology:
@@ -326,8 +335,10 @@ def _build_technology(raw: dict) -> Technology:
         fuel_kind=raw.get("fuel_kind"),
         efficiency=float(_require(raw, "efficiency", where)),
         emission_factor=float(_require(raw, "emission_factor", where)),
-        lifetime_years=int(_require(raw, "lifetime_years", where)),
-        construction_lag_years=int(raw.get("construction_lag_years", 0)),
+        lifetime_years=_integer(_require(raw, "lifetime_years", where), f"{where} lifetime_years"),
+        construction_lag_years=_integer(
+            raw.get("construction_lag_years", 0), f"{where} construction_lag_years"
+        ),
         is_intermittent=bool(raw.get("is_intermittent", False)),
         weather_profile=raw.get("weather_profile"),
     )
@@ -354,8 +365,13 @@ def scenario_from_dict(raw: dict) -> Scenario:
                 id=pid,
                 technology=tech_by_name[tech_name],
                 owner=str(_require(p, "owner", f"plant {pid!r}")),
-                commission_year=int(_require(p, "commission_year", f"plant {pid!r}")),
-                unit_count=int(_require(p, "unit_count", f"plant {pid!r}")),
+                commission_year=_integer(
+                    _require(p, "commission_year", f"plant {pid!r}"),
+                    f"plant {pid!r} commission_year",
+                ),
+                unit_count=_integer(
+                    _require(p, "unit_count", f"plant {pid!r}"), f"plant {pid!r} unit_count"
+                ),
             )
         )
 
@@ -386,11 +402,16 @@ def scenario_from_dict(raw: dict) -> Scenario:
 
     fuel_prices: dict[str, dict[int, float]] = {}
     for fuel, series in _require(raw, "fuel_prices", "scenario").items():
-        fuel_prices[str(fuel)] = {int(year): float(price) for year, price in series.items()}
+        fuel_prices[str(fuel)] = {
+            _integer(year, f"fuel_prices[{fuel}] year"): float(price)
+            for year, price in series.items()
+        }
 
     return Scenario(
-        start_year=int(_require(raw, "start_year", "scenario")),
-        horizon_years=int(raw.get("horizon_years", DEFAULT_HORIZON_YEARS)),
+        start_year=_integer(_require(raw, "start_year", "scenario"), "start_year"),
+        horizon_years=_integer(
+            raw.get("horizon_years", DEFAULT_HORIZON_YEARS), "horizon_years"
+        ),
         technologies=technologies,
         initial_fleet=tuple(fleet),
         gencos=gencos,

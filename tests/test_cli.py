@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -86,6 +87,53 @@ class TestSimulate:
         assert main(["replay", str(out_a / "manifest.json"), "--out", str(out_b)]) == 0
         for name in ("per_year.csv", "year_summary.csv", "events.csv", "objectives.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_replay_refuses_changed_scenario_and_writes_nothing(self, fossil_path, tmp_path, capsys):
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main([
+            "simulate", "--scenario", str(fossil_path), "--policy", "flat:42", "--out", str(out_a),
+        ]) == 0
+        raw = json.loads(fossil_path.read_text())
+        raw["fuel_prices"]["gas"]["2020"] += 1.0
+        fossil_path.write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert main(["replay", str(out_a / "manifest.json"), "--out", str(out_b)]) == 1
+        assert "scenario_sha256" in capsys.readouterr().err
+        assert not out_b.exists()
+
+    def test_replay_refuses_other_version(self, fossil_path, tmp_path, capsys):
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main([
+            "simulate", "--scenario", str(fossil_path), "--policy", "flat:42", "--out", str(out_a),
+        ]) == 0
+        manifest = json.loads((out_a / "manifest.json").read_text())
+        manifest["version"] = "0.0.0-other"
+        (out_a / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["replay", str(out_a / "manifest.json"), "--out", str(out_b)]) == 1
+        assert "version" in capsys.readouterr().err
+        assert not out_b.exists()
+
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("technologies[gas].variable_om", lambda d: d["technologies"][0].update(variable_om=math.nan)),
+            ("representative_days[always].segments[0].demand_mw",
+             lambda d: d["representative_days"][0]["segments"][0].update(demand_mw=math.inf)),
+            ("technologies[gas].variable_om", lambda d: d["technologies"][0].update(variable_om=-1e6)),
+        ],
+        ids=["nan-variable-om", "inf-demand", "negative-variable-om"],
+    )
+    def test_malformed_numbers_exit_1_naming_the_field(self, fossil_path, tmp_path, capsys, field, edit):
+        raw = json.loads(fossil_path.read_text())
+        edit(raw)
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(json.dumps(raw))  # json writes NaN and Infinity literals
+        out = tmp_path / "out"
+        code = main(["simulate", "--scenario", str(bad), "--policy", "flat:0", "--out", str(out)])
+        assert code == 1
+        assert field in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOptimize:

@@ -7,7 +7,15 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carbonopt.dispatch import Bid, build_bids, clear_segment, merit_order_key, run_year, srmc
+from carbonopt.dispatch import (
+    Bid,
+    ProbeMarket,
+    build_bids,
+    clear_segment,
+    merit_order_key,
+    run_year,
+    srmc,
+)
 from carbonopt.errors import ConfigurationError
 from carbonopt.scenario import DaySegment, PowerPlant, RepresentativeDay
 
@@ -305,3 +313,89 @@ class TestRunYear:
         # demand 160 vs 100 MW available: 60 MW unserved all year at VoLL
         assert result.unserved_mwh == pytest.approx(60.0 * 8760.0)
         assert result.average_price == pytest.approx(6000.0)
+
+
+def reference_plant_totals(fleet, year, carbon_price, s):
+    """Per-plant energy and revenue of one year, cleared segment by segment by the oracle."""
+    active = [p for p in fleet if p.active_in(year)]
+    energy, revenue = {}, {}
+    for day in s.representative_days:
+        for segment in day.segments:
+            bids = build_bids(active, year, segment, carbon_price, s)
+            clearing = clear_segment(segment.demand_mw * s.demand_scale(year), bids, s.loss_of_load_price)
+            hours = segment.duration_hours * day.weight_days
+            for plant, mw in clearing.dispatched:
+                e = mw * hours
+                energy[plant.id] = energy.get(plant.id, 0.0) + e
+                revenue[plant.id] = revenue.get(plant.id, 0.0) + e * clearing.clearing_price
+    return energy, revenue
+
+
+@st.composite
+def probe_markets(draw):
+    """Small fleets built to hit ties, dark or windless segments, shortages and subsidies."""
+    techs = []
+    for k in range(draw(st.integers(1, 4))):
+        intermittent = draw(st.booleans())
+        fueled = not intermittent and draw(st.booleans())
+        techs.append(make_tech(
+            name=f"t{k}",
+            capacity_mw=draw(st.sampled_from([10.0, 30.0, 45.5])),
+            fuel_kind="gas" if fueled else None,
+            efficiency=0.5 if fueled else 1.0,
+            variable_om=draw(st.sampled_from([0.0, 5.0, 5.0, 12.5])),
+            emission_factor=draw(st.sampled_from([0.0, 0.4, 0.4])),
+            is_intermittent=intermittent,
+            weather_profile=draw(st.sampled_from(["solar", "wind"])) if intermittent else None,
+            lifetime_years=draw(st.sampled_from([5, 30])),
+        ))
+    fleet = [
+        PowerPlant(
+            id=f"{draw(st.sampled_from('Az'))}{k}",  # ids on both sides of the probe's
+            technology=draw(st.sampled_from(techs)),
+            owner="g1",
+            commission_year=draw(st.sampled_from([2000, 2016, 2020, 2025])),
+            unit_count=draw(st.integers(1, 3)),
+        )
+        for k in range(draw(st.integers(0, 8)))
+    ]
+    factors = st.sampled_from([0.0, 0.0, 0.3, 1.0])
+    demands = st.sampled_from([5.0, 40.0, 77.7, 150.0, 1000.0])  # the largest always runs short
+    days = tuple(
+        RepresentativeDay(
+            name=f"d{i}",
+            weight_days=weight,
+            segments=tuple(
+                DaySegment(hours, draw(demands), draw(factors), draw(factors))
+                for hours in (8.0, 16.0)
+            ),
+        )
+        for i, weight in enumerate((200.0, 165.0))
+    )
+    s = make_scenario(techs, fleet, days=days, demand_growth=draw(st.sampled_from([1.0, 1.05])))
+    carbon_price = draw(st.sampled_from([-100.0, -12.5, 0.0, 12.5, 200.0]))
+    return s, fleet, draw(st.sampled_from([2020, 2021])), carbon_price
+
+
+class TestProbeMarket:
+    @given(case=probe_markets())
+    @settings(max_examples=300, deadline=None)
+    def test_probe_equals_full_clearing_exactly(self, case):
+        s, fleet, year, carbon_price = case
+        market = ProbeMarket(fleet, year, carbon_price, s)
+        for tech in s.technologies:
+            unit = PowerPlant(id="__candidate__", technology=tech, owner="probe",
+                              commission_year=year, unit_count=1)
+            full = run_year(fleet + [unit], year, carbon_price, s)
+            expected = (full.energy_by_plant.get(unit.id, 0.0), full.revenue_by_plant.get(unit.id, 0.0))
+            assert market.probe(unit) == expected
+            energy, revenue = reference_plant_totals(fleet + [unit], year, carbon_price, s)
+            assert full.energy_by_plant == energy
+            assert full.revenue_by_plant == revenue
+
+    def test_inactive_unit_earns_nothing(self, static_fossil_scenario):
+        s = static_fossil_scenario
+        market = ProbeMarket(list(s.initial_fleet), 2020, 0.0, s)
+        late = PowerPlant(id="late", technology=s.technologies[0], owner="g1",
+                          commission_year=2021, unit_count=1)
+        assert market.probe(late) == (0.0, 0.0)

@@ -211,7 +211,7 @@ class TestInvest:
         monkeypatch.setattr(
             investment,
             "estimate_yearly_revenue",
-            lambda cand, year, s, fleet, forecast: revenue[cand.name],
+            lambda cand, year, s, fleet, forecast, market=None: revenue[cand.name],
         )
         plant = PowerPlant(id="g", technology=gas_tech, owner="g1", commission_year=2005, unit_count=1)
         genco = GenCo(id="g1", budget=16_000.0)
@@ -241,7 +241,7 @@ class TestInvest:
         monkeypatch.setattr(
             investment,
             "estimate_yearly_revenue",
-            lambda cand, year, s, fleet, forecast: tech_specs[cand.name][1],
+            lambda cand, year, s, fleet, forecast, market=None: tech_specs[cand.name][1],
         )
         plant = PowerPlant(id="g", technology=gas_tech, owner="g1", commission_year=2005, unit_count=1)
         s_all = make_scenario(
@@ -284,7 +284,7 @@ class TestInvest:
         monkeypatch.setattr(
             investment,
             "estimate_yearly_revenue",
-            lambda cand, year, s, fleet, forecast: revenue[cand.name],
+            lambda cand, year, s, fleet, forecast, market=None: revenue[cand.name],
         )
         plant = PowerPlant(id="g", technology=gas_tech, owner="g1", commission_year=2005, unit_count=1)
         genco = GenCo(id="g1", budget=9_000.0)

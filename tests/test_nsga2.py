@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carbonopt.benchmarks import schaffer, SCHAFFER_BOUNDS
+from carbonopt import nsga2
 from carbonopt.errors import EvaluationError
 from carbonopt.nsga2 import (
     GAConfig,
@@ -403,3 +404,47 @@ class TestEvolve:
         last = archive.snapshots[-1]
         front_objs = sorted(tuple(o) for o, r in zip(last.objectives, last.ranks) if r == 1)
         assert sorted(tuple(ind.objectives) for ind in archive.final_front) == front_objs
+
+
+class TestFitnessReuse:
+    def test_copied_children_are_not_rescored(self):
+        calls = []
+
+        def fitness(genome):
+            calls.append(genome.tobytes())
+            return schaffer(genome)
+
+        # no crossover and no mutation: every child copies a parent
+        cfg = GAConfig(population_size=8, generations=3, crossover_probability=0.0,
+                       mutation_probability=0.0, seed=6)
+        evolve(fitness, cfg, SCHAFFER_BOUNDS)
+        assert len(calls) == 8
+
+    def test_only_new_genomes_are_scored_and_the_archive_is_unchanged(self, monkeypatch):
+        batches = []
+
+        def capturing_map(fn, genomes):
+            batches.append([g.tobytes() for g in genomes])
+            return map(fn, genomes)
+
+        cfg = GAConfig(population_size=12, generations=8, crossover_probability=0.5,
+                       mutation_probability=0.05, seed=17)
+        reused = evolve(schaffer, cfg, SCHAFFER_BOUNDS, map_fn=capturing_map)
+        for t in range(1, len(batches)):
+            population = {g.tobytes() for g in reused.snapshots[t - 1].genomes}
+            assert len(set(batches[t])) == len(batches[t])
+            assert not population & set(batches[t])
+        scored = sum(len(b) for b in batches)
+
+        batches.clear()
+        monkeypatch.setattr(
+            nsga2, "_score",
+            lambda fitness, genomes, map_fn, known: nsga2._evaluate_all(fitness, genomes, map_fn),
+        )
+        every = evolve(schaffer, cfg, SCHAFFER_BOUNDS, map_fn=capturing_map)
+        assert scored < sum(len(b) for b in batches) == 12 * 9
+        for sa, sb in zip(reused.snapshots, every.snapshots, strict=True):
+            assert np.array_equal(sa.genomes, sb.genomes)
+            assert np.array_equal(sa.objectives, sb.objectives)
+            assert np.array_equal(sa.ranks, sb.ranks)
+            assert np.array_equal(sa.crowding, sb.crowding)

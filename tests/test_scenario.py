@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -255,3 +257,39 @@ class TestAccessors:
         assert plant.active_in(2029)
         assert not plant.active_in(2030)
         assert not plant.active_in(1999)
+
+
+class TestNumericGuards:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "path, edit",
+        [
+            ("discount_rate", lambda d, v: d.update(discount_rate=v)),
+            ("technologies[gas].fixed_om", lambda d, v: d["technologies"][0].update(fixed_om=v)),
+            ("gencos[g1].budget", lambda d, v: d["gencos"][0].update(budget=v)),
+            ("representative_days[always].segments[0].duration_hours",
+             lambda d, v: d["representative_days"][0]["segments"][0].update(duration_hours=v)),
+            ("fuel_prices[gas][2020]", lambda d, v: d["fuel_prices"]["gas"].update({"2020": v})),
+        ],
+    )
+    def test_non_finite_number_is_named(self, tmp_path, path, edit, value):
+        data = copy.deepcopy(MINIMAL)
+        edit(data, value)
+        with pytest.raises(ScenarioValidationError) as err:
+            load_scenario(write_json(tmp_path, data))
+        assert path in [v.path for v in err.value.violations]
+
+    @pytest.mark.parametrize("field", ["variable_om", "fixed_om"])
+    def test_negative_om_cost_is_rejected(self, tmp_path, field):
+        data = copy.deepcopy(MINIMAL)
+        data["technologies"][0][field] = -1.0
+        with pytest.raises(ScenarioValidationError) as err:
+            load_scenario(write_json(tmp_path, data))
+        assert [v.path for v in err.value.violations] == [f"technologies[gas].{field}"]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 2.5])
+    def test_non_integer_count_is_named(self, tmp_path, value):
+        data = copy.deepcopy(MINIMAL)
+        data["initial_fleet"][0]["unit_count"] = value
+        with pytest.raises(ScenarioParseError, match="unit_count"):
+            load_scenario(write_json(tmp_path, data))

@@ -8,20 +8,31 @@ at the scenario's loss-of-load price.
 
 SRMC depends on the year and the carbon price, not on the segment, so a
 market-year sorts its active plants once (``merit_order``) and walks that
-order through every segment. ``ProbeMarket`` goes one step further for
-the investment probes: it clears a base fleet's market-year once, then
-prices any one added unit by bisecting it into the base order and
-re-walking only the tail after it. Both paths run the one greedy fill
-loop that ``clear_segment`` runs, with the same float operations in the
-same order, so their results equal a fresh ``run_year`` bit for bit.
+order through every segment with ``_fill``, the one greedy fill loop
+(``clear_segment`` runs it too).
+
+``ProbeMarket`` serves the investment probes with a numpy kernel. It keeps
+a fleet's market-year as a (segment x offer) availability matrix in merit
+order and the demand each segment has left before each offer,
+``np.subtract.accumulate`` over demand and offers. That accumulate
+subtracts strictly left to right, the same operations in the same order
+as ``_fill``'s ``remaining -= take``, so it is bit-exact.
+``demand - np.cumsum(...)`` is not: it adds the offers up first and
+subtracts once, ``d - (a + b)`` rather than ``(d - a) - b``, which rounds
+differently (``np.sum`` even adds pairwise). A candidate unit is
+bisected into the order; only the offers after it are accumulated again
+to find the marginal offer. Plants bought later are inserted with
+``ProbeMarket.add``. Both give what a fresh ``run_year`` over the fleet
+plus the unit gives, bit for bit.
 """
 
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+
+import numpy as np
 
 from .errors import ConfigurationError
 from .scenario import DaySegment, PowerPlant, Scenario, Technology
@@ -170,10 +181,7 @@ def clear_segment(
 class MeritOrder:
     """The plants active in one market-year, sorted once by merit key."""
 
-    year: int
-    carbon_price: float
     plants: tuple[PowerPlant, ...]
-    keys: tuple[tuple, ...]  # ascending merit keys, for bisecting in an added unit
     firm_offers: tuple[tuple[float, float], ...]  # (full capacity MW, SRMC) per plant
     weather: tuple[tuple[int, str], ...]  # (position, profile) of each intermittent plant
 
@@ -198,10 +206,7 @@ def merit_order(
     )
     plants = tuple(p for _, p in ranked)
     return MeritOrder(
-        year=year,
-        carbon_price=carbon_price,
         plants=plants,
-        keys=tuple(k for k, _ in ranked),
         firm_offers=tuple(
             (p.technology.capacity_mw * p.unit_count, k[0]) for k, p in ranked
         ),
@@ -272,57 +277,100 @@ def run_year(
 
 
 class ProbeMarket:
-    """A base fleet's market-year, cleared once, that prices any one added unit.
+    """A fleet's market-year that prices any one added unit, grown plant by plant.
 
-    Per segment it keeps the base offers in merit order, the positions
-    the fill dispatched and the demand left before each of them. A unit
-    bisected in at position ``p`` sees exactly the demand the full fill
-    would leave it, so only the offers after ``p`` are walked again.
+    It keeps a (segment x offer) availability matrix in merit order,
+    closed by a loss-of-load offer of unlimited MW at the loss-of-load
+    price, and ``left``: the demand each segment has left before each
+    offer. ``left`` is ``np.subtract.accumulate`` over the segment's
+    demand and its offers, which subtracts strictly left to right, so it
+    equals ``_fill``'s running ``remaining`` bit for bit up to the
+    marginal offer (an offer that is not marginal gives all its MW, and
+    subtracting 0 MW changes nothing). A unit bisected in at position
+    ``p`` therefore sees ``left[:, p]``, and only the offers after ``p``
+    are accumulated again.
     """
 
     def __init__(self, fleet: list[PowerPlant], year: int, carbon_price: float, s: Scenario):
-        self.order = merit_order(fleet, year, carbon_price, s)
+        self.year = year
+        self.carbon_price = carbon_price
         self._s = s
         scale = s.demand_scale(year)
-        self._segments = []
-        for day in s.representative_days:
-            for segment in day.segments:
-                demand = segment.demand_mw * scale
-                offers = self.order.offers(segment)
-                _, taken, _ = _fill(demand, offers)
-                positions = [k for k, _ in taken]
-                # demand left before the i-th dispatch: the fill's own running subtraction
-                left = list(accumulate((mw for _, mw in taken), operator.sub, initial=demand))
-                hours = segment.duration_hours * day.weight_days
-                self._segments.append((segment, hours, offers, positions, left))
+        days = [(day, segment) for day in s.representative_days for segment in day.segments]
+        self._segments = [segment for _, segment in days]
+        self._demand = np.array([[segment.demand_mw * scale] for _, segment in days])
+        self._hours = np.array([segment.duration_hours * day.weight_days for day, segment in days])
+        self._factors: dict[str | None, np.ndarray] = {}
+        self._keys: list[tuple] = []  # ascending merit keys of the plant offers
+        self._cost = np.array([s.loss_of_load_price])  # SRMC per offer, loss of load last
+        self._avail = np.full((len(days), 1), np.inf)
+        self.add(fleet)
+
+    def _weather(self, tech: Technology) -> np.ndarray:
+        """Per-segment availability factor: the weather profile's for intermittents, else 1."""
+        profile = tech.weather_profile if tech.is_intermittent else None
+        factors = self._factors.get(profile)
+        if factors is None:
+            factors = self._factors[profile] = np.array(
+                [1.0 if profile is None else seg.capacity_factor(profile) for seg in self._segments]
+            )
+        return factors
+
+    def add(self, plants: list[PowerPlant]) -> None:
+        """Add the plants active in the market-year, as if appended to the fleet.
+
+        Equal keys keep their order, so the offers end up in the order a
+        stable sort of ``fleet + plants`` gives (see ``merit_order``).
+        """
+        active = [p for p in plants if p.active_in(self.year)]
+        if active:
+            cost_of = srmc_by_technology(
+                {p.technology for p in active}, self.year, self.carbon_price, self._s
+            )
+            keys = self._keys + [merit_key(p, cost_of[p.technology.name]) for p in active]
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            n = len(self._keys)
+            capacity = np.array([p.technology.capacity_mw * p.unit_count for p in active])
+            added = np.column_stack([self._weather(p.technology) for p in active]) * capacity
+            self._keys = [keys[i] for i in order]
+            # [:, n:] is the loss-of-load offer, which stays last
+            cost = np.append(self._cost[:n], [k[0] for k in keys[n:]])[order]
+            avail = np.hstack((self._avail[:, :n], added))[:, order]
+            self._cost = np.append(cost, self._cost[n:])
+            self._avail = np.hstack((avail, self._avail[:, n:]))
+        self._left = np.subtract.accumulate(np.hstack((self._demand, self._avail)), axis=1)
 
     def probe(self, unit: PowerPlant) -> tuple[float, float]:
-        """Energy (MWh) and revenue (£) of ``unit`` added to the base fleet.
+        """Energy (MWh) and revenue (£) of ``unit`` added to the market's fleet.
 
         Equal, with ``==``, to ``energy_by_plant`` / ``revenue_by_plant``
         of ``run_year(fleet + [unit], ...)`` for the unit (0.0 when it is
         never dispatched).
         """
-        order = self.order
-        if not unit.active_in(order.year):
+        if not unit.active_in(self.year):
             return 0.0, 0.0
-        cost = srmc_by_technology([unit.technology], order.year, order.carbon_price, self._s)[
-            unit.technology.name
-        ]
+        tech = unit.technology
+        cost = srmc_by_technology([tech], self.year, self.carbon_price, self._s)[tech.name]
         # a stable sort of fleet + [unit] puts the unit after every equal key
-        at = bisect_right(order.keys, merit_key(unit, cost))
+        at = bisect_right(self._keys, merit_key(unit, cost))
+        remaining = self._left[:, at]
+        available = tech.capacity_mw * unit.unit_count * self._weather(tech)
+        dispatched = (remaining > 0.0) & (available > 0.0)
+        if not dispatched.any():
+            return 0.0, 0.0  # the fill ends before the unit, or passes it by, everywhere
+        short = available < remaining  # the unit gives all it has; an offer after it sets the price
+        take = np.where(short, available, remaining)
+        tail = self._avail[:, at:]
+        left = np.subtract.accumulate(np.hstack(((remaining - take)[:, None], tail)), axis=1)
+        # Where the unit is short, the first offer after it that meets what is left is
+        # marginal (what is left before it is > 0, so it has MW to give); the
+        # loss-of-load offer always qualifies.
+        marginal = np.argmax(tail >= left[:, :-1], axis=1)
+        price = np.where(short, self._cost[at:][marginal], cost)
         energy = revenue = 0.0
-        for segment, hours, offers, positions, left in self._segments:
-            remaining = left[bisect_left(positions, at)]
-            available = available_mw(unit, segment)
-            if remaining <= 0.0 or available <= 0.0:
-                continue  # the fill ends before the unit, or passes it by
-            remaining, taken, marginal = _fill(
-                remaining, chain(((available, cost),), offers[at:])
-            )
-            seg_energy = taken[0][1] * hours
+        for seg_energy, seg_price in zip(
+            (take * self._hours)[dispatched].tolist(), price[dispatched].tolist()
+        ):
             energy += seg_energy
-            revenue += seg_energy * _clearing_price(
-                remaining, marginal, self._s.loss_of_load_price
-            )
+            revenue += seg_energy * seg_price
         return energy, revenue

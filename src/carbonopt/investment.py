@@ -9,15 +9,17 @@ history. Positive-NPV options are bought greedily, best first, while the
 budget lasts.
 
 All candidates of one investment state (decision year, fleet) share that
-future market: ``invest`` clears the base fleet's market-year once as a
-``ProbeMarket`` and prices each catalog candidate against it, instead of
-clearing the whole market again per candidate. The figures equal those
-of clearing ``fleet + [candidate]`` from scratch bit for bit.
+future market, a ``ProbeMarket`` that prices each catalog candidate
+without clearing the whole market again. One decision year keeps one such
+market (``YearProbes``): every company of the year sees the same future
+year and forecast, and the states of the year differ only by the plants
+bought meanwhile, which ``ProbeMarket.add`` inserts. The figures equal
+those of clearing ``fleet + [candidate]`` from scratch bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .dispatch import ProbeMarket, srmc
 from .scenario import GenCo, PowerPlant, Scenario, Technology
@@ -109,8 +111,7 @@ def estimate_yearly_revenue(
     """
     if market is None:
         market = probe_market(fleet, decision_year, s, carbon_forecast)
-    future_year = market.order.year
-    carbon_price = market.order.carbon_price
+    future_year = market.year
     probe = PowerPlant(
         id=_PROBE_PLANT_ID,
         technology=candidate,
@@ -122,7 +123,7 @@ def estimate_yearly_revenue(
     fuel_price = (
         s.fuel_price(candidate.fuel_kind, future_year) if candidate.fuel_kind else 0.0
     )
-    running_cost = energy * srmc(candidate, fuel_price, carbon_price)
+    running_cost = energy * srmc(candidate, fuel_price, market.carbon_price)
     return revenue - running_cost - candidate.fixed_om * candidate.capacity_mw
 
 
@@ -139,40 +140,71 @@ def _unit_npv(
     return npv([-capital] + [yearly] * tech.lifetime_years, s.discount_rate)
 
 
+@dataclass
+class YearProbes:
+    """The NPV probes of one decision year, shared by every company's ``invest``.
+
+    Within a decision year the fleet only grows: each purchase appends
+    one plant. So one future market serves the whole year: it is built
+    for the first state valued and grown by ``ProbeMarket.add`` with the
+    plants bought since for each later one. Unit valuations are kept per
+    fleet length. The probes serve only the decision year and forecast
+    they were made for (see ``serves``).
+    """
+
+    decision_year: int
+    forecast: CarbonForecast
+    market: ProbeMarket | None = None
+    plants_seen: int = 0  # fleet plants the market holds
+    valuations: dict[int, dict[str, float]] = field(default_factory=dict)
+
+    def serves(self, decision_year: int, forecast: CarbonForecast) -> bool:
+        return (decision_year, forecast) == (self.decision_year, self.forecast)
+
+    def value(self, fleet: list[PowerPlant], s: Scenario) -> dict[str, float]:
+        """NPV per catalog technology of one more unit added to ``fleet``."""
+        valuations = self.valuations.get(len(fleet))
+        if valuations is None:
+            if self.market is None:
+                self.market = probe_market(fleet, self.decision_year, s, self.forecast)
+            else:
+                self.market.add(fleet[self.plants_seen:])
+            self.plants_seen = len(fleet)
+            valuations = self.valuations[len(fleet)] = {
+                tech.name: _unit_npv(
+                    tech, self.decision_year, s, fleet, self.forecast, self.market
+                )
+                for tech in s.technologies
+            }
+        return valuations
+
+
 def invest(
     genco: GenCo,
     decision_year: int,
     s: Scenario,
     fleet: list[PowerPlant],
     carbon_history: list[tuple[int, float]],
-    npv_cache: dict | None = None,
+    probes: YearProbes | None = None,
 ) -> list[InvestmentDecision]:
     """Buy the highest-NPV affordable unit, re-evaluate, and repeat until nothing attracts.
 
     Executed purchases debit ``genco.budget`` and append the new plant to
     ``fleet`` (commissioning after the technology's construction lag), so
-    later decisions see the updated market. ``npv_cache`` memoizes unit
-    valuations per (year, fleet-size) state; the fleet only ever grows,
-    so that pair identifies a state within one simulation run. Each state
-    that is valued clears its future market once, shared by all candidates.
+    later decisions see the updated market. ``probes`` carries the year's
+    future market and valuations across the companies of one decision
+    year; probes made for another year or forecast are not used, and
+    without usable ones the call makes its own.
 
     Returns the executed decisions; an empty list means nothing was both
     positive-NPV and affordable.
     """
     forecast = fit_carbon_forecast(carbon_history)
+    if probes is None or not probes.serves(decision_year, forecast):
+        probes = YearProbes(decision_year, forecast)
     decisions: list[InvestmentDecision] = []
     while True:
-        state = (decision_year, len(fleet))
-        if npv_cache is not None and state in npv_cache:
-            valuations = npv_cache[state]
-        else:
-            market = probe_market(fleet, decision_year, s, forecast)
-            valuations = {
-                tech.name: _unit_npv(tech, decision_year, s, fleet, forecast, market)
-                for tech in s.technologies
-            }
-            if npv_cache is not None:
-                npv_cache[state] = valuations
+        valuations = probes.value(fleet, s)
         best: Technology | None = None
         best_value = 0.0
         for tech in s.technologies:

@@ -20,6 +20,7 @@ parallel evaluation cannot perturb the stream.
 from __future__ import annotations
 
 import math
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -262,8 +263,8 @@ def _evaluate_all(fitness, genomes: list[np.ndarray], map_fn) -> list[tuple[floa
                 raise ValueError("fitness returned an empty objective vector")
             results.append(objectives)
             position += 1
-    except EvaluationError:
-        raise
+    except (EvaluationError, BrokenExecutor):
+        raise  # a broken pool (say, a killed worker) is no genome's fault
     except Exception as exc:
         failing = genomes[position] if position < len(genomes) else genomes[-1]
         raise EvaluationError(failing, exc) from exc

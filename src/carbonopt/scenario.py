@@ -168,15 +168,19 @@ class Violation:
         return f"{self.path}: {self.message}"
 
 
-# Range rules of numeric fields; every numeric field must also be finite.
+# Range rules of numeric fields; every numeric field must also be finite and
+# at most MAX_MAGNITUDE in size, which keeps every product the model forms
+# (price x energy x years, capital x units) far from float overflow.
+MAX_MAGNITUDE = 1e15
 _RULES = {
     "> 0": lambda v: v > 0,
     ">= 0": lambda v: v >= 0,
     ">= 1": lambda v: v >= 1,
-    ">= 2": lambda v: v >= 2,
-    "> -1": lambda v: v > -1,
     "in (0, 1]": lambda v: 0 < v <= 1,
+    "in [1, 100]": lambda v: 1 <= v <= 100,
+    "in [2, 100]": lambda v: 2 <= v <= 100,
     "in [0, 1]": lambda v: 0 <= v <= 1,
+    "in (0, 2]": lambda v: 0 < v <= 2,
 }
 
 _TECHNOLOGY_RULES = (
@@ -188,15 +192,19 @@ _TECHNOLOGY_RULES = (
     ("variable_om", ">= 0"),
     ("efficiency", "in (0, 1]"),
     ("emission_factor", ">= 0"),
-    ("lifetime_years", ">= 1"),
+    # every operating year is one term of the NPV sum
+    ("lifetime_years", "in [1, 100]"),
     ("construction_lag_years", ">= 0"),
 )
 
 
 def _check(out: list[Violation], path: str, value, rule: str) -> None:
-    """Record a violation unless ``value`` is finite and satisfies ``rule``."""
-    if not math.isfinite(value):
+    """Record a violation unless ``value`` is finite, not too large and satisfies ``rule``."""
+    # ints are finite, and math.isfinite overflows on huge ones
+    if not (isinstance(value, int) or math.isfinite(value)):
         out.append(Violation(path, f"must be finite, got {value}"))
+    elif abs(value) > MAX_MAGNITUDE:
+        out.append(Violation(path, f"must be at most {MAX_MAGNITUDE:g} in size, got {value}"))
     elif not _RULES[rule](value):
         out.append(Violation(path, f"must be {rule}, got {value}"))
 
@@ -210,10 +218,12 @@ def validate_scenario(s: Scenario) -> list[Violation]:
     out: list[Violation] = []
 
     for name, rule in (
-        ("horizon_years", ">= 2"),
-        ("discount_rate", "> -1"),
-        ("demand_growth", "> 0"),
-        ("base_carbon_intensity", ">= 0"),
+        ("horizon_years", "in [2, 100]"),
+        # the growth factor and the discount rate are raised to powers of years
+        ("discount_rate", "in [0, 1]"),
+        ("demand_growth", "in (0, 2]"),
+        # the relative carbon intensity objective divides by it
+        ("base_carbon_intensity", "> 0"),
         ("loss_of_load_price", "> 0"),
         ("demand_noise_std", ">= 0"),
     ):
@@ -289,6 +299,8 @@ def validate_scenario(s: Scenario) -> list[Violation]:
         )
 
     fueled = sorted({t.fuel_kind for t in s.technologies if t.fuel_kind})
+    if any(v.path == "horizon_years" for v in out):
+        fueled = []  # listing the years of a huge horizon would exhaust memory
     for fuel in fueled:
         series = s.fuel_prices.get(fuel, {})
         missing = [year for year in s.years if year not in series]

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dispatch import YearResult, run_year
 from .errors import ConfigurationError
-from .investment import invest
+from .investment import YearProbes, fit_carbon_forecast, invest
 from .policy import CarbonPolicy, check_bounds, decode
 from .scenario import Scenario, copy_gencos
 
@@ -71,7 +71,6 @@ def run_simulation(s: Scenario, policy: CarbonPolicy, seed: int) -> SimulationRe
     history: list[tuple[int, float]] = []
     per_year: list[YearResult] = []
     taxes: list[float] = []
-    npv_cache: dict = {}
     rng = np.random.default_rng(seed) if s.demand_noise_std > 0 else None
 
     for year_index in range(1, s.horizon_years + 1):
@@ -94,8 +93,9 @@ def run_simulation(s: Scenario, policy: CarbonPolicy, seed: int) -> SimulationRe
         taxes.append(tax)
         history.append((year, tax))
 
+        probes = YearProbes(year, fit_carbon_forecast(history))
         for genco in gencos:
-            for decision in invest(genco, year, s, fleet, history, npv_cache):
+            for decision in invest(genco, year, s, fleet, history, probes):
                 events.append(
                     Event(
                         year=year,

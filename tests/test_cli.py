@@ -186,6 +186,30 @@ class TestOptimize:
         assert (out_serial / "pareto.json").read_bytes() == (out_parallel / "pareto.json").read_bytes()
 
 
+    def test_broken_pool_exits_2(self, fossil_path, tmp_path, monkeypatch, capsys):
+        from concurrent.futures.process import BrokenProcessPool
+
+        import carbonopt.cli as cli
+
+        class Pool:
+            def shutdown(self):
+                pass
+
+        def broken_map(fn, items):
+            yield (1.0, 1.0)
+            raise BrokenProcessPool("a worker died")
+
+        monkeypatch.setattr(cli, "_parallel_map", lambda jobs: (Pool(), broken_map))
+        code = main([
+            "optimize", "--scenario", str(fossil_path), "--kind", "linear",
+            "--pop", "4", "--gens", "1", "--seed", "3", "--jobs", "2", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "runtime error" in err
+        assert "genome" not in err
+
+
 class TestBenchmark:
     def test_schaffer_passes_gate(self, capsys):
         code = main([

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
@@ -377,21 +378,90 @@ def probe_markets(draw):
     return s, fleet, draw(st.sampled_from([2020, 2021])), carbon_price
 
 
+def candidates(s, year):
+    """One probe unit per catalog technology, commissioned in ``year``."""
+    return [
+        PowerPlant(id="__candidate__", technology=tech, owner="probe", commission_year=year, unit_count=1)
+        for tech in s.technologies
+    ]
+
+
+def full_clearing_probe(fleet, unit, year, carbon_price, s):
+    """The unit's energy and revenue in a from-scratch ``run_year`` of ``fleet + [unit]``."""
+    full = run_year(fleet + [unit], year, carbon_price, s)
+    return full.energy_by_plant.get(unit.id, 0.0), full.revenue_by_plant.get(unit.id, 0.0)
+
+
 class TestProbeMarket:
     @given(case=probe_markets())
     @settings(max_examples=300, deadline=None)
     def test_probe_equals_full_clearing_exactly(self, case):
         s, fleet, year, carbon_price = case
         market = ProbeMarket(fleet, year, carbon_price, s)
-        for tech in s.technologies:
-            unit = PowerPlant(id="__candidate__", technology=tech, owner="probe",
-                              commission_year=year, unit_count=1)
+        for unit in candidates(s, year):
             full = run_year(fleet + [unit], year, carbon_price, s)
             expected = (full.energy_by_plant.get(unit.id, 0.0), full.revenue_by_plant.get(unit.id, 0.0))
             assert market.probe(unit) == expected
             energy, revenue = reference_plant_totals(fleet + [unit], year, carbon_price, s)
             assert full.energy_by_plant == energy
             assert full.revenue_by_plant == revenue
+
+    @given(case=probe_markets(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_added_plants_equal_a_fresh_market_exactly(self, case, data):
+        s, fleet, year, carbon_price = case
+        # same technologies as the fleet (ties on SRMC and emission factor), some
+        # inactive in the year, ids on both sides of the fleet's and of the probe's
+        plants = [
+            PowerPlant(
+                id=f"{data.draw(st.sampled_from('Az'))}{k}",
+                technology=data.draw(st.sampled_from(s.technologies)),
+                owner="g1",
+                commission_year=data.draw(st.sampled_from([2000, 2016, 2020, 2025])),
+                unit_count=data.draw(st.integers(1, 3)),
+            )
+            for k in range(data.draw(st.integers(1, 4)))
+        ]
+        split = data.draw(st.integers(0, len(plants)))
+        market = ProbeMarket(fleet, year, carbon_price, s)
+        market.add(plants[:split])
+        market.add(plants[split:])
+        fresh = ProbeMarket(fleet + plants, year, carbon_price, s)
+        for unit in candidates(s, year):
+            expected = full_clearing_probe(fleet + plants, unit, year, carbon_price, s)
+            assert market.probe(unit) == expected
+            assert fresh.probe(unit) == expected
+
+    def test_unit_after_every_offer_sets_the_price(self, static_fossil_scenario):
+        # gas at SRMC 43 covers 100 of the 150 MW; the peaker sorts last and
+        # either meets the rest (its SRMC is the price) or falls short (VoLL)
+        s = static_fossil_scenario
+        fleet = list(s.initial_fleet)
+        for capacity, price in ((100.0, 503.0), (30.0, VOLL)):
+            peaker = make_tech(name="peaker", fuel_kind=None, efficiency=1.0, variable_om=503.0,
+                               emission_factor=0.0, capacity_mw=capacity)
+            busy = dataclasses.replace(FULL_DAY, segments=(DaySegment(24.0, 150.0, 0.5, 0.5),))
+            s_busy = make_scenario([s.technologies[0], peaker], fleet, days=(busy,))
+            market = ProbeMarket(fleet, 2020, 0.0, s_busy)
+            (unit,) = candidates(s_busy, 2020)[1:]
+            energy, revenue = market.probe(unit)
+            assert (energy, revenue) == full_clearing_probe(fleet, unit, 2020, 0.0, s_busy)
+            assert energy == min(capacity, 50.0) * 8760.0
+            assert revenue == energy * price
+
+    def test_all_shortage_year_pays_voll_everywhere(self, static_fossil_scenario):
+        s = static_fossil_scenario
+        fleet = list(s.initial_fleet)
+        starved = dataclasses.replace(FULL_DAY, segments=(
+            DaySegment(8.0, 1000.0, 0.5, 0.5), DaySegment(16.0, 500.0, 0.5, 0.5),
+        ))
+        s_short = make_scenario(list(s.technologies), fleet, days=(starved,))
+        market = ProbeMarket(fleet, 2020, 10.0, s_short)
+        (unit,) = candidates(s_short, 2020)
+        energy, revenue = market.probe(unit)
+        assert (energy, revenue) == full_clearing_probe(fleet, unit, 2020, 10.0, s_short)
+        assert energy == 100.0 * 8.0 * 365.0 + 100.0 * 16.0 * 365.0
+        assert revenue == pytest.approx(energy * VOLL)
 
     def test_inactive_unit_earns_nothing(self, static_fossil_scenario):
         s = static_fossil_scenario

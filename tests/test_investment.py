@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import carbonopt.investment as investment
 from carbonopt.investment import (
     CarbonForecast,
+    YearProbes,
     estimate_yearly_revenue,
     fit_carbon_forecast,
     forecast_carbon_price,
@@ -292,3 +294,49 @@ class TestInvest:
         decisions = invest(genco, 2020, s, [plant], [(2020, 0.0)])
         assert [d.technology for d in decisions] == ["small", "small"]
         assert genco.budget == pytest.approx(1_000.0)
+
+
+class TestYearProbes:
+    @staticmethod
+    def coal_and_gas():
+        # coal sets the price; new gas earns more the higher the carbon price
+        coal = make_tech(name="coal", fuel_kind="coal", efficiency=0.35, variable_om=2.0,
+                         emission_factor=0.9)
+        gas = make_tech(name="gas", capacity_mw=50.0)
+        plant = PowerPlant(id="c", technology=coal, owner="g1", commission_year=2005, unit_count=1)
+        gencos = (GenCo(id="g1", budget=0.0), GenCo(id="g2", budget=3 * 25_000_000.0))
+        s = make_scenario([coal, gas], [plant], gencos=gencos, horizon_years=2,
+                          fuel_prices={"coal": {2020: 20.0, 2021: 20.0},
+                                       "gas": {2020: 20.0, 2021: 20.0}})
+        return s, plant
+
+    def test_probes_of_another_forecast_are_not_used(self):
+        s, plant = self.coal_and_gas()
+        low, high = [(2020, 0.0)], [(2020, 100.0)]
+        fleet = [plant]
+        probes = YearProbes(2020, fit_carbon_forecast(low))
+        # no budget: values the state (fleet of 1) under the low forecast, buys nothing
+        assert invest(replace(s.gencos[0]), 2020, s, fleet, low, probes) == []
+        assert list(probes.valuations) == [1]
+
+        fresh = invest(replace(s.gencos[1]), 2020, s, list(fleet), high)
+        shared = invest(replace(s.gencos[1]), 2020, s, fleet, high, probes)
+        at_low = invest(replace(s.gencos[1]), 2020, s, [plant], low)
+        assert shared == fresh
+        assert [d.npv for d in fresh] != [d.npv for d in at_low]
+        assert probes.forecast == fit_carbon_forecast(low)
+        assert list(probes.valuations) == [1]
+
+    def test_shared_probes_equal_fresh_calls(self):
+        # two companies in one decision year: the second reuses the market the
+        # first built and grew, and decides exactly as it would alone
+        s, plant = self.coal_and_gas()
+        history = [(2020, 50.0)]
+        fleet = [plant]
+        probes = YearProbes(2020, fit_carbon_forecast(history))
+        first = invest(replace(s.gencos[1], id="g0"), 2020, s, fleet, history, probes)
+        alone = invest(replace(s.gencos[1]), 2020, s, list(fleet), history)
+        shared = invest(replace(s.gencos[1]), 2020, s, fleet, history, probes)
+        assert first  # so the second company values a state the market grew into
+        assert shared == alone
+        assert sorted(probes.valuations) == list(range(1, len(fleet) + 1))

@@ -387,6 +387,17 @@ class TestEvolve:
             evolve(fitness, cfg, [(-1.0, 1.0)])
         assert len(err.value.genome) == 1
 
+    def test_broken_pool_is_not_blamed_on_a_genome(self):
+        from concurrent.futures.process import BrokenProcessPool
+
+        def broken_map(fn, items):
+            yield fn(items[0])
+            raise BrokenProcessPool("a worker died")
+
+        cfg = GAConfig(population_size=8, generations=1, seed=4)
+        with pytest.raises(BrokenProcessPool):
+            evolve(schaffer, cfg, SCHAFFER_BOUNDS, map_fn=broken_map)
+
     def test_order_preserving_parallel_map_equals_serial(self):
         from concurrent.futures import ThreadPoolExecutor
 

@@ -7,9 +7,10 @@ import json
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from carbonopt.errors import ScenarioParseError, ScenarioValidationError
+from carbonopt.policy import parse_policy_spec
 from carbonopt.scenario import (
     DaySegment,
     GenCo,
@@ -22,6 +23,7 @@ from carbonopt.scenario import (
     scenario_to_dict,
     validate_scenario,
 )
+from carbonopt.simulation import run_simulation
 
 from conftest import make_scenario, make_tech
 
@@ -279,6 +281,27 @@ class TestNumericGuards:
             load_scenario(write_json(tmp_path, data))
         assert path in [v.path for v in err.value.violations]
 
+    @pytest.mark.parametrize(
+        "path, edit",
+        [
+            # a huge horizon once made validation list every year of it
+            ("horizon_years", lambda d: d.update(horizon_years=10**9)),
+            ("technologies[gas].lifetime_years",
+             lambda d: d["technologies"][0].update(lifetime_years=1e300)),
+            ("discount_rate", lambda d: d.update(discount_rate=1e300)),
+            ("demand_growth", lambda d: d.update(demand_growth=1e300)),
+            ("base_carbon_intensity", lambda d: d.update(base_carbon_intensity=0.0)),
+            ("technologies[gas].emission_factor",
+             lambda d: d["technologies"][0].update(emission_factor=1e300)),
+        ],
+    )
+    def test_number_out_of_range_is_named(self, tmp_path, path, edit):
+        data = copy.deepcopy(MINIMAL)
+        edit(data)
+        with pytest.raises(ScenarioValidationError) as err:
+            load_scenario(write_json(tmp_path, data))
+        assert [v.path for v in err.value.violations] == [path]
+
     @pytest.mark.parametrize("field", ["variable_om", "fixed_om"])
     def test_negative_om_cost_is_rejected(self, tmp_path, field):
         data = copy.deepcopy(MINIMAL)
@@ -293,3 +316,66 @@ class TestNumericGuards:
         data["initial_fleet"][0]["unit_count"] = value
         with pytest.raises(ScenarioParseError, match="unit_count"):
             load_scenario(write_json(tmp_path, data))
+
+
+def two_year_uk() -> dict:
+    """The bundled ``uk_synthetic`` document cut to its first two years."""
+    raw = json.loads(bundled_scenario_path("uk_synthetic").read_text(encoding="utf-8"))
+    raw["horizon_years"] = 2
+    years = {str(raw["start_year"] + k) for k in range(2)}
+    raw["fuel_prices"] = {
+        fuel: {y: p for y, p in series.items() if y in years}
+        for fuel, series in raw["fuel_prices"].items()
+    }
+    return raw
+
+
+def numeric_paths(node, path=()):
+    """Key paths of every number in a JSON document (booleans excluded)."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        is_number = isinstance(node, (int, float)) and not isinstance(node, bool)
+        return [path] if is_number else []
+    return [p for key, value in items for p in numeric_paths(value, path + (key,))]
+
+
+UK_TWO_YEARS = two_year_uk()
+UK_NUMBERS = numeric_paths(UK_TWO_YEARS)
+EDITS = {
+    "nan": lambda v: math.nan,
+    "inf": lambda v: math.inf,
+    "-inf": lambda v: -math.inf,
+    "negative": lambda v: -abs(v) - 1.0,
+    "huge": lambda v: 1e300,
+    "fraction": lambda v: v + 0.5,
+    "zero": lambda v: 0 * v,
+}
+
+
+class TestScenarioFuzz:
+    @given(edits=st.lists(
+        st.tuples(st.sampled_from(UK_NUMBERS), st.sampled_from(sorted(EDITS))),
+        min_size=1, max_size=3,
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_perturbed_numbers_are_refused_or_simulate_finitely(self, edits):
+        raw = copy.deepcopy(UK_TWO_YEARS)
+        for path, how in edits:
+            holder = raw
+            for key in path[:-1]:
+                holder = holder[key]
+            holder[path[-1]] = EDITS[how](holder[path[-1]])
+        try:
+            s = scenario_from_dict(raw)
+        except ScenarioParseError:
+            return
+        if validate_scenario(s):
+            return  # load_scenario raises ScenarioValidationError
+        policy = parse_policy_spec("linear:8,100", s.horizon_years)
+        first, again = (run_simulation(s, policy, seed=5) for _ in range(2))
+        objectives = (first.objective_price, first.objective_rci)
+        assert all(math.isfinite(v) for v in objectives), (edits, objectives)
+        assert objectives == (again.objective_price, again.objective_rci)

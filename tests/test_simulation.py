@@ -26,7 +26,7 @@ class TestRunSimulation:
         )
         plant = PowerPlant(id="w", technology=wind, owner="g1", commission_year=2010, unit_count=4)
         # 400 MW at cf 0.5 covers the 80 MW load in every segment
-        s = make_scenario([wind], [plant], base_carbon_intensity=0.0)
+        s = make_scenario([wind], [plant])
         result = run_simulation(s, flat(0.0, 2), seed=1)
         assert result.objective_rci == 0.0
         assert result.objective_price == 0.0

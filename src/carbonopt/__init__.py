@@ -2,93 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .dispatch import Bid, SegmentClearing, YearResult, build_bids, clear_segment, run_year, srmc
-from .investment import (
-    CarbonForecast,
-    InvestmentDecision,
-    estimate_yearly_revenue,
-    fit_carbon_forecast,
-    forecast_carbon_price,
-    invest,
-    npv,
-)
-from .nsga2 import (
-    FrontArchive,
-    GAConfig,
-    Individual,
-    binary_tournament,
-    crowded_compare,
-    crowding_distance,
-    dominates,
-    evolve,
-    fast_non_dominated_sort,
-    mutate,
-    sbx_crossover,
-)
-from .policy import (
-    CarbonPolicy,
-    LinearPolicy,
-    NonParametricPolicy,
-    bounds,
-    decode,
-    encode,
-    parse_policy_spec,
-)
-from .scenario import (
-    GenCo,
-    PowerPlant,
-    RepresentativeDay,
-    Scenario,
-    Technology,
-    load_scenario,
-    save_scenario,
-    validate_scenario,
-)
-from .simulation import SimulationResult, evaluate_objectives, run_simulation
+from .nsga2 import GAConfig, evolve
+from .scenario import load_scenario
+from .simulation import evaluate_objectives
 
-__all__ = [
-    "__version__",
-    "Bid",
-    "CarbonForecast",
-    "CarbonPolicy",
-    "FrontArchive",
-    "GAConfig",
-    "GenCo",
-    "Individual",
-    "InvestmentDecision",
-    "LinearPolicy",
-    "NonParametricPolicy",
-    "PowerPlant",
-    "RepresentativeDay",
-    "Scenario",
-    "SegmentClearing",
-    "SimulationResult",
-    "Technology",
-    "YearResult",
-    "binary_tournament",
-    "bounds",
-    "build_bids",
-    "clear_segment",
-    "crowded_compare",
-    "crowding_distance",
-    "decode",
-    "dominates",
-    "encode",
-    "estimate_yearly_revenue",
-    "evaluate_objectives",
-    "evolve",
-    "fast_non_dominated_sort",
-    "fit_carbon_forecast",
-    "forecast_carbon_price",
-    "invest",
-    "load_scenario",
-    "mutate",
-    "npv",
-    "parse_policy_spec",
-    "run_simulation",
-    "run_year",
-    "save_scenario",
-    "sbx_crossover",
-    "srmc",
-    "validate_scenario",
-]
+__all__ = ["__version__", "GAConfig", "evaluate_objectives", "evolve", "load_scenario"]

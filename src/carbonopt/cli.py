@@ -76,6 +76,45 @@ def _timings(started: datetime.datetime, t0: float) -> dict:
     }
 
 
+def _write_run(
+    out_dir: Path,
+    command: str,
+    args: dict,
+    files: dict[str, str],
+    scenario_path: Path | None,
+    started: datetime.datetime,
+    t0: float,
+) -> list[str]:
+    """Write the result files, then the manifest that replays them; return the file names."""
+    outputs = write_output_set(out_dir, files)
+    write_manifest(
+        out_dir,
+        RunManifest(
+            command=command,
+            args=args if scenario_path is None else {**args, "scenario": str(scenario_path)},
+            seed=args["seed"],
+            version=__version__,
+            scenario_sha256=None if scenario_path is None else file_sha256(scenario_path),
+            outputs=outputs,
+            timings=_timings(started, t0),
+        ),
+    )
+    return outputs
+
+
+def _ga_config(args: dict) -> GAConfig:
+    """The optimizer settings recorded in an ``optimize`` or ``benchmark`` run's args."""
+    return GAConfig(
+        population_size=args["pop"],
+        generations=args["gens"],
+        crossover_probability=args["crossover_prob"],
+        mutation_probability=args["mutation_prob"],
+        eta_crossover=args["eta_c"],
+        mutation_kind=args["mutation_kind"],
+        seed=args["seed"],
+    )
+
+
 def run_simulate(args: dict, out_dir: Path) -> int:
     started = datetime.datetime.now(datetime.timezone.utc)
     t0 = time.perf_counter()
@@ -90,19 +129,7 @@ def run_simulate(args: dict, out_dir: Path) -> int:
         "events.csv": render_events_csv(result.events),
         "objectives.json": render_objectives_json(result),
     }
-    outputs = write_output_set(out_dir, files)
-    write_manifest(
-        out_dir,
-        RunManifest(
-            command="simulate",
-            args={**args, "scenario": str(scenario_path)},
-            seed=args["seed"],
-            version=__version__,
-            scenario_sha256=file_sha256(scenario_path),
-            outputs=outputs,
-            timings=_timings(started, t0),
-        ),
-    )
+    outputs = _write_run(out_dir, "simulate", args, files, scenario_path, started, t0)
     print(
         f"objective_price={result.objective_price!r} "
         f"objective_rci={result.objective_rci!r}"
@@ -129,15 +156,7 @@ def run_optimize(args: dict, out_dir: Path) -> int:
     kind = args["kind"]
     if kind not in POLICY_KINDS:
         raise CarbonOptError(f"unknown policy kind {kind!r}; expected one of {POLICY_KINDS}")
-    cfg = GAConfig(
-        population_size=args["pop"],
-        generations=args["gens"],
-        crossover_probability=args["crossover_prob"],
-        mutation_probability=args["mutation_prob"],
-        eta_crossover=args["eta_c"],
-        mutation_kind=args["mutation_kind"],
-        seed=args["seed"],
-    )
+    cfg = _ga_config(args)
     fitness = functools.partial(
         evaluate_objectives, scenario, policy_kind=kind, seed=args["seed"]
     )
@@ -157,19 +176,7 @@ def run_optimize(args: dict, out_dir: Path) -> int:
         "generations.csv": render_generations_csv(archive, OBJECTIVE_NAMES),
         "pareto.json": render_pareto_json(archive, OBJECTIVE_NAMES),
     }
-    outputs = write_output_set(out_dir, files)
-    write_manifest(
-        out_dir,
-        RunManifest(
-            command="optimize",
-            args={**args, "scenario": str(scenario_path)},
-            seed=args["seed"],
-            version=__version__,
-            scenario_sha256=file_sha256(scenario_path),
-            outputs=outputs,
-            timings=_timings(started, t0),
-        ),
-    )
+    outputs = _write_run(out_dir, "optimize", args, files, scenario_path, started, t0)
 
     front = sorted(archive.final_front, key=lambda ind: ind.objectives[0])
     print(f"final front ({len(front)} solutions):")
@@ -190,16 +197,7 @@ def run_benchmark(args: dict, out_dir: Path | None) -> int:
             f"unknown problem {problem!r}; expected one of {sorted(BENCHMARKS)}"
         )
     fitness, bounds_fn, front_fn = BENCHMARKS[problem]
-    cfg = GAConfig(
-        population_size=args["pop"],
-        generations=args["gens"],
-        crossover_probability=args["crossover_prob"],
-        mutation_probability=args["mutation_prob"],
-        eta_crossover=args["eta_c"],
-        mutation_kind=args["mutation_kind"],
-        seed=args["seed"],
-    )
-    archive = evolve(fitness, cfg, bounds_fn())
+    archive = evolve(fitness, _ga_config(args), bounds_fn())
     obtained = [ind.objectives for ind in archive.final_front]
     gd = generational_distance(obtained, front_fn())
     print(f"{problem}: generational distance to analytic front = {gd!r}")
@@ -209,19 +207,7 @@ def run_benchmark(args: dict, out_dir: Path | None) -> int:
             "generations.csv": render_generations_csv(archive, ["f1", "f2"]),
             "pareto.json": render_pareto_json(archive, ["f1", "f2"]),
         }
-        outputs = write_output_set(out_dir, files)
-        write_manifest(
-            out_dir,
-            RunManifest(
-                command="benchmark",
-                args=args,
-                seed=args["seed"],
-                version=__version__,
-                scenario_sha256=None,
-                outputs=outputs,
-                timings=_timings(started, t0),
-            ),
-        )
+        outputs = _write_run(out_dir, "benchmark", args, files, None, started, t0)
         print(f"wrote {', '.join(outputs)} to {out_dir}")
 
     if args["fail_above"] is not None and gd > args["fail_above"]:
@@ -250,13 +236,17 @@ def run_replay(manifest_path: str, out_override: str | None) -> int:
                 "changed since the run; rerun the command instead"
             )
     out_dir = Path(out_override) if out_override else Path(args.get("out", _default_out_dir()))
-    if manifest.command == "simulate":
+    return _run(manifest.command, args, out_dir)
+
+
+def _run(command: str, args: dict, out_dir: Path | None) -> int:
+    if command == "simulate":
         return run_simulate(args, out_dir)
-    if manifest.command == "optimize":
+    if command == "optimize":
         return run_optimize(args, out_dir)
-    if manifest.command == "benchmark":
+    if command == "benchmark":
         return run_benchmark(args, out_dir)
-    raise CarbonOptError(f"manifest has unknown command {manifest.command!r}")
+    raise CarbonOptError(f"manifest has unknown command {command!r}")
 
 
 def _add_ga_flags(parser: argparse.ArgumentParser, pop_default: int, gens_default: int):
@@ -321,59 +311,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    command = args.pop("command")
     try:
-        if ns.command == "simulate":
-            out = Path(ns.out if ns.out is not None else _default_out_dir())
-            args = {
-                "scenario": ns.scenario,
-                "policy": ns.policy,
-                "seed": ns.seed,
-                "out": str(out),
-            }
-            return run_simulate(args, out)
-        if ns.command == "optimize":
-            out = Path(ns.out if ns.out is not None else _default_out_dir())
-            args = {
-                "scenario": ns.scenario,
-                "kind": ns.kind,
-                "pop": ns.pop,
-                "gens": ns.gens,
-                "seed": ns.seed,
-                "crossover_prob": ns.crossover_prob,
-                "mutation_prob": ns.mutation_prob,
-                "eta_c": ns.eta_c,
-                "mutation_kind": ns.mutation_kind,
-                "jobs": ns.jobs,
-                "out": str(out),
-            }
-            return run_optimize(args, out)
-        if ns.command == "benchmark":
-            out = Path(ns.out) if ns.out is not None else None
-            args = {
-                "problem": ns.problem,
-                "pop": ns.pop,
-                "gens": ns.gens,
-                "seed": ns.seed,
-                "crossover_prob": ns.crossover_prob,
-                "mutation_prob": ns.mutation_prob,
-                "eta_c": ns.eta_c,
-                "mutation_kind": ns.mutation_kind,
-                "fail_above": ns.fail_above,
-                "out": str(out) if out is not None else None,
-            }
-            return run_benchmark(args, out)
-        if ns.command == "replay":
-            return run_replay(ns.manifest, ns.out)
-        parser.error(f"unknown command {ns.command!r}")
+        if command == "replay":
+            return run_replay(args["manifest"], args["out"])
+        # simulate and optimize always write; benchmark only when given a directory
+        if args["out"] is None and command != "benchmark":
+            args["out"] = _default_out_dir()
+        out = Path(args["out"]) if args["out"] is not None else None
+        args["out"] = str(out) if out is not None else None
+        return _run(command, args, out)
     except (CarbonOptError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -6,31 +6,32 @@ and the last unit used sets a uniform clearing price. Demand is perfectly
 price inelastic; when available capacity falls short, the gap is priced
 at the scenario's loss-of-load price.
 
-SRMC depends on the year and the carbon price, not on the segment, so a
-market-year sorts its active plants once (``merit_order``) and walks that
-order through every segment with ``_fill``, the one greedy fill loop
-(``clear_segment`` runs it too).
+One kernel, ``MarketYear``, clears every production market: the spot
+market of each simulated year (``run_year``) and the investment probes'
+future markets. SRMC depends on the year and the carbon price, not on
+the segment, so a market-year sorts its plants once and keeps them as a
+(segment x offer) availability matrix in merit order, plus the demand
+each segment has left before each offer, ``np.subtract.accumulate`` over
+demand and offers. That accumulate subtracts strictly left to right, the
+same operations in the same order as the greedy fill's
+``remaining -= take``, so it is bit-exact. ``demand - np.cumsum(...)``
+is not: it adds the offers up first and subtracts once, ``d - (a + b)``
+rather than ``(d - a) - b``, which rounds differently. Yearly totals are
+likewise added up in Python floats, segment by segment and in merit
+order within a segment, which is the order a segment-by-segment fill
+produces them in; ``np.sum`` would add pairwise and round differently.
+A probe candidate is bisected into the order and only the offers after
+it are accumulated again; plants bought later are inserted with
+``MarketYear.add``.
 
-``ProbeMarket`` serves the investment probes with a numpy kernel. It keeps
-a fleet's market-year as a (segment x offer) availability matrix in merit
-order and the demand each segment has left before each offer,
-``np.subtract.accumulate`` over demand and offers. That accumulate
-subtracts strictly left to right, the same operations in the same order
-as ``_fill``'s ``remaining -= take``, so it is bit-exact.
-``demand - np.cumsum(...)`` is not: it adds the offers up first and
-subtracts once, ``d - (a + b)`` rather than ``(d - a) - b``, which rounds
-differently (``np.sum`` even adds pairwise). A candidate unit is
-bisected into the order; only the offers after it are accumulated again
-to find the marginal offer. Plants bought later are inserted with
-``ProbeMarket.add``. Both give what a fresh ``run_year`` over the fleet
-plus the unit gives, bit for bit.
+``Bid``, ``build_bids`` and ``clear_segment`` clear one segment the
+plain way, bid by bid; the tests hold the kernel to them with ``==``.
 """
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,8 +62,6 @@ class YearResult:
     average_price: float  # £/MWh, demand-weighted over all segments
     unserved_mwh: float
     carbon_intensity: float  # tCO2 per served MWh; 0 when nothing is served
-    energy_by_plant: dict[str, float] = field(default_factory=dict)
-    revenue_by_plant: dict[str, float] = field(default_factory=dict)  # £ at clearing prices
 
 
 def srmc(tech: Technology, fuel_price: float, carbon_price: float) -> float:
@@ -133,33 +132,6 @@ def merit_order_key(bid: Bid):
     return merit_key(bid.plant, bid.srmc)
 
 
-def _fill(demand_mw: float, offers) -> tuple[float, list[tuple[int, float]], float]:
-    """Greedy merit-order fill: the one loop every clearing path runs.
-
-    ``offers`` yields (available MW, SRMC) pairs cheapest first. Returns
-    the demand left over (<= 0 once met), the (offer position, MW taken)
-    of every dispatched offer, and the SRMC of the last one (0 if none).
-    """
-    remaining = demand_mw
-    taken: list[tuple[int, float]] = []
-    marginal_srmc = 0.0
-    for position, (available, cost) in enumerate(offers):
-        if remaining <= 0.0:
-            break
-        if available <= 0.0:
-            continue
-        take = available if available < remaining else remaining
-        remaining -= take
-        taken.append((position, take))
-        marginal_srmc = cost
-    return remaining, taken, marginal_srmc
-
-
-def _clearing_price(remaining: float, marginal_srmc: float, loss_of_load_price: float) -> float:
-    """Loss-of-load price under shortage, else the marginal offer's SRMC."""
-    return loss_of_load_price if remaining > 0.0 else marginal_srmc
-
-
 def clear_segment(
     demand_mw: float, bids: list[Bid], loss_of_load_price: float
 ) -> SegmentClearing:
@@ -168,53 +140,22 @@ def clear_segment(
     If demand exceeds total availability the shortfall is reported as
     unserved and the segment clears at the loss-of-load price.
     """
-    ranked = sorted(bids, key=merit_order_key)
-    remaining, taken, marginal = _fill(demand_mw, ((b.available_mw, b.srmc) for b in ranked))
+    remaining = demand_mw
+    dispatched: list[tuple[PowerPlant, float]] = []
+    marginal_srmc = 0.0
+    for bid in sorted(bids, key=merit_order_key):
+        if remaining <= 0.0:
+            break
+        if bid.available_mw <= 0.0:
+            continue
+        take = bid.available_mw if bid.available_mw < remaining else remaining
+        remaining -= take
+        dispatched.append((bid.plant, take))
+        marginal_srmc = bid.srmc
     return SegmentClearing(
-        dispatched=tuple((ranked[k].plant, mw) for k, mw in taken),
-        clearing_price=_clearing_price(remaining, marginal, loss_of_load_price),
+        dispatched=tuple(dispatched),
+        clearing_price=loss_of_load_price if remaining > 0.0 else marginal_srmc,
         unserved_mw=remaining if remaining > 0.0 else 0.0,
-    )
-
-
-@dataclass(frozen=True)
-class MeritOrder:
-    """The plants active in one market-year, sorted once by merit key."""
-
-    plants: tuple[PowerPlant, ...]
-    firm_offers: tuple[tuple[float, float], ...]  # (full capacity MW, SRMC) per plant
-    weather: tuple[tuple[int, str], ...]  # (position, profile) of each intermittent plant
-
-    def offers(self, segment: DaySegment) -> list[tuple[float, float]]:
-        """(available MW, SRMC) per plant in ``segment``, cheapest first (see ``available_mw``)."""
-        offers = list(self.firm_offers)
-        for k, profile in self.weather:
-            capacity, cost = offers[k]
-            offers[k] = (capacity * segment.capacity_factor(profile), cost)
-        return offers
-
-
-def merit_order(
-    fleet: list[PowerPlant], year: int, carbon_price: float, s: Scenario
-) -> MeritOrder:
-    """Sort the plants of ``fleet`` active in ``year`` by merit key (stable in fleet order)."""
-    active = [p for p in fleet if p.active_in(year)]
-    cost_of = srmc_by_technology({p.technology for p in active}, year, carbon_price, s)
-    ranked = sorted(
-        ((merit_key(p, cost_of[p.technology.name]), p) for p in active),
-        key=operator.itemgetter(0),
-    )
-    plants = tuple(p for _, p in ranked)
-    return MeritOrder(
-        plants=plants,
-        firm_offers=tuple(
-            (p.technology.capacity_mw * p.unit_count, k[0]) for k, p in ranked
-        ),
-        weather=tuple(
-            (k, p.technology.weather_profile)
-            for k, p in enumerate(plants)
-            if p.technology.is_intermittent
-        ),
     )
 
 
@@ -232,76 +173,43 @@ def run_year(
     hook). Energies are weighted by segment duration and day weight so
     they sum to a full year.
     """
-    order = merit_order(fleet, year, carbon_price, s)
-    scale = s.demand_scale(year) * demand_scale
-
-    energy_by_tech: dict[str, float] = {}
-    energy_by_plant: dict[str, float] = {}
-    revenue_by_plant: dict[str, float] = {}
-    emissions = 0.0
-    unserved_mwh = 0.0
-    price_weighted = 0.0
-    demand_mwh = 0.0
-    served_mwh = 0.0
-
-    for day in s.representative_days:
-        hours_weight = day.weight_days
-        for segment in day.segments:
-            demand = segment.demand_mw * scale
-            remaining, taken, marginal = _fill(demand, order.offers(segment))
-            price = _clearing_price(remaining, marginal, s.loss_of_load_price)
-            seg_hours = segment.duration_hours * hours_weight
-            for k, mw in taken:
-                plant = order.plants[k]
-                energy = mw * seg_hours
-                tech = plant.technology
-                energy_by_tech[tech.name] = energy_by_tech.get(tech.name, 0.0) + energy
-                energy_by_plant[plant.id] = energy_by_plant.get(plant.id, 0.0) + energy
-                revenue_by_plant[plant.id] = revenue_by_plant.get(plant.id, 0.0) + energy * price
-                emissions += energy * tech.emission_factor
-                served_mwh += energy
-            unserved_mwh += (remaining if remaining > 0.0 else 0.0) * seg_hours
-            seg_demand_mwh = demand * seg_hours
-            price_weighted += price * seg_demand_mwh
-            demand_mwh += seg_demand_mwh
-
-    return YearResult(
-        energy_by_technology=energy_by_tech,
-        emissions_t=emissions,
-        average_price=price_weighted / demand_mwh if demand_mwh > 0 else 0.0,
-        unserved_mwh=unserved_mwh,
-        carbon_intensity=emissions / served_mwh if served_mwh > 0 else 0.0,
-        energy_by_plant=energy_by_plant,
-        revenue_by_plant=revenue_by_plant,
-    )
+    return MarketYear(fleet, year, carbon_price, s, demand_scale).clear()
 
 
-class ProbeMarket:
-    """A fleet's market-year that prices any one added unit, grown plant by plant.
+class MarketYear:
+    """A fleet's market-year: cleared as a whole, or pricing any one added unit.
 
     It keeps a (segment x offer) availability matrix in merit order,
     closed by a loss-of-load offer of unlimited MW at the loss-of-load
     price, and ``left``: the demand each segment has left before each
     offer. ``left`` is ``np.subtract.accumulate`` over the segment's
     demand and its offers, which subtracts strictly left to right, so it
-    equals ``_fill``'s running ``remaining`` bit for bit up to the
-    marginal offer (an offer that is not marginal gives all its MW, and
-    subtracting 0 MW changes nothing). A unit bisected in at position
-    ``p`` therefore sees ``left[:, p]``, and only the offers after ``p``
-    are accumulated again.
+    equals the greedy fill's running ``remaining`` (see ``clear_segment``)
+    bit for bit up to the marginal offer (an offer that is not marginal
+    gives all its MW, and subtracting 0 MW changes nothing). Past the
+    marginal offer ``left`` is <= 0, so an offer is dispatched exactly
+    where the demand left before it and its own MW are both > 0.
     """
 
-    def __init__(self, fleet: list[PowerPlant], year: int, carbon_price: float, s: Scenario):
+    def __init__(
+        self,
+        fleet: list[PowerPlant],
+        year: int,
+        carbon_price: float,
+        s: Scenario,
+        demand_scale: float = 1.0,
+    ):
         self.year = year
         self.carbon_price = carbon_price
         self._s = s
-        scale = s.demand_scale(year)
+        scale = s.demand_scale(year) * demand_scale
         days = [(day, segment) for day in s.representative_days for segment in day.segments]
         self._segments = [segment for _, segment in days]
         self._demand = np.array([[segment.demand_mw * scale] for _, segment in days])
         self._hours = np.array([segment.duration_hours * day.weight_days for day, segment in days])
         self._factors: dict[str | None, np.ndarray] = {}
-        self._keys: list[tuple] = []  # ascending merit keys of the plant offers
+        self._plants: list[PowerPlant] = []  # the plant offers, in merit order
+        self._keys: list[tuple] = []  # their ascending merit keys
         self._cost = np.array([s.loss_of_load_price])  # SRMC per offer, loss of load last
         self._avail = np.full((len(days), 1), np.inf)
         self.add(fleet)
@@ -320,7 +228,7 @@ class ProbeMarket:
         """Add the plants active in the market-year, as if appended to the fleet.
 
         Equal keys keep their order, so the offers end up in the order a
-        stable sort of ``fleet + plants`` gives (see ``merit_order``).
+        stable sort of ``fleet + plants`` by merit key gives.
         """
         active = [p for p in plants if p.active_in(self.year)]
         if active:
@@ -332,6 +240,8 @@ class ProbeMarket:
             n = len(self._keys)
             capacity = np.array([p.technology.capacity_mw * p.unit_count for p in active])
             added = np.column_stack([self._weather(p.technology) for p in active]) * capacity
+            plants = self._plants + active
+            self._plants = [plants[i] for i in order]
             self._keys = [keys[i] for i in order]
             # [:, n:] is the loss-of-load offer, which stays last
             cost = np.append(self._cost[:n], [k[0] for k in keys[n:]])[order]
@@ -340,12 +250,59 @@ class ProbeMarket:
             self._avail = np.hstack((avail, self._avail[:, n:]))
         self._left = np.subtract.accumulate(np.hstack((self._demand, self._avail)), axis=1)
 
+    def clear(self) -> YearResult:
+        """The market-year cleared with the plants it holds, aggregated to yearly totals.
+
+        Totals are added up in Python floats segment by segment, each
+        segment in merit order (the order ``clear_segment`` dispatches
+        in), so they equal a segment-by-segment aggregation bit for bit
+        and ``energy_by_technology`` keeps its first-dispatch key order.
+        """
+        n = len(self._plants)
+        # The loss-of-load offer, last, is dispatched exactly where the segment runs
+        # short, so the last offer dispatched in a segment sets its price.
+        dispatched = (self._left[:, :-1] > 0.0) & (self._avail > 0.0)
+        last = np.max(np.where(dispatched, np.arange(n + 1), -1), axis=1)
+        price = np.where(last >= 0, self._cost[last], 0.0)  # 0 where there is no demand
+        unserved = np.where(dispatched[:, n], self._left[:, n], 0.0)
+        left, avail = self._left[:, :n], self._avail[:, :n]
+        take = np.where(avail < left, avail, left)
+
+        energy_by_tech: dict[str, float] = {}
+        emissions = served_mwh = 0.0
+        # row-major: segment by segment, each in merit order
+        rows, cols = np.nonzero(dispatched[:, :n])
+        for k, energy in zip(cols.tolist(), (take[rows, cols] * self._hours[rows]).tolist()):
+            tech = self._plants[k].technology
+            energy_by_tech[tech.name] = energy_by_tech.get(tech.name, 0.0) + energy
+            emissions += energy * tech.emission_factor
+            served_mwh += energy
+
+        unserved_mwh = price_weighted = demand_mwh = 0.0
+        seg_demand_mwh = self._demand[:, 0] * self._hours
+        for seg_unserved, seg_weighted, seg_mwh in zip(
+            (unserved * self._hours).tolist(),
+            (price * seg_demand_mwh).tolist(),
+            seg_demand_mwh.tolist(),
+        ):
+            unserved_mwh += seg_unserved
+            price_weighted += seg_weighted
+            demand_mwh += seg_mwh
+
+        return YearResult(
+            energy_by_technology=energy_by_tech,
+            emissions_t=emissions,
+            average_price=price_weighted / demand_mwh if demand_mwh > 0 else 0.0,
+            unserved_mwh=unserved_mwh,
+            carbon_intensity=emissions / served_mwh if served_mwh > 0 else 0.0,
+        )
+
     def probe(self, unit: PowerPlant) -> tuple[float, float]:
         """Energy (MWh) and revenue (£) of ``unit`` added to the market's fleet.
 
-        Equal, with ``==``, to ``energy_by_plant`` / ``revenue_by_plant``
-        of ``run_year(fleet + [unit], ...)`` for the unit (0.0 when it is
-        never dispatched).
+        Equal, with ``==``, to the unit's totals over a segment-by-segment
+        ``clear_segment`` of ``fleet + [unit]`` (0.0 when it is never
+        dispatched). Only the offers after the unit are accumulated again.
         """
         if not unit.active_in(self.year):
             return 0.0, 0.0

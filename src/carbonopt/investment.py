@@ -9,11 +9,11 @@ history. Positive-NPV options are bought greedily, best first, while the
 budget lasts.
 
 All candidates of one investment state (decision year, fleet) share that
-future market, a ``ProbeMarket`` that prices each catalog candidate
+future market, a ``MarketYear`` that prices each catalog candidate
 without clearing the whole market again. One decision year keeps one such
 market (``YearProbes``): every company of the year sees the same future
 year and forecast, and the states of the year differ only by the plants
-bought meanwhile, which ``ProbeMarket.add`` inserts. The figures equal
+bought meanwhile, which ``MarketYear.add`` inserts. The figures equal
 those of clearing ``fleet + [candidate]`` from scratch bit for bit.
 """
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .dispatch import ProbeMarket, srmc
+from .dispatch import MarketYear, srmc
 from .scenario import GenCo, PowerPlant, Scenario, Technology
 
 # How far ahead the revenue-probe market is simulated.
@@ -67,11 +67,6 @@ def fit_carbon_forecast(history: list[tuple[int, float]]) -> CarbonForecast:
     return CarbonForecast(slope=slope, intercept=y_mean - slope * x_mean)
 
 
-def forecast_carbon_price(history: list[tuple[int, float]], target_year: int) -> float:
-    """OLS projection of the carbon price at ``target_year``."""
-    return fit_carbon_forecast(history).predict(target_year)
-
-
 def npv(cash_flows, discount_rate: float) -> float:
     """Discounted sum of cash flows R_0..R_N at rate i: sum of R_t / (1+i)^t."""
     if discount_rate <= -1:
@@ -85,10 +80,10 @@ def probe_market(
     decision_year: int,
     s: Scenario,
     carbon_forecast: CarbonForecast,
-) -> ProbeMarket:
+) -> MarketYear:
     """The future market every candidate of one investment state is priced against."""
     future_year = decision_year + REVENUE_PROBE_YEARS
-    return ProbeMarket(fleet, future_year, carbon_forecast.predict(future_year), s)
+    return MarketYear(fleet, future_year, carbon_forecast.predict(future_year), s)
 
 
 def estimate_yearly_revenue(
@@ -97,7 +92,7 @@ def estimate_yearly_revenue(
     s: Scenario,
     fleet: list[PowerPlant],
     carbon_forecast: CarbonForecast,
-    market: ProbeMarket | None = None,
+    market: MarketYear | None = None,
 ) -> float:
     """Net yearly cash flow of one candidate unit in a simulated future market.
 
@@ -133,7 +128,7 @@ def _unit_npv(
     s: Scenario,
     fleet: list[PowerPlant],
     forecast: CarbonForecast,
-    market: ProbeMarket,
+    market: MarketYear,
 ) -> float:
     capital = tech.capital_cost * tech.capacity_mw
     yearly = estimate_yearly_revenue(tech, decision_year, s, fleet, forecast, market)
@@ -146,7 +141,7 @@ class YearProbes:
 
     Within a decision year the fleet only grows: each purchase appends
     one plant. So one future market serves the whole year: it is built
-    for the first state valued and grown by ``ProbeMarket.add`` with the
+    for the first state valued and grown by ``MarketYear.add`` with the
     plants bought since for each later one. Unit valuations are kept per
     fleet length. The probes serve only the decision year and forecast
     they were made for (see ``serves``).
@@ -154,7 +149,7 @@ class YearProbes:
 
     decision_year: int
     forecast: CarbonForecast
-    market: ProbeMarket | None = None
+    market: MarketYear | None = None
     plants_seen: int = 0  # fleet plants the market holds
     valuations: dict[int, dict[str, float]] = field(default_factory=dict)
 

@@ -274,3 +274,31 @@ class TestManifest:
         assert manifest["seed"] == 2
         assert len(manifest["scenario_sha256"]) == 64
         assert manifest["outputs"] == ["events.csv", "objectives.json", "per_year.csv", "year_summary.csv"]
+
+    @pytest.mark.parametrize("command", ["simulate", "optimize", "benchmark"])
+    def test_manifest_args_keys_and_values_are_pinned(self, command, fossil_path, tmp_path):
+        # replay feeds these dicts back to the commands, so older manifests
+        # only replay while the keys and their meaning stay as they are
+        out = str(tmp_path / "out")
+        ga = {"crossover_prob": 0.9, "mutation_prob": 0.05, "eta_c": 15.0, "mutation_kind": "per-gene"}
+        argv, expected = {
+            "simulate": (
+                ["--scenario", str(fossil_path), "--policy", "flat:1"],
+                {"scenario": str(fossil_path), "policy": "flat:1", "seed": 0, "out": out},
+            ),
+            "optimize": (
+                ["--scenario", str(fossil_path), "--kind", "linear", "--pop", "4", "--gens", "1",
+                 "--jobs", "1"],
+                {"scenario": str(fossil_path), "kind": "linear", "pop": 4, "gens": 1, "seed": 0,
+                 **ga, "jobs": 1, "out": out},
+            ),
+            "benchmark": (
+                ["--problem", "schaffer", "--pop", "4", "--gens", "1", "--seed", "3"],
+                {"problem": "schaffer", "pop": 4, "gens": 1, "seed": 3, **ga, "fail_above": None,
+                 "out": out},
+            ),
+        }[command]
+        assert main([command, *argv, "--out", out + "/"]) == 0  # recorded without the slash
+        args = json.loads((tmp_path / "out" / "manifest.json").read_text())["args"]
+        assert list(args) == list(expected)
+        assert args == expected

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from carbonopt.dispatch import (
     Bid,
-    ProbeMarket,
+    MarketYear,
+    YearResult,
     build_bids,
     clear_segment,
     merit_order_key,
@@ -96,8 +97,11 @@ class TestBuildBids:
         old = PowerPlant(
             id="old", technology=s.technologies[0], owner="g1", commission_year=1980, unit_count=5
         )
-        result = run_year(list(s.initial_fleet) + [old], 2020, 10.0, s)
-        assert "old" not in result.energy_by_plant  # retired 2010, never bids
+        # demand 160 vs the 100 MW still active: the retired 500 MW would be needed
+        fleet = list(s.initial_fleet)
+        result = run_year(fleet + [old], 2020, 10.0, s, demand_scale=2.0)
+        assert result == run_year(fleet, 2020, 10.0, s, demand_scale=2.0)  # retired 2010, never bids
+        assert result.unserved_mwh == pytest.approx(60.0 * 8760.0)
 
 
 class TestClearSegment:
@@ -297,7 +301,8 @@ class TestRunYear:
         assert result.average_price == pytest.approx(10.0)
         assert result.emissions_t == pytest.approx(350400.0 * 0.2)
         assert result.carbon_intensity == pytest.approx(350400.0 * 0.2 / 876000.0)
-        assert result.revenue_by_plant["a"] == pytest.approx(525600.0 * 10.0)
+        # "a" earns the 10 £/MWh set by "b" on all it runs
+        assert MarketYear([p2], 2020, 0.0, s).probe(p1) == pytest.approx((525600.0, 525600.0 * 10.0))
 
     def test_demand_growth_scales_each_year(self, static_fossil_scenario):
         import dataclasses
@@ -316,20 +321,57 @@ class TestRunYear:
         assert result.average_price == pytest.approx(6000.0)
 
 
-def reference_plant_totals(fleet, year, carbon_price, s):
-    """Per-plant energy and revenue of one year, cleared segment by segment by the oracle."""
+def reference_segments(fleet, year, carbon_price, s, demand_scale=1.0):
+    """(demand MW, hours, clearing) of every segment of one year, cleared by the oracle."""
     active = [p for p in fleet if p.active_in(year)]
-    energy, revenue = {}, {}
+    scale = s.demand_scale(year) * demand_scale
     for day in s.representative_days:
         for segment in day.segments:
+            demand = segment.demand_mw * scale
             bids = build_bids(active, year, segment, carbon_price, s)
-            clearing = clear_segment(segment.demand_mw * s.demand_scale(year), bids, s.loss_of_load_price)
-            hours = segment.duration_hours * day.weight_days
-            for plant, mw in clearing.dispatched:
-                e = mw * hours
-                energy[plant.id] = energy.get(plant.id, 0.0) + e
-                revenue[plant.id] = revenue.get(plant.id, 0.0) + e * clearing.clearing_price
-    return energy, revenue
+            yield demand, segment.duration_hours * day.weight_days, clear_segment(
+                demand, bids, s.loss_of_load_price
+            )
+
+
+def reference_plant_totals(fleet, year, carbon_price, s):
+    """(energy, revenue) per plant id of one year, cleared segment by segment by the oracle."""
+    totals = {}
+    for _, hours, clearing in reference_segments(fleet, year, carbon_price, s):
+        for plant, mw in clearing.dispatched:
+            e = mw * hours
+            energy, revenue = totals.get(plant.id, (0.0, 0.0))
+            totals[plant.id] = (energy + e, revenue + e * clearing.clearing_price)
+    return totals
+
+
+def reference_probe(fleet, unit, year, carbon_price, s):
+    """The unit's energy and revenue in the oracle's clearing of ``fleet + [unit]``."""
+    return reference_plant_totals(fleet + [unit], year, carbon_price, s).get(unit.id, (0.0, 0.0))
+
+
+def reference_year(fleet, year, carbon_price, s, demand_scale=1.0):
+    """The yearly totals of the oracle's clearings, added up segment by segment in merit order."""
+    by_tech = {}
+    emissions = served = unserved = price_weighted = demand_mwh = 0.0
+    for demand, hours, clearing in reference_segments(fleet, year, carbon_price, s, demand_scale):
+        for plant, mw in clearing.dispatched:
+            e = mw * hours
+            tech = plant.technology
+            by_tech[tech.name] = by_tech.get(tech.name, 0.0) + e
+            emissions += e * tech.emission_factor
+            served += e
+        unserved += clearing.unserved_mw * hours
+        seg_demand_mwh = demand * hours
+        price_weighted += clearing.clearing_price * seg_demand_mwh
+        demand_mwh += seg_demand_mwh
+    return YearResult(
+        energy_by_technology=by_tech,
+        emissions_t=emissions,
+        average_price=price_weighted / demand_mwh if demand_mwh > 0 else 0.0,
+        unserved_mwh=unserved,
+        carbon_intensity=emissions / served if served > 0 else 0.0,
+    )
 
 
 @st.composite
@@ -386,10 +428,15 @@ def candidates(s, year):
     ]
 
 
-def full_clearing_probe(fleet, unit, year, carbon_price, s):
-    """The unit's energy and revenue in a from-scratch ``run_year`` of ``fleet + [unit]``."""
-    full = run_year(fleet + [unit], year, carbon_price, s)
-    return full.energy_by_plant.get(unit.id, 0.0), full.revenue_by_plant.get(unit.id, 0.0)
+class TestRunYearOracle:
+    @given(case=probe_markets(), demand_scale=st.sampled_from([0.0, 0.97, 1.0, 1.3]))
+    @settings(max_examples=300, deadline=None)
+    def test_run_year_equals_segment_by_segment_clearing_exactly(self, case, demand_scale):
+        s, fleet, year, carbon_price = case
+        result = run_year(fleet, year, carbon_price, s, demand_scale)
+        expected = reference_year(fleet, year, carbon_price, s, demand_scale)
+        assert result == expected
+        assert list(result.energy_by_technology) == list(expected.energy_by_technology)
 
 
 class TestProbeMarket:
@@ -397,14 +444,9 @@ class TestProbeMarket:
     @settings(max_examples=300, deadline=None)
     def test_probe_equals_full_clearing_exactly(self, case):
         s, fleet, year, carbon_price = case
-        market = ProbeMarket(fleet, year, carbon_price, s)
+        market = MarketYear(fleet, year, carbon_price, s)
         for unit in candidates(s, year):
-            full = run_year(fleet + [unit], year, carbon_price, s)
-            expected = (full.energy_by_plant.get(unit.id, 0.0), full.revenue_by_plant.get(unit.id, 0.0))
-            assert market.probe(unit) == expected
-            energy, revenue = reference_plant_totals(fleet + [unit], year, carbon_price, s)
-            assert full.energy_by_plant == energy
-            assert full.revenue_by_plant == revenue
+            assert market.probe(unit) == reference_probe(fleet, unit, year, carbon_price, s)
 
     @given(case=probe_markets(), data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -423,12 +465,12 @@ class TestProbeMarket:
             for k in range(data.draw(st.integers(1, 4)))
         ]
         split = data.draw(st.integers(0, len(plants)))
-        market = ProbeMarket(fleet, year, carbon_price, s)
+        market = MarketYear(fleet, year, carbon_price, s)
         market.add(plants[:split])
         market.add(plants[split:])
-        fresh = ProbeMarket(fleet + plants, year, carbon_price, s)
+        fresh = MarketYear(fleet + plants, year, carbon_price, s)
         for unit in candidates(s, year):
-            expected = full_clearing_probe(fleet + plants, unit, year, carbon_price, s)
+            expected = reference_probe(fleet + plants, unit, year, carbon_price, s)
             assert market.probe(unit) == expected
             assert fresh.probe(unit) == expected
 
@@ -442,10 +484,10 @@ class TestProbeMarket:
                                emission_factor=0.0, capacity_mw=capacity)
             busy = dataclasses.replace(FULL_DAY, segments=(DaySegment(24.0, 150.0, 0.5, 0.5),))
             s_busy = make_scenario([s.technologies[0], peaker], fleet, days=(busy,))
-            market = ProbeMarket(fleet, 2020, 0.0, s_busy)
+            market = MarketYear(fleet, 2020, 0.0, s_busy)
             (unit,) = candidates(s_busy, 2020)[1:]
             energy, revenue = market.probe(unit)
-            assert (energy, revenue) == full_clearing_probe(fleet, unit, 2020, 0.0, s_busy)
+            assert (energy, revenue) == reference_probe(fleet, unit, 2020, 0.0, s_busy)
             assert energy == min(capacity, 50.0) * 8760.0
             assert revenue == energy * price
 
@@ -456,16 +498,16 @@ class TestProbeMarket:
             DaySegment(8.0, 1000.0, 0.5, 0.5), DaySegment(16.0, 500.0, 0.5, 0.5),
         ))
         s_short = make_scenario(list(s.technologies), fleet, days=(starved,))
-        market = ProbeMarket(fleet, 2020, 10.0, s_short)
+        market = MarketYear(fleet, 2020, 10.0, s_short)
         (unit,) = candidates(s_short, 2020)
         energy, revenue = market.probe(unit)
-        assert (energy, revenue) == full_clearing_probe(fleet, unit, 2020, 10.0, s_short)
+        assert (energy, revenue) == reference_probe(fleet, unit, 2020, 10.0, s_short)
         assert energy == 100.0 * 8.0 * 365.0 + 100.0 * 16.0 * 365.0
         assert revenue == pytest.approx(energy * VOLL)
 
     def test_inactive_unit_earns_nothing(self, static_fossil_scenario):
         s = static_fossil_scenario
-        market = ProbeMarket(list(s.initial_fleet), 2020, 0.0, s)
+        market = MarketYear(list(s.initial_fleet), 2020, 0.0, s)
         late = PowerPlant(id="late", technology=s.technologies[0], owner="g1",
                           commission_year=2021, unit_count=1)
         assert market.probe(late) == (0.0, 0.0)

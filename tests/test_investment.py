@@ -14,7 +14,6 @@ from carbonopt.investment import (
     YearProbes,
     estimate_yearly_revenue,
     fit_carbon_forecast,
-    forecast_carbon_price,
     invest,
     npv,
 )
@@ -26,13 +25,13 @@ from conftest import make_scenario, make_tech
 class TestForecast:
     def test_three_point_line(self):
         history = [(0, 10.0), (1, 20.0), (2, 30.0)]
-        assert forecast_carbon_price(history, 12) == pytest.approx(130.0)
+        assert fit_carbon_forecast(history).predict(12) == pytest.approx(130.0)
 
     def test_constant_history_is_flat(self):
-        assert forecast_carbon_price([(0, 50.0), (1, 50.0)], 10) == pytest.approx(50.0)
+        assert fit_carbon_forecast([(0, 50.0), (1, 50.0)]).predict(10) == pytest.approx(50.0)
 
     def test_single_point_is_flat(self):
-        assert forecast_carbon_price([(5, 80.0)], 15) == 80.0
+        assert fit_carbon_forecast([(5, 80.0)]).predict(15) == 80.0
 
     def test_two_point_closed_form_exact(self):
         pairs = [((2018, 30.0), (2023, 90.0)), ((2018, 10.0), (2019, 7.0)), ((0, 1.0), (4, 1.0))]

@@ -6,12 +6,13 @@ import dataclasses
 
 import pytest
 
+from carbonopt.dispatch import run_year
 from carbonopt.errors import ConfigurationError, GenomeError
 from carbonopt.policy import LinearPolicy, NonParametricPolicy, parse_policy_spec
-from carbonopt.scenario import GenCo, PowerPlant
+from carbonopt.scenario import DaySegment, GenCo, PowerPlant
 from carbonopt.simulation import evaluate_objectives, run_simulation
 
-from conftest import make_scenario, make_tech
+from conftest import FULL_DAY, make_scenario, make_tech
 
 
 def flat(value, n):
@@ -63,14 +64,17 @@ class TestRunSimulation:
         gas = make_tech(lifetime_years=3)
         retiree = PowerPlant(id="old", technology=gas, owner="g1", commission_year=2018, unit_count=1)
         keeper = PowerPlant(id="new", technology=gas, owner="g1", commission_year=2021, unit_count=1)
-        s = make_scenario([gas], [retiree, keeper], start_year=2020, horizon_years=2)
+        # 150 MW of load: one 100 MW plant runs short, both together would not
+        busy = dataclasses.replace(FULL_DAY, segments=(DaySegment(24.0, 150.0, 0.5, 0.5),))
+        s = make_scenario([gas], [retiree, keeper], days=(busy,), start_year=2020, horizon_years=2)
         result = run_simulation(s, flat(0.0, 2), seed=0)
         kinds = [(e.year, e.kind, e.plant_id) for e in result.events]
         assert (2021, "retire", "old") in kinds
         assert (2021, "commission", "new") in kinds
         # year 2020: only "old" active; year 2021: only "new"
-        assert result.per_year[0].energy_by_plant.keys() == {"old"}
-        assert result.per_year[1].energy_by_plant.keys() == {"new"}
+        assert result.per_year[0] == run_year([retiree], 2020, 0.0, s)
+        assert result.per_year[1] == run_year([keeper], 2021, 0.0, s)
+        assert [y.unserved_mwh for y in result.per_year] == [50.0 * 8760.0] * 2
 
     def test_base_zero_with_emissions_is_an_error(self, static_fossil_scenario):
         s = dataclasses.replace(static_fossil_scenario, base_carbon_intensity=0.0)

@@ -10,11 +10,12 @@ budget lasts.
 
 All candidates of one investment state (decision year, fleet) share that
 future market, a ``MarketYear`` that prices each catalog candidate
-without clearing the whole market again. One decision year keeps one such
-market (``YearProbes``): every company of the year sees the same future
-year and forecast, and the states of the year differ only by the plants
-bought meanwhile, which ``MarketYear.add`` inserts. The figures equal
-those of clearing ``fleet + [candidate]`` from scratch bit for bit.
+without clearing the whole market again. Every valuation goes through the
+decision year's ``YearProbes``, which holds the year's forecast and one
+such market: every company of the year sees the same future year and
+forecast, and the states of the year differ only by the plants bought
+meanwhile, which ``MarketYear.add`` inserts. The figures equal those of
+clearing ``fleet + [candidate]`` from scratch bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .dispatch import MarketYear, srmc
-from .scenario import GenCo, PowerPlant, Scenario, Technology
+from .scenario import PowerPlant, Scenario, Technology
 
 # How far ahead the revenue-probe market is simulated.
 REVENUE_PROBE_YEARS = 10
@@ -140,11 +141,10 @@ class YearProbes:
     """The NPV probes of one decision year, shared by every company's ``invest``.
 
     Within a decision year the fleet only grows: each purchase appends
-    one plant. So one future market serves the whole year: it is built
+    one plant. So one future market covers the whole year: it is built
     for the first state valued and grown by ``MarketYear.add`` with the
     plants bought since for each later one. Unit valuations are kept per
-    fleet length. The probes serve only the decision year and forecast
-    they were made for (see ``serves``).
+    fleet length.
     """
 
     decision_year: int
@@ -152,9 +152,6 @@ class YearProbes:
     market: MarketYear | None = None
     plants_seen: int = 0  # fleet plants the market holds
     valuations: dict[int, dict[str, float]] = field(default_factory=dict)
-
-    def serves(self, decision_year: int, forecast: CarbonForecast) -> bool:
-        return (decision_year, forecast) == (self.decision_year, self.forecast)
 
     def value(self, fleet: list[PowerPlant], s: Scenario) -> dict[str, float]:
         """NPV per catalog technology of one more unit added to ``fleet``."""
@@ -175,28 +172,25 @@ class YearProbes:
 
 
 def invest(
-    genco: GenCo,
-    decision_year: int,
+    genco: str,
+    budgets: dict[str, float],
     s: Scenario,
     fleet: list[PowerPlant],
-    carbon_history: list[tuple[int, float]],
-    probes: YearProbes | None = None,
+    probes: YearProbes,
 ) -> list[InvestmentDecision]:
     """Buy the highest-NPV affordable unit, re-evaluate, and repeat until nothing attracts.
 
-    Executed purchases debit ``genco.budget`` and append the new plant to
-    ``fleet`` (commissioning after the technology's construction lag), so
-    later decisions see the updated market. ``probes`` carries the year's
-    future market and valuations across the companies of one decision
-    year; probes made for another year or forecast are not used, and
-    without usable ones the call makes its own.
+    ``genco`` is the buying company's id. The decision year and the carbon
+    forecast are those of ``probes``, the year's probes shared by every
+    company that invests in that year. Executed purchases debit
+    ``budgets[genco]`` and append the new plant to ``fleet``
+    (commissioning after the technology's construction lag), so later
+    decisions see the updated market.
 
     Returns the executed decisions; an empty list means nothing was both
     positive-NPV and affordable.
     """
-    forecast = fit_carbon_forecast(carbon_history)
-    if probes is None or not probes.serves(decision_year, forecast):
-        probes = YearProbes(decision_year, forecast)
+    decision_year = probes.decision_year
     decisions: list[InvestmentDecision] = []
     while True:
         valuations = probes.value(fleet, s)
@@ -204,7 +198,7 @@ def invest(
         best_value = 0.0
         for tech in s.technologies:
             capital = tech.capital_cost * tech.capacity_mw
-            if capital > genco.budget:
+            if capital > budgets[genco]:
                 continue
             value = valuations[tech.name]
             if value > 0.0 and value > best_value:
@@ -214,17 +208,17 @@ def invest(
             return decisions
         capital = best.capital_cost * best.capacity_mw
         plant = PowerPlant(
-            id=f"{genco.id}:{best.name}:{decision_year}:{len(decisions) + 1}",
+            id=f"{genco}:{best.name}:{decision_year}:{len(decisions) + 1}",
             technology=best,
-            owner=genco.id,
+            owner=genco,
             commission_year=decision_year + best.construction_lag_years,
             unit_count=1,
         )
-        genco.budget -= capital
+        budgets[genco] -= capital
         fleet.append(plant)
         decisions.append(
             InvestmentDecision(
-                genco=genco.id,
+                genco=genco,
                 technology=best.name,
                 unit_count=1,
                 npv=best_value,

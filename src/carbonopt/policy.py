@@ -78,11 +78,8 @@ def encode(policy: CarbonPolicy) -> list[float]:
     raise GenomeError(f"cannot encode {type(policy).__name__}")
 
 
-def decode(genome, kind: str, n_years: int = 18, repair: bool = False) -> CarbonPolicy:
-    """Build a policy from a genome; out-of-bounds genes are rejected unless ``repair``.
-
-    Repair clamps each gene to its bound box.
-    """
+def decode(genome, kind: str, n_years: int = 18) -> CarbonPolicy:
+    """Build a policy from a genome; out-of-bounds genes are rejected."""
     genes = [float(g) for g in genome]
     box = bounds(kind, n_years)
     if len(genes) != len(box):
@@ -90,9 +87,7 @@ def decode(genome, kind: str, n_years: int = 18, repair: bool = False) -> Carbon
             f"{kind} genome must have {len(box)} genes, got {len(genes)}"
         )
     for i, (g, (low, high)) in enumerate(zip(genes, box)):
-        if repair:
-            genes[i] = min(max(g, low), high)
-        elif not low <= g <= high:
+        if not low <= g <= high:
             raise GenomeError(
                 f"gene {i} = {g} outside [{low}, {high}] for kind {kind!r}"
             )
@@ -103,7 +98,7 @@ def decode(genome, kind: str, n_years: int = 18, repair: bool = False) -> Carbon
 
 def check_bounds(policy: CarbonPolicy, n_years: int) -> None:
     """Raise GenomeError unless the policy parameters sit inside their box."""
-    decode(encode(policy), policy.kind, n_years=n_years, repair=False)
+    decode(encode(policy), policy.kind, n_years=n_years)
 
 
 def parse_policy_spec(spec: str, n_years: int) -> CarbonPolicy:

@@ -3,8 +3,9 @@
 A scenario bundles the generation technology catalog, the starting plant
 fleet, the generation companies and their investment budgets, weighted
 representative days standing in for a full year, fuel price paths and the
-global economic knobs. Scenarios are immutable after loading and safe to
-share across parallel simulation workers.
+global economic knobs. Scenarios are frozen after loading (a run keeps
+the budgets it spends to itself) and safe to share across parallel
+simulation workers.
 
 The on-disk format is a single JSON document; the schema is documented in
 ``docs/scenario-schema.md``.
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -70,9 +71,9 @@ class PowerPlant:
         return self.commission_year <= year < self.retirement_year
 
 
-@dataclass
+@dataclass(frozen=True)
 class GenCo:
-    """Generation company agent; ``budget`` is drawn down by investments."""
+    """Generation company agent; ``budget`` is its investment budget for a whole run."""
 
     id: str
     budget: float
@@ -120,14 +121,6 @@ class Scenario:
     discount_rate: float = DEFAULT_DISCOUNT_RATE
     loss_of_load_price: float = DEFAULT_LOSS_OF_LOAD_PRICE
     demand_noise_std: float = 0.0  # optional per-year demand jitter; 0 keeps the model deterministic
-    _tech_index: dict[str, Technology] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_tech_index", {tech.name: tech for tech in self.technologies}
-        )
 
     @property
     def final_year(self) -> int:
@@ -136,9 +129,6 @@ class Scenario:
     @property
     def years(self) -> range:
         return range(self.start_year, self.start_year + self.horizon_years)
-
-    def technology(self, name: str) -> Technology:
-        return self._tech_index[name]
 
     def fuel_price(self, fuel_kind: str, year: int) -> float:
         """Fuel price for a calendar year; years past the series end are held at the last value."""
@@ -172,6 +162,10 @@ class Violation:
 # at most MAX_MAGNITUDE in size, which keeps every product the model forms
 # (price x energy x years, capital x units) far from float overflow.
 MAX_MAGNITUDE = 1e15
+# Budgets never grow and each purchase costs a whole unit, so the greedy
+# investment loop makes at most budget / (capital_cost x capacity_mw)
+# purchases of a technology; each one values the market anew.
+MAX_PURCHASES = 1000
 _RULES = {
     "> 0": lambda v: v > 0,
     ">= 0": lambda v: v >= 0,
@@ -255,6 +249,24 @@ def validate_scenario(s: Scenario) -> list[Violation]:
             out.append(Violation(path, "duplicate genco id"))
         genco_ids.add(genco.id)
         _check(out, f"{path}.budget", genco.budget, ">= 0")
+
+    refused = {v.path for v in out}
+    richest = max(
+        (g.budget for g in s.gencos if f"gencos[{g.id}].budget" not in refused), default=0.0
+    )
+    for tech in s.technologies:
+        path = f"technologies[{tech.name}]"
+        if {f"{path}.capacity_mw", f"{path}.capital_cost"} & refused:
+            continue
+        unit = tech.capital_cost * tech.capacity_mw
+        if richest > MAX_PURCHASES * unit:
+            out.append(
+                Violation(
+                    f"{path}.capacity_mw",
+                    f"one unit costs {unit:g} (capital_cost x capacity_mw), so a budget "
+                    f"of {richest:g} buys more than {MAX_PURCHASES} units",
+                )
+            )
 
     plant_ids: set[str] = set()
     for plant in s.initial_fleet:
@@ -531,8 +543,3 @@ def bundled_scenario_path(name: str) -> Path | None:
         if target.is_file():
             return Path(str(target))
     return None
-
-
-def copy_gencos(s: Scenario) -> list[GenCo]:
-    """Fresh mutable genco agents for one simulation run."""
-    return [replace(g) for g in s.gencos]

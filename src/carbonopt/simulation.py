@@ -22,7 +22,7 @@ from .dispatch import YearResult, run_year
 from .errors import ConfigurationError
 from .investment import YearProbes, fit_carbon_forecast, invest
 from .policy import CarbonPolicy, check_bounds, decode
-from .scenario import Scenario, copy_gencos
+from .scenario import PowerPlant, Scenario
 
 
 @dataclass(frozen=True)
@@ -58,15 +58,27 @@ def _relative_carbon_intensity(final: YearResult, s: Scenario) -> float:
     return final.carbon_intensity / s.base_carbon_intensity
 
 
+def _plant_event(year: int, kind: str, plant: PowerPlant) -> Event:
+    return Event(
+        year=year,
+        kind=kind,
+        genco=plant.owner,
+        technology=plant.technology.name,
+        plant_id=plant.id,
+        unit_count=plant.unit_count,
+    )
+
+
 def run_simulation(s: Scenario, policy: CarbonPolicy, seed: int) -> SimulationResult:
     """Simulate the full horizon under one carbon tax trajectory.
 
     The scenario is expected to be valid (see ``validate_scenario``);
-    policy parameters are re-checked against their bounds here.
+    policy parameters are re-checked against their bounds here. Budgets
+    and the fleet are run-local: the scenario is never changed.
     """
     check_bounds(policy, s.horizon_years)
     fleet = list(s.initial_fleet)
-    gencos = sorted(copy_gencos(s), key=lambda g: g.id)
+    budgets = {g.id: g.budget for g in s.gencos}
     events: list[Event] = []
     history: list[tuple[int, float]] = []
     per_year: list[YearResult] = []
@@ -78,24 +90,15 @@ def run_simulation(s: Scenario, policy: CarbonPolicy, seed: int) -> SimulationRe
 
         for plant in fleet:
             if plant.retirement_year == year:
-                events.append(
-                    Event(
-                        year=year,
-                        kind="retire",
-                        genco=plant.owner,
-                        technology=plant.technology.name,
-                        plant_id=plant.id,
-                        unit_count=plant.unit_count,
-                    )
-                )
+                events.append(_plant_event(year, "retire", plant))
 
         tax = policy.price_at(year_index)
         taxes.append(tax)
         history.append((year, tax))
 
         probes = YearProbes(year, fit_carbon_forecast(history))
-        for genco in gencos:
-            for decision in invest(genco, year, s, fleet, history, probes):
+        for genco in sorted(budgets):
+            for decision in invest(genco, budgets, s, fleet, probes):
                 events.append(
                     Event(
                         year=year,
@@ -111,16 +114,7 @@ def run_simulation(s: Scenario, policy: CarbonPolicy, seed: int) -> SimulationRe
 
         for plant in fleet:
             if plant.commission_year == year:
-                events.append(
-                    Event(
-                        year=year,
-                        kind="commission",
-                        genco=plant.owner,
-                        technology=plant.technology.name,
-                        plant_id=plant.id,
-                        unit_count=plant.unit_count,
-                    )
-                )
+                events.append(_plant_event(year, "commission", plant))
 
         noise = 1.0
         if rng is not None:

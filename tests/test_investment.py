@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -174,15 +173,20 @@ class TestEstimateRevenue:
         assert values[0] > values[-1]
 
 
+def probes_2020() -> YearProbes:
+    """Probes of decision year 2020 after one year of zero tax."""
+    return YearProbes(2020, fit_carbon_forecast([(2020, 0.0)]))
+
+
 class TestInvest:
     def test_nothing_attractive_returns_empty(self, gas_tech):
         plant = PowerPlant(id="g", technology=gas_tech, owner="g1", commission_year=2005, unit_count=2)
-        genco = GenCo(id="g1", budget=1e12)
-        s = make_scenario([gas_tech], [plant], gencos=(genco,), horizon_years=2)
+        budgets = {"g1": 1e12}
+        s = make_scenario([gas_tech], [plant], horizon_years=2)
         fleet = [plant]
-        decisions = invest(genco, 2020, s, fleet, [(2020, 0.0)])
+        decisions = invest("g1", budgets, s, fleet, probes_2020())
         assert decisions == []
-        assert genco.budget == 1e12
+        assert budgets["g1"] == 1e12
         assert fleet == [plant]
 
     def test_single_affordable_positive_option_is_bought_once(self):
@@ -193,12 +197,12 @@ class TestInvest:
         new = make_tech(name="new-gas", variable_om=3.0, capacity_mw=50.0)  # srmc 43, infra-marginal
         plant = PowerPlant(id="g", technology=old, owner="g1", commission_year=2005, unit_count=1)
         capital = new.capital_cost * new.capacity_mw
-        genco = GenCo(id="g1", budget=capital * 1.5)
-        s = make_scenario([old, new], [plant], gencos=(genco,), horizon_years=2)
+        budgets = {"g1": capital * 1.5}
+        s = make_scenario([old, new], [plant], horizon_years=2)
         fleet = [plant]
-        decisions = invest(genco, 2020, s, fleet, [(2020, 0.0)])
+        decisions = invest("g1", budgets, s, fleet, probes_2020())
         assert [d.technology for d in decisions] == ["new-gas"]
-        assert genco.budget == pytest.approx(capital * 0.5)
+        assert budgets["g1"] == pytest.approx(capital * 0.5)
         assert decisions[0].npv > 0.0
         assert len(fleet) == 2
 
@@ -215,15 +219,15 @@ class TestInvest:
             lambda cand, year, s, fleet, forecast, market=None: revenue[cand.name],
         )
         plant = PowerPlant(id="g", technology=gas_tech, owner="g1", commission_year=2005, unit_count=1)
-        genco = GenCo(id="g1", budget=16_000.0)
-        s = make_scenario([tech_a, tech_b, tech_c, gas_tech], [plant], gencos=(genco,), horizon_years=2)
+        budgets = {"g1": 16_000.0}
+        s = make_scenario([tech_a, tech_b, tech_c, gas_tech], [plant], horizon_years=2)
 
         fleet = [plant]
-        decisions = invest(genco, 2020, s, fleet, [(2020, 0.0)])
+        decisions = invest("g1", budgets, s, fleet, probes_2020())
         # npv(a) ~ 3000*annuity - 10000 best, then with 6000 left only b or c
         # are affordable and b has the higher npv
         assert [d.technology for d in decisions] == ["a", "b"]
-        assert genco.budget == pytest.approx(0.0)
+        assert budgets["g1"] == pytest.approx(0.0)
         assert all(d.npv > 0 for d in decisions)
         assert [p.technology.name for p in fleet[1:]] == ["a", "b"]
         assert fleet[1].commission_year == 2021  # one year construction lag
@@ -245,12 +249,7 @@ class TestInvest:
             lambda cand, year, s, fleet, forecast, market=None: tech_specs[cand.name][1],
         )
         plant = PowerPlant(id="g", technology=gas_tech, owner="g1", commission_year=2005, unit_count=1)
-        s_all = make_scenario(
-            techs + [gas_tech],
-            [plant],
-            gencos=(GenCo(id="g1", budget=1.0),),
-            horizon_years=2,
-        )
+        s_all = make_scenario(techs + [gas_tech], [plant], horizon_years=2)
 
         def npv_of(name):
             cap, rev = tech_specs[name]
@@ -270,11 +269,11 @@ class TestInvest:
                 remaining -= tech_specs[best][0]
 
         for budget in [0.0, 4_000.0, 5_500.0, 11_000.0, 16_000.0, 21_000.0, 60_000.0]:
-            genco = GenCo(id="g1", budget=budget)
+            budgets = {"g1": budget}
             fleet = [plant]
-            decisions = invest(genco, 2020, s_all, fleet, [(2020, 0.0)])
+            decisions = invest("g1", budgets, s_all, fleet, probes_2020())
             assert [d.technology for d in decisions] == greedy_oracle(budget), budget
-            assert genco.budget >= 0.0
+            assert budgets["g1"] >= 0.0
             spent = sum(d.capital_cost for d in decisions)
             assert spent <= budget + 1e-9
 
@@ -288,11 +287,11 @@ class TestInvest:
             lambda cand, year, s, fleet, forecast, market=None: revenue[cand.name],
         )
         plant = PowerPlant(id="g", technology=gas_tech, owner="g1", commission_year=2005, unit_count=1)
-        genco = GenCo(id="g1", budget=9_000.0)
-        s = make_scenario([big, small, gas_tech], [plant], gencos=(genco,), horizon_years=2)
-        decisions = invest(genco, 2020, s, [plant], [(2020, 0.0)])
+        budgets = {"g1": 9_000.0}
+        s = make_scenario([big, small, gas_tech], [plant], horizon_years=2)
+        decisions = invest("g1", budgets, s, [plant], probes_2020())
         assert [d.technology for d in decisions] == ["small", "small"]
-        assert genco.budget == pytest.approx(1_000.0)
+        assert budgets["g1"] == pytest.approx(1_000.0)
 
 
 class TestYearProbes:
@@ -309,33 +308,19 @@ class TestYearProbes:
                                        "gas": {2020: 20.0, 2021: 20.0}})
         return s, plant
 
-    def test_probes_of_another_forecast_are_not_used(self):
-        s, plant = self.coal_and_gas()
-        low, high = [(2020, 0.0)], [(2020, 100.0)]
-        fleet = [plant]
-        probes = YearProbes(2020, fit_carbon_forecast(low))
-        # no budget: values the state (fleet of 1) under the low forecast, buys nothing
-        assert invest(replace(s.gencos[0]), 2020, s, fleet, low, probes) == []
-        assert list(probes.valuations) == [1]
-
-        fresh = invest(replace(s.gencos[1]), 2020, s, list(fleet), high)
-        shared = invest(replace(s.gencos[1]), 2020, s, fleet, high, probes)
-        at_low = invest(replace(s.gencos[1]), 2020, s, [plant], low)
-        assert shared == fresh
-        assert [d.npv for d in fresh] != [d.npv for d in at_low]
-        assert probes.forecast == fit_carbon_forecast(low)
-        assert list(probes.valuations) == [1]
-
     def test_shared_probes_equal_fresh_calls(self):
         # two companies in one decision year: the second reuses the market the
         # first built and grew, and decides exactly as it would alone
         s, plant = self.coal_and_gas()
-        history = [(2020, 50.0)]
+        forecast = fit_carbon_forecast([(2020, 50.0)])
+        budget = s.gencos[1].budget
         fleet = [plant]
-        probes = YearProbes(2020, fit_carbon_forecast(history))
-        first = invest(replace(s.gencos[1], id="g0"), 2020, s, fleet, history, probes)
-        alone = invest(replace(s.gencos[1]), 2020, s, list(fleet), history)
-        shared = invest(replace(s.gencos[1]), 2020, s, fleet, history, probes)
+        probes = YearProbes(2020, forecast)
+        budgets = {"g0": budget, "g2": budget}
+        first = invest("g0", budgets, s, fleet, probes)
+        alone = invest("g2", {"g2": budget}, s, list(fleet), YearProbes(2020, forecast))
+        shared = invest("g2", budgets, s, fleet, probes)
         assert first  # so the second company values a state the market grew into
         assert shared == alone
+        assert budgets["g2"] == budget - sum(d.capital_cost for d in shared)
         assert sorted(probes.valuations) == list(range(1, len(fleet) + 1))

@@ -68,12 +68,6 @@ class TestCodec:
     def test_encode_linear(self):
         assert encode(LinearPolicy(gradient=3.0, intercept=100.0)) == [3.0, 100.0]
 
-    def test_decode_clamps_when_repair_on(self):
-        genome = [260.0] + [100.0] * 17
-        policy = decode(genome, FREE, repair=True)
-        assert policy.prices[0] == 250.0
-        assert policy.prices[1] == 100.0
-
     def test_decode_rejects_out_of_bounds(self):
         with pytest.raises(GenomeError):
             decode([260.0] + [100.0] * 17, FREE)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import math
 
@@ -216,7 +217,8 @@ class TestRoundTrip:
         budget=st.floats(0.0, 1e12, allow_nan=False),
     )
     def test_numeric_fields_survive_round_trip(self, demand, price, growth, budget):
-        tech = make_tech()
+        # a unit of 1e9 keeps every drawn budget within MAX_PURCHASES units
+        tech = make_tech(capital_cost=10_000_000.0)
         plant = PowerPlant(id="p", technology=tech, owner="g1", commission_year=2000, unit_count=2)
         day = RepresentativeDay(
             name="always",
@@ -233,6 +235,13 @@ class TestRoundTrip:
         )
         raw = json.loads(json.dumps(scenario_to_dict(s)))
         assert scenario_from_dict(raw) == s
+
+
+class TestImmutability:
+    def test_genco_budget_cannot_be_assigned(self):
+        s = load_scenario(bundled_scenario_path("uk_synthetic"))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.gencos[0].budget = 0.0
 
 
 class TestAccessors:
@@ -309,6 +318,16 @@ class TestNumericGuards:
         with pytest.raises(ScenarioValidationError) as err:
             load_scenario(write_json(tmp_path, data))
         assert [v.path for v in err.value.violations] == [f"technologies[gas].{field}"]
+
+    @pytest.mark.parametrize("capacity_mw, refused", [(1e-6, True), (59.0, True), (60.0, False)])
+    def test_runaway_purchases_are_refused(self, capacity_mw, refused):
+        # the richest company (36e9) may buy at most MAX_PURCHASES = 1000 solar
+        # units (600,000 per MW); a near-free unit keeps the greedy invest loop buying
+        raw = two_year_uk()
+        solar = next(t for t in raw["technologies"] if t["name"] == "solar")
+        solar["capacity_mw"] = capacity_mw
+        paths = [v.path for v in validate_scenario(scenario_from_dict(raw))]
+        assert paths == (["technologies[solar].capacity_mw"] if refused else [])
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, 2.5])
     def test_non_integer_count_is_named(self, tmp_path, value):

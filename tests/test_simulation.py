@@ -9,7 +9,12 @@ import pytest
 from carbonopt.dispatch import run_year
 from carbonopt.errors import ConfigurationError, GenomeError
 from carbonopt.policy import LinearPolicy, NonParametricPolicy, parse_policy_spec
-from carbonopt.scenario import DaySegment, GenCo, PowerPlant
+from carbonopt.scenario import (
+    DaySegment,
+    PowerPlant,
+    bundled_scenario_path,
+    load_scenario,
+)
 from carbonopt.simulation import evaluate_objectives, run_simulation
 
 from conftest import FULL_DAY, make_scenario, make_tech
@@ -53,6 +58,15 @@ class TestRunSimulation:
         a = run_simulation(static_fossil_scenario, flat(10.0, 2), seed=7)
         b = run_simulation(static_fossil_scenario, flat(10.0, 2), seed=7)
         assert a == b
+
+    def test_runs_leave_the_scenario_unchanged(self):
+        # budgets are run-local: a second run on the same object buys the same
+        s = load_scenario(bundled_scenario_path("uk_synthetic"))
+        policy = parse_policy_spec("linear:8,100", s.horizon_years)
+        first = run_simulation(s, policy, seed=0)
+        assert any(e.kind == "invest" for e in first.events)
+        assert run_simulation(s, policy, seed=0) == first
+        assert s == load_scenario(bundled_scenario_path("uk_synthetic"))
 
     def test_policy_bounds_checked(self, static_fossil_scenario):
         with pytest.raises(GenomeError):

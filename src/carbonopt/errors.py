@@ -6,7 +6,7 @@ class CarbonOptError(Exception):
 
 
 class ScenarioParseError(CarbonOptError):
-    """Scenario file is missing, unreadable or not valid JSON."""
+    """Scenario file is unreadable or not JSON, or lacks a key or has one of the wrong type."""
 
 
 class ScenarioValidationError(CarbonOptError):

@@ -354,8 +354,6 @@ def evolve(fitness, cfg: GAConfig, bounds, map_fn=None) -> FrontArchive:
             Individual(genome=g, objectives=o, index=n + k)
             for k, (g, o) in enumerate(zip(child_genomes, child_objectives))
         ]
-        for k, ind in enumerate(merged):
-            ind.index = k
 
         selected: list[Individual] = []
         for front in fast_non_dominated_sort(merged):

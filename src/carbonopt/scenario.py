@@ -7,28 +7,25 @@ global economic knobs. Scenarios are frozen after loading (a run keeps
 the budgets it spends to itself) and safe to share across parallel
 simulation workers.
 
-The on-disk format is a single JSON document; the schema is documented in
-``docs/scenario-schema.md``.
+The on-disk format is a single JSON document, read and written by walking
+the dataclass fields (so annotations here are types, never postponed); the
+schema is documented in ``docs/scenario-schema.md``.
 """
-
-from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import reprlib
+from contextlib import suppress
+from dataclasses import MISSING, asdict, dataclass, fields
+from functools import partial
 from importlib import resources
 from pathlib import Path
+from typing import get_args
 
 from .errors import ScenarioParseError, ScenarioValidationError
 
 HOURS_PER_YEAR = 8760.0
 HOURS_TOLERANCE = 1e-6
-
-DEFAULT_HORIZON_YEARS = 18
-DEFAULT_DISCOUNT_RATE = 0.06
-DEFAULT_DEMAND_GROWTH = 1.0
-# Administrative shortage price; any positive value far above every SRMC works.
-DEFAULT_LOSS_OF_LOAD_PRICE = 6000.0
 
 WEATHER_PROFILES = ("solar", "wind")
 
@@ -42,11 +39,11 @@ class Technology:
     capital_cost: float  # £/MW
     fixed_om: float  # £/MW/year
     variable_om: float  # £/MWh
-    fuel_kind: str | None
     efficiency: float  # thermal-to-electric, in (0, 1]
     emission_factor: float  # tCO2/MWh electrical
     lifetime_years: int
-    construction_lag_years: int
+    fuel_kind: str | None = None  # key into Scenario.fuel_prices; None when fuel-free
+    construction_lag_years: int = 0
     is_intermittent: bool = False
     weather_profile: str | None = None  # "solar" or "wind" when intermittent
 
@@ -83,8 +80,8 @@ class GenCo:
 class DaySegment:
     duration_hours: float
     demand_mw: float
-    solar_capacity_factor: float
-    wind_capacity_factor: float
+    solar_capacity_factor: float = 0.0
+    wind_capacity_factor: float = 0.0
 
     def capacity_factor(self, profile: str) -> float:
         if profile == "solar":
@@ -116,10 +113,10 @@ class Scenario:
     representative_days: tuple[RepresentativeDay, ...]
     fuel_prices: dict[str, dict[int, float]]  # fuel kind -> calendar year -> £/MWh thermal
     base_carbon_intensity: float  # tCO2/MWh of the start-year fleet (objective denominator)
-    horizon_years: int = DEFAULT_HORIZON_YEARS
-    demand_growth: float = DEFAULT_DEMAND_GROWTH  # per-year multiplier on all segment demand
-    discount_rate: float = DEFAULT_DISCOUNT_RATE
-    loss_of_load_price: float = DEFAULT_LOSS_OF_LOAD_PRICE
+    horizon_years: int = 18
+    demand_growth: float = 1.0  # per-year multiplier on all segment demand
+    discount_rate: float = 0.06
+    loss_of_load_price: float = 6000.0  # administrative shortage price, above every SRMC
     demand_noise_std: float = 0.0  # optional per-year demand jitter; 0 keeps the model deterministic
 
     @property
@@ -327,187 +324,141 @@ def validate_scenario(s: Scenario) -> list[Violation]:
         for year, price in series.items():
             _check(out, f"fuel_prices[{fuel}][{year}]", price, ">= 0")
 
+    # A plant whose fuel alone costs more than shortage is dispatched ahead of
+    # the loss-of-load offer; a tiny efficiency makes its SRMC overflow.
+    refused = {v.path for v in out}
+    for tech in s.technologies:
+        path, fuel = f"technologies[{tech.name}].efficiency", tech.fuel_kind
+        if not s.fuel_prices.get(fuel) or {path, "loss_of_load_price"} & refused or any(
+            p.startswith(f"fuel_prices[{fuel}]") for p in refused
+        ):
+            continue
+        cost = max(s.fuel_prices[fuel].values()) / tech.efficiency
+        if cost > s.loss_of_load_price:
+            limit = f"the loss-of-load price {s.loss_of_load_price:g}"
+            out.append(Violation(path, f"fuel costs up to {cost:g} per MWh, above {limit}"))
+
     return out
 
 
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise ScenarioParseError(f"{where}: missing required key {key!r}")
-    return mapping[key]
+def _typed(value, where: str, kinds, noun: str):
+    """``value`` if it is a JSON value of type ``kinds``; anything else is refused."""
+    if isinstance(value, kinds):
+        return value
+    raise ScenarioParseError(f"{where}: must be {noun}, got {reprlib.repr(value)}")
 
 
-def _integer(value, where: str) -> int:
-    """A whole JSON number (or numeral string) as int; NaN, infinities and fractions are refused."""
-    try:
-        number = int(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or (not isinstance(value, str) and number != value):
-        raise ScenarioParseError(f"{where}: must be an integer, got {value!r}")
-    return number
+_string = partial(_typed, kinds=str, noun="a string")
+_boolean = partial(_typed, kinds=bool, noun="true or false")
+_string_or_null = partial(_typed, kinds=(str, type(None)), noun="a string or null")
+_list = partial(_typed, kinds=list, noun="a list")
+_object = partial(_typed, kinds=dict, noun="an object")
 
 
-def _build_technology(raw: dict) -> Technology:
-    name = _require(raw, "name", "technology")
-    where = f"technology {name!r}"
-    return Technology(
-        name=str(name),
-        capacity_mw=float(_require(raw, "capacity_mw", where)),
-        capital_cost=float(_require(raw, "capital_cost", where)),
-        fixed_om=float(_require(raw, "fixed_om", where)),
-        variable_om=float(_require(raw, "variable_om", where)),
-        fuel_kind=raw.get("fuel_kind"),
-        efficiency=float(_require(raw, "efficiency", where)),
-        emission_factor=float(_require(raw, "emission_factor", where)),
-        lifetime_years=_integer(_require(raw, "lifetime_years", where), f"{where} lifetime_years"),
-        construction_lag_years=_integer(
-            raw.get("construction_lag_years", 0), f"{where} construction_lag_years"
-        ),
-        is_intermittent=bool(raw.get("is_intermittent", False)),
-        weather_profile=raw.get("weather_profile"),
-    )
+def _number(value, where: str, kind=float):
+    """A JSON number as ``kind``; true/false are not numbers, and an int must be whole."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        with suppress(ValueError, OverflowError):  # NaN or infinity as int, huge int as float
+            if kind is float or int(value) == value:
+                return kind(value)
+    noun = "a number" if kind is float else "an integer"
+    raise ScenarioParseError(f"{where}: must be {noun}, got {reprlib.repr(value)}")
+
+
+_integer = partial(_number, kind=int)
+_CONVERTERS = {
+    float: _number, int: _integer, str: _string, bool: _boolean, str | None: _string_or_null,
+}
+
+
+def _read(cls, raw, path: str, **special):
+    """A ``cls`` from the JSON object ``raw``: a field is required unless ``cls`` gives it a
+    default, and is read by its declared type's converter unless ``special`` names it."""
+    _object(raw, path or "scenario")
+    values = {}
+    for f in fields(cls):
+        if f.name in raw:
+            convert = special.get(f.name) or _CONVERTERS.get(f.type)
+            if convert is None:  # a tuple of dataclasses
+                convert = partial(_items, get_args(f.type)[0])
+            values[f.name] = convert(raw[f.name], f"{path}.{f.name}" if path else f.name)
+        elif f.default is MISSING:
+            raise ScenarioParseError(f"{path or 'scenario'}: missing required key {f.name!r}")
+    return cls(**values)
+
+
+def _items(cls, value, where: str, **special) -> tuple:
+    """A JSON list of ``cls`` objects, each named by its ``name`` or ``id``, else its index."""
+    items = []
+    for k, item in enumerate(_list(value, where)):
+        ident = item.get("name", item.get("id")) if isinstance(item, dict) else None
+        label = ident if isinstance(ident, str) else k
+        items.append(_read(cls, item, f"{where}[{label}]", **special))
+    return tuple(items)
+
+
+def _year(key, where: str) -> int:
+    """A fuel-price year; JSON object keys are strings, so a year is read from its numeral."""
+    with suppress(ValueError):  # not a numeral, or longer than int() reads
+        return int(str(key))
+    return _integer(key, where)
+
+
+def _fuel_prices(value, where: str) -> dict[str, dict[int, float]]:
+    """fuel kind -> year -> price."""
+    return {
+        fuel: {
+            _year(year, f"{where}[{fuel}] year"): _number(price, f"{where}[{fuel}][{year}]")
+            for year, price in _object(series, f"{where}[{fuel}]").items()
+        }
+        for fuel, series in _object(value, where).items()
+    }
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
-    """Build a Scenario from parsed JSON data, applying defaults for omitted fields."""
-    if not isinstance(raw, dict):
-        raise ScenarioParseError("scenario document must be a JSON object")
+    """Build a Scenario from parsed JSON data; omitted fields take their dataclass defaults.
 
-    technologies = tuple(
-        _build_technology(t) for t in _require(raw, "technologies", "scenario")
-    )
-    tech_by_name = {t.name: t for t in technologies}
+    Three fields are not read by their declared type: a plant names its technology,
+    a day without a name is ``day-<i>``, and fuel prices map fuel -> year -> price.
+    """
+    catalog: dict[str, Technology] = {}
 
-    fleet = []
-    for p in _require(raw, "initial_fleet", "scenario"):
-        pid = str(_require(p, "id", "plant"))
-        tech_name = str(_require(p, "technology", f"plant {pid!r}"))
-        if tech_name not in tech_by_name:
-            raise ScenarioParseError(f"plant {pid!r}: unknown technology {tech_name!r}")
-        fleet.append(
-            PowerPlant(
-                id=pid,
-                technology=tech_by_name[tech_name],
-                owner=str(_require(p, "owner", f"plant {pid!r}")),
-                commission_year=_integer(
-                    _require(p, "commission_year", f"plant {pid!r}"),
-                    f"plant {pid!r} commission_year",
-                ),
-                unit_count=_integer(
-                    _require(p, "unit_count", f"plant {pid!r}"), f"plant {pid!r} unit_count"
-                ),
-            )
-        )
+    def technologies(value, where):
+        techs = _items(Technology, value, where)
+        catalog.update((t.name, t) for t in techs)
+        return techs
 
-    gencos = tuple(
-        GenCo(id=str(_require(g, "id", "genco")), budget=float(_require(g, "budget", "genco")))
-        for g in _require(raw, "gencos", "scenario")
-    )
+    def technology(value, where):
+        if _string(value, where) not in catalog:
+            raise ScenarioParseError(f"{where}: unknown technology {value!r}")
+        return catalog[value]
 
-    days = []
-    for i, d in enumerate(_require(raw, "representative_days", "scenario")):
-        name = str(d.get("name", f"day-{i}"))
-        segments = tuple(
-            DaySegment(
-                duration_hours=float(_require(seg, "duration_hours", f"day {name!r}")),
-                demand_mw=float(_require(seg, "demand_mw", f"day {name!r}")),
-                solar_capacity_factor=float(seg.get("solar_capacity_factor", 0.0)),
-                wind_capacity_factor=float(seg.get("wind_capacity_factor", 0.0)),
-            )
-            for seg in _require(d, "segments", f"day {name!r}")
-        )
-        days.append(
-            RepresentativeDay(
-                name=name,
-                weight_days=float(_require(d, "weight_days", f"day {name!r}")),
-                segments=segments,
-            )
-        )
+    def days(value, where):
+        named = [
+            {"name": f"day-{k}", **day} if isinstance(day, dict) else day
+            for k, day in enumerate(_list(value, where))
+        ]
+        return _items(RepresentativeDay, named, where)
 
-    fuel_prices: dict[str, dict[int, float]] = {}
-    for fuel, series in _require(raw, "fuel_prices", "scenario").items():
-        fuel_prices[str(fuel)] = {
-            _integer(year, f"fuel_prices[{fuel}] year"): float(price)
-            for year, price in series.items()
-        }
-
-    return Scenario(
-        start_year=_integer(_require(raw, "start_year", "scenario"), "start_year"),
-        horizon_years=_integer(
-            raw.get("horizon_years", DEFAULT_HORIZON_YEARS), "horizon_years"
-        ),
-        technologies=technologies,
-        initial_fleet=tuple(fleet),
-        gencos=gencos,
-        representative_days=tuple(days),
-        fuel_prices=fuel_prices,
-        demand_growth=float(raw.get("demand_growth", DEFAULT_DEMAND_GROWTH)),
-        discount_rate=float(raw.get("discount_rate", DEFAULT_DISCOUNT_RATE)),
-        base_carbon_intensity=float(_require(raw, "base_carbon_intensity", "scenario")),
-        loss_of_load_price=float(raw.get("loss_of_load_price", DEFAULT_LOSS_OF_LOAD_PRICE)),
-        demand_noise_std=float(raw.get("demand_noise_std", 0.0)),
+    # Scenario declares technologies before initial_fleet, so plants see the whole catalog
+    return _read(
+        Scenario, raw, "", technologies=technologies, representative_days=days,
+        initial_fleet=partial(_items, PowerPlant, technology=technology), fuel_prices=_fuel_prices,
     )
 
 
 def scenario_to_dict(s: Scenario) -> dict:
-    """Inverse of :func:`scenario_from_dict`; all fields written explicitly."""
-    return {
-        "start_year": s.start_year,
-        "horizon_years": s.horizon_years,
-        "demand_growth": s.demand_growth,
-        "discount_rate": s.discount_rate,
-        "base_carbon_intensity": s.base_carbon_intensity,
-        "loss_of_load_price": s.loss_of_load_price,
-        "demand_noise_std": s.demand_noise_std,
-        "technologies": [
-            {
-                "name": t.name,
-                "capacity_mw": t.capacity_mw,
-                "capital_cost": t.capital_cost,
-                "fixed_om": t.fixed_om,
-                "variable_om": t.variable_om,
-                "fuel_kind": t.fuel_kind,
-                "efficiency": t.efficiency,
-                "emission_factor": t.emission_factor,
-                "lifetime_years": t.lifetime_years,
-                "construction_lag_years": t.construction_lag_years,
-                "is_intermittent": t.is_intermittent,
-                "weather_profile": t.weather_profile,
-            }
-            for t in s.technologies
-        ],
-        "initial_fleet": [
-            {
-                "id": p.id,
-                "technology": p.technology.name,
-                "owner": p.owner,
-                "commission_year": p.commission_year,
-                "unit_count": p.unit_count,
-            }
-            for p in s.initial_fleet
-        ],
-        "gencos": [{"id": g.id, "budget": g.budget} for g in s.gencos],
-        "representative_days": [
-            {
-                "name": d.name,
-                "weight_days": d.weight_days,
-                "segments": [
-                    {
-                        "duration_hours": seg.duration_hours,
-                        "demand_mw": seg.demand_mw,
-                        "solar_capacity_factor": seg.solar_capacity_factor,
-                        "wind_capacity_factor": seg.wind_capacity_factor,
-                    }
-                    for seg in d.segments
-                ],
-            }
-            for d in s.representative_days
-        ],
-        "fuel_prices": {
-            fuel: {str(year): price for year, price in sorted(series.items())}
-            for fuel, series in sorted(s.fuel_prices.items())
-        },
+    """Inverse of :func:`scenario_from_dict`: ``asdict`` with JSON containers (lists, not
+    tuples), except that plants name their technology and fuel-price years are strings."""
+    raw = asdict(s, dict_factory=lambda pairs: {
+        k: list(v) if isinstance(v, tuple) else v for k, v in pairs})
+    for plant, p in zip(raw["initial_fleet"], s.initial_fleet):
+        plant["technology"] = p.technology.name
+    raw["fuel_prices"] = {
+        fuel: {str(year): price for year, price in sorted(series.items())}
+        for fuel, series in sorted(s.fuel_prices.items())
     }
+    return raw
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -530,9 +481,7 @@ def load_scenario(path: str | Path) -> Scenario:
 
 def save_scenario(s: Scenario, path: str | Path) -> None:
     """Write a scenario as JSON so that load_scenario(save_scenario(s)) == s."""
-    Path(path).write_text(
-        json.dumps(scenario_to_dict(s), indent=2) + "\n", encoding="utf-8"
-    )
+    Path(path).write_text(json.dumps(scenario_to_dict(s), indent=2) + "\n", encoding="utf-8")
 
 
 def bundled_scenario_path(name: str) -> Path | None:

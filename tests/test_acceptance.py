@@ -19,10 +19,11 @@ import pytest
 
 from carbonopt.benchmarks import BENCHMARKS, generational_distance
 from carbonopt.cli import main
-from carbonopt.dispatch import clear_segment, merit_order_key
+from carbonopt.dispatch import MarketYear, clear_segment, merit_order_key
 from carbonopt.investment import fit_carbon_forecast, npv
 from carbonopt.nsga2 import GAConfig, Individual, evolve, fast_non_dominated_sort
 from carbonopt.policy import NonParametricPolicy
+from carbonopt.scenario import DaySegment, RepresentativeDay, Scenario
 from carbonopt.simulation import run_simulation
 
 from test_dispatch import brute_force_min_cost, mk_bid
@@ -96,6 +97,27 @@ def test_criterion_2_optimizer_self_validation():
     report(2, "optimizer self-validation", "; ".join(details), elapsed, 120.0)
 
 
+def one_hour_market(demand: float, bids, voll: float):
+    """``bids`` cleared by the shipped kernel as the one-hour segment of a market-year.
+
+    Each bid's plant is one unit of its own technology, sized at the bid's
+    MW (see ``mk_bid``), so ``energy_by_technology`` holds each plant's MW.
+    """
+    fleet = [bid.plant for bid in bids]
+    hour = RepresentativeDay(name="hour", weight_days=1.0, segments=(DaySegment(1.0, demand),))
+    s = Scenario(
+        start_year=2020,
+        technologies=tuple(plant.technology for plant in fleet),
+        initial_fleet=tuple(fleet),
+        gencos=(),
+        representative_days=(hour,),
+        fuel_prices={},
+        base_carbon_intensity=1.0,
+        loss_of_load_price=voll,
+    )
+    return MarketYear(fleet, 2020, 0.0, s).clear()
+
+
 def test_criterion_3_dispatch_properties():
     rng = np.random.default_rng(7)
     voll = 6000.0
@@ -111,12 +133,14 @@ def test_criterion_3_dispatch_properties():
             emission = float(rng.choice([0.0, 0.2, 0.9]))
             bids.append(mk_bid(f"p{k}", available, cost, emission))
         demand = float(rng.uniform(0.5, 1e5))
-        clearing = clear_segment(demand, bids, voll)
+        year = one_hour_market(demand, bids, voll)
+        plant_of = {bid.plant.technology.name: bid.plant.id for bid in bids}
+        # in the kernel's dispatch order
+        dispatched_mw = {plant_of[name]: mw for name, mw in year.energy_by_technology.items()}
 
-        served = sum(mw for _, mw in clearing.dispatched)
-        assert abs(served + clearing.unserved_mw - demand) <= 1e-9
+        served = sum(dispatched_mw.values())
+        assert abs(served + year.unserved_mwh - demand) <= 1e-9
 
-        dispatched_mw = {p.id: mw for p, mw in clearing.dispatched}
         blocked = False
         for bid in sorted(bids, key=merit_order_key):
             mw = dispatched_mw.get(bid.plant.id, 0.0)
@@ -130,14 +154,20 @@ def test_criterion_3_dispatch_properties():
         if n <= 6:
             oracle_cases += 1
             greedy_cost = sum(
-                mw * next(b.srmc for b in bids if b.plant is p)
-                for p, mw in clearing.dispatched
+                mw * next(b.srmc for b in bids if b.plant.id == pid)
+                for pid, mw in dispatched_mw.items()
             )
             assert greedy_cost == pytest.approx(brute_force_min_cost(demand, bids), abs=1e-6)
+
+        clearing = clear_segment(demand, bids, voll)
+        assert list(dispatched_mw.items()) == [(p.id, mw) for p, mw in clearing.dispatched]
+        assert year.unserved_mwh == clearing.unserved_mw
+        # the yearly price is the segment's, weighted by its one hour of demand
+        assert year.average_price == clearing.clearing_price * demand / demand
     elapsed = time.perf_counter() - t0
     report(
         3,
-        "dispatch conservation/merit-order/brute-force",
+        "dispatch conservation/merit-order/brute-force on MarketYear, == clear_segment",
         f"10000 segments, {oracle_cases} exhaustive-checked",
         elapsed,
         30.0,

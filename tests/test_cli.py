@@ -121,8 +121,18 @@ class TestSimulate:
             ("representative_days[always].segments[0].demand_mw",
              lambda d: d["representative_days"][0]["segments"][0].update(demand_mw=math.inf)),
             ("technologies[gas].variable_om", lambda d: d["technologies"][0].update(variable_om=-1e6)),
+            # values of the wrong JSON type
+            ("technologies[gas].capacity_mw", lambda d: d["technologies"][0].update(capacity_mw=None)),
+            ("gencos[g1].budget", lambda d: d["gencos"][0].update(budget=[0.0])),
+            ("representative_days[always].segments[0].demand_mw",
+             lambda d: d["representative_days"][0]["segments"][0].update(demand_mw={"mw": 80.0})),
+            ("technologies[0]", lambda d: d["technologies"].__setitem__(0, "gas")),
+            ("gencos", lambda d: d.update(gencos=5)),
+            ("technologies[gas].is_intermittent",
+             lambda d: d["technologies"][0].update(is_intermittent="false")),
         ],
-        ids=["nan-variable-om", "inf-demand", "negative-variable-om"],
+        ids=["nan-variable-om", "inf-demand", "negative-variable-om", "null-capacity", "list-budget",
+             "object-demand", "non-object-technology", "number-gencos", "string-is-intermittent"],
     )
     def test_malformed_numbers_exit_1_naming_the_field(self, fossil_path, tmp_path, capsys, field, edit):
         raw = json.loads(fossil_path.read_text())

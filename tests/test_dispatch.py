@@ -27,8 +27,10 @@ VOLL = 6000.0
 
 
 def mk_bid(pid, available, cost, emission_factor=0.0):
+    """A bid of one unit of its own fuel-free technology, sized at the bid's MW."""
     tech = make_tech(
         name=f"t-{pid}",
+        capacity_mw=available,
         fuel_kind=None,
         efficiency=1.0,
         variable_om=cost,

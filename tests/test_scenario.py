@@ -6,6 +6,7 @@ import copy
 import dataclasses
 import json
 import math
+import reprlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,8 @@ from carbonopt.scenario import (
     GenCo,
     PowerPlant,
     RepresentativeDay,
+    Scenario,
+    Technology,
     bundled_scenario_path,
     load_scenario,
     save_scenario,
@@ -68,14 +71,22 @@ def write_json(tmp_path, data, name="s.scenario"):
 
 class TestLoad:
     def test_minimal_file_fills_defaults(self, tmp_path):
-        s = load_scenario(write_json(tmp_path, MINIMAL))
+        data = copy.deepcopy(MINIMAL)
+        del data["technologies"][0]["fuel_kind"], data["representative_days"][0]["name"]
+        s = load_scenario(write_json(tmp_path, data))
         assert s.horizon_years == 2
         assert s.discount_rate == 0.06
         assert s.demand_growth == 1.0
         assert s.loss_of_load_price == 6000.0
         assert s.demand_noise_std == 0.0
-        assert s.technologies[0].construction_lag_years == 0
-        assert s.representative_days[0].segments[0].solar_capacity_factor == 0.0
+        tech = s.technologies[0]
+        assert tech.fuel_kind is None and tech.weather_profile is None
+        assert tech.construction_lag_years == 0 and tech.is_intermittent is False
+        assert s.representative_days[0].name == "day-0"
+        segment = s.representative_days[0].segments[0]
+        assert segment.solar_capacity_factor == segment.wind_capacity_factor == 0.0
+        del data["horizon_years"]
+        assert scenario_from_dict(data).horizon_years == 18
 
     def test_bad_hours_rejected_naming_day_set(self, tmp_path):
         data = json.loads(json.dumps(MINIMAL))
@@ -208,7 +219,8 @@ class TestRoundTrip:
 
     def test_dict_round_trip(self, static_fossil_scenario):
         raw = scenario_to_dict(static_fossil_scenario)
-        assert scenario_from_dict(json.loads(json.dumps(raw))) == static_fossil_scenario
+        assert json.loads(json.dumps(raw)) == raw  # lists and string keys only
+        assert scenario_from_dict(raw) == static_fossil_scenario
 
     @given(
         demand=st.floats(1.0, 1e6, allow_nan=False),
@@ -232,6 +244,8 @@ class TestRoundTrip:
             days=(day,),
             demand_growth=growth,
             fuel_prices={"gas": {2020: price, 2021: price}},
+            # the fuel costs up to 1e4 / 0.5 per MWh, which must stay below loss of load
+            loss_of_load_price=1e5,
         )
         raw = json.loads(json.dumps(scenario_to_dict(s)))
         assert scenario_from_dict(raw) == s
@@ -336,6 +350,81 @@ class TestNumericGuards:
         with pytest.raises(ScenarioParseError, match="unit_count"):
             load_scenario(write_json(tmp_path, data))
 
+    @pytest.mark.parametrize(
+        "message, edit",
+        [
+            ("technologies[gas].capacity_mw: must be a number, got None",
+             lambda d: d["technologies"][0].update(capacity_mw=None)),
+            ("technologies[gas].capacity_mw: must be a number, got 'abc'",
+             lambda d: d["technologies"][0].update(capacity_mw="abc")),
+            ("technologies[gas].efficiency: must be a number, got True",
+             lambda d: d["technologies"][0].update(efficiency=True)),
+            ("initial_fleet[p1].unit_count: must be an integer, got '1'",
+             lambda d: d["initial_fleet"][0].update(unit_count="1")),
+            ("technologies[gas].fuel_kind: must be a string or null, got 5",
+             lambda d: d["technologies"][0].update(fuel_kind=5)),
+            ("technologies[gas].is_intermittent: must be true or false, got 'false'",
+             lambda d: d["technologies"][0].update(is_intermittent="false")),
+            ("gencos[0].id: must be a string, got 1", lambda d: d["gencos"][0].update(id=1)),
+            ("representative_days[always].segments: must be a list, got {}",
+             lambda d: d["representative_days"][0].update(segments={})),
+            ("fuel_prices[gas][2020]: must be a number, got [20.0]",
+             lambda d: d["fuel_prices"]["gas"].update({"2020": [20.0]})),
+            ("fuel_prices[gas] year: must be an integer, got 'next'",
+             lambda d: d["fuel_prices"]["gas"].update({"next": 20.0})),
+            # str.isdigit accepts a superscript digit, int() does not
+            ("fuel_prices[gas] year: must be an integer, got '²'",
+             lambda d: d["fuel_prices"]["gas"].update({"²": 20.0})),
+            # past the digit limit of int()
+            ("fuel_prices[gas] year: must be an integer, got " + reprlib.repr("9" * 5000),
+             lambda d: d["fuel_prices"]["gas"].update({"9" * 5000: 20.0})),
+            ("representative_days: must be a list, got ()",
+             lambda d: d.update(representative_days=())),
+        ],
+        ids=["null-number", "string-number", "true-number", "string-integer", "number-fuel-kind",
+             "string-bool", "number-id", "object-list", "list-fuel-price", "word-year",
+             "superscript-year", "long-year", "tuple-list"],
+    )
+    def test_wrong_json_type_is_named(self, message, edit):
+        data = copy.deepcopy(MINIMAL)
+        edit(data)
+        with pytest.raises(ScenarioParseError) as err:
+            scenario_from_dict(data)
+        assert str(err.value) == message
+
+    def test_document_must_be_an_object(self):
+        with pytest.raises(ScenarioParseError, match=r"^scenario: must be an object, got \[1\]$"):
+            scenario_from_dict([1])
+
+    @pytest.mark.parametrize(
+        "efficiency, violations",
+        [
+            (1e-300, ["technologies[ccgt].efficiency"]),
+            (1e-9, ["technologies[ccgt].efficiency"]),
+            # refused by its own range check only, never divided by
+            (0.0, ["technologies[ccgt].efficiency"]),
+            # gas costs at most 20 per MWh thermal: 20 / 0.003 = 6667 is above 6000,
+            # 20 / 0.004 = 5000 is not
+            (0.003, ["technologies[ccgt].efficiency"]),
+            (0.004, []),
+        ],
+    )
+    def test_fuel_cost_above_loss_of_load_is_refused(self, efficiency, violations):
+        raw = two_year_uk()
+        ccgt = next(t for t in raw["technologies"] if t["name"] == "ccgt")
+        ccgt["efficiency"] = efficiency
+        found = validate_scenario(scenario_from_dict(raw))
+        assert [v.path for v in found] == violations
+        if efficiency > 0:
+            assert all("loss-of-load price 6000" in v.message for v in found)
+
+    def test_fuel_cost_check_skips_a_refused_fuel_series(self):
+        raw = two_year_uk()
+        next(t for t in raw["technologies"] if t["name"] == "ccgt")["efficiency"] = 1e-9
+        raw["fuel_prices"]["gas"]["2020"] = math.nan
+        paths = [v.path for v in validate_scenario(scenario_from_dict(raw))]
+        assert paths == ["fuel_prices[gas][2020]"]
+
 
 def two_year_uk() -> dict:
     """The bundled ``uk_synthetic`` document cut to its first two years."""
@@ -349,15 +438,19 @@ def two_year_uk() -> dict:
     return raw
 
 
+def is_number(node) -> bool:
+    """Whether a JSON value is a number; true/false are not."""
+    return isinstance(node, (int, float)) and not isinstance(node, bool)
+
+
 def numeric_paths(node, path=()):
-    """Key paths of every number in a JSON document (booleans excluded)."""
+    """Key paths of every number in a JSON document."""
     if isinstance(node, dict):
         items = node.items()
     elif isinstance(node, list):
         items = enumerate(node)
     else:
-        is_number = isinstance(node, (int, float)) and not isinstance(node, bool)
-        return [path] if is_number else []
+        return [path] if is_number(node) else []
     return [p for key, value in items for p in numeric_paths(value, path + (key,))]
 
 
@@ -371,7 +464,13 @@ EDITS = {
     "huge": lambda v: 1e300,
     "fraction": lambda v: v + 0.5,
     "zero": lambda v: 0 * v,
+    # wrong JSON types; true/false are not numbers
+    "null": lambda v: None,
+    "list": lambda v: [v],
+    "string": lambda v: "x",
+    "true": lambda v: True,
 }
+NUMERIC_EDITS = {"negative", "fraction", "zero"}  # these do arithmetic on the old value
 
 
 class TestScenarioFuzz:
@@ -386,6 +485,8 @@ class TestScenarioFuzz:
             holder = raw
             for key in path[:-1]:
                 holder = holder[key]
+            if how in NUMERIC_EDITS and not is_number(holder[path[-1]]):
+                continue  # an earlier type edit on the same path left no number
             holder[path[-1]] = EDITS[how](holder[path[-1]])
         try:
             s = scenario_from_dict(raw)

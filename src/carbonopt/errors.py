@@ -6,7 +6,8 @@ class CarbonOptError(Exception):
 
 
 class ScenarioParseError(CarbonOptError):
-    """Scenario file is unreadable or not JSON, or lacks a key or has one of the wrong type."""
+    """Scenario file is unreadable or not JSON, or lacks a key, has one of the wrong type
+    or has one that names no field."""
 
 
 class ScenarioValidationError(CarbonOptError):

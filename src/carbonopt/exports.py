@@ -128,16 +128,15 @@ def render_generations_csv(archive: FrontArchive, objective_names: list[str]) ->
         + list(objective_names)
         + ["rank", "crowding"]
     )
-    rows = []
+    # every cell is an int or a float repr, never a comma, quote or newline: join directly
+    lines = [_rows_to_csv(header, [])]
     for snap in archive.snapshots:
-        for i in range(snap.genomes.shape[0]):
-            rows.append(
-                [snap.generation, i]
-                + [float(v) for v in snap.genomes[i]]
-                + [float(v) for v in snap.objectives[i]]
-                + [int(snap.ranks[i]), float(snap.crowding[i])]
-            )
-    return _rows_to_csv(header, rows)
+        rows = zip(snap.genomes.tolist(), snap.objectives.tolist(),
+                   snap.ranks.tolist(), snap.crowding.tolist())
+        for i, (genes, objectives, rank, crowding) in enumerate(rows):
+            values = ",".join(map(repr, genes + objectives))
+            lines.append(f"{snap.generation},{i},{values},{rank},{crowding!r}\n")
+    return "".join(lines)
 
 
 def render_pareto_json(archive: FrontArchive, objective_names: list[str]) -> str:

@@ -7,6 +7,12 @@ non-dominated fronts, and the next population is filled front by front;
 the overflowing front is truncated by descending crowding distance. All
 objectives are minimized.
 
+Fronts are sorted from a numpy dominance matrix, one objective column at
+a time, and peeled by vectorised dominator counts. Their member order is
+that of the classic pairwise sort (F1 by index; a later front by the
+position of each member's last dominator in the front before, then by
+index), because crowding and truncation tie-break on it.
+
 Reproducibility contract: every random draw comes from one seeded
 generator consumed in a fixed order: the initial population matrix
 first, then per child pair: two tournament draws of two indices each,
@@ -106,35 +112,39 @@ def fast_non_dominated_sort(population: list[Individual]) -> list[list[Individua
     F1 is the non-dominated set; each later front is the non-dominated
     set once earlier fronts are removed. The fronts partition the
     population.
+
+    ``dom[i, j]`` (i dominates j) is built one objective column at a
+    time: i is strictly better than j on some column and worse on none,
+    so a NaN compares neither way, as in :func:`dominates`. Each front is
+    peeled from the remaining dominator counts. Member order is part of
+    the contract, because crowding and truncation tie-break on it: F1 is
+    in index order, and a later front orders its members by the position,
+    in the front before, of their last dominator there, then by index.
     """
     n = len(population)
-    objs = [ind.objectives for ind in population]
-    dominated: list[list[int]] = [[] for _ in range(n)]
-    counts = [0] * n
-    for i in range(n):
-        oi = objs[i]
-        for j in range(i + 1, n):
-            if dominates(oi, objs[j]):
-                dominated[i].append(j)
-                counts[j] += 1
-            elif dominates(objs[j], oi):
-                dominated[j].append(i)
-                counts[i] += 1
+    objs = np.array([ind.objectives for ind in population], dtype=float)
+    better = np.zeros((n, n), dtype=bool)
+    worse = np.zeros((n, n), dtype=bool)
+    for c in objs.T:
+        better |= c[:, None] < c
+        worse |= c[:, None] > c
+    dom = better & ~worse
+    counts = dom.sum(0)
 
     fronts: list[list[Individual]] = []
-    current = [i for i in range(n) if counts[i] == 0]
+    current = np.flatnonzero(counts == 0)
     rank = 1
-    while current:
-        for i in current:
-            population[i].rank = rank
+    while current.size:
         fronts.append([population[i] for i in current])
-        nxt = []
-        for i in current:
-            for j in dominated[i]:
-                counts[j] -= 1
-                if counts[j] == 0:
-                    nxt.append(j)
-        current = nxt
+        for ind in fronts[-1]:
+            ind.rank = rank
+        beaten = dom[current]
+        hits = beaten.sum(0)
+        nxt = np.flatnonzero((hits > 0) & (counts == hits))
+        counts -= hits
+        # the position in ``current`` of each new member's last dominator
+        last = current.size - 1 - beaten[::-1, nxt].argmax(0)
+        current = nxt[np.lexsort((nxt, last))]
         rank += 1
     return fronts
 
@@ -252,7 +262,11 @@ def mutate(
     return out
 
 
-def _evaluate_all(fitness, genomes: list[np.ndarray], map_fn) -> list[tuple[float, ...]]:
+def _evaluate_all(
+    fitness, genomes: list[np.ndarray], map_fn, width: int = 0
+) -> list[tuple[float, ...]]:
+    """Objectives per genome; every vector must have ``width`` values (0: as many as the
+    first one), and a vector that does not is blamed on its genome."""
     results: list[tuple[float, ...]] = []
     iterator = map_fn(fitness, genomes)
     position = 0
@@ -261,6 +275,11 @@ def _evaluate_all(fitness, genomes: list[np.ndarray], map_fn) -> list[tuple[floa
             objectives = tuple(float(v) for v in raw)
             if not objectives:
                 raise ValueError("fitness returned an empty objective vector")
+            width = width or len(objectives)
+            if len(objectives) != width:
+                raise ValueError(
+                    f"fitness returned {len(objectives)} objectives, the run's first had {width}"
+                )
             results.append(objectives)
             position += 1
     except (EvaluationError, BrokenExecutor):
@@ -278,16 +297,17 @@ def _score(
 
     ``known`` maps genome bytes to objectives already scored; a genome
     equal byte for byte to a known one, or to an earlier one in
-    ``genomes``, reuses those objectives; new scores are added to
-    ``known``. Fitness is pure, so reuse changes nothing but the number
-    of calls.
+    ``genomes``, reuses those objectives; new scores must have as many
+    objectives as the known ones and are added to ``known``. Fitness is
+    pure, so reuse changes nothing but the number of calls.
     """
     fresh: dict[bytes, np.ndarray] = {}
     for genome in genomes:
         key = genome.tobytes()
         if key not in known:
             fresh.setdefault(key, genome)
-    known.update(zip(fresh, _evaluate_all(fitness, list(fresh.values()), map_fn)))
+    width = len(next(iter(known.values()), ()))
+    known.update(zip(fresh, _evaluate_all(fitness, list(fresh.values()), map_fn, width)))
     return [known[g.tobytes()] for g in genomes]
 
 

@@ -78,9 +78,7 @@ def encode(policy: CarbonPolicy) -> list[float]:
     raise GenomeError(f"cannot encode {type(policy).__name__}")
 
 
-def decode(genome, kind: str, n_years: int = 18) -> CarbonPolicy:
-    """Build a policy from a genome; out-of-bounds genes are rejected."""
-    genes = [float(g) for g in genome]
+def _check_box(genes: list[float], kind: str, n_years: int) -> None:
     box = bounds(kind, n_years)
     if len(genes) != len(box):
         raise GenomeError(
@@ -91,6 +89,12 @@ def decode(genome, kind: str, n_years: int = 18) -> CarbonPolicy:
             raise GenomeError(
                 f"gene {i} = {g} outside [{low}, {high}] for kind {kind!r}"
             )
+
+
+def decode(genome, kind: str, n_years: int = 18) -> CarbonPolicy:
+    """Build a policy from a genome; out-of-bounds genes are rejected."""
+    genes = [float(g) for g in genome]
+    _check_box(genes, kind, n_years)
     if kind == FREE:
         return NonParametricPolicy(prices=tuple(genes))
     return LinearPolicy(gradient=genes[0], intercept=genes[1])
@@ -98,7 +102,7 @@ def decode(genome, kind: str, n_years: int = 18) -> CarbonPolicy:
 
 def check_bounds(policy: CarbonPolicy, n_years: int) -> None:
     """Raise GenomeError unless the policy parameters sit inside their box."""
-    decode(encode(policy), policy.kind, n_years=n_years)
+    _check_box(encode(policy), policy.kind, n_years)
 
 
 def parse_policy_spec(spec: str, n_years: int) -> CarbonPolicy:

@@ -373,15 +373,22 @@ _CONVERTERS = {
 
 def _read(cls, raw, path: str, **special):
     """A ``cls`` from the JSON object ``raw``: a field is required unless ``cls`` gives it a
-    default, and is read by its declared type's converter unless ``special`` names it."""
+    default, and is read by its declared type's converter unless ``special`` names it.
+    A key that names no field is refused, so a misspelt optional key cannot pass unseen."""
     _object(raw, path or "scenario")
+    prefix = f"{path}." if path else ""
+    declared = fields(cls)
+    names = {f.name for f in declared}
+    for key in raw:
+        if key not in names:
+            raise ScenarioParseError(f"{prefix}{key}: unknown key")
     values = {}
-    for f in fields(cls):
+    for f in declared:
         if f.name in raw:
             convert = special.get(f.name) or _CONVERTERS.get(f.type)
             if convert is None:  # a tuple of dataclasses
                 convert = partial(_items, get_args(f.type)[0])
-            values[f.name] = convert(raw[f.name], f"{path}.{f.name}" if path else f.name)
+            values[f.name] = convert(raw[f.name], prefix + f.name)
         elif f.default is MISSING:
             raise ScenarioParseError(f"{path or 'scenario'}: missing required key {f.name!r}")
     return cls(**values)

@@ -130,9 +130,14 @@ class TestSimulate:
             ("gencos", lambda d: d.update(gencos=5)),
             ("technologies[gas].is_intermittent",
              lambda d: d["technologies"][0].update(is_intermittent="false")),
+            # a misspelt optional key would otherwise leave its field at the default
+            ("demand_grwoth: unknown key", lambda d: d.update(demand_grwoth=1.5)),
+            ("representative_days[always].segments[0].demand_mww: unknown key",
+             lambda d: d["representative_days"][0]["segments"][0].update(demand_mww=1.0)),
         ],
         ids=["nan-variable-om", "inf-demand", "negative-variable-om", "null-capacity", "list-budget",
-             "object-demand", "non-object-technology", "number-gencos", "string-is-intermittent"],
+             "object-demand", "non-object-technology", "number-gencos", "string-is-intermittent",
+             "unknown-key", "unknown-segment-key"],
     )
     def test_malformed_numbers_exit_1_naming_the_field(self, fossil_path, tmp_path, capsys, field, edit):
         raw = json.loads(fossil_path.read_text())

@@ -46,6 +46,44 @@ def brute_force_fronts(objectives):
     return fronts
 
 
+def reference_sort(population):
+    """The pairwise double-loop sort with a Python peel: the oracle for front member order."""
+    n = len(population)
+    objs = [ind.objectives for ind in population]
+    dominated = [[] for _ in range(n)]
+    counts = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if dominates(objs[i], objs[j]):
+                dominated[i].append(j)
+                counts[j] += 1
+            elif dominates(objs[j], objs[i]):
+                dominated[j].append(i)
+                counts[i] += 1
+    fronts = []
+    current = [i for i in range(n) if counts[i] == 0]
+    while current:
+        fronts.append(current)
+        nxt = []
+        for i in current:
+            for j in dominated[i]:
+                counts[j] -= 1
+                if counts[j] == 0:
+                    nxt.append(j)
+        current = nxt
+    return fronts
+
+
+def random_objectives(rng, n, m):
+    """Objectives with ties (rounded values), exact duplicate rows and some NaN entries."""
+    objs = rng.normal(size=(n, m)).round(int(rng.integers(0, 3)))
+    if n > 1:
+        copies = rng.integers(0, n, size=int(rng.integers(0, n // 4 + 1)))
+        objs[copies] = objs[rng.integers(0, n, size=copies.size)]
+    objs[rng.random((n, m)) < rng.choice([0.0, 0.02, 0.2])] = np.nan
+    return [tuple(row) for row in objs.tolist()]
+
+
 class TestDominates:
     def test_strictly_better_everywhere(self):
         assert dominates((1, 2), (2, 3))
@@ -99,6 +137,23 @@ class TestFastNonDominatedSort:
             # fronts partition the population
             flat = [i for front in got for i in front]
             assert sorted(flat) == list(range(n))
+
+    def test_fronts_and_member_order_match_the_reference_sort(self):
+        rng = np.random.default_rng(20240607)
+        # mostly small populations: the pure-Python oracle is quadratic
+        sizes = [0, 1, 2, 200, 220] + rng.integers(0, 221, size=95).tolist()
+        sizes += rng.integers(0, 41, size=400).tolist()
+        for n in sizes:
+            objs = random_objectives(rng, n, int(rng.integers(1, 5)))
+            population = inds(*objs)
+            fronts = fast_non_dominated_sort(population)
+            expected = reference_sort(population)
+            assert [[ind.index for ind in front] for front in fronts] == expected
+            ranks = [0] * n
+            for rank, front in enumerate(expected, start=1):
+                for i in front:
+                    ranks[i] = rank
+            assert [ind.rank for ind in population] == ranks
 
     def test_no_member_dominates_within_a_front(self):
         rng = np.random.default_rng(99)
@@ -386,6 +441,26 @@ class TestEvolve:
         with pytest.raises(EvaluationError) as err:
             evolve(fitness, cfg, [(-1.0, 1.0)])
         assert len(err.value.genome) == 1
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    # 3 is in the initial population; 8 is the first genome scored in generation 1, so only
+    # the length of an earlier generation's vector can show that it is ragged
+    @pytest.mark.parametrize("position", [3, 8])
+    def test_ragged_objective_vector_is_blamed_on_its_genome(self, parallel, position):
+        from concurrent.futures import ThreadPoolExecutor
+
+        cfg = GAConfig(population_size=8, generations=2, seed=4)
+        scored = []
+        evolve(lambda g: scored.append(g.tobytes()) or schaffer(g), cfg, SCHAFFER_BOUNDS)
+        ragged = scored[position]
+
+        def fitness(genome):  # one objective too many for one genome only
+            return (*schaffer(genome), 0.0) if genome.tobytes() == ragged else schaffer(genome)
+
+        with ThreadPoolExecutor(max_workers=2) as pool, pytest.raises(EvaluationError) as err:
+            evolve(fitness, cfg, SCHAFFER_BOUNDS, map_fn=pool.map if parallel else None)
+        assert np.array(err.value.genome).tobytes() == ragged
+        assert "3 objectives, the run's first had 2" in str(err.value)
 
     def test_broken_pool_is_not_blamed_on_a_genome(self):
         from concurrent.futures.process import BrokenProcessPool

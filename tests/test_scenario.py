@@ -380,10 +380,17 @@ class TestNumericGuards:
              lambda d: d["fuel_prices"]["gas"].update({"9" * 5000: 20.0})),
             ("representative_days: must be a list, got ()",
              lambda d: d.update(representative_days=())),
+            # keys that name no field
+            ("demand_grwoth: unknown key", lambda d: d.update(demand_grwoth=1.5)),
+            ("technologies[gas].efficency: unknown key",
+             lambda d: d["technologies"][0].update(efficency=0.5)),
+            ("representative_days[always].segments[0].wind: unknown key",
+             lambda d: d["representative_days"][0]["segments"][0].update(wind=0.5)),
         ],
         ids=["null-number", "string-number", "true-number", "string-integer", "number-fuel-kind",
              "string-bool", "number-id", "object-list", "list-fuel-price", "word-year",
-             "superscript-year", "long-year", "tuple-list"],
+             "superscript-year", "long-year", "tuple-list", "unknown-key", "unknown-technology-key",
+             "unknown-segment-key"],
     )
     def test_wrong_json_type_is_named(self, message, edit):
         data = copy.deepcopy(MINIMAL)

@@ -15,7 +15,7 @@ SPECIAL = [math.inf, 0.0, -0.0, -3.5, 5e-324, 1e300, -1e300, 0.1]
 
 def snapshot(generation, rng, n, n_genes):
     objectives = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-300, 300, size=(n, 2))
-    objectives[: len(SPECIAL) // 2] = np.reshape(SPECIAL, (-1, 2))[: n]
+    objectives[:4] = np.reshape(SPECIAL, (4, 2))
     crowding = rng.choice(SPECIAL, size=n)
     return GenerationSnapshot(
         generation=generation,

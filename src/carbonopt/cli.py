@@ -191,7 +191,7 @@ def run_optimize(args: dict, out_dir: Path) -> int:
 def run_benchmark(args: dict, out_dir: Path | None) -> int:
     started = datetime.datetime.now(datetime.timezone.utc)
     t0 = time.perf_counter()
-    problem = args["problem"]
+    problem, fail_above = args["problem"], args["fail_above"]
     if problem not in BENCHMARKS:
         raise CarbonOptError(
             f"unknown problem {problem!r}; expected one of {sorted(BENCHMARKS)}"
@@ -210,19 +210,23 @@ def run_benchmark(args: dict, out_dir: Path | None) -> int:
         outputs = _write_run(out_dir, "benchmark", args, files, None, started, t0)
         print(f"wrote {', '.join(outputs)} to {out_dir}")
 
-    if args["fail_above"] is not None and gd > args["fail_above"]:
-        print(
-            f"generational distance {gd!r} above threshold {args['fail_above']!r}",
-            file=sys.stderr,
-        )
+    if fail_above is not None and gd > fail_above:
+        print(f"generational distance {gd!r} above threshold {fail_above!r}", file=sys.stderr)
         return EXIT_GATE
     return EXIT_OK
+
+
+class _RecordedArgs(dict):
+    """A manifest's args: a key the command reads but the manifest lacks is refused by name."""
+
+    def __missing__(self, key):
+        raise CarbonOptError(f"manifest args have no {key!r}; rerun the command instead")
 
 
 def run_replay(manifest_path: str, out_override: str | None) -> int:
     """Re-run a manifest's command; refuse when the code or the scenario file has changed."""
     manifest = load_manifest(Path(manifest_path))
-    args = dict(manifest.args)
+    args = _RecordedArgs(manifest.args)
     if manifest.version != __version__:
         raise CarbonOptError(
             f"manifest version {manifest.version!r} differs from this carbonopt "
@@ -263,8 +267,16 @@ def _add_ga_flags(parser: argparse.ArgumentParser, pop_default: int, gens_defaul
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with ``EXIT_INVALID``, as every other invalid input does."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="carbonopt",
         description="Carbon-tax trajectory search over a merit-order electricity market",
     )

@@ -18,7 +18,9 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .nsga2 import FrontArchive
-from .simulation import Event, SimulationResult
+from .errors import CarbonOptError
+from .investment import Event
+from .simulation import SimulationResult
 
 
 def _cell(value) -> str:
@@ -206,7 +208,16 @@ def write_manifest(out_dir: Path, manifest: RunManifest) -> None:
 
 
 def load_manifest(path: Path) -> RunManifest:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a manifest; one that cannot be read or lacks a key is refused by name."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise CarbonOptError(f"cannot read manifest {path}: {exc}") from exc
+    if not isinstance(raw, dict) or not isinstance(raw.get("args", {}), dict):
+        raise CarbonOptError(f"manifest {path} must be a JSON object with an 'args' object")
+    for key in ("command", "args", "seed", "version"):
+        if key not in raw:
+            raise CarbonOptError(f"manifest {path} has no {key!r}")
     return RunManifest(
         command=raw["command"],
         args=raw["args"],

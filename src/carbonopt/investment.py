@@ -43,14 +43,17 @@ class CarbonForecast:
 
 
 @dataclass(frozen=True)
-class InvestmentDecision:
+class Event:
+    """One entry of the per-year event log (investments, commissionings, retirements)."""
+
+    year: int
+    kind: str  # "invest" | "commission" | "retire"
     genco: str
     technology: str
-    unit_count: int
-    npv: float
-    capital_cost: float
-    commission_year: int
     plant_id: str
+    unit_count: int
+    capital_cost: float | None = None
+    npv: float | None = None
 
 
 def fit_carbon_forecast(history: list[tuple[int, float]]) -> CarbonForecast:
@@ -177,7 +180,7 @@ def invest(
     s: Scenario,
     fleet: list[PowerPlant],
     probes: YearProbes,
-) -> list[InvestmentDecision]:
+) -> list[Event]:
     """Buy the highest-NPV affordable unit, re-evaluate, and repeat until nothing attracts.
 
     ``genco`` is the buying company's id. The decision year and the carbon
@@ -187,11 +190,11 @@ def invest(
     (commissioning after the technology's construction lag), so later
     decisions see the updated market.
 
-    Returns the executed decisions; an empty list means nothing was both
-    positive-NPV and affordable.
+    Returns the ``"invest"`` events of the executed purchases; an empty
+    list means nothing was both positive-NPV and affordable.
     """
     decision_year = probes.decision_year
-    decisions: list[InvestmentDecision] = []
+    events: list[Event] = []
     while True:
         valuations = probes.value(fleet, s)
         best: Technology | None = None
@@ -205,10 +208,10 @@ def invest(
                 best = tech
                 best_value = value
         if best is None:
-            return decisions
+            return events
         capital = best.capital_cost * best.capacity_mw
         plant = PowerPlant(
-            id=f"{genco}:{best.name}:{decision_year}:{len(decisions) + 1}",
+            id=f"{genco}:{best.name}:{decision_year}:{len(events) + 1}",
             technology=best,
             owner=genco,
             commission_year=decision_year + best.construction_lag_years,
@@ -216,14 +219,6 @@ def invest(
         )
         budgets[genco] -= capital
         fleet.append(plant)
-        decisions.append(
-            InvestmentDecision(
-                genco=genco,
-                technology=best.name,
-                unit_count=1,
-                npv=best_value,
-                capital_cost=capital,
-                commission_year=plant.commission_year,
-                plant_id=plant.id,
-            )
+        events.append(
+            Event(decision_year, "invest", genco, best.name, plant.id, 1, capital, best_value)
         )

@@ -9,7 +9,11 @@ simulation workers.
 
 The on-disk format is a single JSON document, read and written by walking
 the dataclass fields (so annotations here are types, never postponed); the
-schema is documented in ``docs/scenario-schema.md``.
+schema is documented in ``docs/scenario-schema.md``. A field's rule lives
+in its annotation, as in ``Annotated[float, "> 0"]``: ``validate_scenario``
+walks the same fields, holds every number finite, at most ``MAX_MAGNITUDE``
+in size and to its rule, and refuses a repeated list-element label; only
+the rules that tie several fields together are written out there.
 """
 
 import json
@@ -20,7 +24,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 from functools import partial
 from importlib import resources
 from pathlib import Path
-from typing import get_args
+from typing import Annotated, get_args, get_origin
 
 from .errors import ScenarioParseError, ScenarioValidationError
 
@@ -35,15 +39,18 @@ class Technology:
     """One investable generation technology; ``capacity_mw`` is the size of a single unit."""
 
     name: str
-    capacity_mw: float
-    capital_cost: float  # £/MW
-    fixed_om: float  # £/MW/year
-    variable_om: float  # £/MWh
-    efficiency: float  # thermal-to-electric, in (0, 1]
-    emission_factor: float  # tCO2/MWh electrical
-    lifetime_years: int
+    capacity_mw: Annotated[float, "> 0"]
+    # a free-to-build technology would let the greedy investment loop buy
+    # forever without draining any budget
+    capital_cost: Annotated[float, "> 0"]  # £/MW
+    fixed_om: Annotated[float, ">= 0"]  # £/MW/year
+    variable_om: Annotated[float, ">= 0"]  # £/MWh
+    efficiency: Annotated[float, "in (0, 1]"]  # thermal-to-electric
+    emission_factor: Annotated[float, ">= 0"]  # tCO2/MWh electrical
+    # every operating year is one term of the NPV sum
+    lifetime_years: Annotated[int, "in [1, 100]"]
     fuel_kind: str | None = None  # key into Scenario.fuel_prices; None when fuel-free
-    construction_lag_years: int = 0
+    construction_lag_years: Annotated[int, ">= 0"] = 0
     is_intermittent: bool = False
     weather_profile: str | None = None  # "solar" or "wind" when intermittent
 
@@ -54,7 +61,7 @@ class PowerPlant:
     technology: Technology
     owner: str
     commission_year: int
-    unit_count: int
+    unit_count: Annotated[int, ">= 1"]
 
     @property
     def capacity_mw(self) -> float:
@@ -73,15 +80,15 @@ class GenCo:
     """Generation company agent; ``budget`` is its investment budget for a whole run."""
 
     id: str
-    budget: float
+    budget: Annotated[float, ">= 0"]
 
 
 @dataclass(frozen=True)
 class DaySegment:
-    duration_hours: float
-    demand_mw: float
-    solar_capacity_factor: float = 0.0
-    wind_capacity_factor: float = 0.0
+    duration_hours: Annotated[float, "> 0"]
+    demand_mw: Annotated[float, "> 0"]
+    solar_capacity_factor: Annotated[float, "in [0, 1]"] = 0.0
+    wind_capacity_factor: Annotated[float, "in [0, 1]"] = 0.0
 
     def capacity_factor(self, profile: str) -> float:
         if profile == "solar":
@@ -96,8 +103,8 @@ class RepresentativeDay:
     """A weighted sample day; ``weight_days`` is how many real days it stands for."""
 
     name: str
-    weight_days: float
-    segments: tuple[DaySegment, ...]
+    weight_days: Annotated[float, "> 0"]
+    segments: Annotated[tuple[DaySegment, ...], "non-empty"]
 
     @property
     def hours(self) -> float:
@@ -107,17 +114,21 @@ class RepresentativeDay:
 @dataclass(frozen=True)
 class Scenario:
     start_year: int
-    technologies: tuple[Technology, ...]
+    technologies: Annotated[tuple[Technology, ...], "non-empty"]
     initial_fleet: tuple[PowerPlant, ...]
     gencos: tuple[GenCo, ...]
-    representative_days: tuple[RepresentativeDay, ...]
+    representative_days: Annotated[tuple[RepresentativeDay, ...], "non-empty"]
     fuel_prices: dict[str, dict[int, float]]  # fuel kind -> calendar year -> £/MWh thermal
-    base_carbon_intensity: float  # tCO2/MWh of the start-year fleet (objective denominator)
-    horizon_years: int = 18
-    demand_growth: float = 1.0  # per-year multiplier on all segment demand
-    discount_rate: float = 0.06
-    loss_of_load_price: float = 6000.0  # administrative shortage price, above every SRMC
-    demand_noise_std: float = 0.0  # optional per-year demand jitter; 0 keeps the model deterministic
+    # tCO2/MWh of the start-year fleet; the relative carbon intensity objective divides by it
+    base_carbon_intensity: Annotated[float, "> 0"]
+    horizon_years: Annotated[int, "in [2, 100]"] = 18
+    # the growth factor and the discount rate are raised to powers of years
+    demand_growth: Annotated[float, "in (0, 2]"] = 1.0  # per-year multiplier on all segment demand
+    discount_rate: Annotated[float, "in [0, 1]"] = 0.06
+    # administrative shortage price, above every SRMC
+    loss_of_load_price: Annotated[float, "> 0"] = 6000.0
+    # optional per-year demand jitter; 0 keeps the model deterministic
+    demand_noise_std: Annotated[float, ">= 0"] = 0.0
 
     @property
     def final_year(self) -> int:
@@ -155,9 +166,9 @@ class Violation:
         return f"{self.path}: {self.message}"
 
 
-# Range rules of numeric fields; every numeric field must also be finite and
-# at most MAX_MAGNITUDE in size, which keeps every product the model forms
-# (price x energy x years, capital x units) far from float overflow.
+# Every numeric field must be finite and at most MAX_MAGNITUDE in size, which
+# keeps every product the model forms (price x energy x years, capital x units)
+# far from float overflow; a field may also declare one of the _RULES.
 MAX_MAGNITUDE = 1e15
 # Budgets never grow and each purchase costs a whole unit, so the greedy
 # investment loop makes at most budget / (capital_cost x capacity_mw)
@@ -172,80 +183,82 @@ _RULES = {
     "in [2, 100]": lambda v: 2 <= v <= 100,
     "in [0, 1]": lambda v: 0 <= v <= 1,
     "in (0, 2]": lambda v: 0 < v <= 2,
+    "non-empty": lambda v: len(v) > 0,
 }
 
-_TECHNOLOGY_RULES = (
-    ("capacity_mw", "> 0"),
-    # a free-to-build technology would let the greedy investment loop buy
-    # forever without draining any budget
-    ("capital_cost", "> 0"),
-    ("fixed_om", ">= 0"),
-    ("variable_om", ">= 0"),
-    ("efficiency", "in (0, 1]"),
-    ("emission_factor", ">= 0"),
-    # every operating year is one term of the NPV sum
-    ("lifetime_years", "in [1, 100]"),
-    ("construction_lag_years", ">= 0"),
-)
+
+def _declared(f) -> tuple:
+    """A field's type and its rule, ``None`` when its annotation declares none."""
+    return get_args(f.type) if get_origin(f.type) is Annotated else (f.type, None)
 
 
-def _check(out: list[Violation], path: str, value, rule: str) -> None:
+def _label(item, k: int):
+    """How a list element is named in a path: its ``name`` or ``id`` string, else its index."""
+    # getattr, not vars(): a materialised instance __dict__ slows every later attribute read
+    get = item.get if isinstance(item, dict) else partial(getattr, item)
+    ident = get("name", get("id", None))
+    return ident if isinstance(ident, str) else k
+
+
+def _check(out: list[Violation], path: str, value, rule: str | None) -> None:
     """Record a violation unless ``value`` is finite, not too large and satisfies ``rule``."""
     # ints are finite, and math.isfinite overflows on huge ones
     if not (isinstance(value, int) or math.isfinite(value)):
         out.append(Violation(path, f"must be finite, got {value}"))
     elif abs(value) > MAX_MAGNITUDE:
         out.append(Violation(path, f"must be at most {MAX_MAGNITUDE:g} in size, got {value}"))
-    elif not _RULES[rule](value):
+    elif rule and not _RULES[rule](value):
         out.append(Violation(path, f"must be {rule}, got {value}"))
+
+
+def _walk(out: list[Violation], obj, path: str) -> None:
+    """Hold every number of dataclass ``obj`` and of the elements of its tuples to its
+    field's rule; an element whose label repeats an earlier one's is refused at its path."""
+    prefix = f"{path}." if path else ""
+    for f in fields(obj):
+        kind, rule = _declared(f)
+        value, where = getattr(obj, f.name), prefix + f.name
+        if kind in (int, float):
+            _check(out, where, value, rule)
+        elif get_origin(kind) is tuple:
+            if rule and not _RULES[rule](value):
+                out.append(Violation(where, f"must be {rule}"))
+            seen = set()
+            for k, item in enumerate(value):
+                label = _label(item, k)
+                if label in seen:
+                    noun = "name" if hasattr(item, "name") else "id"
+                    out.append(Violation(f"{where}[{label}]", f"duplicate {noun}"))
+                seen.add(label)
+                _walk(out, item, f"{where}[{label}]")
 
 
 def validate_scenario(s: Scenario) -> list[Violation]:
     """Check every scenario invariant; an empty list means the scenario is valid.
 
-    Every numeric field must be finite (NaN and infinities would break the
-    merit order's total order or poison every sum); most also have a range.
+    The walk over the fields holds every number finite (NaN and infinities
+    would break the merit order's total order or poison every sum) and to
+    its declared rule; the rules below tie several fields together.
     """
     out: list[Violation] = []
+    _walk(out, s, "")
 
-    for name, rule in (
-        ("horizon_years", "in [2, 100]"),
-        # the growth factor and the discount rate are raised to powers of years
-        ("discount_rate", "in [0, 1]"),
-        ("demand_growth", "in (0, 2]"),
-        # the relative carbon intensity objective divides by it
-        ("base_carbon_intensity", "> 0"),
-        ("loss_of_load_price", "> 0"),
-        ("demand_noise_std", ">= 0"),
-    ):
-        _check(out, name, getattr(s, name), rule)
-
-    if not s.technologies:
-        out.append(Violation("technologies", "catalog is empty"))
-    seen_tech: set[str] = set()
     for tech in s.technologies:
-        path = f"technologies[{tech.name}]"
-        if tech.name in seen_tech:
-            out.append(Violation(path, "duplicate technology name"))
-        seen_tech.add(tech.name)
-        for name, rule in _TECHNOLOGY_RULES:
-            _check(out, f"{path}.{name}", getattr(tech, name), rule)
         if tech.is_intermittent and tech.weather_profile not in WEATHER_PROFILES:
-            out.append(
-                Violation(
-                    f"{path}.weather_profile",
-                    f"intermittent technology needs one of {WEATHER_PROFILES}, "
-                    f"got {tech.weather_profile!r}",
-                )
-            )
+            needs = f"intermittent technology needs one of {WEATHER_PROFILES}"
+            out.append(Violation(f"technologies[{tech.name}].weather_profile",
+                                 f"{needs}, got {tech.weather_profile!r}"))
 
-    genco_ids: set[str] = set()
-    for genco in s.gencos:
-        path = f"gencos[{genco.id}]"
-        if genco.id in genco_ids:
-            out.append(Violation(path, "duplicate genco id"))
-        genco_ids.add(genco.id)
-        _check(out, f"{path}.budget", genco.budget, ">= 0")
+    catalog = {t.name for t in s.technologies}
+    owners = {g.id for g in s.gencos}
+    for plant in s.initial_fleet:
+        path = f"initial_fleet[{plant.id}]"
+        if plant.technology.name not in catalog:
+            out.append(
+                Violation(f"{path}.technology", f"unknown technology {plant.technology.name!r}")
+            )
+        if plant.owner not in owners:
+            out.append(Violation(f"{path}.owner", f"unknown genco {plant.owner!r}"))
 
     refused = {v.path for v in out}
     richest = max(
@@ -265,38 +278,7 @@ def validate_scenario(s: Scenario) -> list[Violation]:
                 )
             )
 
-    plant_ids: set[str] = set()
-    for plant in s.initial_fleet:
-        path = f"initial_fleet[{plant.id}]"
-        if plant.id in plant_ids:
-            out.append(Violation(path, "duplicate plant id"))
-        plant_ids.add(plant.id)
-        if plant.technology.name not in seen_tech:
-            out.append(
-                Violation(f"{path}.technology", f"unknown technology {plant.technology.name!r}")
-            )
-        if plant.owner not in genco_ids:
-            out.append(Violation(f"{path}.owner", f"unknown genco {plant.owner!r}"))
-        _check(out, f"{path}.unit_count", plant.unit_count, ">= 1")
-
-    if not s.representative_days:
-        out.append(Violation("representative_days", "at least one day is required"))
-    weighted_hours = 0.0
-    for day in s.representative_days:
-        path = f"representative_days[{day.name}]"
-        _check(out, f"{path}.weight_days", day.weight_days, "> 0")
-        if not day.segments:
-            out.append(Violation(f"{path}.segments", "day has no segments"))
-        for idx, seg in enumerate(day.segments):
-            spath = f"{path}.segments[{idx}]"
-            for name, rule in (
-                ("duration_hours", "> 0"),
-                ("demand_mw", "> 0"),
-                ("solar_capacity_factor", "in [0, 1]"),
-                ("wind_capacity_factor", "in [0, 1]"),
-            ):
-                _check(out, f"{spath}.{name}", getattr(seg, name), rule)
-        weighted_hours += day.weight_days * day.hours
+    weighted_hours = sum(day.weight_days * day.hours for day in s.representative_days)
     if s.representative_days and abs(weighted_hours - HOURS_PER_YEAR) > HOURS_TOLERANCE:
         names = ", ".join(day.name for day in s.representative_days)
         out.append(
@@ -307,22 +289,25 @@ def validate_scenario(s: Scenario) -> list[Violation]:
             )
         )
 
-    fueled = sorted({t.fuel_kind for t in s.technologies if t.fuel_kind})
-    if any(v.path == "horizon_years" for v in out):
-        fueled = []  # listing the years of a huge horizon would exhaust memory
-    for fuel in fueled:
+    # A series runs without a gap from the start year to its last listed year,
+    # and a fuel in use on to the final year. The listed years are counted up,
+    # so no list of years is built however far the span reaches.
+    used = {t.fuel_kind for t in s.technologies if t.fuel_kind}
+    horizon_known = not {"start_year", "horizon_years"} & refused
+    for fuel in sorted(used | set(s.fuel_prices)):
         series = s.fuel_prices.get(fuel, {})
-        missing = [year for year in s.years if year not in series]
-        if missing:
-            out.append(
-                Violation(
-                    f"fuel_prices[{fuel}]",
-                    f"missing price for year(s) {', '.join(map(str, missing))}",
-                )
-            )
-    for fuel, series in sorted(s.fuel_prices.items()):
         for year, price in series.items():
             _check(out, f"fuel_prices[{fuel}][{year}]", price, ">= 0")
+        end = max(series, default=s.start_year - 1)
+        if fuel in used and horizon_known:
+            end = max(end, s.final_year)
+        year = s.start_year
+        for listed in sorted(y for y in series if y >= s.start_year):
+            if listed != year:
+                break
+            year += 1
+        if year <= end:
+            out.append(Violation(f"fuel_prices[{fuel}]", f"missing price for year {year}"))
 
     # A plant whose fuel alone costs more than shortage is dispatched ahead of
     # the loss-of-load offer; a tiny efficiency makes its SRMC overflow.
@@ -385,9 +370,10 @@ def _read(cls, raw, path: str, **special):
     values = {}
     for f in declared:
         if f.name in raw:
-            convert = special.get(f.name) or _CONVERTERS.get(f.type)
+            kind = _declared(f)[0]
+            convert = special.get(f.name) or _CONVERTERS.get(kind)
             if convert is None:  # a tuple of dataclasses
-                convert = partial(_items, get_args(f.type)[0])
+                convert = partial(_items, get_args(kind)[0])
             values[f.name] = convert(raw[f.name], prefix + f.name)
         elif f.default is MISSING:
             raise ScenarioParseError(f"{path or 'scenario'}: missing required key {f.name!r}")
@@ -396,12 +382,10 @@ def _read(cls, raw, path: str, **special):
 
 def _items(cls, value, where: str, **special) -> tuple:
     """A JSON list of ``cls`` objects, each named by its ``name`` or ``id``, else its index."""
-    items = []
-    for k, item in enumerate(_list(value, where)):
-        ident = item.get("name", item.get("id")) if isinstance(item, dict) else None
-        label = ident if isinstance(ident, str) else k
-        items.append(_read(cls, item, f"{where}[{label}]", **special))
-    return tuple(items)
+    return tuple(
+        _read(cls, item, f"{where}[{_label(item, k)}]", **special)
+        for k, item in enumerate(_list(value, where))
+    )
 
 
 def _year(key, where: str) -> int:

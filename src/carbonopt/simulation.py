@@ -20,23 +20,9 @@ import numpy as np
 
 from .dispatch import YearResult, run_year
 from .errors import ConfigurationError
-from .investment import YearProbes, fit_carbon_forecast, invest
+from .investment import Event, YearProbes, fit_carbon_forecast, invest
 from .policy import CarbonPolicy, check_bounds, decode
 from .scenario import PowerPlant, Scenario
-
-
-@dataclass(frozen=True)
-class Event:
-    """One entry of the per-year event log (investments, commissionings, retirements)."""
-
-    year: int
-    kind: str  # "invest" | "commission" | "retire"
-    genco: str
-    technology: str
-    plant_id: str
-    unit_count: int
-    capital_cost: float | None = None
-    npv: float | None = None
 
 
 @dataclass(frozen=True)
@@ -98,19 +84,7 @@ def run_simulation(s: Scenario, policy: CarbonPolicy, seed: int) -> SimulationRe
 
         probes = YearProbes(year, fit_carbon_forecast(history))
         for genco in sorted(budgets):
-            for decision in invest(genco, budgets, s, fleet, probes):
-                events.append(
-                    Event(
-                        year=year,
-                        kind="invest",
-                        genco=decision.genco,
-                        technology=decision.technology,
-                        plant_id=decision.plant_id,
-                        unit_count=decision.unit_count,
-                        capital_cost=decision.capital_cost,
-                        npv=decision.npv,
-                    )
-                )
+            events += invest(genco, budgets, s, fleet, probes)
 
         for plant in fleet:
             if plant.commission_year == year:

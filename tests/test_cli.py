@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from carbonopt.cli import main
-from carbonopt.scenario import save_scenario
+from carbonopt.scenario import bundled_scenario_path, save_scenario
 
 
 @pytest.fixture()
@@ -115,6 +115,34 @@ class TestSimulate:
         assert not out_b.exists()
 
     @pytest.mark.parametrize(
+        "message, edit",
+        [
+            ("cannot read manifest", None),  # the manifest file is gone
+            ("must be a JSON object", lambda m: []),
+            ("has no 'args'", lambda m: {k: v for k, v in m.items() if k != "args"}),
+            ("args have no 'policy'",
+             lambda m: {**m, "args": {k: v for k, v in m["args"].items() if k != "policy"}}),
+        ],
+        ids=["missing-file", "json-list", "no-args", "no-policy"],
+    )
+    def test_replay_refuses_unreadable_manifest_with_exit_1(self, fossil_path, tmp_path, capsys,
+                                                            message, edit):
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main([
+            "simulate", "--scenario", str(fossil_path), "--policy", "flat:42", "--out", str(out_a),
+        ]) == 0
+        manifest = out_a / "manifest.json"
+        if edit is None:
+            manifest.unlink()
+        else:
+            manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+        capsys.readouterr()
+        assert main(["replay", str(out_a / "manifest.json"), "--out", str(out_b)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "runtime error" not in err
+        assert not out_b.exists()
+
+    @pytest.mark.parametrize(
         "field, edit",
         [
             ("technologies[gas].variable_om", lambda d: d["technologies"][0].update(variable_om=math.nan)),
@@ -149,6 +177,46 @@ class TestSimulate:
         assert code == 1
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+
+    def test_gapped_fuel_series_exits_1_before_running(self, tmp_path, capsys):
+        raw = json.loads(bundled_scenario_path("uk_synthetic").read_text(encoding="utf-8"))
+        raw["fuel_prices"]["gas"]["2040"] = 30.0
+        bad = tmp_path / "gapped.scenario"
+        bad.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        code = main(["simulate", "--scenario", str(bad), "--policy", "flat:0", "--out", str(out)])
+        assert code == 1
+        assert "fuel_prices[gas]: missing price for year 2036" in capsys.readouterr().err
+        assert not out.exists()
+        code = main([
+            "optimize", "--scenario", str(bad), "--kind", "linear",
+            "--pop", "4", "--gens", "0", "--jobs", "1", "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "fuel_prices[gas]: missing price for year 2036" in err and "genome" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["simulate", "--scenario", "uk_synthetic", "--policy", "flat:0", "--seed", "x"], 1),
+            (["simulate", "--policy", "flat:0"], 1),
+            (["transmogrify"], 1),
+            (["--help"], 0),
+            (["simulate", "--help"], 0),
+            (["--version"], 0),
+        ],
+        ids=["seed-not-int", "no-scenario", "unknown-command", "help", "command-help", "version"],
+    )
+    def test_usage_errors_exit_1_and_help_exits_0(self, tmp_path, argv, code, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--out", str(tmp_path / "out")] if code else argv)
+        assert exit_.value.code == code
+        assert not (tmp_path / "out").exists()
+        if code:
+            assert "usage:" in capsys.readouterr().err
 
 
 class TestOptimize:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import carbonopt.investment as investment
 from carbonopt.investment import (
     CarbonForecast,
+    Event,
     YearProbes,
     estimate_yearly_revenue,
     fit_carbon_forecast,
@@ -205,6 +206,11 @@ class TestInvest:
         assert budgets["g1"] == pytest.approx(capital * 0.5)
         assert decisions[0].npv > 0.0
         assert len(fleet) == 2
+        # the purchase comes back as the event the run logs
+        assert decisions == [
+            Event(2020, "invest", "g1", "new-gas", fleet[1].id, 1, capital, decisions[0].npv)
+        ]
+        assert fleet[1].id == "g1:new-gas:2020:1"
 
     def test_greedy_picks_best_npv_first(self, monkeypatch, gas_tech):
         # three candidates with pinned yearly revenues; greedy must buy the

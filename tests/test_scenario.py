@@ -7,6 +7,7 @@ import dataclasses
 import json
 import math
 import reprlib
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -461,8 +462,23 @@ def numeric_paths(node, path=()):
     return [p for key, value in items for p in numeric_paths(value, path + (key,))]
 
 
+def numeric_fields(obj, path="", keys=()):
+    """(dotted path, JSON key path, type) of every int and float field of dataclass ``obj``
+    and, through its tuples, of their elements; an element is named by its name or id, else
+    its index."""
+    for f in dataclasses.fields(obj):
+        value, where = getattr(obj, f.name), f"{path}.{f.name}" if path else f.name
+        if is_number(value):
+            yield where, keys + (f.name,), type(value)
+        elif isinstance(value, tuple):
+            for k, item in enumerate(value):
+                label = getattr(item, "name", getattr(item, "id", k))
+                yield from numeric_fields(item, f"{where}[{label}]", keys + (f.name, k))
+
+
 UK_TWO_YEARS = two_year_uk()
 UK_NUMBERS = numeric_paths(UK_TWO_YEARS)
+NUMERIC_FIELDS = list(numeric_fields(scenario_from_dict(UK_TWO_YEARS)))
 EDITS = {
     "nan": lambda v: math.nan,
     "inf": lambda v: math.inf,
@@ -506,3 +522,74 @@ class TestScenarioFuzz:
         objectives = (first.objective_price, first.objective_rci)
         assert all(math.isfinite(v) for v in objectives), (edits, objectives)
         assert objectives == (again.objective_price, again.objective_rci)
+
+
+class TestFieldRules:
+    @pytest.mark.parametrize(
+        "violations, edit",
+        [
+            (["technologies[gas]: duplicate name"],
+             lambda d: d["technologies"].append(copy.deepcopy(d["technologies"][0]))),
+            (["gencos[g1]: duplicate id"], lambda d: d["gencos"].append({"id": "g1", "budget": 0.0})),
+            (["initial_fleet[p1]: duplicate id"],
+             lambda d: d["initial_fleet"].append(dict(d["initial_fleet"][0]))),
+            # two half-year days of one name: each keeps its weight, the name repeats
+            (["representative_days[always]: duplicate name"],
+             lambda d: d.update(representative_days=[
+                 {**d["representative_days"][0], "weight_days": 182.5} for _ in range(2)])),
+            (["initial_fleet[p1].owner: unknown genco 'nobody'"],
+             lambda d: d["initial_fleet"][0].update(owner="nobody")),
+            (["technologies: must be non-empty"], lambda d: d.update(technologies=[], initial_fleet=[])),
+            (["representative_days: must be non-empty"], lambda d: d.update(representative_days=[])),
+            (["representative_days[always].segments: must be non-empty",
+              "representative_days: weighted hours of day set (always) total 0.0, expected 8760.0"],
+             lambda d: d["representative_days"][0].update(segments=[])),
+        ],
+        ids=["technology-name", "genco-id", "plant-id", "day-name", "unknown-owner", "empty-catalog",
+             "no-days", "no-segments"],
+    )
+    def test_names_references_and_lists_are_checked(self, tmp_path, violations, edit):
+        data = copy.deepcopy(MINIMAL)
+        edit(data)
+        with pytest.raises(ScenarioValidationError) as err:
+            load_scenario(write_json(tmp_path, data))
+        assert [str(v) for v in err.value.violations] == violations
+
+    @pytest.mark.parametrize(
+        "violation, series",
+        [
+            ("fuel_prices[gas]: missing price for year 2036", {"2040": 30.0}),
+            # a far year is refused as fast as a near one: the span is never listed
+            ("fuel_prices[gas]: missing price for year 2036", {str(10**16): 30.0}),
+            ("fuel_prices[gas]: missing price for year 2036", {str(10**400): 30.0}),
+        ],
+        ids=["2040", "1e16", "1e400"],
+    )
+    def test_gapped_fuel_series_is_refused_at_its_first_missing_year(self, tmp_path, violation, series):
+        raw = json.loads(bundled_scenario_path("uk_synthetic").read_text(encoding="utf-8"))
+        raw["fuel_prices"]["gas"].update(series)
+        started = time.perf_counter()
+        with pytest.raises(ScenarioValidationError) as err:
+            load_scenario(write_json(tmp_path, raw))
+        assert time.perf_counter() - started < 1.0
+        assert [str(v) for v in err.value.violations] == [violation]
+
+    def test_fuel_nobody_burns_must_still_be_contiguous(self):
+        raw = two_year_uk()
+        raw["fuel_prices"]["hydrogen"] = {"2017": 1.0, "2018": 1.0, "2020": 1.0}
+        found = validate_scenario(scenario_from_dict(raw))
+        assert [str(v) for v in found] == ["fuel_prices[hydrogen]: missing price for year 2019"]
+        raw["fuel_prices"]["hydrogen"]["2019"] = 1.0
+        assert validate_scenario(scenario_from_dict(raw)) == []
+
+    @pytest.mark.parametrize("path, keys, kind", NUMERIC_FIELDS, ids=[p for p, *_ in NUMERIC_FIELDS])
+    def test_every_numeric_field_is_held_finite_and_in_size(self, tmp_path, path, keys, kind):
+        # each field found by walking the loaded scenario, so a new field is covered too
+        raw = copy.deepcopy(UK_TWO_YEARS)
+        holder = raw
+        for key in keys[:-1]:
+            holder = holder[key]
+        holder[keys[-1]] = math.nan if kind is float else 10**16
+        with pytest.raises(ScenarioValidationError) as err:
+            load_scenario(write_json(tmp_path, raw))
+        assert [v.path for v in err.value.violations] == [path]

@@ -178,12 +178,13 @@ def run_optimize(args: dict, out_dir: Path) -> int:
     }
     outputs = _write_run(out_dir, "optimize", args, files, scenario_path, started, t0)
 
-    front = sorted(archive.final_front, key=lambda ind: ind.objectives[0])
-    print(f"final front ({len(front)} solutions):")
+    front = archive.final_front
+    rows = sorted(zip(front.objectives.tolist(), front.genomes.tolist()), key=lambda r: r[0][0])
+    print(f"final front ({len(rows)} solutions):")
     print(f"{'objective_price':>16} {'objective_rci':>14}  genome")
-    for ind in front:
-        genes = ", ".join(f"{v:.2f}" for v in ind.genome)
-        print(f"{ind.objectives[0]:>16.4f} {ind.objectives[1]:>14.4f}  [{genes}]")
+    for (price, rci), genome in rows:
+        genes = ", ".join(f"{v:.2f}" for v in genome)
+        print(f"{price:>16.4f} {rci:>14.4f}  [{genes}]")
     print(f"wrote {', '.join(outputs)} to {out_dir}")
     return EXIT_OK
 
@@ -198,8 +199,7 @@ def run_benchmark(args: dict, out_dir: Path | None) -> int:
         )
     fitness, bounds_fn, front_fn = BENCHMARKS[problem]
     archive = evolve(fitness, _ga_config(args), bounds_fn())
-    obtained = [ind.objectives for ind in archive.final_front]
-    gd = generational_distance(obtained, front_fn())
+    gd = generational_distance(archive.final_front.objectives, front_fn())
     print(f"{problem}: generational distance to analytic front = {gd!r}")
 
     if out_dir is not None:
@@ -222,6 +222,21 @@ class _RecordedArgs(dict):
     def __missing__(self, key):
         raise CarbonOptError(f"manifest args have no {key!r}; rerun the command instead")
 
+    def check_types(self, command: str) -> None:
+        """Refuse a recorded arg that is not of the type its flag parses to (an int passes
+        for a float); ``None`` passes where the flag's default is ``None``."""
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        for flag in getattr(sub.choices.get(command), "_actions", ()):
+            if flag.dest not in self or (self[flag.dest] is None and flag.default is None):
+                continue
+            value, kind = self[flag.dest], flag.type or str
+            accepted = (int, float) if kind is float else kind
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise CarbonOptError(
+                    f"manifest args.{flag.dest} must be {kind.__name__}, got {value!r}; "
+                    "rerun the command instead"
+                )
+
 
 def run_replay(manifest_path: str, out_override: str | None) -> int:
     """Re-run a manifest's command; refuse when the code or the scenario file has changed."""
@@ -232,6 +247,7 @@ def run_replay(manifest_path: str, out_override: str | None) -> int:
             f"manifest version {manifest.version!r} differs from this carbonopt "
             f"{__version__!r}; rerun the command instead"
         )
+    args.check_types(manifest.command)
     if manifest.scenario_sha256 is not None:
         scenario_path = _resolve_scenario(args["scenario"])
         if file_sha256(scenario_path) != manifest.scenario_sha256:

@@ -143,18 +143,18 @@ def render_generations_csv(archive: FrontArchive, objective_names: list[str]) ->
 
 def render_pareto_json(archive: FrontArchive, objective_names: list[str]) -> str:
     """Final first front; infinite crowding serializes as null (boundary points)."""
-    entries = []
-    for ind in archive.final_front:
-        entries.append(
-            {
-                "genome": [float(v) for v in ind.genome],
-                "objectives": {
-                    name: float(v) for name, v in zip(objective_names, ind.objectives)
-                },
-                "rank": ind.rank,
-                "crowding": None if math.isinf(ind.crowding) else float(ind.crowding),
-            }
-        )
+    front = archive.final_front
+    rows = zip(front.genomes.tolist(), front.objectives.tolist(),
+               front.ranks.tolist(), front.crowding.tolist())
+    entries = [
+        {
+            "genome": genes,
+            "objectives": dict(zip(objective_names, objectives)),
+            "rank": rank,
+            "crowding": None if math.isinf(crowding) else crowding,
+        }
+        for genes, objectives, rank, crowding in rows
+    ]
     return json.dumps(entries, indent=2) + "\n"
 
 

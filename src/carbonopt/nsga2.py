@@ -1,17 +1,19 @@
 """Elitist multi-objective genetic algorithm (NSGA-II style), written from scratch.
 
-The population is evolved by binary tournament selection under the
-crowded-comparison order, simulated binary crossover, and uniform-reset
-mutation. Parents and children are merged every generation, layered into
+The population is a ``GenerationSnapshot``: arrays with one row per
+individual, whose position is its tie-break index. It is evolved by
+binary tournament selection of rows under the crowded-comparison order,
+simulated binary crossover, and uniform-reset mutation. Parents and
+children (in that row order) are merged every generation, layered into
 non-dominated fronts, and the next population is filled front by front;
-the overflowing front is truncated by descending crowding distance. All
-objectives are minimized.
+the overflowing front is cut by descending crowding distance, then row.
+All objectives are minimized and must be finite.
 
 Fronts are sorted from a numpy dominance matrix, one objective column at
 a time, and peeled by vectorised dominator counts. Their member order is
-that of the classic pairwise sort (F1 by index; a later front by the
+that of the classic pairwise sort (F1 by row; a later front by the
 position of each member's last dominator in the front before, then by
-index), because crowding and truncation tie-break on it.
+row), because crowding and truncation tie-break on it.
 
 Reproducibility contract: every random draw comes from one seeded
 generator consumed in a fixed order: the initial population matrix
@@ -36,15 +38,6 @@ from .errors import EvaluationError
 PER_GENE = "per-gene"
 PER_CHILD = "per-child"
 MUTATION_KINDS = (PER_GENE, PER_CHILD)
-
-
-@dataclass
-class Individual:
-    genome: np.ndarray
-    objectives: tuple[float, ...] | None = None
-    rank: int = 0  # 1 = Pareto front; 0 = not yet sorted
-    crowding: float = 0.0
-    index: int = 0  # stable tie-break within a population
 
 
 @dataclass(frozen=True)
@@ -78,19 +71,28 @@ class GAConfig:
 
 @dataclass(frozen=True)
 class GenerationSnapshot:
+    """One generation's population as arrays; a row's position is its tie-break index."""
+
     generation: int
     genomes: np.ndarray  # (N, K)
     objectives: np.ndarray  # (N, M)
-    ranks: np.ndarray  # (N,)
+    ranks: np.ndarray  # (N,), 1 = Pareto front
     crowding: np.ndarray  # (N,)
 
 
 @dataclass
 class FrontArchive:
-    """Per-generation population snapshots plus the final first front."""
+    """Per-generation population snapshots, the initial population first."""
 
     snapshots: list[GenerationSnapshot] = field(default_factory=list)
-    final_front: list[Individual] = field(default_factory=list)
+
+    @property
+    def final_front(self) -> GenerationSnapshot:
+        """The rank-1 rows of the last snapshot, in population order."""
+        last = self.snapshots[-1]
+        keep = last.ranks == 1
+        arrays = (last.genomes, last.objectives, last.ranks, last.crowding)
+        return GenerationSnapshot(last.generation, *(a[keep] for a in arrays))
 
 
 def dominates(a, b) -> bool:
@@ -106,23 +108,22 @@ def dominates(a, b) -> bool:
     return better
 
 
-def fast_non_dominated_sort(population: list[Individual]) -> list[list[Individual]]:
-    """Layer the population into fronts F1, F2, ...; assigns each rank in place.
+def fast_non_dominated_sort(objectives) -> list[np.ndarray]:
+    """Layer the rows of an (N, M) objective array into fronts F1, F2, ... of row indices.
 
     F1 is the non-dominated set; each later front is the non-dominated
-    set once earlier fronts are removed. The fronts partition the
-    population.
+    set once earlier fronts are removed. The fronts partition the rows.
 
     ``dom[i, j]`` (i dominates j) is built one objective column at a
     time: i is strictly better than j on some column and worse on none,
     so a NaN compares neither way, as in :func:`dominates`. Each front is
     peeled from the remaining dominator counts. Member order is part of
     the contract, because crowding and truncation tie-break on it: F1 is
-    in index order, and a later front orders its members by the position,
-    in the front before, of their last dominator there, then by index.
+    in row order, and a later front orders its members by the position,
+    in the front before, of their last dominator there, then by row.
     """
-    n = len(population)
-    objs = np.array([ind.objectives for ind in population], dtype=float)
+    objs = np.asarray(objectives, dtype=float)
+    n = len(objs)
     better = np.zeros((n, n), dtype=bool)
     worse = np.zeros((n, n), dtype=bool)
     for c in objs.T:
@@ -131,13 +132,10 @@ def fast_non_dominated_sort(population: list[Individual]) -> list[list[Individua
     dom = better & ~worse
     counts = dom.sum(0)
 
-    fronts: list[list[Individual]] = []
+    fronts: list[np.ndarray] = []
     current = np.flatnonzero(counts == 0)
-    rank = 1
     while current.size:
-        fronts.append([population[i] for i in current])
-        for ind in fronts[-1]:
-            ind.rank = rank
+        fronts.append(current)
         beaten = dom[current]
         hits = beaten.sum(0)
         nxt = np.flatnonzero((hits > 0) & (counts == hits))
@@ -145,62 +143,39 @@ def fast_non_dominated_sort(population: list[Individual]) -> list[list[Individua
         # the position in ``current`` of each new member's last dominator
         last = current.size - 1 - beaten[::-1, nxt].argmax(0)
         current = nxt[np.lexsort((nxt, last))]
-        rank += 1
     return fronts
 
 
-def crowding_distance(front: list[Individual]) -> list[float]:
-    """Normalized cuboid density estimate; boundary members get infinity.
+def crowding_distance(objectives) -> np.ndarray:
+    """Normalized cuboid density estimate of each row of a front; boundary rows get infinity.
 
-    Per objective, the front is sorted and an interior member accrues the
-    span between its neighbours divided by the objective range; a zero
-    range contributes nothing. Fronts of one or two members are all
-    infinite. Distances are also written to each member in place.
+    Per objective, the rows are stably sorted and an interior row accrues
+    the span between its neighbours divided by the objective range; a
+    zero range contributes nothing, and a row already infinite stays so.
+    Fronts of one or two rows are all infinite.
     """
-    n = len(front)
+    objs = np.asarray(objectives, dtype=float)
+    n = len(objs)
     if n <= 2:
-        for ind in front:
-            ind.crowding = math.inf
-        return [math.inf] * n
-    dists = [0.0] * n
-    n_objectives = len(front[0].objectives)
-    for m in range(n_objectives):
-        order = sorted(range(n), key=lambda k: front[k].objectives[m])
-        dists[order[0]] = math.inf
-        dists[order[-1]] = math.inf
-        low = front[order[0]].objectives[m]
-        high = front[order[-1]].objectives[m]
+        return np.full(n, math.inf)
+    dists = np.zeros(n)
+    for col in objs.T:
+        order = np.argsort(col, kind="stable")
+        dists[order[[0, -1]]] = math.inf
+        low, high = col[order[0]], col[order[-1]]
         if high == low:
             continue
-        span = high - low
-        for pos in range(1, n - 1):
-            k = order[pos]
-            if dists[k] != math.inf:
-                nxt = front[order[pos + 1]].objectives[m]
-                prv = front[order[pos - 1]].objectives[m]
-                dists[k] += (nxt - prv) / span
-    for ind, d in zip(front, dists):
-        ind.crowding = d
+        inner = order[1:-1]
+        step = (col[order[2:]] - col[order[:-2]]) / (high - low)
+        dists[inner] += np.where(dists[inner] == math.inf, 0.0, step)
     return dists
 
 
-def crowded_compare(a: Individual, b: Individual) -> int:
-    """-1 if a precedes b, 1 if b precedes a: lower rank wins, then larger crowding,
-    then the stable index."""
-    if a.rank != b.rank:
-        return -1 if a.rank < b.rank else 1
-    if a.crowding != b.crowding:
-        return -1 if a.crowding > b.crowding else 1
-    if a.index != b.index:
-        return -1 if a.index < b.index else 1
-    return 0
-
-
-def binary_tournament(population: list[Individual], rng: np.random.Generator) -> Individual:
-    """Pick two individuals uniformly (with replacement); keep the crowded-compare winner."""
-    i, j = rng.integers(0, len(population), size=2)
-    a, b = population[i], population[j]
-    return a if crowded_compare(a, b) <= 0 else b
+def binary_tournament(ranks: np.ndarray, crowding: np.ndarray, rng: np.random.Generator) -> int:
+    """Pick two rows uniformly (with replacement); the winner is the lower
+    ``(rank, -crowding, row)``: lower rank, then larger crowding, then the earlier row."""
+    i, j = rng.integers(0, len(ranks), size=2)
+    return int(min((ranks[i], -crowding[i], i), (ranks[j], -crowding[j], j))[2])
 
 
 def sbx_crossover(
@@ -255,21 +230,19 @@ def mutate(
         mask = rng.random(out.shape[0]) < cfg.mutation_probability
         for idx in np.flatnonzero(mask):
             out[idx] = rng.uniform(lows[idx], highs[idx])
-    else:
-        if rng.random() < cfg.mutation_probability:
-            idx = int(rng.integers(0, out.shape[0]))
-            out[idx] = rng.uniform(lows[idx], highs[idx])
+    elif rng.random() < cfg.mutation_probability:
+        idx = int(rng.integers(0, out.shape[0]))
+        out[idx] = rng.uniform(lows[idx], highs[idx])
     return out
 
 
 def _evaluate_all(
     fitness, genomes: list[np.ndarray], map_fn, width: int = 0
 ) -> list[tuple[float, ...]]:
-    """Objectives per genome; every vector must have ``width`` values (0: as many as the
-    first one), and a vector that does not is blamed on its genome."""
+    """Objectives per genome; every vector must hold ``width`` finite values (0: as many
+    as the first one), and a vector that does not is blamed on its genome."""
     results: list[tuple[float, ...]] = []
     iterator = map_fn(fitness, genomes)
-    position = 0
     try:
         for raw in iterator:
             objectives = tuple(float(v) for v in raw)
@@ -280,13 +253,13 @@ def _evaluate_all(
                 raise ValueError(
                     f"fitness returned {len(objectives)} objectives, the run's first had {width}"
                 )
+            if not all(map(math.isfinite, objectives)):
+                raise ValueError(f"fitness returned a non-finite objective: {objectives}")
             results.append(objectives)
-            position += 1
     except (EvaluationError, BrokenExecutor):
         raise  # a broken pool (say, a killed worker) is no genome's fault
     except Exception as exc:
-        failing = genomes[position] if position < len(genomes) else genomes[-1]
-        raise EvaluationError(failing, exc) from exc
+        raise EvaluationError(genomes[min(len(results), len(genomes) - 1)], exc) from exc
     return results
 
 
@@ -301,41 +274,41 @@ def _score(
     objectives as the known ones and are added to ``known``. Fitness is
     pure, so reuse changes nothing but the number of calls.
     """
-    fresh: dict[bytes, np.ndarray] = {}
-    for genome in genomes:
-        key = genome.tobytes()
-        if key not in known:
-            fresh.setdefault(key, genome)
+    keys = [g.tobytes() for g in genomes]
+    fresh = {k: g for k, g in zip(keys, genomes) if k not in known}
     width = len(next(iter(known.values()), ()))
     known.update(zip(fresh, _evaluate_all(fitness, list(fresh.values()), map_fn, width)))
-    return [known[g.tobytes()] for g in genomes]
+    return [known[k] for k in keys]
 
 
-def _snapshot(generation: int, population: list[Individual]) -> GenerationSnapshot:
-    return GenerationSnapshot(
-        generation=generation,
-        genomes=np.array([ind.genome for ind in population], dtype=float),
-        objectives=np.array([ind.objectives for ind in population], dtype=float),
-        ranks=np.array([ind.rank for ind in population], dtype=int),
-        crowding=np.array([ind.crowding for ind in population], dtype=float),
-    )
-
-
-def _rank_population(population: list[Individual]) -> None:
-    for front in fast_non_dominated_sort(population):
-        crowding_distance(front)
+def _select(objectives: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The best ``n`` rows, front by front, the overflowing front cut by descending
+    crowding then row; plus every row's rank and crowding (0 beyond the fronts used)."""
+    ranks = np.zeros(len(objectives), dtype=int)
+    crowding = np.zeros(len(objectives))
+    chosen, room = [np.empty(0, dtype=int)], n
+    for rank, front in enumerate(fast_non_dominated_sort(objectives), start=1):
+        if room == 0:
+            break
+        ranks[front] = rank
+        crowding[front] = crowding_distance(objectives[front])
+        if front.size > room:
+            front = front[np.lexsort((front, -crowding[front]))][:room]
+        chosen.append(front)
+        room -= front.size
+    return np.concatenate(chosen), ranks, crowding
 
 
 def evolve(fitness, cfg: GAConfig, bounds, map_fn=None) -> FrontArchive:
     """Run the full loop and archive every generation (initial population included).
 
-    ``fitness`` maps a genome array to a tuple of objectives to minimize;
-    it must be defined over the whole bound box and pure: a child equal
-    byte for byte to a current population member, or to an earlier child
-    of its generation, reuses that genome's objectives instead of being
-    scored again. ``map_fn`` may be a parallel order-preserving map;
-    results are merged in submission order. A failing evaluation aborts
-    the run and reports the offending genome.
+    ``fitness`` maps a genome array to a tuple of finite objectives to
+    minimize; it must be defined over the whole bound box and pure: a
+    child equal byte for byte to a current population member, or to an
+    earlier child of its generation, reuses that genome's objectives
+    instead of being scored again. ``map_fn`` may be a parallel
+    order-preserving map; results are merged in submission order. A
+    failing evaluation aborts the run and reports the offending genome.
     """
     rng = np.random.default_rng(cfg.seed)
     lows = np.array([b[0] for b in bounds], dtype=float)
@@ -346,49 +319,27 @@ def evolve(fitness, cfg: GAConfig, bounds, map_fn=None) -> FrontArchive:
     n = cfg.population_size
 
     genomes = rng.uniform(lows, highs, size=(n, lows.shape[0]))
-    population = [Individual(genome=genomes[i].copy(), index=i) for i in range(n)]
-    for ind, objectives in zip(
-        population, _score(fitness, [ind.genome for ind in population], mapper, {})
-    ):
-        ind.objectives = objectives
-    _rank_population(population)
-
-    archive = FrontArchive()
-    archive.snapshots.append(_snapshot(0, population))
+    objectives = np.array(_score(fitness, list(genomes), mapper, {}))
+    _, ranks, crowding = _select(objectives, n)
+    pop = GenerationSnapshot(0, genomes, objectives, ranks, crowding)
+    archive = FrontArchive([pop])
 
     for generation in range(1, cfg.generations + 1):
-        child_genomes: list[np.ndarray] = []
-        while len(child_genomes) < n:
-            parent_a = binary_tournament(population, rng)
-            parent_b = binary_tournament(population, rng)
-            child_a, child_b = sbx_crossover(
-                parent_a.genome, parent_b.genome, rng, cfg, lows, highs
-            )
-            child_genomes.append(mutate(child_a, rng, cfg, lows, highs))
-            child_genomes.append(mutate(child_b, rng, cfg, lows, highs))
+        children: list[np.ndarray] = []
+        while len(children) < n:
+            a = binary_tournament(pop.ranks, pop.crowding, rng)
+            b = binary_tournament(pop.ranks, pop.crowding, rng)
+            pair = sbx_crossover(pop.genomes[a], pop.genomes[b], rng, cfg, lows, highs)
+            children.extend(mutate(child, rng, cfg, lows, highs) for child in pair)
         # children that copy a current member (or an earlier child) are not rescored
-        known = {ind.genome.tobytes(): ind.objectives for ind in population}
-        child_objectives = _score(fitness, child_genomes, mapper, known)
+        known = {g.tobytes(): tuple(o) for g, o in zip(pop.genomes, pop.objectives)}
+        child_objectives = _score(fitness, children, mapper, known)
 
-        merged = population + [
-            Individual(genome=g, objectives=o, index=n + k)
-            for k, (g, o) in enumerate(zip(child_genomes, child_objectives))
-        ]
-
-        selected: list[Individual] = []
-        for front in fast_non_dominated_sort(merged):
-            crowding_distance(front)
-            if len(selected) + len(front) <= n:
-                selected.extend(front)
-            else:
-                room = n - len(selected)
-                by_crowding = sorted(front, key=lambda ind: (-ind.crowding, ind.index))
-                selected.extend(by_crowding[:room])
-                break
-        population = selected
-        for k, ind in enumerate(population):
-            ind.index = k
-        archive.snapshots.append(_snapshot(generation, population))
-
-    archive.final_front = [ind for ind in population if ind.rank == 1]
+        # rows 0..n-1 are the population, n.. its children: the row is the tie-break
+        genomes = np.vstack([pop.genomes, children])
+        objectives = np.vstack([pop.objectives, child_objectives])
+        rows, ranks, crowding = _select(objectives, n)
+        arrays = (genomes, objectives, ranks, crowding)
+        pop = GenerationSnapshot(generation, *(a[rows] for a in arrays))
+        archive.snapshots.append(pop)
     return archive

@@ -21,7 +21,8 @@ from carbonopt.benchmarks import BENCHMARKS, generational_distance
 from carbonopt.cli import main
 from carbonopt.dispatch import MarketYear, clear_segment, merit_order_key
 from carbonopt.investment import fit_carbon_forecast, npv
-from carbonopt.nsga2 import GAConfig, Individual, evolve, fast_non_dominated_sort
+from carbonopt import nsga2
+from carbonopt.nsga2 import GAConfig, evolve, fast_non_dominated_sort
 from carbonopt.policy import NonParametricPolicy
 from carbonopt.scenario import DaySegment, RepresentativeDay, Scenario
 from carbonopt.simulation import run_simulation
@@ -64,15 +65,12 @@ def test_criterion_1_sort_matches_brute_force_oracle():
         objectives = rng.random((n, m))
         if trial % 3 == 0:
             objectives = np.round(objectives, 1)  # force ties and duplicates
-        population = [
-            Individual(genome=np.zeros(1), objectives=tuple(row), index=i)
-            for i, row in enumerate(objectives)
-        ]
-        fronts = fast_non_dominated_sort(population)
-        got = [sorted(ind.index for ind in front) for front in fronts]
+        fronts = fast_non_dominated_sort(objectives)
+        got = [sorted(front.tolist()) for front in fronts]
         assert got == numpy_front_oracle(objectives)
+        _, ranks, _ = nsga2._select(objectives, n)  # the ranks evolve records
         for rank, front in enumerate(fronts, start=1):
-            assert all(ind.rank == rank for ind in front)
+            assert all(ranks[front] == rank)
     elapsed = time.perf_counter() - t0
     report(1, "non-dominated sort oracle equivalence", "1000 populations, exact", elapsed, 30.0)
 
@@ -87,9 +85,7 @@ def test_criterion_2_optimizer_self_validation():
         for seed in range(1, 6):
             cfg = GAConfig(population_size=pop, generations=gens, seed=seed)
             archive = evolve(fitness, cfg, bounds_fn())
-            gd = generational_distance(
-                [ind.objectives for ind in archive.final_front], reference
-            )
+            gd = generational_distance(archive.final_front.objectives, reference)
             assert gd < 0.05, f"{problem} seed {seed}: GD {gd}"
             worst = max(worst, gd)
         details.append(f"{problem} worst GD {worst:.4f}")

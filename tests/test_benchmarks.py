@@ -68,13 +68,11 @@ class TestOptimizerOnBenchmarks:
     def test_schaffer_quick_run_converges(self):
         cfg = GAConfig(population_size=20, generations=15, seed=0)
         archive = evolve(schaffer, cfg, [(-10.0, 10.0)])
-        gd = generational_distance(
-            [ind.objectives for ind in archive.final_front], schaffer_front()
-        )
+        gd = generational_distance(archive.final_front.objectives, schaffer_front())
         assert gd < 0.05
 
     def test_random_population_is_far_from_zdt1_front(self):
         cfg = GAConfig(population_size=50, generations=0, seed=0)
         archive = evolve(zdt1, cfg, zdt1_bounds())
-        gd = generational_distance([ind.objectives for ind in archive.final_front], zdt1_front())
+        gd = generational_distance(archive.final_front.objectives, zdt1_front())
         assert gd > 0.05

@@ -324,6 +324,35 @@ class TestBenchmark:
         assert manifest["command"] == "benchmark"
         assert manifest["scenario_sha256"] is None
 
+    @pytest.mark.parametrize("key, value", [("pop", "4"), ("eta_c", "x"), ("seed", True)])
+    def test_replay_refuses_recorded_args_of_the_wrong_type(self, tmp_path, capsys, key, value):
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main([
+            "benchmark", "--problem", "schaffer", "--pop", "8", "--gens", "2",
+            "--seed", "2", "--out", str(out_a),
+        ]) == 0
+        manifest = json.loads((out_a / "manifest.json").read_text())
+        manifest["args"][key] = value
+        (out_a / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["replay", str(out_a / "manifest.json"), "--out", str(out_b)]) == 1
+        err = capsys.readouterr().err
+        assert f"manifest args.{key} must be" in err and "runtime error" not in err
+        assert not out_b.exists()
+
+    def test_replay_accepts_an_int_for_a_float_and_null_for_a_null_default(self, tmp_path):
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main([
+            "benchmark", "--problem", "schaffer", "--pop", "8", "--gens", "2",
+            "--seed", "2", "--out", str(out_a),
+        ]) == 0
+        manifest = json.loads((out_a / "manifest.json").read_text())
+        assert manifest["args"]["fail_above"] is None
+        manifest["args"]["eta_c"] = 15
+        (out_a / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["replay", str(out_a / "manifest.json"), "--out", str(out_b)]) == 0
+        assert (out_a / "generations.csv").read_bytes() == (out_b / "generations.csv").read_bytes()
+
     def test_benchmark_replay_reproduces(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main([

@@ -1,4 +1,5 @@
-"""Golden output pin: sha256 of every result file of fixed commands on ``uk_synthetic``.
+"""Golden output pin: sha256 of every result file of fixed commands on ``uk_synthetic``
+and, for the optimizer alone, on the analytic benchmark problems.
 
 A change that is not meant to alter the model must leave these hashes
 alone. The manifest is excluded: it records paths and timings.
@@ -29,6 +30,13 @@ CASES = {
         "optimize", "--scenario", "uk_synthetic", "--kind", "linear",
         "--pop", "4", "--gens", "1", "--seed", "0", "--jobs", "1",
     ],
+    # the optimizer alone: truncation, tournaments and both mutation kinds over 10 and 8
+    # generations on the analytic problems
+    "ga-zdt1": ["benchmark", "--problem", "zdt1", "--pop", "20", "--gens", "10", "--seed", "3"],
+    "ga-schaffer": [
+        "benchmark", "--problem", "schaffer", "--pop", "12", "--gens", "8", "--seed", "5",
+        "--mutation-kind", "per-child",
+    ],
 }
 
 GOLDEN = {
@@ -43,6 +51,14 @@ GOLDEN = {
         "objectives.json": "733d5cfdc53a03db6f227ae63b9888d7071fedcbec5b21e72d771472a13811d5",
         "per_year.csv": "8c08bed016894c6cc0424c9e275d896ccdcc8b839e42b62bbcc2a9c3686e2273",
         "year_summary.csv": "a3911e64a59752a73d2e4c0946f001f97ff64c81ea331cea193bf53193efe653",
+    },
+    "ga-schaffer": {
+        "generations.csv": "8eb77d05a1a439aaabe9a1ce6a59790be6ede035078494681cecbc3f892ee8d8",
+        "pareto.json": "174db8a99b1b2648d06fe81cb9759fdeec8524ae6c64d731e80a2ad3fa368cf4",
+    },
+    "ga-zdt1": {
+        "generations.csv": "1bb227afa21e3a4238ab30933dead08659bcd99164f1ece696d376e01775c151",
+        "pareto.json": "d378c1d889f20636f715269848df4df19da12701663f74a501100b90f5306d6d",
     },
     "linear-8-100": {
         "events.csv": "5eb1ccbbacc0d57cff77d27c6f6f87c860b594e8349442e73819782bc7727ff3",

@@ -13,9 +13,7 @@ from carbonopt import nsga2
 from carbonopt.errors import EvaluationError
 from carbonopt.nsga2 import (
     GAConfig,
-    Individual,
     binary_tournament,
-    crowded_compare,
     crowding_distance,
     dominates,
     evolve,
@@ -27,8 +25,18 @@ from carbonopt.nsga2 import (
 objective_vectors = st.lists(st.floats(-100, 100, allow_nan=False), min_size=1, max_size=4)
 
 
-def inds(*objs):
-    return [Individual(genome=np.zeros(1), objectives=tuple(o), index=i) for i, o in enumerate(objs)]
+def rows(*objs):
+    """An (N, M) objective array, one row per individual."""
+    return np.array(objs, dtype=float)
+
+
+def ranks_of(fronts, n):
+    """Each row's front number (1 = Pareto front) from a list of fronts."""
+    ranks = [0] * n
+    for rank, front in enumerate(fronts, start=1):
+        for i in front:
+            ranks[i] = rank
+    return ranks
 
 
 def brute_force_fronts(objectives):
@@ -46,10 +54,9 @@ def brute_force_fronts(objectives):
     return fronts
 
 
-def reference_sort(population):
+def reference_sort(objs):
     """The pairwise double-loop sort with a Python peel: the oracle for front member order."""
-    n = len(population)
-    objs = [ind.objectives for ind in population]
+    n = len(objs)
     dominated = [[] for _ in range(n)]
     counts = [0] * n
     for i in range(n):
@@ -74,6 +81,29 @@ def reference_sort(population):
     return fronts
 
 
+def reference_crowding(front):
+    """The per-member crowding loop over Python floats: the oracle for crowding_distance."""
+    front = [tuple(map(float, row)) for row in front]
+    n = len(front)
+    if n <= 2:
+        return [math.inf] * n
+    dists = [0.0] * n
+    for m in range(len(front[0])):
+        order = sorted(range(n), key=lambda k: front[k][m])
+        dists[order[0]] = math.inf
+        dists[order[-1]] = math.inf
+        low = front[order[0]][m]
+        high = front[order[-1]][m]
+        if high == low:
+            continue
+        span = high - low
+        for pos in range(1, n - 1):
+            k = order[pos]
+            if dists[k] != math.inf:
+                dists[k] += (front[order[pos + 1]][m] - front[order[pos - 1]][m]) / span
+    return dists
+
+
 def random_objectives(rng, n, m):
     """Objectives with ties (rounded values), exact duplicate rows and some NaN entries."""
     objs = rng.normal(size=(n, m)).round(int(rng.integers(0, 3)))
@@ -81,7 +111,7 @@ def random_objectives(rng, n, m):
         copies = rng.integers(0, n, size=int(rng.integers(0, n // 4 + 1)))
         objs[copies] = objs[rng.integers(0, n, size=copies.size)]
     objs[rng.random((n, m)) < rng.choice([0.0, 0.02, 0.2])] = np.nan
-    return [tuple(row) for row in objs.tolist()]
+    return objs
 
 
 class TestDominates:
@@ -114,25 +144,22 @@ class TestDominates:
 
 class TestFastNonDominatedSort:
     def test_single_individual(self):
-        population = inds((1.0, 1.0))
-        fronts = fast_non_dominated_sort(population)
+        fronts = fast_non_dominated_sort(rows((1.0, 1.0)))
         assert len(fronts) == 1
-        assert population[0].rank == 1
+        assert ranks_of(fronts, 1) == [1]
 
     def test_hand_example(self):
-        population = inds((1, 2), (2, 1), (3, 3))
-        fronts = fast_non_dominated_sort(population)
-        assert [sorted(ind.index for ind in front) for front in fronts] == [[0, 1], [2]]
-        assert [ind.rank for ind in population] == [1, 1, 2]
+        fronts = fast_non_dominated_sort(rows((1, 2), (2, 1), (3, 3)))
+        assert [sorted(front.tolist()) for front in fronts] == [[0, 1], [2]]
+        assert ranks_of(fronts, 3) == [1, 1, 2]
 
     def test_matches_brute_force_on_random_populations(self):
         rng = np.random.default_rng(1234)
         for _ in range(60):
             n = int(rng.integers(2, 101))
             objs = [tuple(rng.integers(0, 8, size=2).astype(float)) for _ in range(n)]
-            population = inds(*objs)
-            fronts = fast_non_dominated_sort(population)
-            got = [sorted(ind.index for ind in front) for front in fronts]
+            fronts = fast_non_dominated_sort(rows(*objs))
+            got = [sorted(front.tolist()) for front in fronts]
             assert got == [sorted(f) for f in brute_force_fronts(objs)]
             # fronts partition the population
             flat = [i for front in got for i in front]
@@ -145,99 +172,127 @@ class TestFastNonDominatedSort:
         sizes += rng.integers(0, 41, size=400).tolist()
         for n in sizes:
             objs = random_objectives(rng, n, int(rng.integers(1, 5)))
-            population = inds(*objs)
-            fronts = fast_non_dominated_sort(population)
-            expected = reference_sort(population)
-            assert [[ind.index for ind in front] for front in fronts] == expected
-            ranks = [0] * n
-            for rank, front in enumerate(expected, start=1):
-                for i in front:
-                    ranks[i] = rank
-            assert [ind.rank for ind in population] == ranks
+            fronts = fast_non_dominated_sort(objs)
+            expected = reference_sort([tuple(row) for row in objs.tolist()])
+            assert [front.tolist() for front in fronts] == expected
+            # the ranks evolve derives from the fronts
+            _, ranks, _ = nsga2._select(objs, n)
+            assert ranks.tolist() == ranks_of(expected, n)
 
     def test_no_member_dominates_within_a_front(self):
         rng = np.random.default_rng(99)
-        objs = [tuple(rng.random(3)) for _ in range(80)]
-        for front in fast_non_dominated_sort(inds(*objs)):
+        objs = rows(*[tuple(rng.random(3)) for _ in range(80)])
+        for front in fast_non_dominated_sort(objs):
             for a in front:
                 for b in front:
-                    assert not dominates(a.objectives, b.objectives)
+                    assert not dominates(objs[a], objs[b])
+
+
+# numpy warns where Python floats overflow silently; the oracle and crowding_distance agree
+OVERFLOW_IS_EXPECTED = pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning"
+)
 
 
 class TestCrowdingDistance:
     def test_two_point_front_is_all_infinite(self):
-        front = inds((1, 2), (2, 1))
-        assert crowding_distance(front) == [math.inf, math.inf]
+        assert crowding_distance(rows((1, 2), (2, 1))).tolist() == [math.inf, math.inf]
 
     def test_hand_computed_interior(self):
-        front = inds((1, 3), (2, 2), (3, 1))
-        distances = crowding_distance(front)
+        distances = crowding_distance(rows((1, 3), (2, 2), (3, 1)))
         assert distances[0] == math.inf
         assert distances[2] == math.inf
         assert distances[1] == pytest.approx((3 - 1) / (3 - 1) + (3 - 1) / (3 - 1))
 
     def test_identical_objectives_interior_zero(self):
-        front = inds((5, 5), (5, 5), (5, 5), (5, 5))
-        distances = crowding_distance(front)
+        distances = crowding_distance(rows((5, 5), (5, 5), (5, 5), (5, 5))).tolist()
         assert math.inf in distances
         assert any(d == 0.0 for d in distances)
 
-    def test_distances_written_to_individuals(self):
-        front = inds((1, 3), (2, 2), (3, 1))
-        crowding_distance(front)
-        assert front[1].crowding == pytest.approx(2.0)
+    def test_distances_land_on_their_rows(self):
+        # F1 is rows 0, 2 and 3; row 1 alone is F2
+        _, ranks, crowding = nsga2._select(rows((1, 3), (9, 9), (2, 2), (3, 1)), 4)
+        assert ranks.tolist() == [1, 2, 1, 1]
+        assert crowding[2] == pytest.approx(2.0)
+        assert crowding.tolist()[:2] == [math.inf, math.inf]
+
+    @OVERFLOW_IS_EXPECTED
+    def test_a_boundary_row_stays_infinite_when_the_span_overflows(self):
+        # row 0 is a boundary of column 0; in column 1 its step is (h + h) / (h + h) = inf / inf
+        h = 1.7e308
+        objs = rows((0.0, 0.0), (1.0, -h), (2.0, h))
+        assert crowding_distance(objs).tolist() == reference_crowding(objs) == [math.inf] * 3
+
+    @OVERFLOW_IS_EXPECTED
+    def test_equals_the_per_member_loop_exactly(self):
+        rng = np.random.default_rng(20261018)
+        for trial in range(3000):
+            n, m = int(rng.integers(1, 61)), int(rng.integers(1, 5))
+            objs = rng.normal(size=(n, m)).round(int(rng.integers(0, 3)))
+            if n > 1:  # duplicate rows
+                copies = rng.integers(0, n, size=int(rng.integers(0, n // 3 + 1)))
+                objs[copies] = objs[rng.integers(0, n, size=copies.size)]
+            objs[:, rng.integers(0, m)] *= rng.choice([1.0, 0.0, -0.0])  # maybe a constant column
+            objs[rng.random((n, m)) < 0.1] = rng.choice([0.0, -0.0])
+            if trial % 10 == 0:  # spans that overflow to inf
+                objs[rng.random((n, m)) < 0.3] = rng.choice([1.7e308, -1.7e308])
+            got = crowding_distance(objs)
+            expected = np.array(reference_crowding(objs))
+            assert np.array_equal(got, expected, equal_nan=True), objs
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
-class TestCrowdedCompare:
-    def test_lower_rank_preferred(self):
-        a, b = inds((1, 1), (2, 2))
-        a.rank, b.rank = 1, 2
-        a.crowding, b.crowding = 0.0, math.inf
-        assert crowded_compare(a, b) == -1
-        assert crowded_compare(b, a) == 1
+class PickedPair:
+    """A stand-in generator whose ``integers`` draws the given pair of rows."""
 
-    def test_equal_rank_prefers_less_crowded(self):
-        a, b = inds((1, 1), (2, 2))
-        a.rank = b.rank = 1
-        a.crowding, b.crowding = 2.0, 0.5
-        assert crowded_compare(a, b) == -1
+    def __init__(self, i, j):
+        self.pair = np.array([i, j])
 
-    def test_full_tie_breaks_by_index(self):
-        a, b = inds((1, 1), (1, 1))
-        a.rank = b.rank = 3
-        a.crowding = b.crowding = 1.0
-        assert crowded_compare(a, b) == -1  # index 0 before index 1
-        assert crowded_compare(b, a) == 1
-        assert crowded_compare(a, a) == 0
+    def integers(self, low, high, size):
+        assert (low, size) == (0, 2) and self.pair.max() < high
+        return self.pair
 
 
 class TestBinaryTournament:
+    def test_lower_rank_preferred(self):
+        ranks, crowding = np.array([1, 2]), np.array([0.0, math.inf])
+        assert binary_tournament(ranks, crowding, PickedPair(0, 1)) == 0
+        assert binary_tournament(ranks, crowding, PickedPair(1, 0)) == 0
+
+    def test_equal_rank_prefers_less_crowded(self):
+        ranks, crowding = np.array([1, 1]), np.array([2.0, 0.5])
+        assert binary_tournament(ranks, crowding, PickedPair(0, 1)) == 0
+        assert binary_tournament(ranks, crowding, PickedPair(1, 0)) == 0
+
+    def test_full_tie_breaks_by_row(self):
+        ranks, crowding = np.array([3, 3]), np.array([1.0, 1.0])
+        assert binary_tournament(ranks, crowding, PickedPair(0, 1)) == 0  # row 0 before row 1
+        assert binary_tournament(ranks, crowding, PickedPair(1, 0)) == 0
+        assert binary_tournament(ranks, crowding, PickedPair(1, 1)) == 1
+
     def test_single_individual_population(self):
-        population = inds((1, 1))
-        population[0].rank = 1
         rng = np.random.default_rng(0)
-        assert binary_tournament(population, rng) is population[0]
+        assert binary_tournament(np.array([1]), np.array([0.0]), rng) == 0
 
     def test_rank_one_always_beats_rank_three(self):
-        population = inds((1, 1), (5, 5))
-        population[0].rank, population[1].rank = 1, 3
+        ranks, crowding = np.array([1, 3]), np.array([0.0, 0.0])
         rng = np.random.default_rng(0)
         for _ in range(200):
-            winner = binary_tournament(population, rng)
-            if winner is not population[0]:
-                # both picks must have been the rank-3 individual
-                assert winner is population[1]
+            state = rng.bit_generator.state
+            winner = binary_tournament(ranks, crowding, rng)
+            rng.bit_generator.state = state
+            picks = rng.integers(0, 2, size=2).tolist()
+            # row 1 wins only when both picks were the rank-3 row
+            assert winner == (1 if picks == [1, 1] else 0)
 
     def test_rank_one_win_rate_meets_lower_bound(self):
         # 3 of 10 rank-1: P(win) >= P(at least one rank-1 pick) = 1 - 0.7^2
-        population = inds(*[(1, 1)] * 3, *[(5, 5)] * 7)
-        for i, ind in enumerate(population):
-            ind.rank = 1 if i < 3 else 2
-            ind.crowding = 1.0
+        ranks = np.array([1] * 3 + [2] * 7)
+        crowding = np.ones(10)
         rng = np.random.default_rng(42)
         trials = 10_000
         wins = sum(
-            1 for _ in range(trials) if binary_tournament(population, rng).rank == 1
+            1 for _ in range(trials) if ranks[binary_tournament(ranks, crowding, rng)] == 1
         )
         bound = 1 - 0.7**2  # 0.51
         sigma = math.sqrt(bound * (1 - bound) / trials)
@@ -427,9 +482,9 @@ class TestEvolve:
         archive = evolve(schaffer, cfg, SCHAFFER_BOUNDS)
         assert len(archive.snapshots) == 1
         assert archive.snapshots[0].generation == 0
-        assert archive.final_front  # rank-1 members of the initial population
-        for ind in archive.final_front:
-            assert ind.rank == 1
+        front = archive.final_front  # rank-1 members of the initial population
+        assert len(front.genomes) == len(front.objectives) == len(front.ranks) > 0
+        assert all(rank == 1 for rank in front.ranks)
 
     def test_failing_fitness_reports_offending_genome(self):
         def fitness(genome):
@@ -446,21 +501,30 @@ class TestEvolve:
     # 3 is in the initial population; 8 is the first genome scored in generation 1, so only
     # the length of an earlier generation's vector can show that it is ragged
     @pytest.mark.parametrize("position", [3, 8])
-    def test_ragged_objective_vector_is_blamed_on_its_genome(self, parallel, position):
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (lambda f: (*f, 0.0), "3 objectives, the run's first had 2"),  # one objective too many
+            (lambda f: (f[0], math.nan), "non-finite objective: ("),
+            (lambda f: (math.inf, f[1]), "non-finite objective: (inf, "),
+        ],
+        ids=["ragged", "nan", "inf"],
+    )
+    def test_ragged_objective_vector_is_blamed_on_its_genome(self, parallel, position, bad, message):
         from concurrent.futures import ThreadPoolExecutor
 
         cfg = GAConfig(population_size=8, generations=2, seed=4)
         scored = []
         evolve(lambda g: scored.append(g.tobytes()) or schaffer(g), cfg, SCHAFFER_BOUNDS)
-        ragged = scored[position]
+        culprit = scored[position]
 
-        def fitness(genome):  # one objective too many for one genome only
-            return (*schaffer(genome), 0.0) if genome.tobytes() == ragged else schaffer(genome)
+        def fitness(genome):  # a bad vector for one genome only
+            return bad(schaffer(genome)) if genome.tobytes() == culprit else schaffer(genome)
 
         with ThreadPoolExecutor(max_workers=2) as pool, pytest.raises(EvaluationError) as err:
             evolve(fitness, cfg, SCHAFFER_BOUNDS, map_fn=pool.map if parallel else None)
-        assert np.array(err.value.genome).tobytes() == ragged
-        assert "3 objectives, the run's first had 2" in str(err.value)
+        assert np.array(err.value.genome).tobytes() == culprit
+        assert message in str(err.value)
 
     def test_broken_pool_is_not_blamed_on_a_genome(self):
         from concurrent.futures.process import BrokenProcessPool
@@ -489,7 +553,7 @@ class TestEvolve:
         archive = evolve(schaffer, cfg, SCHAFFER_BOUNDS)
         last = archive.snapshots[-1]
         front_objs = sorted(tuple(o) for o, r in zip(last.objectives, last.ranks) if r == 1)
-        assert sorted(tuple(ind.objectives) for ind in archive.final_front) == front_objs
+        assert sorted(tuple(o) for o in archive.final_front.objectives) == front_objs
 
 
 class TestFitnessReuse:

@@ -138,11 +138,11 @@ def run_simulate(args: dict, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _parallel_map(jobs: int):
-    executor = ProcessPoolExecutor(max_workers=jobs)
+def _parallel_map(workers: int):
+    executor = ProcessPoolExecutor(max_workers=workers)
 
     def mapper(fn, items):
-        chunk = max(1, len(items) // (jobs * 4))
+        chunk = max(1, len(items) // (workers * 4))
         return executor.map(fn, items, chunksize=chunk)
 
     return executor, mapper
@@ -151,6 +151,9 @@ def _parallel_map(jobs: int):
 def run_optimize(args: dict, out_dir: Path) -> int:
     started = datetime.datetime.now(datetime.timezone.utc)
     t0 = time.perf_counter()
+    jobs = args["jobs"]
+    if jobs < 1:
+        raise CarbonOptError(f"--jobs must be >= 1, got {jobs}")
     scenario_path = _resolve_scenario(args["scenario"])
     scenario = load_scenario(scenario_path)
     kind = args["kind"]
@@ -162,9 +165,9 @@ def run_optimize(args: dict, out_dir: Path) -> int:
     )
     box = policy_bounds(kind, n_years=scenario.horizon_years)
 
-    jobs = args["jobs"]
     if jobs > 1:
-        executor, mapper = _parallel_map(jobs)
+        # a pool starts all its workers at once: never more than the CPUs or the genomes
+        executor, mapper = _parallel_map(min(jobs, os.cpu_count() or 1, cfg.population_size))
         try:
             archive = evolve(fitness, cfg, box, map_fn=mapper)
         finally:
@@ -315,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=os.cpu_count() or 1,
-        help="parallel fitness evaluation workers",
+        help="parallel fitness evaluation workers (at most the CPUs and the population size)",
     )
     opt.add_argument("--out", default=None)
 

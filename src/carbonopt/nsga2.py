@@ -9,6 +9,11 @@ non-dominated fronts, and the next population is filled front by front;
 the overflowing front is cut by descending crowding distance, then row.
 All objectives are minimized and must be finite.
 
+Each generation's children are made in two steps. One loop makes every
+random draw, in the order of the contract below, and records it: no draw
+depends on a genome value. Then crossover and the resets run once on
+(pairs x genes) arrays.
+
 Fronts are sorted from a numpy dominance matrix, one objective column at
 a time, and peeled by vectorised dominator counts. Their member order is
 that of the classic pairwise sort (F1 by row; a later front by the
@@ -152,6 +157,7 @@ def crowding_distance(objectives) -> np.ndarray:
     Per objective, the rows are stably sorted and an interior row accrues
     the span between its neighbours divided by the objective range; a
     zero range contributes nothing, and a row already infinite stays so.
+    A column whose range overflows takes its steps on halved values.
     Fronts of one or two rows are all infinite.
     """
     objs = np.asarray(objectives, dtype=float)
@@ -162,78 +168,95 @@ def crowding_distance(objectives) -> np.ndarray:
     for col in objs.T:
         order = np.argsort(col, kind="stable")
         dists[order[[0, -1]]] = math.inf
-        low, high = col[order[0]], col[order[-1]]
+        low, high = float(col[order[0]]), float(col[order[-1]])
         if high == low:
             continue
+        if high - low == math.inf:  # the range overflows; halving is exact for normal floats
+            col, low, high = col / 2, low / 2, high / 2
         inner = order[1:-1]
         step = (col[order[2:]] - col[order[:-2]]) / (high - low)
         dists[inner] += np.where(dists[inner] == math.inf, 0.0, step)
     return dists
 
 
-def binary_tournament(ranks: np.ndarray, crowding: np.ndarray, rng: np.random.Generator) -> int:
+def binary_tournament(ranks, crowding, rng: np.random.Generator) -> int:
     """Pick two rows uniformly (with replacement); the winner is the lower
-    ``(rank, -crowding, row)``: lower rank, then larger crowding, then the earlier row."""
-    i, j = rng.integers(0, len(ranks), size=2)
-    return int(min((ranks[i], -crowding[i], i), (ranks[j], -crowding[j], j))[2])
+    ``(rank, -crowding, row)``: lower rank, then larger crowding, then the earlier row.
+    ``evolve`` passes ``ranks`` and ``crowding`` as lists, which index faster than arrays.
+    Two scalar draws take the same values as one draw of size 2, without its overhead."""
+    i, j = int(rng.integers(len(ranks))), int(rng.integers(len(ranks)))
+    return min((ranks[i], -crowding[i], i), (ranks[j], -crowding[j], j))[2]
 
 
 def sbx_crossover(
-    parent_a: np.ndarray,
-    parent_b: np.ndarray,
-    rng: np.random.Generator,
-    cfg: GAConfig,
-    lows: np.ndarray,
-    highs: np.ndarray,
+    parents_a, parents_b, spread, swap, cfg: GAConfig, lows: np.ndarray, highs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Simulated binary crossover applied gene-wise, children clamped to bounds.
+    """Simulated binary crossover of the mating pairs (row p of ``parents_a`` with row p
+    of ``parents_b``) applied gene-wise, children clamped to bounds.
 
-    Each gene gets its own spread factor, and which child receives the
-    contracted or expanded value is decided per gene by a fair coin (the
-    usual symmetric form; without it the blend correlates all genes and
-    the population collapses early). With probability
-    1 - crossover_probability the children are plain copies of the
-    parents. Identical parents always produce identical children.
+    Each gene gets its own spread factor from its uniform draw in
+    ``spread``, and ``swap`` (a fair coin per gene) decides which child
+    receives the contracted or expanded value (the usual symmetric form;
+    without it the blend correlates all genes and the population
+    collapses early). Identical parents always produce identical children.
     """
-    if rng.random() >= cfg.crossover_probability:
-        return parent_a.copy(), parent_b.copy()
     exponent = 1.0 / (cfg.eta_crossover + 1.0)
-    u = rng.random(parent_a.shape[0])
     beta = np.where(
-        u <= 0.5, (2.0 * u) ** exponent, (1.0 / (2.0 * (1.0 - u))) ** exponent
+        spread <= 0.5, (2.0 * spread) ** exponent, (1.0 / (2.0 * (1.0 - spread))) ** exponent
     )
-    child_a = 0.5 * ((1.0 + beta) * parent_a + (1.0 - beta) * parent_b)
-    child_b = 0.5 * ((1.0 - beta) * parent_a + (1.0 + beta) * parent_b)
-    swap = rng.random(parent_a.shape[0]) < 0.5
-    child_a, child_b = (
-        np.where(swap, child_b, child_a),
-        np.where(swap, child_a, child_b),
-    )
+    child_a = 0.5 * ((1.0 + beta) * parents_a + (1.0 - beta) * parents_b)
+    child_b = 0.5 * ((1.0 - beta) * parents_a + (1.0 + beta) * parents_b)
+    child_a, child_b = np.where(swap, child_b, child_a), np.where(swap, child_a, child_b)
     return np.clip(child_a, lows, highs), np.clip(child_b, lows, highs)
 
 
-def mutate(
-    genome: np.ndarray,
-    rng: np.random.Generator,
-    cfg: GAConfig,
-    lows: np.ndarray,
-    highs: np.ndarray,
-) -> np.ndarray:
-    """Uniform-reset mutation: a reset gene is redrawn uniformly within its bounds.
+def mutate(rng: np.random.Generator, cfg: GAConfig, lows, highs) -> list[tuple[int, float]]:
+    """One child's uniform-reset mutation draws: ``(gene, value)`` per reset gene, in
+    gene order, the value drawn uniformly within the gene's bounds.
 
     ``per-gene`` resets each gene independently with the configured
     probability; ``per-child`` resets one randomly chosen gene in the
     whole genome with that probability.
     """
-    out = genome.copy()
     if cfg.mutation_kind == PER_GENE:
-        mask = rng.random(out.shape[0]) < cfg.mutation_probability
-        for idx in np.flatnonzero(mask):
-            out[idx] = rng.uniform(lows[idx], highs[idx])
+        genes = (rng.random(lows.shape[0]) < cfg.mutation_probability).nonzero()[0].tolist()
     elif rng.random() < cfg.mutation_probability:
-        idx = int(rng.integers(0, out.shape[0]))
-        out[idx] = rng.uniform(lows[idx], highs[idx])
-    return out
+        genes = [int(rng.integers(0, lows.shape[0]))]
+    else:
+        return []
+    return [(gene, rng.uniform(lows[gene], highs[gene])) for gene in genes]
+
+
+def _offspring(pop: GenerationSnapshot, rng, cfg: GAConfig, lows, highs) -> np.ndarray:
+    """One generation's children: rows 2p and 2p + 1 come from pair p.
+
+    The draw loop records the parent rows, each mating pair's spread and
+    swap draws and the ``(child, gene, value)`` resets. Then the children
+    start as copies of their parents, the mating pairs (whose coin fell
+    below ``crossover_probability``) get their SBX children, and the
+    resets are assigned.
+    """
+    n, k = pop.genomes.shape
+    ranks, crowding = pop.ranks.tolist(), pop.crowding.tolist()
+    parents, mating, draws, resets = [], [], [], []
+    for first in range(0, n, 2):
+        parents.append(binary_tournament(ranks, crowding, rng))
+        parents.append(binary_tournament(ranks, crowding, rng))
+        if rng.random() < cfg.crossover_probability:
+            mating.append(first)
+            draws.append(rng.random(2 * k))  # spread, then swap: the doubles of two k-draws
+        for child in (first, first + 1):
+            resets += [(child, gene, value) for gene, value in mutate(rng, cfg, lows, highs)]
+    children = pop.genomes[parents]
+    if mating:
+        a, uniforms = np.array(mating), np.array(draws)
+        children[a], children[a + 1] = sbx_crossover(
+            children[a], children[a + 1], uniforms[:, :k], uniforms[:, k:] < 0.5, cfg, lows, highs
+        )
+    if resets:
+        rows, genes, values = zip(*resets)
+        children[rows, genes] = values
+    return children
 
 
 def _evaluate_all(
@@ -325,15 +348,10 @@ def evolve(fitness, cfg: GAConfig, bounds, map_fn=None) -> FrontArchive:
     archive = FrontArchive([pop])
 
     for generation in range(1, cfg.generations + 1):
-        children: list[np.ndarray] = []
-        while len(children) < n:
-            a = binary_tournament(pop.ranks, pop.crowding, rng)
-            b = binary_tournament(pop.ranks, pop.crowding, rng)
-            pair = sbx_crossover(pop.genomes[a], pop.genomes[b], rng, cfg, lows, highs)
-            children.extend(mutate(child, rng, cfg, lows, highs) for child in pair)
+        children = _offspring(pop, rng, cfg, lows, highs)
         # children that copy a current member (or an earlier child) are not rescored
         known = {g.tobytes(): tuple(o) for g, o in zip(pop.genomes, pop.objectives)}
-        child_objectives = _score(fitness, children, mapper, known)
+        child_objectives = _score(fitness, list(children), mapper, known)
 
         # rows 0..n-1 are the population, n.. its children: the row is the tie-break
         genomes = np.vstack([pop.genomes, children])

@@ -269,6 +269,47 @@ class TestOptimize:
         assert (out_serial / "pareto.json").read_bytes() == (out_parallel / "pareto.json").read_bytes()
 
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_1_naming_the_flag(self, fossil_path, tmp_path, capsys, jobs):
+        out = tmp_path / "o"
+        code = main([
+            "optimize", "--scenario", str(fossil_path), "--kind", "linear",
+            "--pop", "4", "--gens", "1", "--jobs", jobs, "--out", str(out),
+        ])
+        assert code == 1
+        assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "jobs, cpus, workers",
+        [("100000", 8, 4), ("3", 8, 3), ("100000", 2, 2), ("2", None, 1)],
+        ids=["population", "jobs", "cpus", "unknown-cpus"],
+    )
+    def test_pool_workers_are_capped_by_cpus_and_population(
+        self, fossil_path, tmp_path, monkeypatch, jobs, cpus, workers
+    ):
+        import carbonopt.cli as cli
+
+        started = []
+
+        class Recorder:  # records the pool size and maps serially; starts no process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        assert main([
+            "optimize", "--scenario", str(fossil_path), "--kind", "linear",
+            "--pop", "4", "--gens", "1", "--seed", "3", "--jobs", jobs, "--out", str(tmp_path / "o"),
+        ]) == 0
+        assert started == [workers]
+
     def test_broken_pool_exits_2(self, fossil_path, tmp_path, monkeypatch, capsys):
         from concurrent.futures.process import BrokenProcessPool
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +13,9 @@ from carbonopt.benchmarks import schaffer, SCHAFFER_BOUNDS
 from carbonopt import nsga2
 from carbonopt.errors import EvaluationError
 from carbonopt.nsga2 import (
+    MUTATION_KINDS,
     GAConfig,
+    GenerationSnapshot,
     binary_tournament,
     crowding_distance,
     dominates,
@@ -92,15 +95,16 @@ def reference_crowding(front):
         order = sorted(range(n), key=lambda k: front[k][m])
         dists[order[0]] = math.inf
         dists[order[-1]] = math.inf
-        low = front[order[0]][m]
-        high = front[order[-1]][m]
-        if high == low:
+        values = [row[m] for row in front]
+        if values[order[-1]] == values[order[0]]:
             continue
-        span = high - low
+        if values[order[-1]] - values[order[0]] == math.inf:  # the range overflows: halve
+            values = [v / 2 for v in values]
+        span = values[order[-1]] - values[order[0]]
         for pos in range(1, n - 1):
             k = order[pos]
             if dists[k] != math.inf:
-                dists[k] += (front[order[pos + 1]][m] - front[order[pos - 1]][m]) / span
+                dists[k] += (values[order[pos + 1]] - values[order[pos - 1]]) / span
     return dists
 
 
@@ -188,11 +192,6 @@ class TestFastNonDominatedSort:
                     assert not dominates(objs[a], objs[b])
 
 
-# numpy warns where Python floats overflow silently; the oracle and crowding_distance agree
-OVERFLOW_IS_EXPECTED = pytest.mark.filterwarnings(
-    "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning"
-)
-
 
 class TestCrowdingDistance:
     def test_two_point_front_is_all_infinite(self):
@@ -216,14 +215,19 @@ class TestCrowdingDistance:
         assert crowding[2] == pytest.approx(2.0)
         assert crowding.tolist()[:2] == [math.inf, math.inf]
 
-    @OVERFLOW_IS_EXPECTED
     def test_a_boundary_row_stays_infinite_when_the_span_overflows(self):
         # row 0 is a boundary of column 0; in column 1 its step is (h + h) / (h + h) = inf / inf
         h = 1.7e308
         objs = rows((0.0, 0.0), (1.0, -h), (2.0, h))
         assert crowding_distance(objs).tolist() == reference_crowding(objs) == [math.inf] * 3
 
-    @OVERFLOW_IS_EXPECTED
+    def test_an_interior_row_is_finite_when_the_span_overflows(self):
+        # row 1 steps (2 - 0) / 2 in column 0 and (h / 2 + h / 2) / (h / 2 + h / 2) in column 1
+        h = 1.7e308
+        objs = rows((0.0, -h), (1.0, 0.0), (2.0, h))
+        expected = [math.inf, 2.0, math.inf]
+        assert crowding_distance(objs).tolist() == reference_crowding(objs) == expected
+
     def test_equals_the_per_member_loop_exactly(self):
         rng = np.random.default_rng(20261018)
         for trial in range(3000):
@@ -234,23 +238,25 @@ class TestCrowdingDistance:
                 objs[copies] = objs[rng.integers(0, n, size=copies.size)]
             objs[:, rng.integers(0, m)] *= rng.choice([1.0, 0.0, -0.0])  # maybe a constant column
             objs[rng.random((n, m)) < 0.1] = rng.choice([0.0, -0.0])
-            if trial % 10 == 0:  # spans that overflow to inf
-                objs[rng.random((n, m)) < 0.3] = rng.choice([1.7e308, -1.7e308])
+            if trial % 10 == 0:  # entries of both signs, so spans overflow to inf
+                big = rng.random((n, m)) < 0.3
+                objs[big] = rng.choice([1.7e308, -1.7e308], size=int(big.sum()))
             got = crowding_distance(objs)
             expected = np.array(reference_crowding(objs))
-            assert np.array_equal(got, expected, equal_nan=True), objs
+            assert not np.isnan(got).any(), objs
+            assert np.array_equal(got, expected), objs
             assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 class PickedPair:
-    """A stand-in generator whose ``integers`` draws the given pair of rows."""
+    """A stand-in generator whose two ``integers`` draws are the given rows, in order."""
 
     def __init__(self, i, j):
-        self.pair = np.array([i, j])
+        self.picks = [i, j]
 
-    def integers(self, low, high, size):
-        assert (low, size) == (0, 2) and self.pair.max() < high
-        return self.pair
+    def integers(self, high):
+        assert max(self.picks) < high
+        return self.picks.pop(0)
 
 
 class TestBinaryTournament:
@@ -304,41 +310,64 @@ LOWS = np.array([b[0] for b in BOUNDS])
 HIGHS = np.array([b[1] for b in BOUNDS])
 
 
+def snapshot(genomes):
+    """A population of the given genomes, all of rank 1 and crowding 0."""
+    genomes = np.array(genomes, dtype=float)
+    n = len(genomes)
+    return GenerationSnapshot(0, genomes, np.zeros((n, 2)), np.ones(n, dtype=int), np.zeros(n))
+
+
+def pair_draws(rng, pairs, k):
+    """Spread and swap draws for ``pairs`` mating pairs, drawn as the generation step draws them."""
+    uniforms = rng.random((pairs, 2 * k))
+    return uniforms[:, :k], uniforms[:, k:] < 0.5
+
+
+def mutated(genome, rng, cfg, lows, highs):
+    """``genome`` with one child's mutation draws applied."""
+    out = genome.copy()
+    for gene, value in mutate(rng, cfg, lows, highs):
+        out[gene] = value
+    return out
+
+
 class TestCrossover:
     def test_probability_zero_copies_parents(self):
-        cfg = GAConfig(population_size=4, generations=1, crossover_probability=0.0)
+        cfg = GAConfig(population_size=4, generations=1, crossover_probability=0.0,
+                       mutation_probability=0.0)
+        pop = snapshot([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [6.0, 5.0, 4.0, 3.0, 2.0, 1.0]])
         rng = np.random.default_rng(0)
-        a = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        b = np.array([6.0, 5.0, 4.0, 3.0, 2.0, 1.0])
-        c1, c2 = sbx_crossover(a, b, rng, cfg, LOWS, HIGHS)
-        assert np.array_equal(c1, a) and np.array_equal(c2, b)
-        assert c1 is not a  # fresh arrays
+        state = rng.bit_generator.state
+        children = nsga2._offspring(pop, rng, cfg, LOWS, HIGHS)
+        rng.bit_generator.state = state  # replay the pair's two tournaments
+        a, b = (binary_tournament(pop.ranks, pop.crowding, rng) for _ in range(2))
+        assert np.array_equal(children[0], pop.genomes[a])
+        assert np.array_equal(children[1], pop.genomes[b])
+        assert not np.shares_memory(children, pop.genomes)  # fresh arrays
 
     def test_identical_parents_fixed_point(self):
         cfg = GAConfig(population_size=4, generations=1, crossover_probability=1.0)
         rng = np.random.default_rng(0)
-        p = np.array([10.0, 20.0, 30.0, 40.0, 50.0, 60.0])
-        for _ in range(50):
-            c1, c2 = sbx_crossover(p, p.copy(), rng, cfg, LOWS, HIGHS)
-            assert np.allclose(c1, p) and np.allclose(c2, p)
+        p = np.tile([10.0, 20.0, 30.0, 40.0, 50.0, 60.0], (50, 1))
+        c1, c2 = sbx_crossover(p, p.copy(), *pair_draws(rng, 50, 6), cfg, LOWS, HIGHS)
+        assert np.allclose(c1, p) and np.allclose(c2, p)
 
     def test_children_always_in_bounds(self):
         cfg = GAConfig(population_size=4, generations=1, crossover_probability=1.0)
         rng = np.random.default_rng(7)
-        for _ in range(10_000 // 10):
-            a = rng.uniform(LOWS, HIGHS)
-            b = rng.uniform(LOWS, HIGHS)
-            for _ in range(5):
-                c1, c2 = sbx_crossover(a, b, rng, cfg, LOWS, HIGHS)
-                for child in (c1, c2):
-                    assert np.all(child >= LOWS) and np.all(child <= HIGHS)
+        # 1,000 parent pairs, crossed 5 times each
+        a = np.repeat(rng.uniform(LOWS, HIGHS, size=(1000, 6)), 5, axis=0)
+        b = np.repeat(rng.uniform(LOWS, HIGHS, size=(1000, 6)), 5, axis=0)
+        c1, c2 = sbx_crossover(a, b, *pair_draws(rng, 5000, 6), cfg, LOWS, HIGHS)
+        for children in (c1, c2):
+            assert np.all(children >= LOWS) and np.all(children <= HIGHS)
 
     def test_children_mix_genes_between_parents(self):
         cfg = GAConfig(population_size=4, generations=1, crossover_probability=1.0)
         rng = np.random.default_rng(3)
-        a = np.full(6, 10.0)
-        b = np.full(6, 200.0)
-        c1, _ = sbx_crossover(a, b, rng, cfg, LOWS, HIGHS)
+        a = np.full((1, 6), 10.0)
+        b = np.full((1, 6), 200.0)
+        c1, _ = sbx_crossover(a, b, *pair_draws(rng, 1, 6), cfg, LOWS, HIGHS)
         # with the per-gene swap, a child should not inherit one parent wholesale
         assert not (np.allclose(c1, a) or np.allclose(c1, b))
 
@@ -348,13 +377,13 @@ class TestMutate:
         cfg = GAConfig(population_size=4, generations=1, mutation_probability=0.0)
         rng = np.random.default_rng(0)
         genome = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        assert np.array_equal(mutate(genome, rng, cfg, LOWS, HIGHS), genome)
+        assert np.array_equal(mutated(genome, rng, cfg, LOWS, HIGHS), genome)
 
     def test_probability_one_resamples_every_gene_in_bounds(self):
         cfg = GAConfig(population_size=4, generations=1, mutation_probability=1.0)
         rng = np.random.default_rng(0)
         genome = np.full(6, -999.0)  # out of bounds on purpose: every gene must move
-        out = mutate(genome, rng, cfg, LOWS, HIGHS)
+        out = mutated(genome, rng, cfg, LOWS, HIGHS)
         assert np.all(out >= LOWS) and np.all(out <= HIGHS)
         assert np.all(out != genome)
 
@@ -367,7 +396,7 @@ class TestMutate:
         genes = 0
         changed = 0
         while genes < 100_000:
-            out = mutate(genome, rng, cfg, lows, highs)
+            out = mutated(genome, rng, cfg, lows, highs)
             changed += int(np.sum(out != genome))
             genes += genome.shape[0]
         rate = changed / genes
@@ -380,7 +409,7 @@ class TestMutate:
         rng = np.random.default_rng(5)
         genome = np.full(6, 300.0)
         for _ in range(100):
-            out = mutate(genome, rng, cfg, LOWS, HIGHS)
+            out = mutated(genome, rng, cfg, LOWS, HIGHS)
             assert int(np.sum(out != genome)) == 1
 
     def test_per_child_frequency(self):
@@ -390,10 +419,89 @@ class TestMutate:
         rng = np.random.default_rng(6)
         genome = np.full(6, 300.0)
         trials = 20_000
-        mutated = sum(
-            1 for _ in range(trials) if np.any(mutate(genome, rng, cfg, LOWS, HIGHS) != genome)
+        mutated_count = sum(
+            1 for _ in range(trials) if np.any(mutated(genome, rng, cfg, LOWS, HIGHS) != genome)
         )
-        assert abs(mutated / trials - 0.3) < 0.02
+        assert abs(mutated_count / trials - 0.3) < 0.02
+
+
+def reference_tournament(ranks, crowding, rng):
+    """The tournament with one ``integers`` draw of size 2: the oracle for two scalar draws."""
+    i, j = rng.integers(0, len(ranks), size=2)
+    return int(min((ranks[i], -crowding[i], i), (ranks[j], -crowding[j], j))[2])
+
+
+def reference_sbx(parent_a, parent_b, rng, cfg, lows, highs):
+    """SBX of one pair with its own crossover coin, spread and swap draws."""
+    if rng.random() >= cfg.crossover_probability:
+        return parent_a.copy(), parent_b.copy()
+    exponent = 1.0 / (cfg.eta_crossover + 1.0)
+    u = rng.random(parent_a.shape[0])
+    beta = np.where(
+        u <= 0.5, (2.0 * u) ** exponent, (1.0 / (2.0 * (1.0 - u))) ** exponent
+    )
+    child_a = 0.5 * ((1.0 + beta) * parent_a + (1.0 - beta) * parent_b)
+    child_b = 0.5 * ((1.0 - beta) * parent_a + (1.0 + beta) * parent_b)
+    swap = rng.random(parent_a.shape[0]) < 0.5
+    child_a, child_b = (
+        np.where(swap, child_b, child_a),
+        np.where(swap, child_a, child_b),
+    )
+    return np.clip(child_a, lows, highs), np.clip(child_b, lows, highs)
+
+
+def reference_mutate(genome, rng, cfg, lows, highs):
+    """Uniform-reset mutation of one child, drawing and assigning gene by gene."""
+    out = genome.copy()
+    if cfg.mutation_kind == "per-gene":
+        mask = rng.random(out.shape[0]) < cfg.mutation_probability
+        for idx in np.flatnonzero(mask):
+            out[idx] = rng.uniform(lows[idx], highs[idx])
+    elif rng.random() < cfg.mutation_probability:
+        idx = int(rng.integers(0, out.shape[0]))
+        out[idx] = rng.uniform(lows[idx], highs[idx])
+    return out
+
+
+def reference_offspring(pop, rng, cfg, lows, highs):
+    """The per-pair child loop: the oracle for the array generation step."""
+    children = []
+    while len(children) < len(pop.genomes):
+        a = reference_tournament(pop.ranks, pop.crowding, rng)
+        b = reference_tournament(pop.ranks, pop.crowding, rng)
+        pair = reference_sbx(pop.genomes[a], pop.genomes[b], rng, cfg, lows, highs)
+        children.extend(reference_mutate(child, rng, cfg, lows, highs) for child in pair)
+    return np.array(children)
+
+
+class TestOffspring:
+    BOXES = {
+        "unit": [(0.0, 1.0)] * 7,
+        "tax": [(0.0, 250.0)] * 30,
+        "negative": [(-5.0, -1.0), (-1e3, 1e3), (-250.0, -250.0)] * 3,
+        "degenerate": [(2.0, 2.0)] * 4,
+    }
+
+    @pytest.mark.parametrize("kind", MUTATION_KINDS)
+    @pytest.mark.parametrize("box", sorted(BOXES))
+    def test_equals_the_per_pair_loop_exactly(self, kind, box):
+        lows, highs = (np.array(b, dtype=float) for b in zip(*self.BOXES[box]))
+        cases = itertools.product((4, 6, 10, 40), (0.0, 0.5, 1.0), (0.0, 0.05, 1.0))
+        for seed, (n, crossover, mutation) in enumerate(cases):
+            cfg = GAConfig(population_size=n, crossover_probability=crossover,
+                           mutation_probability=mutation, mutation_kind=kind, seed=seed)
+            data = np.random.default_rng(seed)
+            # a population with tied objectives, so ranks and crowding carry ties and infinities
+            genomes = data.uniform(lows, highs, size=(n, lows.size))
+            objectives = data.normal(size=(n, 2)).round(1)
+            _, ranks, crowding = nsga2._select(objectives, n)
+            pop = GenerationSnapshot(0, genomes, objectives, ranks, crowding)
+            rng, expected_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+            got = nsga2._offspring(pop, rng, cfg, lows, highs)
+            expected = reference_offspring(pop, expected_rng, cfg, lows, highs)
+            assert got.shape == expected.shape == genomes.shape
+            assert got.tobytes() == expected.tobytes(), (n, crossover, mutation)
+            assert rng.bit_generator.state == expected_rng.bit_generator.state
 
 
 class TestGAConfig:

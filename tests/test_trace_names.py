@@ -1,0 +1,35 @@
+"""The benchmark tracer wraps package functions by name: every name it reads must exist."""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def traced_names(spans) -> set[str]:
+    return {f"{layer}.{name}" for layer, names in spans.TRACED.items() for name in names}
+
+
+def test_every_traced_name_is_a_function_of_its_module(spans):
+    for layer, names in spans.TRACED.items():
+        module = importlib.import_module(f"carbonopt.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"carbonopt.{layer}.{name}"
+
+
+def test_every_name_the_metrics_read_is_traced(spans):
+    read = set(spans.NOTES) | {*spans.FITNESS, *spans.VARIATION, *spans.WRITES}
+    assert read <= traced_names(spans), sorted(read - traced_names(spans))

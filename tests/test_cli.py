@@ -455,3 +455,30 @@ class TestManifest:
         args = json.loads((tmp_path / "out" / "manifest.json").read_text())["args"]
         assert list(args) == list(expected)
         assert args == expected
+
+    @pytest.mark.parametrize("command", ["simulate", "optimize", "benchmark"])
+    def test_identical_runs_and_a_replay_write_the_same_manifest(self, command, fossil_path, tmp_path):
+        def text(out: Path, drop_out: bool = False) -> str:
+            # only the timings vary between identical runs; the text keeps the key order
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert list(manifest) == [
+                "command", "args", "seed", "version", "scenario_sha256", "outputs", "timings",
+            ]
+            del manifest["timings"]
+            if drop_out:
+                del manifest["args"]["out"]
+            return json.dumps(manifest, indent=2)
+
+        argv = {
+            "simulate": ["--scenario", str(fossil_path), "--policy", "flat:1", "--seed", "2"],
+            "optimize": ["--scenario", str(fossil_path), "--kind", "linear", "--pop", "4",
+                         "--gens", "1", "--jobs", "1"],
+            "benchmark": ["--problem", "schaffer", "--pop", "8", "--gens", "2", "--seed", "2"],
+        }[command]
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main([command, *argv, "--out", str(out_a)]) == 0
+        first = text(out_a)
+        assert main([command, *argv, "--out", str(out_a)]) == 0
+        assert text(out_a) == first
+        assert main(["replay", str(out_a / "manifest.json"), "--out", str(out_b)]) == 0
+        assert text(out_b, drop_out=True) == text(out_a, drop_out=True)

@@ -29,7 +29,6 @@ from . import __version__
 from .benchmarks import BENCHMARKS, generational_distance
 from .errors import CarbonOptError
 from .exports import (
-    RunManifest,
     file_sha256,
     load_manifest,
     render_events_csv,
@@ -69,39 +68,6 @@ def _resolve_scenario(spec: str) -> Path:
     raise CarbonOptError(f"scenario {spec!r} is neither a file nor a bundled scenario name")
 
 
-def _timings(started: datetime.datetime, t0: float) -> dict:
-    return {
-        "started_utc": started.isoformat(timespec="seconds"),
-        "elapsed_seconds": round(time.perf_counter() - t0, 3),
-    }
-
-
-def _write_run(
-    out_dir: Path,
-    command: str,
-    args: dict,
-    files: dict[str, str],
-    scenario_path: Path | None,
-    started: datetime.datetime,
-    t0: float,
-) -> list[str]:
-    """Write the result files, then the manifest that replays them; return the file names."""
-    outputs = write_output_set(out_dir, files)
-    write_manifest(
-        out_dir,
-        RunManifest(
-            command=command,
-            args=args if scenario_path is None else {**args, "scenario": str(scenario_path)},
-            seed=args["seed"],
-            version=__version__,
-            scenario_sha256=None if scenario_path is None else file_sha256(scenario_path),
-            outputs=outputs,
-            timings=_timings(started, t0),
-        ),
-    )
-    return outputs
-
-
 def _ga_config(args: dict) -> GAConfig:
     """The optimizer settings recorded in an ``optimize`` or ``benchmark`` run's args."""
     return GAConfig(
@@ -115,27 +81,20 @@ def _ga_config(args: dict) -> GAConfig:
     )
 
 
-def run_simulate(args: dict, out_dir: Path) -> int:
-    started = datetime.datetime.now(datetime.timezone.utc)
-    t0 = time.perf_counter()
-    scenario_path = _resolve_scenario(args["scenario"])
-    scenario = load_scenario(scenario_path)
+def run_simulate(args: dict) -> tuple[int, dict[str, str]]:
+    scenario = load_scenario(args["scenario"])
     policy = parse_policy_spec(args["policy"], scenario.horizon_years)
     result = run_simulation(scenario, policy, args["seed"])
-
-    files = {
+    print(
+        f"objective_price={result.objective_price!r} "
+        f"objective_rci={result.objective_rci!r}"
+    )
+    return EXIT_OK, {
         "per_year.csv": render_per_year_csv(result, scenario.start_year),
         "year_summary.csv": render_year_summary_csv(result, scenario.start_year),
         "events.csv": render_events_csv(result.events),
         "objectives.json": render_objectives_json(result),
     }
-    outputs = _write_run(out_dir, "simulate", args, files, scenario_path, started, t0)
-    print(
-        f"objective_price={result.objective_price!r} "
-        f"objective_rci={result.objective_rci!r}"
-    )
-    print(f"wrote {', '.join(outputs)} to {out_dir}")
-    return EXIT_OK
 
 
 def _parallel_map(workers: int):
@@ -148,14 +107,11 @@ def _parallel_map(workers: int):
     return executor, mapper
 
 
-def run_optimize(args: dict, out_dir: Path) -> int:
-    started = datetime.datetime.now(datetime.timezone.utc)
-    t0 = time.perf_counter()
+def run_optimize(args: dict) -> tuple[int, dict[str, str]]:
     jobs = args["jobs"]
     if jobs < 1:
         raise CarbonOptError(f"--jobs must be >= 1, got {jobs}")
-    scenario_path = _resolve_scenario(args["scenario"])
-    scenario = load_scenario(scenario_path)
+    scenario = load_scenario(args["scenario"])
     kind = args["kind"]
     if kind not in POLICY_KINDS:
         raise CarbonOptError(f"unknown policy kind {kind!r}; expected one of {POLICY_KINDS}")
@@ -175,12 +131,6 @@ def run_optimize(args: dict, out_dir: Path) -> int:
     else:
         archive = evolve(fitness, cfg, box)
 
-    files = {
-        "generations.csv": render_generations_csv(archive, OBJECTIVE_NAMES),
-        "pareto.json": render_pareto_json(archive, OBJECTIVE_NAMES),
-    }
-    outputs = _write_run(out_dir, "optimize", args, files, scenario_path, started, t0)
-
     front = archive.final_front
     rows = sorted(zip(front.objectives.tolist(), front.genomes.tolist()), key=lambda r: r[0][0])
     print(f"final front ({len(rows)} solutions):")
@@ -188,13 +138,13 @@ def run_optimize(args: dict, out_dir: Path) -> int:
     for (price, rci), genome in rows:
         genes = ", ".join(f"{v:.2f}" for v in genome)
         print(f"{price:>16.4f} {rci:>14.4f}  [{genes}]")
-    print(f"wrote {', '.join(outputs)} to {out_dir}")
-    return EXIT_OK
+    return EXIT_OK, {
+        "generations.csv": render_generations_csv(archive, OBJECTIVE_NAMES),
+        "pareto.json": render_pareto_json(archive, OBJECTIVE_NAMES),
+    }
 
 
-def run_benchmark(args: dict, out_dir: Path | None) -> int:
-    started = datetime.datetime.now(datetime.timezone.utc)
-    t0 = time.perf_counter()
+def run_benchmark(args: dict) -> tuple[int, dict[str, str]]:
     problem, fail_above = args["problem"], args["fail_above"]
     if problem not in BENCHMARKS:
         raise CarbonOptError(
@@ -204,19 +154,16 @@ def run_benchmark(args: dict, out_dir: Path | None) -> int:
     archive = evolve(fitness, _ga_config(args), bounds_fn())
     gd = generational_distance(archive.final_front.objectives, front_fn())
     print(f"{problem}: generational distance to analytic front = {gd!r}")
-
-    if out_dir is not None:
-        files = {
-            "generations.csv": render_generations_csv(archive, ["f1", "f2"]),
-            "pareto.json": render_pareto_json(archive, ["f1", "f2"]),
-        }
-        outputs = _write_run(out_dir, "benchmark", args, files, None, started, t0)
-        print(f"wrote {', '.join(outputs)} to {out_dir}")
-
+    code = EXIT_OK
     if fail_above is not None and gd > fail_above:
         print(f"generational distance {gd!r} above threshold {fail_above!r}", file=sys.stderr)
-        return EXIT_GATE
-    return EXIT_OK
+        code = EXIT_GATE
+    if args["out"] is None:  # nothing will be written
+        return code, {}
+    return code, {
+        "generations.csv": render_generations_csv(archive, ["f1", "f2"]),
+        "pareto.json": render_pareto_json(archive, ["f1", "f2"]),
+    }
 
 
 class _RecordedArgs(dict):
@@ -244,32 +191,50 @@ class _RecordedArgs(dict):
 def run_replay(manifest_path: str, out_override: str | None) -> int:
     """Re-run a manifest's command; refuse when the code or the scenario file has changed."""
     manifest = load_manifest(Path(manifest_path))
-    args = _RecordedArgs(manifest.args)
-    if manifest.version != __version__:
+    args = _RecordedArgs(manifest["args"])
+    if manifest["version"] != __version__:
         raise CarbonOptError(
-            f"manifest version {manifest.version!r} differs from this carbonopt "
+            f"manifest version {manifest['version']!r} differs from this carbonopt "
             f"{__version__!r}; rerun the command instead"
         )
-    args.check_types(manifest.command)
-    if manifest.scenario_sha256 is not None:
+    args.check_types(manifest["command"])
+    if manifest.get("scenario_sha256") is not None:
         scenario_path = _resolve_scenario(args["scenario"])
-        if file_sha256(scenario_path) != manifest.scenario_sha256:
+        if file_sha256(scenario_path) != manifest["scenario_sha256"]:
             raise CarbonOptError(
                 f"manifest scenario_sha256 does not match {scenario_path}: the scenario "
                 "changed since the run; rerun the command instead"
             )
     out_dir = Path(out_override) if out_override else Path(args.get("out", _default_out_dir()))
-    return _run(manifest.command, args, out_dir)
+    return _run(manifest["command"], args, out_dir)
 
 
 def _run(command: str, args: dict, out_dir: Path | None) -> int:
-    if command == "simulate":
-        return run_simulate(args, out_dir)
-    if command == "optimize":
-        return run_optimize(args, out_dir)
-    if command == "benchmark":
-        return run_benchmark(args, out_dir)
-    raise CarbonOptError(f"manifest has unknown command {command!r}")
+    """Run a command; given a directory, write its files and the manifest that replays them."""
+    started = datetime.datetime.now(datetime.timezone.utc)
+    t0 = time.perf_counter()
+    if "scenario" in args:
+        args["scenario"] = str(_resolve_scenario(args["scenario"]))
+    runners = {"simulate": run_simulate, "optimize": run_optimize, "benchmark": run_benchmark}
+    if command not in runners:
+        raise CarbonOptError(f"manifest has unknown command {command!r}")
+    code, files = runners[command](args)
+    if out_dir is not None:
+        outputs = write_output_set(out_dir, files)
+        write_manifest(out_dir, {
+            "command": command,
+            "args": args,
+            "seed": args["seed"],
+            "version": __version__,
+            "scenario_sha256": file_sha256(args["scenario"]) if "scenario" in args else None,
+            "outputs": outputs,
+            "timings": {
+                "started_utc": started.isoformat(timespec="seconds"),
+                "elapsed_seconds": round(time.perf_counter() - t0, 3),
+            },
+        })
+        print(f"wrote {', '.join(outputs)} to {out_dir}")
+    return code
 
 
 def _add_ga_flags(parser: argparse.ArgumentParser, pop_default: int, gens_default: int):

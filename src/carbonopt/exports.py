@@ -14,7 +14,6 @@ import io
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .nsga2 import FrontArchive
@@ -181,33 +180,15 @@ def file_sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Record of one CLI run, sufficient to reproduce its outputs exactly.
-
-    The ``timings`` block is wall-clock metadata and the only part of an
-    output set that varies between identical runs.
-    """
-
-    command: str
-    args: dict
-    seed: int
-    version: str
-    scenario_sha256: str | None
-    outputs: list[str]
-    timings: dict
-
-
 MANIFEST_NAME = "manifest.json"
 
 
-def write_manifest(out_dir: Path, manifest: RunManifest) -> None:
-    atomic_write_text(
-        Path(out_dir) / MANIFEST_NAME, json.dumps(asdict(manifest), indent=2) + "\n"
-    )
+def write_manifest(out_dir: Path, manifest: dict) -> None:
+    """Write the record of one run; its ``timings`` are all that varies between identical runs."""
+    atomic_write_text(Path(out_dir) / MANIFEST_NAME, json.dumps(manifest, indent=2) + "\n")
 
 
-def load_manifest(path: Path) -> RunManifest:
+def load_manifest(path: Path) -> dict:
     """Read a manifest; one that cannot be read or lacks a key is refused by name."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -218,12 +199,4 @@ def load_manifest(path: Path) -> RunManifest:
     for key in ("command", "args", "seed", "version"):
         if key not in raw:
             raise CarbonOptError(f"manifest {path} has no {key!r}")
-    return RunManifest(
-        command=raw["command"],
-        args=raw["args"],
-        seed=raw["seed"],
-        version=raw["version"],
-        scenario_sha256=raw.get("scenario_sha256"),
-        outputs=list(raw.get("outputs", [])),
-        timings=raw.get("timings", {}),
-    )
+    return raw

@@ -7,11 +7,14 @@ Commands:
 * ``benchmark``: score the optimizer on an analytic test problem.
 * ``replay``: re-run the command recorded in a manifest.
 
-Every command that writes files also writes a ``manifest.json`` capturing
-the fully resolved configuration; replaying a manifest reproduces the
-result files byte for byte (the manifest's own timing block is the only
-thing that varies). Exit codes: 0 success, 1 invalid input, 2 runtime
-failure, 3 benchmark quality gate failed.
+Each command computes and returns its result files; ``_run`` writes them
+with a ``manifest.json`` that records the fully resolved configuration,
+the output directory and checksums of the scenario and of the package
+code. Replaying a manifest reproduces the result files byte for byte
+(the manifest's own timing block is the only thing that varies), and is
+refused when the code or the scenario has changed. Exit codes: 0
+success, 1 invalid input, 2 runtime failure, 3 benchmark quality gate
+failed.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import functools
+import math
 import os
 import sys
 import time
@@ -29,6 +33,7 @@ from . import __version__
 from .benchmarks import BENCHMARKS, generational_distance
 from .errors import CarbonOptError
 from .exports import (
+    code_sha256,
     file_sha256,
     load_manifest,
     render_events_csv,
@@ -146,6 +151,8 @@ def run_optimize(args: dict) -> tuple[int, dict[str, str]]:
 
 def run_benchmark(args: dict) -> tuple[int, dict[str, str]]:
     problem, fail_above = args["problem"], args["fail_above"]
+    if fail_above is not None and not math.isfinite(fail_above):
+        raise CarbonOptError(f"--fail-above must be finite, got {fail_above!r}")
     if problem not in BENCHMARKS:
         raise CarbonOptError(
             f"unknown problem {problem!r}; expected one of {sorted(BENCHMARKS)}"
@@ -172,11 +179,10 @@ class _RecordedArgs(dict):
     def __missing__(self, key):
         raise CarbonOptError(f"manifest args have no {key!r}; rerun the command instead")
 
-    def check_types(self, command: str) -> None:
-        """Refuse a recorded arg that is not of the type its flag parses to (an int passes
-        for a float); ``None`` passes where the flag's default is ``None``."""
-        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-        for flag in getattr(sub.choices.get(command), "_actions", ()):
+    def check_types(self, parser: argparse.ArgumentParser) -> None:
+        """Refuse a recorded arg that is not of the type its flag in ``parser`` parses to (an
+        int passes for a float); ``None`` passes where the flag's default is ``None``."""
+        for flag in parser._actions:
             if flag.dest not in self or (self[flag.dest] is None and flag.default is None):
                 continue
             value, kind = self[flag.dest], flag.type or str
@@ -189,15 +195,27 @@ class _RecordedArgs(dict):
 
 
 def run_replay(manifest_path: str, out_override: str | None) -> int:
-    """Re-run a manifest's command; refuse when the code or the scenario file has changed."""
+    """Re-run a manifest's command; refuse when the code or the scenario file has changed.
+
+    The run writes to ``out_override``, else to the recorded directory, and records
+    the directory it wrote, so that replaying its own manifest writes there again.
+    """
     manifest = load_manifest(Path(manifest_path))
-    args = _RecordedArgs(manifest["args"])
+    command, args = manifest["command"], _RecordedArgs(manifest["args"])
     if manifest["version"] != __version__:
         raise CarbonOptError(
             f"manifest version {manifest['version']!r} differs from this carbonopt "
             f"{__version__!r}; rerun the command instead"
         )
-    args.check_types(manifest["command"])
+    if manifest["code_sha256"] != code_sha256():
+        raise CarbonOptError(
+            f"manifest code_sha256 {manifest['code_sha256']!r} differs from this carbonopt's "
+            f"{code_sha256()!r}: the code changed since the run; rerun the command instead"
+        )
+    parser = build_parser()[1].get(command) if isinstance(command, str) else None
+    if parser is None or command == "replay":
+        raise CarbonOptError(f"manifest has unknown command {command!r}")
+    args.check_types(parser)
     if manifest.get("scenario_sha256") is not None:
         scenario_path = _resolve_scenario(args["scenario"])
         if file_sha256(scenario_path) != manifest["scenario_sha256"]:
@@ -205,21 +223,21 @@ def run_replay(manifest_path: str, out_override: str | None) -> int:
                 f"manifest scenario_sha256 does not match {scenario_path}: the scenario "
                 "changed since the run; rerun the command instead"
             )
-    out_dir = Path(out_override) if out_override else Path(args.get("out", _default_out_dir()))
-    return _run(manifest["command"], args, out_dir)
+    args["out"] = str(Path(out_override or args.get("out") or _default_out_dir()))
+    return _run(command, args)
 
 
-def _run(command: str, args: dict, out_dir: Path | None) -> int:
-    """Run a command; given a directory, write its files and the manifest that replays them."""
+def _run(command: str, args: dict) -> int:
+    """Run a command; when ``args["out"]`` names a directory, write the command's files
+    there with the manifest that replays them."""
     started = datetime.datetime.now(datetime.timezone.utc)
     t0 = time.perf_counter()
     if "scenario" in args:
         args["scenario"] = str(_resolve_scenario(args["scenario"]))
     runners = {"simulate": run_simulate, "optimize": run_optimize, "benchmark": run_benchmark}
-    if command not in runners:
-        raise CarbonOptError(f"manifest has unknown command {command!r}")
     code, files = runners[command](args)
-    if out_dir is not None:
+    if args["out"] is not None:
+        out_dir = Path(args["out"])
         outputs = write_output_set(out_dir, files)
         write_manifest(out_dir, {
             "command": command,
@@ -227,6 +245,7 @@ def _run(command: str, args: dict, out_dir: Path | None) -> int:
             "seed": args["seed"],
             "version": __version__,
             "scenario_sha256": file_sha256(args["scenario"]) if "scenario" in args else None,
+            "code_sha256": code_sha256(),
             "outputs": outputs,
             "timings": {
                 "started_utc": started.isoformat(timespec="seconds"),
@@ -259,7 +278,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's parser by command name."""
     parser = _Parser(
         prog="carbonopt",
         description="Carbon-tax trajectory search over a merit-order electricity market",
@@ -303,11 +323,11 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("manifest", help="path to a manifest.json")
     rep.add_argument("--out", default=None, help="override the recorded output directory")
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    args = vars(build_parser().parse_args(argv))
+    args = vars(build_parser()[0].parse_args(argv))
     command = args.pop("command")
     try:
         if command == "replay":
@@ -315,9 +335,9 @@ def main(argv=None) -> int:
         # simulate and optimize always write; benchmark only when given a directory
         if args["out"] is None and command != "benchmark":
             args["out"] = _default_out_dir()
-        out = Path(args["out"]) if args["out"] is not None else None
-        args["out"] = str(out) if out is not None else None
-        return _run(command, args, out)
+        if args["out"] is not None:
+            args["out"] = str(Path(args["out"]))  # recorded without a trailing slash
+        return _run(command, args)
     except (CarbonOptError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

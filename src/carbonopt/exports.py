@@ -9,6 +9,7 @@ temp-file rename, so a failing command leaves no partial outputs.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -180,6 +181,20 @@ def file_sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+@functools.cache
+def code_sha256() -> str:
+    """sha256 over each of the package's ``*.py`` and ``data/`` files: its relative path,
+    its size and its bytes, in sorted path order. Computed once per process."""
+    package = Path(__file__).parent
+    files = {*package.rglob("*.py"), *(package / "data").rglob("*")}
+    digest = hashlib.sha256()
+    for name in sorted(p.relative_to(package).as_posix() for p in files if p.is_file()):
+        data = (package / name).read_bytes()
+        digest.update(f"{name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
 MANIFEST_NAME = "manifest.json"
 
 
@@ -196,7 +211,7 @@ def load_manifest(path: Path) -> dict:
         raise CarbonOptError(f"cannot read manifest {path}: {exc}") from exc
     if not isinstance(raw, dict) or not isinstance(raw.get("args", {}), dict):
         raise CarbonOptError(f"manifest {path} must be a JSON object with an 'args' object")
-    for key in ("command", "args", "seed", "version"):
+    for key in ("command", "args", "seed", "version", "code_sha256"):
         if key not in raw:
             raise CarbonOptError(f"manifest {path} has no {key!r}")
     return raw

@@ -66,8 +66,8 @@ class GAConfig:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
-        if self.eta_crossover <= 0:
-            raise ValueError(f"eta_crossover must be > 0, got {self.eta_crossover}")
+        if not (math.isfinite(self.eta_crossover) and self.eta_crossover > 0):
+            raise ValueError(f"eta_crossover must be finite and > 0, got {self.eta_crossover}")
         if self.mutation_kind not in MUTATION_KINDS:
             raise ValueError(
                 f"mutation_kind must be one of {MUTATION_KINDS}, got {self.mutation_kind!r}"

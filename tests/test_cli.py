@@ -5,10 +5,15 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import carbonopt
 from carbonopt.cli import main
 from carbonopt.scenario import bundled_scenario_path, save_scenario
 
@@ -122,8 +127,12 @@ class TestSimulate:
             ("has no 'args'", lambda m: {k: v for k, v in m.items() if k != "args"}),
             ("args have no 'policy'",
              lambda m: {**m, "args": {k: v for k, v in m["args"].items() if k != "policy"}}),
+            ("has no 'code_sha256'", lambda m: {k: v for k, v in m.items() if k != "code_sha256"}),
+            ("unknown command 'replay'", lambda m: {**m, "command": "replay"}),
+            ("unknown command ['simulate']", lambda m: {**m, "command": ["simulate"]}),
         ],
-        ids=["missing-file", "json-list", "no-args", "no-policy"],
+        ids=["missing-file", "json-list", "no-args", "no-policy", "no-code-sha256",
+             "replay-command", "list-command"],
     )
     def test_replay_refuses_unreadable_manifest_with_exit_1(self, fossil_path, tmp_path, capsys,
                                                             message, edit):
@@ -394,6 +403,29 @@ class TestBenchmark:
         assert main(["replay", str(out_a / "manifest.json"), "--out", str(out_b)]) == 0
         assert (out_a / "generations.csv").read_bytes() == (out_b / "generations.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "flag, key, message",
+        [("--eta-c", "eta_c", "eta_crossover must be finite"),
+         ("--fail-above", "fail_above", "--fail-above must be finite")],
+        ids=["eta-c", "fail-above"],
+    )
+    def test_non_finite_ga_input_exits_1_by_name_also_on_replay(self, tmp_path, capsys, flag, key,
+                                                                message):
+        argv = ["benchmark", "--problem", "zdt1", "--pop", "4", "--gens", "0", "--seed", "1"]
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main([*argv, flag, "nan", "--out", str(out_a)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "genome" not in err
+        assert not out_a.exists()
+        assert main([*argv, "--out", str(out_a)]) == 0
+        manifest = json.loads((out_a / "manifest.json").read_text())
+        manifest["args"][key] = math.inf
+        (out_a / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["replay", str(out_a / "manifest.json"), "--out", str(out_b)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out_b.exists()
+
     def test_benchmark_replay_reproduces(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main([
@@ -462,7 +494,8 @@ class TestManifest:
             # only the timings vary between identical runs; the text keeps the key order
             manifest = json.loads((out / "manifest.json").read_text())
             assert list(manifest) == [
-                "command", "args", "seed", "version", "scenario_sha256", "outputs", "timings",
+                "command", "args", "seed", "version", "scenario_sha256", "code_sha256", "outputs",
+                "timings",
             ]
             del manifest["timings"]
             if drop_out:
@@ -482,3 +515,53 @@ class TestManifest:
         assert text(out_a) == first
         assert main(["replay", str(out_a / "manifest.json"), "--out", str(out_b)]) == 0
         assert text(out_b, drop_out=True) == text(out_a, drop_out=True)
+
+    def test_a_replay_records_the_directory_it_wrote(self, fossil_path, tmp_path):
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main(["simulate", "--scenario", str(fossil_path), "--policy", "flat:1",
+                     "--out", str(out_a)]) == 0
+        assert main(["replay", str(out_a / "manifest.json"), "--out", str(out_b)]) == 0
+        assert json.loads((out_b / "manifest.json").read_text())["args"]["out"] == str(out_b)
+        shutil.rmtree(out_a)
+        # the replayed run's own manifest replays into its own directory, never into a
+        assert main(["replay", str(out_b / "manifest.json")]) == 0
+        assert not out_a.exists()
+        assert json.loads((out_b / "manifest.json").read_text())["args"]["out"] == str(out_b)
+
+    def test_replay_refuses_a_manifest_written_by_other_code(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["benchmark", "--problem", "schaffer", "--pop", "8", "--gens", "2",
+                     "--seed", "2", "--out", str(out)]) == 0
+
+        def replay_with_copy(name: str, edit) -> subprocess.CompletedProcess:
+            # a copy of the package elsewhere, run by a fresh interpreter
+            root = tmp_path / name
+            copy = root / "carbonopt"
+            shutil.copytree(Path(carbonopt.__file__).parent, copy,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            edit(copy)
+            return subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from carbonopt.cli import main; sys.exit(main(sys.argv[1:]))",
+                 "replay", str(out / "manifest.json"), "--out", str(root / "out")],
+                cwd=root, env={**os.environ, "PYTHONPATH": str(root)},
+                capture_output=True, text=True, timeout=120,
+            )
+
+        def edit_constant(copy: Path) -> None:
+            path = copy / "investment.py"
+            text = path.read_text()
+            assert "REVENUE_PROBE_YEARS = 10\n" in text
+            path.write_text(text.replace("REVENUE_PROBE_YEARS = 10\n", "REVENUE_PROBE_YEARS = 9\n"))
+
+        edited = replay_with_copy("edited", edit_constant)
+        recorded = json.loads((out / "manifest.json").read_text())["code_sha256"]
+        assert edited.returncode == 1, edited.stderr
+        assert "code_sha256" in edited.stderr and recorded in edited.stderr
+        assert "rerun" in edited.stderr
+        assert not (tmp_path / "edited" / "out").exists()
+
+        same = replay_with_copy("same", lambda copy: None)
+        assert same.returncode == 0, same.stderr
+        for name in ("generations.csv", "pareto.json"):
+            assert (tmp_path / "same" / "out" / name).read_bytes() == (out / name).read_bytes()

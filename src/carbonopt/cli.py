@@ -87,7 +87,7 @@ def _ga_config(args: dict) -> GAConfig:
 
 
 def run_simulate(args: dict) -> tuple[int, dict[str, str]]:
-    scenario = load_scenario(args["scenario"])
+    scenario = load_scenario(_resolve_scenario(args["scenario"]))
     policy = parse_policy_spec(args["policy"], scenario.horizon_years)
     result = run_simulation(scenario, policy, args["seed"])
     print(
@@ -116,7 +116,7 @@ def run_optimize(args: dict) -> tuple[int, dict[str, str]]:
     jobs = args["jobs"]
     if jobs < 1:
         raise CarbonOptError(f"--jobs must be >= 1, got {jobs}")
-    scenario = load_scenario(args["scenario"])
+    scenario = load_scenario(_resolve_scenario(args["scenario"]))
     kind = args["kind"]
     if kind not in POLICY_KINDS:
         raise CarbonOptError(f"unknown policy kind {kind!r}; expected one of {POLICY_KINDS}")
@@ -223,7 +223,7 @@ def run_replay(manifest_path: str, out_override: str | None) -> int:
                 f"manifest scenario_sha256 does not match {scenario_path}: the scenario "
                 "changed since the run; rerun the command instead"
             )
-    args["out"] = str(Path(out_override or args.get("out") or _default_out_dir()))
+    args["out"] = out_override or args.get("out") or _default_out_dir()
     return _run(command, args)
 
 
@@ -232,8 +232,15 @@ def _run(command: str, args: dict) -> int:
     there with the manifest that replays them."""
     started = datetime.datetime.now(datetime.timezone.utc)
     t0 = time.perf_counter()
+    scenario_sha256 = None
     if "scenario" in args:
-        args["scenario"] = str(_resolve_scenario(args["scenario"]))
+        # a file is recorded by its absolute path and a bundled scenario by its name, so a
+        # replay finds either from any directory, the bundled one in its own package
+        if Path(args["scenario"]).is_file():
+            args["scenario"] = os.path.abspath(args["scenario"])
+        scenario_sha256 = file_sha256(_resolve_scenario(args["scenario"]))
+    if args["out"] is not None:
+        args["out"] = os.path.abspath(args["out"])
     runners = {"simulate": run_simulate, "optimize": run_optimize, "benchmark": run_benchmark}
     code, files = runners[command](args)
     if args["out"] is not None:
@@ -244,7 +251,7 @@ def _run(command: str, args: dict) -> int:
             "args": args,
             "seed": args["seed"],
             "version": __version__,
-            "scenario_sha256": file_sha256(args["scenario"]) if "scenario" in args else None,
+            "scenario_sha256": scenario_sha256,
             "code_sha256": code_sha256(),
             "outputs": outputs,
             "timings": {
@@ -335,8 +342,6 @@ def main(argv=None) -> int:
         # simulate and optimize always write; benchmark only when given a directory
         if args["out"] is None and command != "benchmark":
             args["out"] = _default_out_dir()
-        if args["out"] is not None:
-            args["out"] = str(Path(args["out"]))  # recorded without a trailing slash
         return _run(command, args)
     except (CarbonOptError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,7 +9,8 @@ at the scenario's loss-of-load price.
 One kernel, ``MarketYear``, clears every production market: the spot
 market of each simulated year (``run_year``) and the investment probes'
 future markets. SRMC depends on the year and the carbon price, not on
-the segment, so a market-year sorts its plants once and keeps them as a
+the segment, so ``MarketYear.offer`` prices a technology once per
+market-year, and a market-year sorts its plants once and keeps them as a
 (segment x offer) availability matrix in merit order, plus the demand
 each segment has left before each offer, ``np.subtract.accumulate`` over
 demand and offers. That accumulate subtracts strictly left to right, the
@@ -20,9 +21,9 @@ rather than ``(d - a) - b``, which rounds differently. Yearly totals are
 likewise added up in Python floats, segment by segment and in merit
 order within a segment, which is the order a segment-by-segment fill
 produces them in; ``np.sum`` would add pairwise and round differently.
-A probe candidate is bisected into the order and only the offers after
-it are accumulated again; plants bought later are inserted with
-``MarketYear.add``.
+``MarketYear.probe`` prices one more unit of a technology: the unit is
+bisected into the order and only the offers after it are accumulated
+again. Plants bought later are inserted with ``MarketYear.add``.
 
 ``Bid``, ``build_bids`` and ``clear_segment`` clear one segment the
 plain way, bid by bid; the tests hold the kernel to them with ``==``.
@@ -122,6 +123,10 @@ def build_bids(
     ]
 
 
+# The plant id a probed unit sorts by among offers of equal SRMC and emission factor.
+CANDIDATE_ID = "__candidate__"
+
+
 def merit_key(plant: PowerPlant, cost: float):
     """Ascending SRMC; ties broken by lower emission factor, then plant id."""
     return (cost, plant.technology.emission_factor, plant.id)
@@ -207,22 +212,28 @@ class MarketYear:
         self._segments = [segment for _, segment in days]
         self._demand = np.array([[segment.demand_mw * scale] for _, segment in days])
         self._hours = np.array([segment.duration_hours * day.weight_days for day, segment in days])
-        self._factors: dict[str | None, np.ndarray] = {}
+        self._offers: dict[str, tuple[float, np.ndarray]] = {}
         self._plants: list[PowerPlant] = []  # the plant offers, in merit order
         self._keys: list[tuple] = []  # their ascending merit keys
         self._cost = np.array([s.loss_of_load_price])  # SRMC per offer, loss of load last
         self._avail = np.full((len(days), 1), np.inf)
         self.add(fleet)
 
-    def _weather(self, tech: Technology) -> np.ndarray:
-        """Per-segment availability factor: the weather profile's for intermittents, else 1."""
-        profile = tech.weather_profile if tech.is_intermittent else None
-        factors = self._factors.get(profile)
-        if factors is None:
-            factors = self._factors[profile] = np.array(
-                [1.0 if profile is None else seg.capacity_factor(profile) for seg in self._segments]
-            )
-        return factors
+    def offer(self, tech: Technology) -> tuple[float, np.ndarray]:
+        """SRMC and per-segment availability factors of one unit of ``tech`` in the market-year.
+
+        Worked out once per technology name (names are unique in a scenario); the
+        factors are the weather profile's for an intermittent technology, else 1.
+        """
+        offer = self._offers.get(tech.name)
+        if offer is None:
+            cost = srmc_by_technology([tech], self.year, self.carbon_price, self._s)[tech.name]
+            factors = np.array([
+                seg.capacity_factor(tech.weather_profile) if tech.is_intermittent else 1.0
+                for seg in self._segments
+            ])
+            offer = self._offers[tech.name] = (cost, factors)
+        return offer
 
     def add(self, plants: list[PowerPlant]) -> None:
         """Add the plants active in the market-year, as if appended to the fleet.
@@ -232,14 +243,12 @@ class MarketYear:
         """
         active = [p for p in plants if p.active_in(self.year)]
         if active:
-            cost_of = srmc_by_technology(
-                {p.technology for p in active}, self.year, self.carbon_price, self._s
-            )
-            keys = self._keys + [merit_key(p, cost_of[p.technology.name]) for p in active]
+            offers = [self.offer(p.technology) for p in active]
+            keys = self._keys + [merit_key(p, cost) for p, (cost, _) in zip(active, offers)]
             order = sorted(range(len(keys)), key=keys.__getitem__)
             n = len(self._keys)
             capacity = np.array([p.technology.capacity_mw * p.unit_count for p in active])
-            added = np.column_stack([self._weather(p.technology) for p in active]) * capacity
+            added = np.column_stack([factors for _, factors in offers]) * capacity
             plants = self._plants + active
             self._plants = [plants[i] for i in order]
             self._keys = [keys[i] for i in order]
@@ -297,21 +306,19 @@ class MarketYear:
             carbon_intensity=emissions / served_mwh if served_mwh > 0 else 0.0,
         )
 
-    def probe(self, unit: PowerPlant) -> tuple[float, float]:
-        """Energy (MWh) and revenue (£) of ``unit`` added to the market's fleet.
+    def probe(self, tech: Technology) -> tuple[float, float]:
+        """Energy (MWh) and revenue (£) of one more unit of ``tech`` in the market-year.
 
-        Equal, with ``==``, to the unit's totals over a segment-by-segment
-        ``clear_segment`` of ``fleet + [unit]`` (0.0 when it is never
-        dispatched). Only the offers after the unit are accumulated again.
+        Equal, with ``==``, to the totals of a unit with id ``CANDIDATE_ID``
+        over a segment-by-segment ``clear_segment`` of ``fleet + [unit]``
+        (0.0 when it is never dispatched). Only the offers after the unit
+        are accumulated again.
         """
-        if not unit.active_in(self.year):
-            return 0.0, 0.0
-        tech = unit.technology
-        cost = srmc_by_technology([tech], self.year, self.carbon_price, self._s)[tech.name]
+        cost, factors = self.offer(tech)
         # a stable sort of fleet + [unit] puts the unit after every equal key
-        at = bisect_right(self._keys, merit_key(unit, cost))
+        at = bisect_right(self._keys, (cost, tech.emission_factor, CANDIDATE_ID))
         remaining = self._left[:, at]
-        available = tech.capacity_mw * unit.unit_count * self._weather(tech)
+        available = tech.capacity_mw * factors
         dispatched = (remaining > 0.0) & (available > 0.0)
         if not dispatched.any():
             return 0.0, 0.0  # the fill ends before the unit, or passes it by, everywhere

@@ -9,26 +9,24 @@ history. Positive-NPV options are bought greedily, best first, while the
 budget lasts.
 
 All candidates of one investment state (decision year, fleet) share that
-future market, a ``MarketYear`` that prices each catalog candidate
-without clearing the whole market again. Every valuation goes through the
-decision year's ``YearProbes``, which holds the year's forecast and one
-such market: every company of the year sees the same future year and
-forecast, and the states of the year differ only by the plants bought
-meanwhile, which ``MarketYear.add`` inserts. The figures equal those of
-clearing ``fleet + [candidate]`` from scratch bit for bit.
+future market, a ``MarketYear`` whose ``probe`` prices one more unit of a
+technology without clearing the whole market again. Every valuation goes
+through the decision year's ``YearProbes``, which holds the year's
+forecast and one such market: every company of the year sees the same
+future year and forecast, and the states of the year differ only by the
+plants bought meanwhile, which ``MarketYear.add`` inserts. The figures
+equal those of clearing ``fleet + [candidate]`` from scratch bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .dispatch import MarketYear, srmc
+from .dispatch import MarketYear
 from .scenario import PowerPlant, Scenario, Technology
 
 # How far ahead the revenue-probe market is simulated.
 REVENUE_PROBE_YEARS = 10
-
-_PROBE_PLANT_ID = "__candidate__"
 
 
 @dataclass(frozen=True)
@@ -103,40 +101,16 @@ def estimate_yearly_revenue(
     The market for ``decision_year`` + 10 is cleared with the candidate
     unit added to the fleet that will still be active then, at the
     forecast carbon price. The unit's revenue at clearing prices minus
-    its running costs (fuel, variable O&M, carbon, fixed O&M) stands in
-    for every operating year of its life. ``market`` is that future
-    market for this very (decision year, fleet, forecast); without it
-    one is built here.
+    its running costs (its SRMC in that market, ``MarketYear.offer``,
+    and fixed O&M) stands in for every operating year of its life.
+    ``market`` is that future market for this very (decision year,
+    fleet, forecast); without it one is built here.
     """
     if market is None:
         market = probe_market(fleet, decision_year, s, carbon_forecast)
-    future_year = market.year
-    probe = PowerPlant(
-        id=_PROBE_PLANT_ID,
-        technology=candidate,
-        owner="probe",
-        commission_year=future_year,
-        unit_count=1,
-    )
-    energy, revenue = market.probe(probe)
-    fuel_price = (
-        s.fuel_price(candidate.fuel_kind, future_year) if candidate.fuel_kind else 0.0
-    )
-    running_cost = energy * srmc(candidate, fuel_price, market.carbon_price)
+    energy, revenue = market.probe(candidate)
+    running_cost = energy * market.offer(candidate)[0]
     return revenue - running_cost - candidate.fixed_om * candidate.capacity_mw
-
-
-def _unit_npv(
-    tech: Technology,
-    decision_year: int,
-    s: Scenario,
-    fleet: list[PowerPlant],
-    forecast: CarbonForecast,
-    market: MarketYear,
-) -> float:
-    capital = tech.capital_cost * tech.capacity_mw
-    yearly = estimate_yearly_revenue(tech, decision_year, s, fleet, forecast, market)
-    return npv([-capital] + [yearly] * tech.lifetime_years, s.discount_rate)
 
 
 @dataclass
@@ -165,12 +139,13 @@ class YearProbes:
             else:
                 self.market.add(fleet[self.plants_seen:])
             self.plants_seen = len(fleet)
-            valuations = self.valuations[len(fleet)] = {
-                tech.name: _unit_npv(
+            valuations = self.valuations[len(fleet)] = {}
+            for tech in s.technologies:
+                yearly = estimate_yearly_revenue(
                     tech, self.decision_year, s, fleet, self.forecast, self.market
                 )
-                for tech in s.technologies
-            }
+                flows = [-tech.capital_cost * tech.capacity_mw] + [yearly] * tech.lifetime_years
+                valuations[tech.name] = npv(flows, s.discount_rate)
         return valuations
 
 

@@ -68,6 +68,8 @@ class GAConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
         if not (math.isfinite(self.eta_crossover) and self.eta_crossover > 0):
             raise ValueError(f"eta_crossover must be finite and > 0, got {self.eta_crossover}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.mutation_kind not in MUTATION_KINDS:
             raise ValueError(
                 f"mutation_kind must be one of {MUTATION_KINDS}, got {self.mutation_kind!r}"

@@ -64,10 +64,6 @@ class PowerPlant:
     unit_count: Annotated[int, ">= 1"]
 
     @property
-    def capacity_mw(self) -> float:
-        return self.technology.capacity_mw * self.unit_count
-
-    @property
     def retirement_year(self) -> int:
         return self.commission_year + self.technology.lifetime_years
 
@@ -133,10 +129,6 @@ class Scenario:
     @property
     def final_year(self) -> int:
         return self.start_year + self.horizon_years - 1
-
-    @property
-    def years(self) -> range:
-        return range(self.start_year, self.start_year + self.horizon_years)
 
     def fuel_price(self, fuel_kind: str, year: int) -> float:
         """Fuel price for a calendar year; years past the series end are held at the last value."""

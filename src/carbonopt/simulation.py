@@ -62,6 +62,8 @@ def run_simulation(s: Scenario, policy: CarbonPolicy, seed: int) -> SimulationRe
     policy parameters are re-checked against their bounds here. Budgets
     and the fleet are run-local: the scenario is never changed.
     """
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     check_bounds(policy, s.horizon_years)
     fleet = list(s.initial_fleet)
     budgets = {g.id: g.budget for g in s.gencos}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -436,6 +437,32 @@ class TestBenchmark:
         assert (out_a / "generations.csv").read_bytes() == (out_b / "generations.csv").read_bytes()
 
 
+class TestSeed:
+    @pytest.mark.parametrize("command", ["simulate", "optimize", "benchmark"])
+    def test_negative_seed_exits_1_naming_it_also_on_replay(self, command, static_fossil_scenario,
+                                                            tmp_path, capsys):
+        noisy = tmp_path / "noisy.scenario"  # a noisy scenario draws from the seed
+        save_scenario(dataclasses.replace(static_fossil_scenario, demand_noise_std=0.05), noisy)
+        argv = {
+            "simulate": ["--scenario", str(noisy), "--policy", "flat:1"],
+            "optimize": ["--scenario", str(noisy), "--kind", "linear", "--pop", "4",
+                         "--gens", "1", "--jobs", "1"],
+            "benchmark": ["--problem", "schaffer", "--pop", "4", "--gens", "1"],
+        }[command]
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main([command, *argv, "--seed", "-3", "--out", str(out_a)]) == 1
+        assert "seed must be >= 0, got -3" in capsys.readouterr().err
+        assert not out_a.exists()
+        assert main([command, *argv, "--seed", "0", "--out", str(out_a)]) == 0
+        manifest = json.loads((out_a / "manifest.json").read_text())
+        manifest["args"]["seed"] = -3
+        (out_a / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["replay", str(out_a / "manifest.json"), "--out", str(out_b)]) == 1
+        assert "seed must be >= 0, got -3" in capsys.readouterr().err
+        assert not out_b.exists()
+
+
 class TestOutDirDefault:
     def test_env_var_overrides_default_out_dir(self, fossil_path, tmp_path, monkeypatch):
         target = tmp_path / "env-out"
@@ -527,6 +554,27 @@ class TestManifest:
         assert main(["replay", str(out_b / "manifest.json")]) == 0
         assert not out_a.exists()
         assert json.loads((out_b / "manifest.json").read_text())["args"]["out"] == str(out_b)
+
+    @pytest.mark.parametrize("scenario", ["my.scenario", "uk_synthetic"])
+    def test_a_run_replays_from_another_directory(self, scenario, fossil_path, tmp_path,
+                                                  monkeypatch):
+        # a scenario file is recorded by its absolute path, a bundled one by its name
+        x, y = tmp_path / "x", tmp_path / "y"
+        x.mkdir()
+        y.mkdir()
+        shutil.copy(fossil_path, x / "my.scenario")
+        monkeypatch.chdir(x)
+        assert main(["simulate", "--scenario", scenario, "--policy", "flat:1",
+                     "--out", "../run"]) == 0
+        monkeypatch.chdir(y)
+        assert main(["replay", "../run/manifest.json", "--out", "../again"]) == 0
+        run, again = tmp_path / "run", tmp_path / "again"
+        args = json.loads((run / "manifest.json").read_text())["args"]
+        recorded = str(x / "my.scenario") if scenario == "my.scenario" else scenario
+        assert (args["scenario"], args["out"]) == (recorded, str(run))
+        assert json.loads((again / "manifest.json").read_text())["args"]["out"] == str(again)
+        for name in ("events.csv", "objectives.json", "per_year.csv", "year_summary.csv"):
+            assert (again / name).read_bytes() == (run / name).read_bytes()
 
     def test_replay_refuses_a_manifest_written_by_other_code(self, tmp_path):
         out = tmp_path / "out"

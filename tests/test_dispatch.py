@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carbonopt.dispatch import (
+    CANDIDATE_ID,
     Bid,
     MarketYear,
     YearResult,
@@ -17,7 +18,9 @@ from carbonopt.dispatch import (
     merit_order_key,
     run_year,
     srmc,
+    srmc_by_technology,
 )
+from carbonopt import dispatch
 from carbonopt.errors import ConfigurationError
 from carbonopt.scenario import DaySegment, PowerPlant, RepresentativeDay
 
@@ -304,7 +307,7 @@ class TestRunYear:
         assert result.emissions_t == pytest.approx(350400.0 * 0.2)
         assert result.carbon_intensity == pytest.approx(350400.0 * 0.2 / 876000.0)
         # "a" earns the 10 £/MWh set by "b" on all it runs
-        assert MarketYear([p2], 2020, 0.0, s).probe(p1) == pytest.approx((525600.0, 525600.0 * 10.0))
+        assert MarketYear([p2], 2020, 0.0, s).probe(p1.technology) == pytest.approx((525600.0, 525600.0 * 10.0))
 
     def test_demand_growth_scales_each_year(self, static_fossil_scenario):
         import dataclasses
@@ -425,7 +428,7 @@ def probe_markets(draw):
 def candidates(s, year):
     """One probe unit per catalog technology, commissioned in ``year``."""
     return [
-        PowerPlant(id="__candidate__", technology=tech, owner="probe", commission_year=year, unit_count=1)
+        PowerPlant(id=CANDIDATE_ID, technology=tech, owner="probe", commission_year=year, unit_count=1)
         for tech in s.technologies
     ]
 
@@ -448,7 +451,7 @@ class TestProbeMarket:
         s, fleet, year, carbon_price = case
         market = MarketYear(fleet, year, carbon_price, s)
         for unit in candidates(s, year):
-            assert market.probe(unit) == reference_probe(fleet, unit, year, carbon_price, s)
+            assert market.probe(unit.technology) == reference_probe(fleet, unit, year, carbon_price, s)
 
     @given(case=probe_markets(), data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -473,8 +476,29 @@ class TestProbeMarket:
         fresh = MarketYear(fleet + plants, year, carbon_price, s)
         for unit in candidates(s, year):
             expected = reference_probe(fleet + plants, unit, year, carbon_price, s)
-            assert market.probe(unit) == expected
-            assert fresh.probe(unit) == expected
+            assert market.probe(unit.technology) == expected
+            assert fresh.probe(unit.technology) == expected
+
+    @given(case=probe_markets())
+    @settings(max_examples=100, deadline=None)
+    def test_each_technology_is_priced_once_per_market_year(self, case):
+        s, fleet, year, carbon_price = case
+        calls = []
+
+        def counted(technologies, *args):
+            calls.append([tech.name for tech in technologies])
+            return srmc_by_technology(technologies, *args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dispatch, "srmc_by_technology", counted)
+            market = MarketYear(fleet, year, carbon_price, s)
+            market.add(candidates(s, year))
+            for tech in s.technologies + s.technologies:
+                market.probe(tech)
+        assert len(calls) == len(s.technologies)
+        assert sorted(name for names in calls for name in names) == sorted(
+            tech.name for tech in s.technologies
+        )
 
     def test_unit_after_every_offer_sets_the_price(self, static_fossil_scenario):
         # gas at SRMC 43 covers 100 of the 150 MW; the peaker sorts last and
@@ -488,7 +512,7 @@ class TestProbeMarket:
             s_busy = make_scenario([s.technologies[0], peaker], fleet, days=(busy,))
             market = MarketYear(fleet, 2020, 0.0, s_busy)
             (unit,) = candidates(s_busy, 2020)[1:]
-            energy, revenue = market.probe(unit)
+            energy, revenue = market.probe(unit.technology)
             assert (energy, revenue) == reference_probe(fleet, unit, 2020, 0.0, s_busy)
             assert energy == min(capacity, 50.0) * 8760.0
             assert revenue == energy * price
@@ -502,14 +526,7 @@ class TestProbeMarket:
         s_short = make_scenario(list(s.technologies), fleet, days=(starved,))
         market = MarketYear(fleet, 2020, 10.0, s_short)
         (unit,) = candidates(s_short, 2020)
-        energy, revenue = market.probe(unit)
+        energy, revenue = market.probe(unit.technology)
         assert (energy, revenue) == reference_probe(fleet, unit, 2020, 10.0, s_short)
         assert energy == 100.0 * 8.0 * 365.0 + 100.0 * 16.0 * 365.0
         assert revenue == pytest.approx(energy * VOLL)
-
-    def test_inactive_unit_earns_nothing(self, static_fossil_scenario):
-        s = static_fossil_scenario
-        market = MarketYear(list(s.initial_fleet), 2020, 0.0, s)
-        late = PowerPlant(id="late", technology=s.technologies[0], owner="g1",
-                          commission_year=2021, unit_count=1)
-        assert market.probe(late) == (0.0, 0.0)

@@ -515,6 +515,7 @@ class TestGAConfig:
             dict(mutation_probability=-0.1),
             dict(eta_crossover=0.0),
             dict(mutation_kind="gaussian"),
+            dict(seed=-1),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

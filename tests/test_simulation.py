@@ -95,6 +95,12 @@ class TestRunSimulation:
         with pytest.raises(ConfigurationError):
             run_simulation(s, flat(0.0, 2), seed=0)
 
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    def test_negative_seed_is_refused_by_name(self, static_fossil_scenario, noise):
+        s = dataclasses.replace(static_fossil_scenario, demand_noise_std=noise)
+        with pytest.raises(ConfigurationError, match=r"seed must be >= 0, got -1"):
+            run_simulation(s, flat(0.0, 2), seed=-1)
+
     def test_demand_noise_hook_reacts_to_seed(self, static_fossil_scenario):
         noisy = dataclasses.replace(static_fossil_scenario, demand_noise_std=0.05)
         a = run_simulation(noisy, flat(10.0, 2), seed=1)

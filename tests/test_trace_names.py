@@ -33,3 +33,17 @@ def test_every_traced_name_is_a_function_of_its_module(spans):
 def test_every_name_the_metrics_read_is_traced(spans):
     read = set(spans.NOTES) | {*spans.FITNESS, *spans.VARIATION, *spans.WRITES}
     assert read <= traced_names(spans), sorted(read - traced_names(spans))
+
+
+def test_a_traced_simulation_counts_the_pinned_valuations(spans, tmp_path, capsys):
+    # figures measured on uk_synthetic: NOTES reads the probed state from the
+    # positional args of estimate_yearly_revenue, so they move when those do
+    from carbonopt import cli
+
+    tracer = spans.Tracer()
+    with tracer.installed():
+        argv = ["simulate", "--scenario", "uk_synthetic", "--policy", "flat:0"]
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    metrics = spans.layer_metrics(tracer, 1)
+    assert metrics["investment.valuation_reuse_ratio"] == 0.3016759776536313
+    assert metrics["investment.calls"] == 1840

@@ -10,20 +10,22 @@ One kernel, ``MarketYear``, clears every production market: the spot
 market of each simulated year (``run_year``) and the investment probes'
 future markets. SRMC depends on the year and the carbon price, not on
 the segment, so ``MarketYear.offer`` prices a technology once per
-market-year, and a market-year sorts its plants once and keeps them as a
-(segment x offer) availability matrix in merit order, plus the demand
-each segment has left before each offer, ``np.subtract.accumulate`` over
-demand and offers. That accumulate subtracts strictly left to right, the
+market-year. A market-year keeps its plants as an (offer x segment)
+availability matrix in merit order; plants bought later go in with one
+``np.insert`` per array at their ``bisect_right`` positions. The demand
+each segment has left before each offer is ``np.subtract.accumulate``
+over demand and offers, worked out when the market clears (probe
+markets never do). That accumulate subtracts strictly in order, the
 same operations in the same order as the greedy fill's
 ``remaining -= take``, so it is bit-exact. ``demand - np.cumsum(...)``
 is not: it adds the offers up first and subtracts once, ``d - (a + b)``
-rather than ``(d - a) - b``, which rounds differently. Yearly totals are
-likewise added up in Python floats, segment by segment and in merit
-order within a segment, which is the order a segment-by-segment fill
+rather than ``(d - a) - b``, which rounds differently. Totals are
+likewise added strictly in order (``_total``), segment by segment and
+in merit order within a segment, the order a segment-by-segment fill
 produces them in; ``np.sum`` would add pairwise and round differently.
-``MarketYear.probe`` prices one more unit of a technology: the unit is
-bisected into the order and only the offers after it are accumulated
-again. Plants bought later are inserted with ``MarketYear.add``.
+``MarketYear.probe_all`` prices one more unit of each catalog technology
+in one pass: an (offer x technology x segment) grid with each unit at
+its ``bisect_right`` position, and one accumulate down it.
 
 ``Bid``, ``build_bids`` and ``clear_segment`` clear one segment the
 plain way, bid by bid; the tests hold the kernel to them with ``==``.
@@ -182,18 +184,18 @@ def run_year(
 
 
 class MarketYear:
-    """A fleet's market-year: cleared as a whole, or pricing any one added unit.
+    """A fleet's market-year: cleared as a whole, or pricing one added unit per technology.
 
-    It keeps a (segment x offer) availability matrix in merit order,
+    It keeps an (offer x segment) availability matrix in merit order,
     closed by a loss-of-load offer of unlimited MW at the loss-of-load
-    price, and ``left``: the demand each segment has left before each
-    offer. ``left`` is ``np.subtract.accumulate`` over the segment's
-    demand and its offers, which subtracts strictly left to right, so it
-    equals the greedy fill's running ``remaining`` (see ``clear_segment``)
-    bit for bit up to the marginal offer (an offer that is not marginal
-    gives all its MW, and subtracting 0 MW changes nothing). Past the
-    marginal offer ``left`` is <= 0, so an offer is dispatched exactly
-    where the demand left before it and its own MW are both > 0.
+    price. The demand each segment has left before each offer,
+    ``np.subtract.accumulate`` over its demand and offers, equals the
+    greedy fill's running ``remaining`` (see ``clear_segment``) bit for
+    bit up to the marginal offer (an offer that is not marginal gives all
+    its MW, and subtracting 0 MW changes nothing). It never rises, and
+    past the marginal offer it is <= 0, so an offer is dispatched exactly
+    where the demand left before it and its own MW are both > 0, and the
+    marginal offer is the one after which it is first <= 0.
     """
 
     def __init__(
@@ -210,13 +212,14 @@ class MarketYear:
         scale = s.demand_scale(year) * demand_scale
         days = [(day, segment) for day in s.representative_days for segment in day.segments]
         self._segments = [segment for _, segment in days]
-        self._demand = np.array([[segment.demand_mw * scale] for _, segment in days])
+        self._demand = np.array([segment.demand_mw * scale for _, segment in days])
         self._hours = np.array([segment.duration_hours * day.weight_days for day, segment in days])
         self._offers: dict[str, tuple[float, np.ndarray]] = {}
         self._plants: list[PowerPlant] = []  # the plant offers, in merit order
         self._keys: list[tuple] = []  # their ascending merit keys
         self._cost = np.array([s.loss_of_load_price])  # SRMC per offer, loss of load last
-        self._avail = np.full((len(days), 1), np.inf)
+        self._avail = np.full((1, len(days)), np.inf)
+        self._batch: dict[str, tuple[float, float]] | None = None  # probes of the catalog
         self.add(fleet)
 
     def offer(self, tech: Technology) -> tuple[float, np.ndarray]:
@@ -238,71 +241,62 @@ class MarketYear:
     def add(self, plants: list[PowerPlant]) -> None:
         """Add the plants active in the market-year, as if appended to the fleet.
 
-        Equal keys keep their order, so the offers end up in the order a
-        stable sort of ``fleet + plants`` by merit key gives.
+        Sorted stably by merit key, each goes in after every offer of an equal
+        key (``bisect_right``), so the offers end up in the order a stable
+        sort of ``fleet + plants`` gives. Probes priced before are dropped.
         """
         active = [p for p in plants if p.active_in(self.year)]
-        if active:
-            offers = [self.offer(p.technology) for p in active]
-            keys = self._keys + [merit_key(p, cost) for p, (cost, _) in zip(active, offers)]
-            order = sorted(range(len(keys)), key=keys.__getitem__)
-            n = len(self._keys)
-            capacity = np.array([p.technology.capacity_mw * p.unit_count for p in active])
-            added = np.column_stack([factors for _, factors in offers]) * capacity
-            plants = self._plants + active
-            self._plants = [plants[i] for i in order]
-            self._keys = [keys[i] for i in order]
-            # [:, n:] is the loss-of-load offer, which stays last
-            cost = np.append(self._cost[:n], [k[0] for k in keys[n:]])[order]
-            avail = np.hstack((self._avail[:, :n], added))[:, order]
-            self._cost = np.append(cost, self._cost[n:])
-            self._avail = np.hstack((avail, self._avail[:, n:]))
-        self._left = np.subtract.accumulate(np.hstack((self._demand, self._avail)), axis=1)
+        if not active:
+            return
+        self._batch = None
+        offers = [self.offer(p.technology) for p in active]
+        keys = [merit_key(p, cost) for p, (cost, _) in zip(active, offers)]
+        order = sorted(range(len(active)), key=keys.__getitem__)
+        at = [bisect_right(self._keys, keys[i]) for i in order]
+        for shift, (i, k) in enumerate(zip(order, at)):  # each insert moves the later ones on
+            self._keys.insert(k + shift, keys[i])
+            self._plants.insert(k + shift, active[i])
+        factors = np.array([offers[i][1] for i in order])
+        capacity = [active[i].technology.capacity_mw * active[i].unit_count for i in order]
+        # at <= the plant offers held, so the loss-of-load offer stays last
+        self._cost = np.insert(self._cost, at, [keys[i][0] for i in order])
+        self._avail = np.insert(self._avail, at, factors * np.array(capacity)[:, None], axis=0)
 
     def clear(self) -> YearResult:
         """The market-year cleared with the plants it holds, aggregated to yearly totals.
 
-        Totals are added up in Python floats segment by segment, each
-        segment in merit order (the order ``clear_segment`` dispatches
-        in), so they equal a segment-by-segment aggregation bit for bit
-        and ``energy_by_technology`` keeps its first-dispatch key order.
+        Totals are added up segment by segment, each segment in merit order
+        (the order ``clear_segment`` dispatches in), so they equal a
+        segment-by-segment aggregation bit for bit and
+        ``energy_by_technology`` keeps its first-dispatch key order.
         """
         n = len(self._plants)
+        left = np.subtract.accumulate(np.vstack((self._demand, self._avail)), axis=0)
         # The loss-of-load offer, last, is dispatched exactly where the segment runs
-        # short, so the last offer dispatched in a segment sets its price.
-        dispatched = (self._left[:, :-1] > 0.0) & (self._avail > 0.0)
-        last = np.max(np.where(dispatched, np.arange(n + 1), -1), axis=1)
-        price = np.where(last >= 0, self._cost[last], 0.0)  # 0 where there is no demand
-        unserved = np.where(dispatched[:, n], self._left[:, n], 0.0)
-        left, avail = self._left[:, :n], self._avail[:, :n]
-        take = np.where(avail < left, avail, left)
+        # short, so the marginal offer sets the price; -1 where there is no demand.
+        last = np.count_nonzero(left > 0.0, axis=0) - 1
+        price = np.where(last >= 0, self._cost[last], 0.0)
+        unserved = np.where(left[n] > 0.0, left[n], 0.0)
+        left, avail = left[:n].T, self._avail[:n].T  # segment-major, as the totals add up
+        segments, offers = np.nonzero((left > 0.0) & (avail > 0.0))
+        energy = np.where(avail < left, avail, left)[segments, offers] * self._hours[segments]
 
-        energy_by_tech: dict[str, float] = {}
-        emissions = served_mwh = 0.0
-        # row-major: segment by segment, each in merit order
-        rows, cols = np.nonzero(dispatched[:, :n])
-        for k, energy in zip(cols.tolist(), (take[rows, cols] * self._hours[rows]).tolist()):
-            tech = self._plants[k].technology
-            energy_by_tech[tech.name] = energy_by_tech.get(tech.name, 0.0) + energy
-            emissions += energy * tech.emission_factor
-            served_mwh += energy
+        code: dict[str, int] = {}  # technology name -> index
+        tech_of = np.array([code.setdefault(p.technology.name, len(code)) for p in self._plants])
+        factor = np.array([p.technology.emission_factor for p in self._plants])[offers]
+        names, tech_of = list(code), tech_of[offers]
+        energy_by_tech = {  # in first-dispatch order
+            names[k]: _total(energy[tech_of == k]) for k in dict.fromkeys(tech_of.tolist())
+        }
+        emissions, served_mwh = _total(energy * factor), _total(energy)
 
-        unserved_mwh = price_weighted = demand_mwh = 0.0
-        seg_demand_mwh = self._demand[:, 0] * self._hours
-        for seg_unserved, seg_weighted, seg_mwh in zip(
-            (unserved * self._hours).tolist(),
-            (price * seg_demand_mwh).tolist(),
-            seg_demand_mwh.tolist(),
-        ):
-            unserved_mwh += seg_unserved
-            price_weighted += seg_weighted
-            demand_mwh += seg_mwh
-
+        seg_demand_mwh = self._demand * self._hours
+        demand_mwh = _total(seg_demand_mwh)
         return YearResult(
             energy_by_technology=energy_by_tech,
             emissions_t=emissions,
-            average_price=price_weighted / demand_mwh if demand_mwh > 0 else 0.0,
-            unserved_mwh=unserved_mwh,
+            average_price=_total(price * seg_demand_mwh) / demand_mwh if demand_mwh > 0 else 0.0,
+            unserved_mwh=_total(unserved * self._hours),
             carbon_intensity=emissions / served_mwh if served_mwh > 0 else 0.0,
         )
 
@@ -311,30 +305,56 @@ class MarketYear:
 
         Equal, with ``==``, to the totals of a unit with id ``CANDIDATE_ID``
         over a segment-by-segment ``clear_segment`` of ``fleet + [unit]``
-        (0.0 when it is never dispatched). Only the offers after the unit
-        are accumulated again.
+        (0.0 when it is never dispatched). The first probe after a build or
+        an ``add`` prices the scenario's whole catalog with ``probe_all``;
+        a technology outside the catalog is priced alone.
         """
-        cost, factors = self.offer(tech)
+        if self._batch is None:
+            self._batch = self.probe_all(self._s.technologies)
+        found = self._batch.get(tech.name)
+        return found if found is not None else self.probe_all([tech])[tech.name]
+
+    def probe_all(self, techs) -> dict[str, tuple[float, float]]:
+        """``probe`` of each of ``techs``, by name, in one (offer x tech x segment) pass.
+
+        A technology's column of the grid is the demand, then the offers
+        in merit order with one unit of it where a stable sort of
+        ``fleet + [unit]`` puts it. One ``np.subtract.accumulate`` down the
+        grid gives the demand left before each offer, up to the unit
+        exactly as ``clear`` has it; where the unit is short (gives all it
+        has) it goes on as the fill does, and the first offer after which
+        nothing is left sets the price. Elsewhere the unit's SRMC does.
+        """
+        offers = [self.offer(tech) for tech in techs]
+        cost = np.array([c for c, _ in offers])
         # a stable sort of fleet + [unit] puts the unit after every equal key
-        at = bisect_right(self._keys, (cost, tech.emission_factor, CANDIDATE_ID))
-        remaining = self._left[:, at]
-        available = tech.capacity_mw * factors
+        at = np.array([
+            bisect_right(self._keys, (c, tech.emission_factor, CANDIDATE_ID))
+            for tech, (c, _) in zip(techs, offers)
+        ])
+        available = np.array([f * tech.capacity_mw for tech, (_, f) in zip(techs, offers)])
+        # A unit's grid column takes rows 0..at of [demand; offers], then its own row
+        # (stacked after the offers), then the rest: grid row r > at + 1 is row r - 1.
+        rows, cols = np.arange(len(self._avail) + 2)[:, None], np.arange(len(techs))
+        pick = rows - (rows > at + 1)
+        pick[at + 1, cols] = len(rows) - 1 + cols
+        left = np.subtract.accumulate(np.vstack((self._demand, self._avail, available))[pick])
+        remaining = left[at, cols]  # (tech x segment) demand left before the unit
         dispatched = (remaining > 0.0) & (available > 0.0)
-        if not dispatched.any():
-            return 0.0, 0.0  # the fill ends before the unit, or passes it by, everywhere
-        short = available < remaining  # the unit gives all it has; an offer after it sets the price
+        short = available < remaining
         take = np.where(short, available, remaining)
-        tail = self._avail[:, at:]
-        left = np.subtract.accumulate(np.hstack(((remaining - take)[:, None], tail)), axis=1)
-        # Where the unit is short, the first offer after it that meets what is left is
-        # marginal (what is left before it is > 0, so it has MW to give); the
-        # loss-of-load offer always qualifies.
-        marginal = np.argmax(tail >= left[:, :-1], axis=1)
-        price = np.where(short, self._cost[at:][marginal], cost)
-        energy = revenue = 0.0
-        for seg_energy, seg_price in zip(
-            (take * self._hours)[dispatched].tolist(), price[dispatched].tolist()
-        ):
-            energy += seg_energy
-            revenue += seg_energy * seg_price
-        return energy, revenue
+        # Where the unit is short, what is left stays > 0 down to the row before the
+        # price-setting offer's (loss of load's at the latest), so that offer is grid
+        # row count: offer count - 2, past the demand and the unit. Elsewhere unread.
+        marginal = self._cost.take(np.count_nonzero(left > 0.0, axis=0) - 2, mode="clip")
+        energy = np.where(dispatched, take * self._hours, 0.0)
+        revenue = energy * np.where(short, marginal, cost[:, None])
+        return dict(zip((tech.name for tech in techs), zip(_total(energy), _total(revenue))))
+
+
+def _total(x: np.ndarray):
+    """``x`` added up strictly in order along its last axis, as Python floats.
+
+    ``+ 0.0``: a Python sum starts from 0.0, so it never ends at -0.0.
+    """
+    return (np.add.accumulate(x, axis=-1)[..., -1] + 0.0).tolist() if x.size else 0.0

@@ -9,8 +9,9 @@ history. Positive-NPV options are bought greedily, best first, while the
 budget lasts.
 
 All candidates of one investment state (decision year, fleet) share that
-future market, a ``MarketYear`` whose ``probe`` prices one more unit of a
-technology without clearing the whole market again. Every valuation goes
+future market, a ``MarketYear``. Its first ``probe`` prices one more unit
+of every catalog technology in one numpy pass without clearing the
+market, and each candidate's estimate reads its own. Every valuation goes
 through the decision year's ``YearProbes``, which holds the year's
 forecast and one such market: every company of the year sees the same
 future year and forecast, and the states of the year differ only by the
@@ -21,6 +22,8 @@ equal those of clearing ``fleet + [candidate]`` from scratch bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import truediv
 
 from .dispatch import MarketYear
 from .scenario import PowerPlant, Scenario, Technology
@@ -69,12 +72,19 @@ def fit_carbon_forecast(history: list[tuple[int, float]]) -> CarbonForecast:
     return CarbonForecast(slope=slope, intercept=y_mean - slope * x_mean)
 
 
-def npv(cash_flows, discount_rate: float) -> float:
-    """Discounted sum of cash flows R_0..R_N at rate i: sum of R_t / (1+i)^t."""
+@lru_cache
+def _discount_factors(base: float, n: int) -> tuple[float, ...]:
+    return tuple(base**t for t in range(n))
+
+
+def npv(cash_flows: list[float], discount_rate: float) -> float:
+    """Discounted sum of cash flows R_0..R_N at rate i: sum of R_t / (1+i)^t.
+
+    (1+i)^t is worked out once per rate and length, not once per call.
+    """
     if discount_rate <= -1:
         raise ValueError(f"discount rate must be > -1, got {discount_rate}")
-    base = 1.0 + discount_rate
-    return sum(r / base**t for t, r in enumerate(cash_flows))
+    return sum(map(truediv, cash_flows, _discount_factors(1.0 + discount_rate, len(cash_flows))))
 
 
 def probe_market(

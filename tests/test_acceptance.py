@@ -9,7 +9,6 @@ optimization run) dominate the suite's runtime.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import time
 from statistics import median

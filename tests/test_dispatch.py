@@ -479,6 +479,41 @@ class TestProbeMarket:
             assert market.probe(unit.technology) == expected
             assert fresh.probe(unit.technology) == expected
 
+    @given(case=probe_markets(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_add_drops_the_probes_priced_before(self, case, data):
+        s, fleet, year, carbon_price = case
+        # ids on both sides of the fleet's, so some keys tie with a fleet plant's
+        # key; commissioned too late or retired already, some are inactive
+        plants = [
+            PowerPlant(
+                id=f"{data.draw(st.sampled_from('Az'))}{k}",
+                technology=data.draw(st.sampled_from(s.technologies)),
+                owner="g2",
+                commission_year=data.draw(st.sampled_from([1990, 2016, 2020, 2025])),
+                unit_count=data.draw(st.integers(1, 3)),
+            )
+            for k in range(data.draw(st.integers(1, 4)))
+        ]
+        # a technology outside the catalog, fuel-free so the scenario prices it
+        outsider = make_tech(name="outsider", capacity_mw=25.0, fuel_kind=None, efficiency=1.0,
+                             variable_om=5.0)
+        units = candidates(s, year) + [
+            PowerPlant(id=CANDIDATE_ID, technology=outsider, owner="probe",
+                       commission_year=year, unit_count=1)
+        ]
+        market = MarketYear(fleet, year, carbon_price, s)
+        for grown in (fleet, fleet + plants):
+            if grown is not fleet:
+                market.add(plants)
+            for unit in units:
+                expected = reference_probe(grown, unit, year, carbon_price, s)
+                assert market.probe(unit.technology) == expected
+        result = market.clear()
+        expected = reference_year(fleet + plants, year, carbon_price, s)
+        assert result == expected
+        assert list(result.energy_by_technology) == list(expected.energy_by_technology)
+
     @given(case=probe_markets())
     @settings(max_examples=100, deadline=None)
     def test_each_technology_is_priced_once_per_market_year(self, case):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -90,6 +88,21 @@ class TestNpv:
         assert npv(combined, rate) == pytest.approx(
             a * npv(fa, rate) + b * npv(fb, rate), rel=1e-9, abs=1e-6
         )
+
+    @given(
+        rates=st.lists(st.floats(-0.99, 1.0), min_size=1, max_size=2),
+        flows=st.lists(
+            st.lists(st.floats(-1e9, 1e9), min_size=1, max_size=41), min_size=1, max_size=4
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_plain_formula_exactly(self, rates, flows):
+        # lengths and rates interleaved, each pair seen again after others, so the
+        # cached discount powers are looked up by both parts of their key
+        for rate in rates + rates:
+            for cash in flows + flows[::-1]:
+                plain = sum(r / (1.0 + rate) ** t for t, r in enumerate(cash))
+                assert npv(cash, rate) == plain
 
     @pytest.mark.parametrize("rate", [0.0, 0.05, 0.1, 0.2])
     @pytest.mark.parametrize("periods", [1, 5, 17, 40])

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from carbonopt.benchmarks import schaffer, SCHAFFER_BOUNDS
 from carbonopt import nsga2

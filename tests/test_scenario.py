@@ -20,7 +20,6 @@ from carbonopt.scenario import (
     PowerPlant,
     RepresentativeDay,
     Scenario,
-    Technology,
     bundled_scenario_path,
     load_scenario,
     save_scenario,

@@ -8,7 +8,7 @@ import pytest
 
 from carbonopt.dispatch import run_year
 from carbonopt.errors import ConfigurationError, GenomeError
-from carbonopt.policy import LinearPolicy, NonParametricPolicy, parse_policy_spec
+from carbonopt.policy import NonParametricPolicy, parse_policy_spec
 from carbonopt.scenario import (
     DaySegment,
     PowerPlant,

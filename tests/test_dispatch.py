@@ -503,12 +503,12 @@ class TestProbeMarket:
                        commission_year=year, unit_count=1)
         ]
         market = MarketYear(fleet, year, carbon_price, s)
-        for grown in (fleet, fleet + plants):
-            if grown is not fleet:
-                market.add(plants)
-            for unit in units:
-                expected = reference_probe(grown, unit, year, carbon_price, s)
-                assert market.probe(unit.technology) == expected
+        for unit in units:
+            assert market.probe(unit.technology) == reference_probe(fleet, unit, year, carbon_price, s)
+        market.add(plants)
+        for unit in units:
+            expected = reference_probe(fleet + plants, unit, year, carbon_price, s)
+            assert market.probe(unit.technology) == expected
         result = market.clear()
         expected = reference_year(fleet + plants, year, carbon_price, s)
         assert result == expected

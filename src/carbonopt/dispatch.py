@@ -305,14 +305,13 @@ class MarketYear:
 
         Equal, with ``==``, to the totals of a unit with id ``CANDIDATE_ID``
         over a segment-by-segment ``clear_segment`` of ``fleet + [unit]``
-        (0.0 when it is never dispatched). The first probe after a build or
-        an ``add`` prices the scenario's whole catalog with ``probe_all``;
-        a technology outside the catalog is priced alone.
+        (0.0 when it is never dispatched). ``tech`` is one of the scenario's
+        catalog: the first probe after a build or an ``add`` prices the
+        whole catalog with ``probe_all``, and each probe reads its own.
         """
         if self._batch is None:
             self._batch = self.probe_all(self._s.technologies)
-        found = self._batch.get(tech.name)
-        return found if found is not None else self.probe_all([tech])[tech.name]
+        return self._batch[tech.name]
 
     def probe_all(self, techs) -> dict[str, tuple[float, float]]:
         """``probe`` of each of ``techs``, by name, in one (offer x tech x segment) pass.

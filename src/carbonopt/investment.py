@@ -8,15 +8,14 @@ carbon price projected by a linear regression over the realized tax
 history. Positive-NPV options are bought greedily, best first, while the
 budget lasts.
 
-All candidates of one investment state (decision year, fleet) share that
-future market, a ``MarketYear``. Its first ``probe`` prices one more unit
-of every catalog technology in one numpy pass without clearing the
-market, and each candidate's estimate reads its own. Every valuation goes
-through the decision year's ``YearProbes``, which holds the year's
-forecast and one such market: every company of the year sees the same
-future year and forecast, and the states of the year differ only by the
-plants bought meanwhile, which ``MarketYear.add`` inserts. The figures
-equal those of clearing ``fleet + [candidate]`` from scratch bit for bit.
+An investment state (decision year, fleet) is valued one way only:
+``YearProbes.value`` holds the year's future market, a ``MarketYear``,
+and asks ``estimate_yearly_revenue`` for each catalog technology, which
+reads that market's ``probe``. The first ``probe`` of a state prices one
+more unit of every catalog technology in one numpy pass without
+clearing the market. The states of a year differ only by the plants
+bought meanwhile, which ``MarketYear.add`` inserts. The figures equal
+those of clearing ``fleet + [candidate]`` from scratch bit for bit.
 """
 
 from __future__ import annotations
@@ -87,37 +86,22 @@ def npv(cash_flows: list[float], discount_rate: float) -> float:
     return sum(map(truediv, cash_flows, _discount_factors(1.0 + discount_rate, len(cash_flows))))
 
 
-def probe_market(
-    fleet: list[PowerPlant],
-    decision_year: int,
-    s: Scenario,
-    carbon_forecast: CarbonForecast,
-) -> MarketYear:
-    """The future market every candidate of one investment state is priced against."""
-    future_year = decision_year + REVENUE_PROBE_YEARS
-    return MarketYear(fleet, future_year, carbon_forecast.predict(future_year), s)
-
-
 def estimate_yearly_revenue(
     candidate: Technology,
     decision_year: int,
     s: Scenario,
     fleet: list[PowerPlant],
-    carbon_forecast: CarbonForecast,
-    market: MarketYear | None = None,
+    market: MarketYear,
 ) -> float:
     """Net yearly cash flow of one candidate unit in a simulated future market.
 
-    The market for ``decision_year`` + 10 is cleared with the candidate
-    unit added to the fleet that will still be active then, at the
-    forecast carbon price. The unit's revenue at clearing prices minus
-    its running costs (its SRMC in that market, ``MarketYear.offer``,
-    and fixed O&M) stands in for every operating year of its life.
-    ``market`` is that future market for this very (decision year,
-    fleet, forecast); without it one is built here.
+    ``market`` is the market of ``decision_year`` + 10 holding ``fleet``
+    at the forecast carbon price, as ``YearProbes`` builds it. The unit's
+    revenue there at clearing prices minus its running costs (its SRMC
+    in that market, ``MarketYear.offer``, and fixed O&M) stands in for
+    every operating year of its life. ``perfbench/spans.py`` counts
+    probed states from the positional ``decision_year`` and ``fleet``.
     """
-    if market is None:
-        market = probe_market(fleet, decision_year, s, carbon_forecast)
     energy, revenue = market.probe(candidate)
     running_cost = energy * market.offer(candidate)[0]
     return revenue - running_cost - candidate.fixed_om * candidate.capacity_mw
@@ -131,29 +115,26 @@ class YearProbes:
     one plant. So one future market covers the whole year: it is built
     for the first state valued and grown by ``MarketYear.add`` with the
     plants bought since for each later one. Unit valuations are kept per
-    fleet length.
+    fleet length; the market holds the last length's plants.
     """
 
     decision_year: int
     forecast: CarbonForecast
-    market: MarketYear | None = None
-    plants_seen: int = 0  # fleet plants the market holds
-    valuations: dict[int, dict[str, float]] = field(default_factory=dict)
+    market: MarketYear | None = field(default=None, init=False)
+    valuations: dict[int, dict[str, float]] = field(default_factory=dict, init=False)
 
     def value(self, fleet: list[PowerPlant], s: Scenario) -> dict[str, float]:
         """NPV per catalog technology of one more unit added to ``fleet``."""
         valuations = self.valuations.get(len(fleet))
         if valuations is None:
             if self.market is None:
-                self.market = probe_market(fleet, self.decision_year, s, self.forecast)
-            else:
-                self.market.add(fleet[self.plants_seen:])
-            self.plants_seen = len(fleet)
+                future_year = self.decision_year + REVENUE_PROBE_YEARS
+                self.market = MarketYear(fleet, future_year, self.forecast.predict(future_year), s)
+            else:  # lengths are valued in increasing order: the last is the market's
+                self.market.add(fleet[next(reversed(self.valuations)):])
             valuations = self.valuations[len(fleet)] = {}
             for tech in s.technologies:
-                yearly = estimate_yearly_revenue(
-                    tech, self.decision_year, s, fleet, self.forecast, self.market
-                )
+                yearly = estimate_yearly_revenue(tech, self.decision_year, s, fleet, self.market)
                 flows = [-tech.capital_cost * tech.capacity_mw] + [yearly] * tech.lifetime_years
                 valuations[tech.name] = npv(flows, s.discount_rate)
         return valuations

@@ -70,7 +70,6 @@ def run_simulation(s: Scenario, policy: CarbonPolicy, seed: int) -> SimulationRe
     events: list[Event] = []
     history: list[tuple[int, float]] = []
     per_year: list[YearResult] = []
-    taxes: list[float] = []
     rng = np.random.default_rng(seed) if s.demand_noise_std > 0 else None
 
     for year_index in range(1, s.horizon_years + 1):
@@ -81,7 +80,6 @@ def run_simulation(s: Scenario, policy: CarbonPolicy, seed: int) -> SimulationRe
                 events.append(_plant_event(year, "retire", plant))
 
         tax = policy.price_at(year_index)
-        taxes.append(tax)
         history.append((year, tax))
 
         probes = YearProbes(year, fit_carbon_forecast(history))
@@ -100,7 +98,7 @@ def run_simulation(s: Scenario, policy: CarbonPolicy, seed: int) -> SimulationRe
     final = per_year[-1]
     return SimulationResult(
         per_year=tuple(per_year),
-        carbon_prices=tuple(taxes),
+        carbon_prices=tuple(tax for _, tax in history),
         objective_price=final.average_price,
         objective_rci=_relative_carbon_intensity(final, s),
         events=tuple(events),

@@ -261,12 +261,15 @@ class TestOptimize:
         pareto = json.loads((out / "pareto.json").read_text())
         assert all(len(e["genome"]) == 2 for e in pareto)
 
-    def test_unknown_kind_exits_1(self, fossil_path, tmp_path):
+    def test_unknown_kind_exits_1(self, fossil_path, tmp_path, capsys):
+        out = tmp_path / "o"
         code = main([
             "optimize", "--scenario", str(fossil_path), "--kind", "spline",
-            "--pop", "4", "--gens", "0", "--out", str(tmp_path / "o"),
+            "--pop", "4", "--gens", "0", "--out", str(out),
         ])
         assert code == 1
+        assert "'spline'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_jobs_do_not_change_results(self, fossil_path, tmp_path):
         out_serial, out_parallel = tmp_path / "s", tmp_path / "p"

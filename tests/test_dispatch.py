@@ -498,17 +498,19 @@ class TestProbeMarket:
         # a technology outside the catalog, fuel-free so the scenario prices it
         outsider = make_tech(name="outsider", capacity_mw=25.0, fuel_kind=None, efficiency=1.0,
                              variable_om=5.0)
-        units = candidates(s, year) + [
-            PowerPlant(id=CANDIDATE_ID, technology=outsider, owner="probe",
-                       commission_year=year, unit_count=1)
-        ]
+        alone = PowerPlant(id=CANDIDATE_ID, technology=outsider, owner="probe",
+                           commission_year=year, unit_count=1)
         market = MarketYear(fleet, year, carbon_price, s)
-        for unit in units:
+        for unit in candidates(s, year):
             assert market.probe(unit.technology) == reference_probe(fleet, unit, year, carbon_price, s)
+        expected = reference_probe(fleet, alone, year, carbon_price, s)
+        assert market.probe_all([outsider]) == {"outsider": expected}
         market.add(plants)
-        for unit in units:
+        for unit in candidates(s, year):
             expected = reference_probe(fleet + plants, unit, year, carbon_price, s)
             assert market.probe(unit.technology) == expected
+        expected = reference_probe(fleet + plants, alone, year, carbon_price, s)
+        assert market.probe_all([outsider]) == {"outsider": expected}
         result = market.clear()
         expected = reference_year(fleet + plants, year, carbon_price, s)
         assert result == expected

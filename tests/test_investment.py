@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import carbonopt.investment as investment
+from carbonopt.dispatch import MarketYear
 from carbonopt.investment import (
+    REVENUE_PROBE_YEARS,
     CarbonForecast,
     Event,
     YearProbes,
@@ -15,7 +17,7 @@ from carbonopt.investment import (
     invest,
     npv,
 )
-from carbonopt.scenario import GenCo, PowerPlant
+from carbonopt.scenario import DaySegment, GenCo, PowerPlant, RepresentativeDay
 
 from conftest import make_scenario, make_tech
 
@@ -133,6 +135,13 @@ def solar_tech(**overrides):
     return make_tech(**base)
 
 
+def yearly_revenue(candidate, s, fleet, forecast, decision_year=2020):
+    """``estimate_yearly_revenue`` in the future market ``YearProbes`` builds for the state."""
+    future_year = decision_year + REVENUE_PROBE_YEARS
+    market = MarketYear(fleet, future_year, forecast.predict(future_year), s)
+    return estimate_yearly_revenue(candidate, decision_year, s, fleet, market)
+
+
 class TestEstimateRevenue:
     def test_hand_traced_two_plant_market(self, gas_tech):
         # Future market: demand 80 MW all year; existing gas 100 MW at srmc 47
@@ -146,7 +155,7 @@ class TestEstimateRevenue:
         plant = PowerPlant(id="g", technology=gas_tech, owner="g1", commission_year=2005, unit_count=1)
         s = make_scenario([gas_tech, candidate], [plant], horizon_years=2)
         forecast = CarbonForecast(slope=0.0, intercept=10.0)
-        cash = estimate_yearly_revenue(candidate, 2020, s, [plant], forecast)
+        cash = yearly_revenue(candidate, s, [plant], forecast)
         assert cash == pytest.approx(50 * 8760 * 47.0 - 800_000.0)
 
     def test_never_dispatched_candidate_pays_fixed_om(self, gas_tech):
@@ -154,16 +163,14 @@ class TestEstimateRevenue:
         plant = PowerPlant(id="g", technology=gas_tech, owner="g1", commission_year=2005, unit_count=2)
         s = make_scenario([gas_tech, expensive], [plant], horizon_years=2)
         forecast = CarbonForecast(slope=0.0, intercept=0.0)
-        cash = estimate_yearly_revenue(expensive, 2020, s, [plant], forecast)
+        cash = yearly_revenue(expensive, s, [plant], forecast)
         assert cash == pytest.approx(-9_000.0 * 100.0)
 
     def test_zero_srmc_candidate_in_priced_market_earns(self, gas_tech):
         candidate = solar_tech()
         plant = PowerPlant(id="g", technology=gas_tech, owner="g1", commission_year=2005, unit_count=1)
         s = make_scenario([gas_tech, candidate], [plant], horizon_years=2)
-        cash = estimate_yearly_revenue(
-            candidate, 2020, s, [plant], CarbonForecast(slope=0.0, intercept=0.0)
-        )
+        cash = yearly_revenue(candidate, s, [plant], CarbonForecast(slope=0.0, intercept=0.0))
         assert cash > 0.0
 
     def test_high_emitter_npv_non_increasing_in_forecast_slope(self):
@@ -181,7 +188,7 @@ class TestEstimateRevenue:
         values = []
         for slope in [0.0, 0.5, 1.0, 2.0, 5.0]:
             forecast = CarbonForecast(slope=slope, intercept=0.0)
-            revenue = estimate_yearly_revenue(coal, 2020, s, [plant], forecast)
+            revenue = yearly_revenue(coal, s, [plant], forecast)
             values.append(npv([-coal.capital_cost * coal.capacity_mw] + [revenue] * 40, 0.06))
         assert all(a >= b for a, b in zip(values, values[1:]))
         assert values[0] > values[-1]
@@ -235,7 +242,7 @@ class TestInvest:
         monkeypatch.setattr(
             investment,
             "estimate_yearly_revenue",
-            lambda cand, year, s, fleet, forecast, market=None: revenue[cand.name],
+            lambda cand, year, s, fleet, market: revenue[cand.name],
         )
         plant = PowerPlant(id="g", technology=gas_tech, owner="g1", commission_year=2005, unit_count=1)
         budgets = {"g1": 16_000.0}
@@ -265,7 +272,7 @@ class TestInvest:
         monkeypatch.setattr(
             investment,
             "estimate_yearly_revenue",
-            lambda cand, year, s, fleet, forecast, market=None: tech_specs[cand.name][1],
+            lambda cand, year, s, fleet, market: tech_specs[cand.name][1],
         )
         plant = PowerPlant(id="g", technology=gas_tech, owner="g1", commission_year=2005, unit_count=1)
         s_all = make_scenario(techs + [gas_tech], [plant], horizon_years=2)
@@ -303,7 +310,7 @@ class TestInvest:
         monkeypatch.setattr(
             investment,
             "estimate_yearly_revenue",
-            lambda cand, year, s, fleet, forecast, market=None: revenue[cand.name],
+            lambda cand, year, s, fleet, market: revenue[cand.name],
         )
         plant = PowerPlant(id="g", technology=gas_tech, owner="g1", commission_year=2005, unit_count=1)
         budgets = {"g1": 9_000.0}
@@ -343,3 +350,40 @@ class TestYearProbes:
         assert shared == alone
         assert budgets["g2"] == budget - sum(d.capital_cost for d in shared)
         assert sorted(probes.valuations) == list(range(1, len(fleet) + 1))
+
+    def test_one_market_per_decision_year(self, monkeypatch):
+        # 20 MW gas units under a coal plant that always has MW to spare: a new
+        # gas unit is short in each segment where the gas bought leaves it more
+        # than 20 MW, and there earns the coal price. Those segments grow fewer
+        # with each unit, so every state values gas differently and a market
+        # grown from the wrong slice of the fleet values the wrong state.
+        built = []
+
+        class CountedMarketYear(MarketYear):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(investment, "MarketYear", CountedMarketYear)
+        coal = make_tech(name="coal", fuel_kind="coal", efficiency=0.35, variable_om=2.0,
+                         emission_factor=0.9, capacity_mw=200.0)
+        gas = make_tech(name="gas", capacity_mw=20.0)
+        fleet = [PowerPlant(id="c", technology=coal, owner="g1", commission_year=2005, unit_count=1)]
+        day = RepresentativeDay(name="steps", weight_days=365.0, segments=tuple(
+            DaySegment(4.0, demand, 0.5, 0.5) for demand in (25.0, 45.0, 65.0, 85.0, 105.0, 125.0)
+        ))
+        s = make_scenario([coal, gas], fleet, days=(day,))
+        forecast = fit_carbon_forecast([(2019, 10.0), (2020, 50.0)])
+        probes = YearProbes(2020, forecast)
+        for bought in (0, 1, 2, 1, 0):  # two at once, then a state valued twice
+            fleet += [
+                PowerPlant(id=f"g{len(fleet) + k}", technology=gas, owner="g1",
+                           commission_year=2021, unit_count=1)
+                for k in range(bought)
+            ]
+            assert probes.value(fleet, s) is probes.valuations[len(fleet)]
+        assert built == [probes.market]
+        assert list(probes.valuations) == [1, 2, 4, 5]
+        for n, valuations in probes.valuations.items():
+            assert valuations == YearProbes(2020, forecast).value(fleet[:n], s)
+        assert len({v["gas"] for v in probes.valuations.values()}) == 4

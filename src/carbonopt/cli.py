@@ -20,6 +20,7 @@ failed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import functools
 import math
@@ -57,10 +58,6 @@ EXIT_GATE = 3
 
 OBJECTIVE_NAMES = ["objective_price", "objective_rci"]
 OUT_DIR_ENV = "CARBONOPT_OUT"
-
-
-def _default_out_dir() -> str:
-    return os.environ.get(OUT_DIR_ENV, "carbonopt-out")
 
 
 def _resolve_scenario(spec: str) -> Path:
@@ -102,16 +99,6 @@ def run_simulate(args: dict) -> tuple[int, dict[str, str]]:
     }
 
 
-def _parallel_map(workers: int):
-    executor = ProcessPoolExecutor(max_workers=workers)
-
-    def mapper(fn, items):
-        chunk = max(1, len(items) // (workers * 4))
-        return executor.map(fn, items, chunksize=chunk)
-
-    return executor, mapper
-
-
 def run_optimize(args: dict) -> tuple[int, dict[str, str]]:
     jobs = args["jobs"]
     if jobs < 1:
@@ -124,15 +111,12 @@ def run_optimize(args: dict) -> tuple[int, dict[str, str]]:
         evaluate_objectives, scenario, policy_kind=kind, seed=args["seed"]
     )
 
-    if jobs > 1:
-        # a pool starts all its workers at once: never more than the CPUs or the genomes
-        executor, mapper = _parallel_map(min(jobs, os.cpu_count() or 1, cfg.population_size))
-        try:
-            archive = evolve(fitness, cfg, box, map_fn=mapper)
-        finally:
-            executor.shutdown()
-    else:
-        archive = evolve(fitness, cfg, box)
+    # a pool starts all its workers at once: never more than the CPUs or the genomes
+    workers = min(jobs, os.cpu_count() or 1, cfg.population_size)
+    with ProcessPoolExecutor(workers) if jobs > 1 else contextlib.nullcontext() as pool:
+        archive = evolve(fitness, cfg, box, map_fn=None if pool is None else (
+            lambda fn, items: pool.map(fn, items, chunksize=max(1, len(items) // (workers * 4)))
+        ))
 
     front = archive.final_front
     rows = sorted(zip(front.objectives.tolist(), front.genomes.tolist()), key=lambda r: r[0][0])
@@ -171,74 +155,72 @@ def run_benchmark(args: dict) -> tuple[int, dict[str, str]]:
     }
 
 
-class _RecordedArgs(dict):
-    """A manifest's args: a key the command reads but the manifest lacks is refused by name."""
-
-    def __missing__(self, key):
-        raise CarbonOptError(f"manifest args have no {key!r}; rerun the command instead")
-
-    def check_types(self, parser: argparse.ArgumentParser) -> None:
-        """Refuse a recorded arg that is not of the type its flag in ``parser`` parses to (an
-        int passes for a float); ``None`` passes where the flag's default is ``None``."""
-        for flag in parser._actions:
-            if flag.dest not in self or (self[flag.dest] is None and flag.default is None):
-                continue
-            value, kind = self[flag.dest], flag.type or str
-            accepted = (int, float) if kind is float else kind
-            if isinstance(value, bool) or not isinstance(value, accepted):
-                raise CarbonOptError(
-                    f"manifest args.{flag.dest} must be {kind.__name__}, got {value!r}; "
-                    "rerun the command instead"
-                )
+def _inputs(args: dict) -> dict:
+    """What a run's results depend on besides its args: the package version, the scenario
+    file's hash (``None`` for a command without a scenario) and the package code's hash."""
+    return {
+        "version": __version__,
+        "scenario_sha256": file_sha256(_resolve_scenario(args["scenario"]))
+        if "scenario" in args else None,
+        "code_sha256": code_sha256(),
+    }
 
 
 def run_replay(manifest_path: str, out_override: str | None) -> int:
-    """Re-run a manifest's command; refuse when the code or the scenario file has changed.
+    """Re-run a manifest's command; refuse args its parser would not give, and a run whose
+    version, scenario file or code differs from the one recorded.
 
     The run writes to ``out_override``, else to the recorded directory, and records
     the directory it wrote, so that replaying its own manifest writes there again.
     """
     manifest = load_manifest(Path(manifest_path))
-    command, args = manifest["command"], _RecordedArgs(manifest["args"])
-    if manifest["version"] != __version__:
-        raise CarbonOptError(
-            f"manifest version {manifest['version']!r} differs from this carbonopt "
-            f"{__version__!r}; rerun the command instead"
-        )
-    if manifest["code_sha256"] != code_sha256():
-        raise CarbonOptError(
-            f"manifest code_sha256 {manifest['code_sha256']!r} differs from this carbonopt's "
-            f"{code_sha256()!r}: the code changed since the run; rerun the command instead"
-        )
+    command, recorded = manifest["command"], manifest["args"]
     parser = build_parser()[1].get(command) if isinstance(command, str) else None
     if parser is None or command == "replay":
         raise CarbonOptError(f"manifest has unknown command {command!r}")
-    args.check_types(parser)
-    if manifest.get("scenario_sha256") is not None:
-        scenario_path = _resolve_scenario(args["scenario"])
-        if file_sha256(scenario_path) != manifest["scenario_sha256"]:
+    args = {}
+    for flag in parser._actions:
+        if flag.default == argparse.SUPPRESS:  # --help records nothing
+            continue
+        if flag.dest not in recorded:
+            raise CarbonOptError(f"manifest args have no {flag.dest!r}; rerun the command instead")
+        # the type the flag parses to (an int passes for a float); None only where the
+        # flag is optional and defaults to None
+        value, kind = recorded[flag.dest], flag.type or str
+        accepted = (int, float) if kind is float else kind
+        optional_none = value is None and flag.default is None and not flag.required
+        if not optional_none and (isinstance(value, bool) or not isinstance(value, accepted)):
             raise CarbonOptError(
-                f"manifest scenario_sha256 does not match {scenario_path}: the scenario "
-                "changed since the run; rerun the command instead"
+                f"manifest args.{flag.dest} must be {kind.__name__}, got {value!r}; "
+                "rerun the command instead"
             )
-    args["out"] = out_override or args.get("out") or _default_out_dir()
+        args[flag.dest] = value
+    for key, value in _inputs(args).items():
+        if manifest.get(key) != value:
+            raise CarbonOptError(
+                f"manifest {key} {manifest.get(key)!r} differs from this run's {value!r}: "
+                "the run would not be the same; rerun the command instead"
+            )
+    args["out"] = out_override or args["out"]
     return _run(command, args)
 
 
 def _run(command: str, args: dict) -> int:
-    """Run a command; when ``args["out"]`` names a directory, write the command's files
-    there with the manifest that replays them."""
+    """Run a command and write its files with the manifest that replays them: ``simulate``
+    and ``optimize`` to ``args["out"]``, else ``$CARBONOPT_OUT``, else ``carbonopt-out``;
+    ``benchmark`` only when ``args["out"]`` names a directory."""
     started = datetime.datetime.now(datetime.timezone.utc)
     t0 = time.perf_counter()
-    scenario_sha256 = None
-    if "scenario" in args:
-        # a file is recorded by its absolute path and a bundled scenario by its name, so a
-        # replay finds either from any directory, the bundled one in its own package
-        if Path(args["scenario"]).is_file():
-            args["scenario"] = os.path.abspath(args["scenario"])
-        scenario_sha256 = file_sha256(_resolve_scenario(args["scenario"]))
+    # a file is recorded by its absolute path and a bundled scenario by its name, so a
+    # replay finds either from any directory, the bundled one in its own package
+    if "scenario" in args and Path(args["scenario"]).is_file():
+        args["scenario"] = os.path.abspath(args["scenario"])
+    if args["out"] is None and command != "benchmark":
+        args["out"] = os.environ.get(OUT_DIR_ENV, "carbonopt-out")
     if args["out"] is not None:
         args["out"] = os.path.abspath(args["out"])
+    # taken before the run reads the scenario, and only for a run that records them
+    inputs = {} if args["out"] is None else _inputs(args)
     runners = {"simulate": run_simulate, "optimize": run_optimize, "benchmark": run_benchmark}
     code, files = runners[command](args)
     if args["out"] is not None:
@@ -248,9 +230,7 @@ def _run(command: str, args: dict) -> int:
             "command": command,
             "args": args,
             "seed": args["seed"],
-            "version": __version__,
-            "scenario_sha256": scenario_sha256,
-            "code_sha256": code_sha256(),
+            **inputs,
             "outputs": outputs,
             "timings": {
                 "started_utc": started.isoformat(timespec="seconds"),
@@ -337,9 +317,6 @@ def main(argv=None) -> int:
     try:
         if command == "replay":
             return run_replay(args["manifest"], args["out"])
-        # simulate and optimize always write; benchmark only when given a directory
-        if args["out"] is None and command != "benchmark":
-            args["out"] = _default_out_dir()
         return _run(command, args)
     except (CarbonOptError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

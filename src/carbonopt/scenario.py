@@ -449,7 +449,7 @@ def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioParseError(f"cannot read scenario file {path}: {exc}") from exc
     try:
         raw = json.loads(text)

@@ -129,11 +129,19 @@ class TestSimulate:
             ("args have no 'policy'",
              lambda m: {**m, "args": {k: v for k, v in m["args"].items() if k != "policy"}}),
             ("has no 'code_sha256'", lambda m: {k: v for k, v in m.items() if k != "code_sha256"}),
+            # argparse gives a required flag the default None, yet None never parses to str
+            ("manifest args.policy must be str", lambda m: {**m, "args": {**m["args"], "policy": None}}),
+            ("manifest args.scenario must be str",
+             lambda m: {**m, "args": {**m["args"], "scenario": None}}),
             ("unknown command 'replay'", lambda m: {**m, "command": "replay"}),
             ("unknown command ['simulate']", lambda m: {**m, "command": ["simulate"]}),
+            # the scenario file is edited as well: a hash that was not recorded matches none
+            ("scenario_sha256", lambda m: {**m, "scenario_sha256": None}),
+            ("scenario_sha256", lambda m: {k: v for k, v in m.items() if k != "scenario_sha256"}),
         ],
-        ids=["missing-file", "json-list", "no-args", "no-policy", "no-code-sha256",
-             "replay-command", "list-command"],
+        ids=["missing-file", "json-list", "no-args", "no-policy", "no-code-sha256", "null-policy",
+             "null-scenario", "replay-command", "list-command", "null-scenario-sha256",
+             "no-scenario-sha256"],
     )
     def test_replay_refuses_unreadable_manifest_with_exit_1(self, fossil_path, tmp_path, capsys,
                                                             message, edit):
@@ -146,11 +154,24 @@ class TestSimulate:
             manifest.unlink()
         else:
             manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+        if message == "scenario_sha256":
+            raw = json.loads(fossil_path.read_text())
+            raw["base_carbon_intensity"] *= 2
+            fossil_path.write_text(json.dumps(raw))
         capsys.readouterr()
         assert main(["replay", str(out_a / "manifest.json"), "--out", str(out_b)]) == 1
         err = capsys.readouterr().err
         assert message in err and "runtime error" not in err
         assert not out_b.exists()
+
+    def test_scenario_file_that_is_not_utf8_exits_1_naming_it(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.scenario"
+        bad.write_bytes(b'{"x": "\xff"}')
+        out = tmp_path / "out"
+        code = main(["simulate", "--scenario", str(bad), "--policy", "flat:0", "--out", str(out)])
+        assert code == 1
+        assert f"cannot read scenario file {bad}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "field, edit",
@@ -309,11 +330,14 @@ class TestOptimize:
             def __init__(self, max_workers):
                 started.append(max_workers)
 
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
-
-            def shutdown(self):
-                pass
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
@@ -328,15 +352,21 @@ class TestOptimize:
 
         import carbonopt.cli as cli
 
-        class Pool:
-            def shutdown(self):
+        class Pool:  # a pool whose worker dies after the first result; starts no process
+            def __init__(self, max_workers):
                 pass
 
-        def broken_map(fn, items):
-            yield (1.0, 1.0)
-            raise BrokenProcessPool("a worker died")
+            def __enter__(self):
+                return self
 
-        monkeypatch.setattr(cli, "_parallel_map", lambda jobs: (Pool(), broken_map))
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                yield (1.0, 1.0)
+                raise BrokenProcessPool("a worker died")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
         code = main([
             "optimize", "--scenario", str(fossil_path), "--kind", "linear",
             "--pop", "4", "--gens", "1", "--seed", "3", "--jobs", "2", "--out", str(tmp_path / "o"),
@@ -378,7 +408,9 @@ class TestBenchmark:
         assert manifest["command"] == "benchmark"
         assert manifest["scenario_sha256"] is None
 
-    @pytest.mark.parametrize("key, value", [("pop", "4"), ("eta_c", "x"), ("seed", True)])
+    @pytest.mark.parametrize(
+        "key, value", [("pop", "4"), ("eta_c", "x"), ("seed", True), ("problem", None)]
+    )
     def test_replay_refuses_recorded_args_of_the_wrong_type(self, tmp_path, capsys, key, value):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main([

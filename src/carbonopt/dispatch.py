@@ -8,24 +8,35 @@ at the scenario's loss-of-load price.
 
 One kernel, ``MarketYear``, clears every production market: the spot
 market of each simulated year (``run_year``) and the investment probes'
-future markets. SRMC depends on the year and the carbon price, not on
-the segment, so ``MarketYear.offer`` prices a technology once per
-market-year. A market-year keeps its plants as an (offer x segment)
-availability matrix in merit order; plants bought later go in with one
-``np.insert`` per array at their ``bisect_right`` positions. The demand
-each segment has left before each offer is ``np.subtract.accumulate``
-over demand and offers, worked out when the market clears (probe
-markets never do). That accumulate subtracts strictly in order, the
-same operations in the same order as the greedy fill's
-``remaining -= take``, so it is bit-exact. ``demand - np.cumsum(...)``
-is not: it adds the offers up first and subtracts once, ``d - (a + b)``
-rather than ``(d - a) - b``, which rounds differently. Totals are
-likewise added strictly in order (``_total``), segment by segment and
-in merit order within a segment, the order a segment-by-segment fill
-produces them in; ``np.sum`` would add pairwise and round differently.
-``MarketYear.probe_all`` prices one more unit of each catalog technology
-in one pass: an (offer x technology x segment) grid with each unit at
-its ``bisect_right`` position, and one accumulate down it.
+future markets. It reads its plants from a ``Fleet``, which keeps a run's
+plants as append-only columns: technology index, MW (``capacity_mw *
+unit_count``), commission and retirement year, and id. SRMC depends on
+the year and the carbon price, not on the segment, so
+``MarketYear.offer`` prices a technology once per market-year. A build is
+an active mask over the columns, a gather of each plant's SRMC, emission
+factor and availability factors by its technology index, and one stable
+``np.lexsort`` on (id, merit rank), the rank standing for (SRMC, emission
+factor): the merit order, as an (offer x segment) availability matrix.
+Each offer also gets an integer merit key, its rank plus whether its id
+sorts after ``CANDIDATE_ID``, so ``np.searchsorted`` over the keys places
+a plant bought later (``MarketYear.add``, then among the offers of its key
+by id) and a probed unit alike, as a stable sort of ``fleet + [unit]``
+would.
+
+The demand each segment has left before each offer is
+``np.subtract.accumulate`` over demand and offers. That accumulate
+subtracts strictly in order, the same operations in the same order as
+the greedy fill's ``remaining -= take``, so it is bit-exact. ``demand -
+np.cumsum(...)`` is not: it adds the offers up first and subtracts once,
+``d - (a + b)`` rather than ``(d - a) - b``, which rounds differently.
+Totals are likewise added strictly in order (``_total``), segment by
+segment and in merit order within a segment, the order a
+segment-by-segment fill produces them in; ``np.sum`` would add pairwise
+and round differently. ``MarketYear.probe`` prices one more unit of each
+catalog technology in one pass: each unit finds the demand left before it
+in the market's own accumulate, and one accumulate down an (offer x
+technology x segment) grid of the offers after each unit finds the price
+where the unit runs short.
 
 ``Bid``, ``build_bids`` and ``clear_segment`` clear one segment the
 plain way, bid by bid; the tests hold the kernel to them with ``==``.
@@ -33,13 +44,14 @@ plain way, bid by bid; the tests hold the kernel to them with ``==``.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .scenario import DaySegment, PowerPlant, Scenario, Technology
+from .scenario import DaySegment, PowerPlant, RepresentativeDay, Scenario, Technology
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,20 +89,14 @@ def srmc(tech: Technology, fuel_price: float, carbon_price: float) -> float:
     return fuel_term + tech.variable_om + tech.emission_factor * carbon_price
 
 
-def srmc_by_technology(
-    technologies, year: int, carbon_price: float, s: Scenario
-) -> dict[str, float]:
-    """SRMC per technology name for one year; fails if a fuel series is absent."""
-    out: dict[str, float] = {}
-    for tech in technologies:
-        fuel_price = 0.0
-        if tech.fuel_kind:
-            try:
-                fuel_price = s.fuel_price(tech.fuel_kind, year)
-            except KeyError as exc:
-                raise ConfigurationError(str(exc)) from exc
-        out[tech.name] = srmc(tech, fuel_price, carbon_price)
-    return out
+def _fuel_price(tech: Technology, year: int, s: Scenario) -> float:
+    """The price of ``tech``'s fuel in ``year``, 0 when fuel-free; fails if the series is absent."""
+    if not tech.fuel_kind:
+        return 0.0
+    try:
+        return s.fuel_price(tech.fuel_kind, year)
+    except KeyError as exc:
+        raise ConfigurationError(str(exc)) from exc
 
 
 def available_mw(plant: PowerPlant, segment: DaySegment) -> float:
@@ -114,12 +120,11 @@ def build_bids(
     Callers are expected to pass a fleet already filtered to plants active
     in ``year``.
     """
-    srmc_by_tech = srmc_by_technology({p.technology for p in fleet}, year, carbon_price, s)
     return [
         Bid(
             plant=plant,
             available_mw=available_mw(plant, segment),
-            srmc=srmc_by_tech[plant.technology.name],
+            srmc=srmc(plant.technology, _fuel_price(plant.technology, year, s), carbon_price),
         )
         for plant in fleet
     ]
@@ -129,14 +134,9 @@ def build_bids(
 CANDIDATE_ID = "__candidate__"
 
 
-def merit_key(plant: PowerPlant, cost: float):
-    """Ascending SRMC; ties broken by lower emission factor, then plant id."""
-    return (cost, plant.technology.emission_factor, plant.id)
-
-
 def merit_order_key(bid: Bid):
-    """The merit key of one bid."""
-    return merit_key(bid.plant, bid.srmc)
+    """Ascending SRMC; ties broken by lower emission factor, then plant id."""
+    return (bid.srmc, bid.plant.technology.emission_factor, bid.plant.id)
 
 
 def clear_segment(
@@ -167,7 +167,7 @@ def clear_segment(
 
 
 def run_year(
-    fleet: list[PowerPlant],
+    fleet: Fleet | list[PowerPlant],
     year: int,
     carbon_price: float,
     s: Scenario,
@@ -183,44 +183,170 @@ def run_year(
     return MarketYear(fleet, year, carbon_price, s, demand_scale).clear()
 
 
+class Fleet:
+    """A run's plants in the order they joined, with the columns markets are built from.
+
+    The fleet only grows: ``append`` and ``extend`` add plants at the end,
+    and a ``MarketYear`` reads the rows that were there when it last
+    looked. One row per plant: ``tech``, the index of its technology in
+    ``technologies`` (one entry per technology name, in order of first
+    appearance); ``mw``, its ``capacity_mw * unit_count``; ``commission``
+    and ``retirement``, the years it starts and stops running; ``ids``; and
+    ``after_probe``, whether its id sorts after ``CANDIDATE_ID``. Each
+    column is a view of an array that doubles when full, so a purchase is
+    appended in place.
+    """
+
+    _DTYPES = {"tech": np.intp, "mw": float, "commission": np.intp, "retirement": np.intp,
+               "ids": str, "after_probe": bool}
+
+    def __init__(self, plants=()):
+        self.plants: list[PowerPlant] = []
+        self.technologies: list[Technology] = []
+        self._index: dict[str, int] = {}  # technology name -> index
+        self._columns = {name: np.empty(0, dtype) for name, dtype in self._DTYPES.items()}
+        vars(self).update(self._columns)  # no rows yet
+        self.extend(plants)
+
+    def __len__(self) -> int:
+        return len(self.plants)
+
+    def __getitem__(self, key):
+        return self.plants[key]
+
+    def append(self, plant: PowerPlant) -> None:
+        self.extend((plant,))
+
+    def extend(self, plants) -> None:
+        plants = list(plants)
+        if not plants:
+            return
+        for plant in plants:
+            if plant.technology.name not in self._index:
+                self._index[plant.technology.name] = len(self.technologies)
+                self.technologies.append(plant.technology)
+        n, m = len(self.plants), len(self.plants) + len(plants)
+        width = max(len(plant.id) for plant in plants)
+        if m > len(self._columns["mw"]) or width > self._columns["ids"].itemsize // 4:
+            self._grow(m, width)
+        rows = [  # one value per column, in ``_DTYPES`` order
+            (self._index[plant.technology.name], plant.technology.capacity_mw * plant.unit_count,
+             plant.commission_year, plant.retirement_year, plant.id, plant.id > CANDIDATE_ID)
+            for plant in plants
+        ]
+        for (name, column), values in zip(self._columns.items(), zip(*rows)):
+            column[n:m] = values
+            setattr(self, name, column[:m])
+        self.plants += plants
+
+    def _grow(self, rows: int, width: int) -> None:
+        """Room for ``rows`` rows, doubling, and for ids of ``width`` characters (4 bytes each)."""
+        n = len(self.plants)
+        for name, column in self._columns.items():
+            dtype = column.dtype
+            if name == "ids":
+                dtype = np.dtype(f"U{max(width, dtype.itemsize // 4)}")
+            self._columns[name] = np.empty(max(2 * rows, 16), dtype)
+            self._columns[name][:n] = column[:n]
+
+
+class _Days:
+    """A scenario's representative days as arrays over their segments, in day order.
+
+    ``of`` keeps the tables of the last few day sets it was given, by
+    identity (it holds each set, so no other can take its id), so the
+    market-years of a run share one.
+    """
+
+    _recent: dict[int, tuple[tuple[RepresentativeDay, ...], _Days]] = {}
+
+    def __init__(self, days: tuple[RepresentativeDay, ...]):
+        self._segments = [segment for day in days for segment in day.segments]
+        self.demand_mw = np.array([segment.demand_mw for segment in self._segments])
+        self.hours = np.array([segment.duration_hours * day.weight_days
+                               for day in days for segment in day.segments])
+        self._factors: dict[str | None, np.ndarray] = {None: np.ones(len(self._segments))}
+
+    @classmethod
+    def of(cls, days: tuple[RepresentativeDay, ...]) -> _Days:
+        held = cls._recent.get(id(days))
+        if held is None:
+            if len(cls._recent) == 8:
+                cls._recent.pop(next(iter(cls._recent)))
+            held = cls._recent[id(days)] = (days, cls(days))
+        return held[1]
+
+    def factors(self, profile: str | None) -> np.ndarray:
+        """Per-segment availability factors of a weather profile; 1 for ``None`` (firm)."""
+        factors = self._factors.get(profile)
+        if factors is None:
+            factors = self._factors[profile] = np.array(
+                [segment.capacity_factor(profile) for segment in self._segments]
+            )
+        return factors
+
+
 class MarketYear:
     """A fleet's market-year: cleared as a whole, or pricing one added unit per technology.
 
-    It keeps an (offer x segment) availability matrix in merit order,
-    closed by a loss-of-load offer of unlimited MW at the loss-of-load
-    price. The demand each segment has left before each offer,
-    ``np.subtract.accumulate`` over its demand and offers, equals the
-    greedy fill's running ``remaining`` (see ``clear_segment``) bit for
-    bit up to the marginal offer (an offer that is not marginal gives all
-    its MW, and subtracting 0 MW changes nothing). It never rises, and
-    past the marginal offer it is <= 0, so an offer is dispatched exactly
-    where the demand left before it and its own MW are both > 0, and the
-    marginal offer is the one after which it is first <= 0.
+    It keeps the fleet rows of its offers in merit order and an
+    (offer x segment) availability matrix, closed by a loss-of-load offer
+    of unlimited MW at the loss-of-load price. The demand each segment has
+    left before each offer, ``np.subtract.accumulate`` over its demand and
+    offers, equals the greedy fill's running ``remaining`` (see
+    ``clear_segment``) bit for bit up to the marginal offer (an offer that
+    is not marginal gives all its MW, and subtracting 0 MW changes
+    nothing). It never rises, and past the marginal offer it is <= 0, so
+    an offer is dispatched exactly where the demand left before it and its
+    own MW are both > 0, and the marginal offer is the one after which it
+    is first <= 0.
+
+    A build sorts the rows of ``fleet`` active in the market-year by one
+    stable ``np.lexsort``. Each offer also has an integer merit key, its
+    technology's rank (see ``_by_technology``) plus its ``after_probe``;
+    keys ascend in merit order, so ``np.searchsorted`` over them finds
+    where a plant bought later or a probed unit goes. ``fleet`` is read,
+    not copied: ``add`` places the rows a ``Fleet`` gained since. A list
+    of plants is made into a ``Fleet`` first, the constructor a run uses.
     """
 
     def __init__(
         self,
-        fleet: list[PowerPlant],
+        fleet: Fleet | list[PowerPlant],
         year: int,
         carbon_price: float,
         s: Scenario,
         demand_scale: float = 1.0,
     ):
+        self.fleet = fleet if isinstance(fleet, Fleet) else Fleet(fleet)
         self.year = year
         self.carbon_price = carbon_price
         self._s = s
-        scale = s.demand_scale(year) * demand_scale
-        days = [(day, segment) for day in s.representative_days for segment in day.segments]
-        self._segments = [segment for _, segment in days]
-        self._demand = np.array([segment.demand_mw * scale for _, segment in days])
-        self._hours = np.array([segment.duration_hours * day.weight_days for day, segment in days])
+        self._days = _Days.of(s.representative_days)
+        self._demand = self._days.demand_mw * (s.demand_scale(year) * demand_scale)
+        self._hours = self._days.hours
         self._offers: dict[str, tuple[float, np.ndarray]] = {}
-        self._plants: list[PowerPlant] = []  # the plant offers, in merit order
-        self._keys: list[tuple] = []  # their ascending merit keys
-        self._cost = np.array([s.loss_of_load_price])  # SRMC per offer, loss of load last
-        self._avail = np.full((1, len(days)), np.inf)
+        self._priced: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._pairs: list[tuple[float, float]] = []  # the fleet's distinct (SRMC, emission factor)
+        self._catalog_keys: np.ndarray | None = None  # the catalog's unit keys at these ranks
         self._batch: dict[str, tuple[float, float]] | None = None  # probes of the catalog
-        self.add(fleet)
+        self._rows = np.empty(0, dtype=np.intp)  # nothing held yet
+
+        # The build: the plants active in the market-year in merit order, by one stable
+        # sort. Per offer its fleet row, merit key and SRMC (loss of load's last), and
+        # the demand, then each offer's MW.
+        fleet = self.fleet
+        self._seen = len(fleet)  # the fleet rows looked at
+        rows = np.flatnonzero((fleet.commission <= year) & (year < fleet.retirement))
+        cost, _, factors, rank = self._by_technology()
+        tech = fleet.tech[rows]
+        order = np.lexsort((fleet.ids[rows], rank[tech]))
+        self._rows, tech = rows[order], tech[order]
+        self._key = rank[tech] + fleet.after_probe[self._rows]
+        self._cost = np.concatenate((cost[tech], [s.loss_of_load_price]))
+        self._stack = np.concatenate((self._demand[None], factors[tech] * fleet.mw[self._rows, None],
+                                      np.full((1, len(self._demand)), np.inf)))
+        self._avail = self._stack[1:]
 
     def offer(self, tech: Technology) -> tuple[float, np.ndarray]:
         """SRMC and per-segment availability factors of one unit of ``tech`` in the market-year.
@@ -230,65 +356,99 @@ class MarketYear:
         """
         offer = self._offers.get(tech.name)
         if offer is None:
-            cost = srmc_by_technology([tech], self.year, self.carbon_price, self._s)[tech.name]
-            factors = np.array([
-                seg.capacity_factor(tech.weather_profile) if tech.is_intermittent else 1.0
-                for seg in self._segments
-            ])
+            cost = srmc(tech, _fuel_price(tech, self.year, self._s), self.carbon_price)
+            factors = self._days.factors(tech.weather_profile if tech.is_intermittent else None)
             offer = self._offers[tech.name] = (cost, factors)
         return offer
 
-    def add(self, plants: list[PowerPlant]) -> None:
-        """Add the plants active in the market-year, as if appended to the fleet.
+    def _by_technology(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """SRMC, emission factor, availability factors and rank of each fleet technology.
 
-        Sorted stably by merit key, each goes in after every offer of an equal
-        key (``bisect_right``), so the offers end up in the order a stable
-        sort of ``fleet + plants`` gives. Probes priced before are dropped.
+        Arrays by technology index. A technology's rank is 2 x the index of
+        its (SRMC, emission factor) among the fleet's distinct pairs in
+        ascending order, so the merit key of a plant, rank + ``after_probe``,
+        orders plants by merit key up to their ids, which it splits at
+        ``CANDIDATE_ID``.
         """
-        active = [p for p in plants if p.active_in(self.year)]
-        if not active:
-            return
-        self._batch = None
-        offers = [self.offer(p.technology) for p in active]
-        keys = [merit_key(p, cost) for p, (cost, _) in zip(active, offers)]
-        order = sorted(range(len(active)), key=keys.__getitem__)
-        at = [bisect_right(self._keys, keys[i]) for i in order]
-        for shift, (i, k) in enumerate(zip(order, at)):  # each insert moves the later ones on
-            self._keys.insert(k + shift, keys[i])
-            self._plants.insert(k + shift, active[i])
-        factors = np.array([offers[i][1] for i in order])
-        capacity = [active[i].technology.capacity_mw * active[i].unit_count for i in order]
-        # at <= the plant offers held, so the loss-of-load offer stays last
-        self._cost = np.insert(self._cost, at, [keys[i][0] for i in order])
-        self._avail = np.insert(self._avail, at, factors * np.array(capacity)[:, None], axis=0)
+        techs = self.fleet.technologies
+        if self._priced is None or len(self._priced[0]) < len(techs):  # new technologies
+            offers = [self.offer(tech) for tech in techs]
+            pairs = [(cost, tech.emission_factor) for tech, (cost, _) in zip(techs, offers)]
+            self._pairs = sorted(set(pairs))
+            rank = np.array([2 * bisect_left(self._pairs, pair) for pair in pairs])
+            self._priced = (
+                np.array([cost for cost, _ in pairs]),
+                np.array([ef for _, ef in pairs]),
+                np.reshape([factors for _, factors in offers], (len(techs), len(self._demand))),
+                rank,
+            )
+            if len(self._rows):  # held offers take the new ranks
+                self._key = rank[self.fleet.tech[self._rows]] + self.fleet.after_probe[self._rows]
+            self._catalog_keys = None
+        return self._priced
+
+    def add(self, plants=()) -> None:
+        """Append ``plants`` to the fleet, then place each plant it gained since the last look.
+
+        Each one active in the market-year goes in after every offer of a
+        merit key <= its own, where a stable sort of the fleet by merit key
+        puts it: ``np.searchsorted`` over the integer keys finds the offers
+        of its (SRMC, emission factor) on its side of ``CANDIDATE_ID``, which
+        are sorted by id, and another over their ids its place among them.
+        Probes priced before are dropped.
+        """
+        fleet = self.fleet
+        fleet.extend(plants)
+        cost, _, factors, rank = self._by_technology()
+        for row in range(self._seen, len(fleet)):
+            if not fleet.commission[row] <= self.year < fleet.retirement[row]:
+                continue
+            tech = fleet.tech[row]
+            key = rank[tech] + fleet.after_probe[row]
+            lo, hi = self._key.searchsorted(key), self._key.searchsorted(key, "right")
+            at = lo + fleet.ids[self._rows[lo:hi]].searchsorted(fleet.ids[row], "right")
+            self._rows = _spliced(self._rows, at, [row])
+            self._key = _spliced(self._key, at, [key])
+            self._cost = _spliced(self._cost, at, [cost[tech]])
+            self._stack = _spliced(self._stack, at + 1, (factors[tech] * fleet.mw[row])[None])
+            self._avail = self._stack[1:]
+            self._batch = None
+        self._seen = len(fleet)
 
     def clear(self) -> YearResult:
         """The market-year cleared with the plants it holds, aggregated to yearly totals.
 
         Totals are added up segment by segment, each segment in merit order
         (the order ``clear_segment`` dispatches in), so they equal a
-        segment-by-segment aggregation bit for bit and
-        ``energy_by_technology`` keeps its first-dispatch key order.
+        segment-by-segment aggregation bit for bit (the 0 MWh of offers not
+        dispatched add nothing) and ``energy_by_technology`` keeps its
+        first-dispatch key order.
         """
-        n = len(self._plants)
-        left = np.subtract.accumulate(np.vstack((self._demand, self._avail)), axis=0)
+        n = len(self._rows)
+        left = np.subtract.accumulate(self._stack)
         # The loss-of-load offer, last, is dispatched exactly where the segment runs
         # short, so the marginal offer sets the price; -1 where there is no demand.
-        last = np.count_nonzero(left > 0.0, axis=0) - 1
+        last = (left <= 0.0).argmax(axis=0) - 1
         price = np.where(last >= 0, self._cost[last], 0.0)
         unserved = np.where(left[n] > 0.0, left[n], 0.0)
         left, avail = left[:n].T, self._avail[:n].T  # segment-major, as the totals add up
-        segments, offers = np.nonzero((left > 0.0) & (avail > 0.0))
-        energy = np.where(avail < left, avail, left)[segments, offers] * self._hours[segments]
+        dispatched = (left > 0.0) & (avail > 0.0)
+        energy = np.where(dispatched, np.where(avail < left, avail, left) * self._hours[:, None], 0.0)
 
-        code: dict[str, int] = {}  # technology name -> index
-        tech_of = np.array([code.setdefault(p.technology.name, len(code)) for p in self._plants])
-        factor = np.array([p.technology.emission_factor for p in self._plants])[offers]
-        names, tech_of = list(code), tech_of[offers]
+        # ``np.add.at`` adds each technology's MWh in the order given, segment-major
+        tech = self.fleet.tech[self._rows]
+        by_tech = np.zeros(len(self.fleet.technologies))
+        np.add.at(by_tech, tech[None].repeat(len(energy), axis=0).ravel(), energy.ravel())
+        by_tech = by_tech.tolist()
+        # the offers ever dispatched, by where (segment-major) they first are
+        first, ever = dispatched.argmax(axis=0), np.flatnonzero(dispatched.any(axis=0))
+        order = ever[np.argsort(first[ever] * n + ever)]
+        names = [tech.name for tech in self.fleet.technologies]
         energy_by_tech = {  # in first-dispatch order
-            names[k]: _total(energy[tech_of == k]) for k in dict.fromkeys(tech_of.tolist())
+            names[k]: by_tech[k] for k in dict.fromkeys(tech[order].tolist())
         }
-        emissions, served_mwh = _total(energy * factor), _total(energy)
+        emissions = _total((energy * self._by_technology()[1][tech]).ravel())
+        served_mwh = _total(energy.ravel())
 
         seg_demand_mwh = self._demand * self._hours
         demand_mwh = _total(seg_demand_mwh)
@@ -307,48 +467,84 @@ class MarketYear:
         over a segment-by-segment ``clear_segment`` of ``fleet + [unit]``
         (0.0 when it is never dispatched). ``tech`` is one of the scenario's
         catalog: the first probe after a build or an ``add`` prices the
-        whole catalog with ``probe_all``, and each probe reads its own.
+        whole catalog in one pass, and each probe reads its own.
         """
         if self._batch is None:
-            self._batch = self.probe_all(self._s.technologies)
+            names, cost, ef, available = self._catalog
+            if self._catalog_keys is None:
+                self._catalog_keys = self._unit_keys(zip(cost.tolist(), ef.tolist()))
+            self._batch = self._probe(names, cost, available, self._catalog_keys)
         return self._batch[tech.name]
 
     def probe_all(self, techs) -> dict[str, tuple[float, float]]:
-        """``probe`` of each of ``techs``, by name, in one (offer x tech x segment) pass.
+        """``probe`` of each of ``techs``, by name, in one pass."""
+        names, cost, ef, available = self._units(techs)
+        return self._probe(names, cost, available, self._unit_keys(zip(cost.tolist(), ef.tolist())))
 
-        A technology's column of the grid is the demand, then the offers
-        in merit order with one unit of it where a stable sort of
-        ``fleet + [unit]`` puts it. One ``np.subtract.accumulate`` down the
-        grid gives the demand left before each offer, up to the unit
-        exactly as ``clear`` has it; where the unit is short (gives all it
-        has) it goes on as the fill does, and the first offer after which
-        nothing is left sets the price. Elsewhere the unit's SRMC does.
-        """
+    @cached_property
+    def _catalog(self):
+        """``_units`` of the scenario's catalog, the same for every state of the market-year."""
+        return self._units(self._s.technologies)
+
+    def _units(self, techs):
+        """Names, SRMC, emission factors and per-segment MW of one unit of each of ``techs``."""
         offers = [self.offer(tech) for tech in techs]
-        cost = np.array([c for c, _ in offers])
-        # a stable sort of fleet + [unit] puts the unit after every equal key
-        at = np.array([
-            bisect_right(self._keys, (c, tech.emission_factor, CANDIDATE_ID))
-            for tech, (c, _) in zip(techs, offers)
-        ])
-        available = np.array([f * tech.capacity_mw for tech, (_, f) in zip(techs, offers)])
-        # A unit's grid column takes rows 0..at of [demand; offers], then its own row
-        # (stacked after the offers), then the rest: grid row r > at + 1 is row r - 1.
-        rows, cols = np.arange(len(self._avail) + 2)[:, None], np.arange(len(techs))
-        pick = rows - (rows > at + 1)
-        pick[at + 1, cols] = len(rows) - 1 + cols
-        left = np.subtract.accumulate(np.vstack((self._demand, self._avail, available))[pick])
-        remaining = left[at, cols]  # (tech x segment) demand left before the unit
-        dispatched = (remaining > 0.0) & (available > 0.0)
-        short = available < remaining
-        take = np.where(short, available, remaining)
-        # Where the unit is short, what is left stays > 0 down to the row before the
-        # price-setting offer's (loss of load's at the latest), so that offer is grid
-        # row count: offer count - 2, past the demand and the unit. Elsewhere unread.
-        marginal = self._cost.take(np.count_nonzero(left > 0.0, axis=0) - 2, mode="clip")
-        energy = np.where(dispatched, take * self._hours, 0.0)
-        revenue = energy * np.where(short, marginal, cost[:, None])
-        return dict(zip((tech.name for tech in techs), zip(_total(energy), _total(revenue))))
+        return (
+            [tech.name for tech in techs],
+            np.array([cost for cost, _ in offers]),
+            np.array([tech.emission_factor for tech in techs]),
+            np.array([factors * tech.capacity_mw for tech, (_, factors) in zip(techs, offers)]),
+        )
+
+    def _unit_keys(self, units) -> np.ndarray:
+        """The merit key of a unit of each (SRMC, emission factor) in ``units``, id ``CANDIDATE_ID``.
+
+        That is its pair's rank where a fleet technology has the pair, else
+        1 past the rank of the highest pair below it (-1 if none): every
+        offer of a key <= it goes ahead of the unit.
+        """
+        self._by_technology()
+        keys = []
+        for pair in units:
+            i = bisect_left(self._pairs, pair)
+            keys.append(2 * i if i < len(self._pairs) and self._pairs[i] == pair else 2 * i - 1)
+        return np.array(keys)
+
+    def _probe(self, names, cost, available, keys) -> dict[str, tuple[float, float]]:
+        """Energy and revenue of one unit per row of ``available`` (unit x segment).
+
+        ``cost`` is the units' SRMC and ``keys`` their merit keys. A stable
+        sort of ``fleet + [unit]`` puts a unit after every offer of a key <=
+        its own (``np.searchsorted``), so the demand left before it is the
+        market's own accumulate there. Where the unit is short (gives all it
+        has), the fill goes on past it: one ``np.subtract.accumulate`` down
+        an (offer x unit x segment) grid, from the demand left after each
+        unit, finds the first offer after which nothing is left, which sets
+        the price. Elsewhere the unit's SRMC does.
+        """
+        at = self._key.searchsorted(keys, "right")
+        remaining = np.subtract.accumulate(self._stack)[at]  # demand left before each unit
+        # A unit's grid column: the demand left after it, then the offers after it up to
+        # loss of load, which ``take`` repeats past the end (its -inf stays <= 0).
+        steps = at + np.arange(-1, len(self._avail) - at.min())[:, None]
+        grid = self._avail.take(steps, axis=0, mode="clip")
+        grid[0] = remaining - available
+        np.subtract.accumulate(grid, out=grid)
+        # the offer after which nothing is left (row j of the grid follows offer
+        # at - 1 + j); where the unit is not short, unread
+        marginal = self._cost.take((grid <= 0.0).argmax(axis=0) + steps[0][:, None], mode="clip")
+        # dispatched where the demand left and the unit's MW are both > 0 (elsewhere
+        # it takes 0 MWh, which adds nothing to the totals)
+        totals = np.empty((2, *available.shape))
+        energy = np.multiply(np.maximum(np.minimum(available, remaining), 0.0), self._hours,
+                             out=totals[0])
+        np.multiply(energy, np.where(available < remaining, marginal, cost[:, None]), out=totals[1])
+        return dict(zip(names, zip(*_total(totals))))
+
+
+def _spliced(a: np.ndarray, at: int, rows) -> np.ndarray:
+    """``a`` with ``rows`` put in before its row ``at``."""
+    return np.concatenate((a[:at], rows, a[at:]))
 
 
 def _total(x: np.ndarray):

@@ -204,14 +204,18 @@ def write_manifest(out_dir: Path, manifest: dict) -> None:
 
 
 def load_manifest(path: Path) -> dict:
-    """Read a manifest; one that cannot be read or lacks a key is refused by name."""
+    """Read a manifest; one that cannot be read or lacks a key replay reads is refused by name.
+
+    The run record (``version`` and the hashes) is not checked here: replay compares
+    it with the running one, so a missing entry is refused there as differing.
+    """
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise CarbonOptError(f"cannot read manifest {path}: {exc}") from exc
     if not isinstance(raw, dict) or not isinstance(raw.get("args", {}), dict):
         raise CarbonOptError(f"manifest {path} must be a JSON object with an 'args' object")
-    for key in ("command", "args", "seed", "version", "code_sha256"):
+    for key in ("command", "args", "seed"):
         if key not in raw:
             raise CarbonOptError(f"manifest {path} has no {key!r}")
     return raw

@@ -13,9 +13,12 @@ An investment state (decision year, fleet) is valued one way only:
 and asks ``estimate_yearly_revenue`` for each catalog technology, which
 reads that market's ``probe``. The first ``probe`` of a state prices one
 more unit of every catalog technology in one numpy pass without
-clearing the market. The states of a year differ only by the plants
-bought meanwhile, which ``MarketYear.add`` inserts. The figures equal
-those of clearing ``fleet + [candidate]`` from scratch bit for bit.
+clearing the market. A run keeps its fleet as a ``Fleet``, append-only
+columns that ``invest`` appends each purchase to; the year's market is
+built from them by one sort and reads the rows appended since with
+``MarketYear.add``, which places each purchase by ``np.searchsorted``.
+The figures equal those of clearing ``fleet + [candidate]`` from scratch
+bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import truediv
 
-from .dispatch import MarketYear
+from .dispatch import Fleet, MarketYear
 from .scenario import PowerPlant, Scenario, Technology
 
 # How far ahead the revenue-probe market is simulated.
@@ -90,7 +93,7 @@ def estimate_yearly_revenue(
     candidate: Technology,
     decision_year: int,
     s: Scenario,
-    fleet: list[PowerPlant],
+    fleet: Fleet | list[PowerPlant],
     market: MarketYear,
 ) -> float:
     """Net yearly cash flow of one candidate unit in a simulated future market.
@@ -123,15 +126,16 @@ class YearProbes:
     market: MarketYear | None = field(default=None, init=False)
     valuations: dict[int, dict[str, float]] = field(default_factory=dict, init=False)
 
-    def value(self, fleet: list[PowerPlant], s: Scenario) -> dict[str, float]:
+    def value(self, fleet: Fleet | list[PowerPlant], s: Scenario) -> dict[str, float]:
         """NPV per catalog technology of one more unit added to ``fleet``."""
         valuations = self.valuations.get(len(fleet))
         if valuations is None:
             if self.market is None:
                 future_year = self.decision_year + REVENUE_PROBE_YEARS
                 self.market = MarketYear(fleet, future_year, self.forecast.predict(future_year), s)
-            else:  # lengths are valued in increasing order: the last is the market's
-                self.market.add(fleet[next(reversed(self.valuations)):])
+            else:  # lengths are valued in increasing order: the market holds the last
+                # the plants its fleet lacks: none when it reads ``fleet`` itself
+                self.market.add(fleet[len(self.market.fleet):])
             valuations = self.valuations[len(fleet)] = {}
             for tech in s.technologies:
                 yearly = estimate_yearly_revenue(tech, self.decision_year, s, fleet, self.market)
@@ -144,7 +148,7 @@ def invest(
     genco: str,
     budgets: dict[str, float],
     s: Scenario,
-    fleet: list[PowerPlant],
+    fleet: Fleet | list[PowerPlant],
     probes: YearProbes,
 ) -> list[Event]:
     """Buy the highest-NPV affordable unit, re-evaluate, and repeat until nothing attracts.

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispatch import YearResult, run_year
+from .dispatch import Fleet, YearResult, run_year
 from .errors import ConfigurationError
 from .investment import Event, YearProbes, fit_carbon_forecast, invest
 from .policy import CarbonPolicy, check_bounds, decode
@@ -60,12 +60,13 @@ def run_simulation(s: Scenario, policy: CarbonPolicy, seed: int) -> SimulationRe
 
     The scenario is expected to be valid (see ``validate_scenario``);
     policy parameters are re-checked against their bounds here. Budgets
-    and the fleet are run-local: the scenario is never changed.
+    and the fleet are run-local: the scenario is never changed. The fleet
+    is a ``Fleet``, whose columns every market-year of the run reads.
     """
     if seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
     check_bounds(policy, s.horizon_years)
-    fleet = list(s.initial_fleet)
+    fleet = Fleet(s.initial_fleet)
     budgets = {g.id: g.budget for g in s.gencos}
     events: list[Event] = []
     history: list[tuple[int, float]] = []
@@ -75,9 +76,8 @@ def run_simulation(s: Scenario, policy: CarbonPolicy, seed: int) -> SimulationRe
     for year_index in range(1, s.horizon_years + 1):
         year = s.start_year + year_index - 1
 
-        for plant in fleet:
-            if plant.retirement_year == year:
-                events.append(_plant_event(year, "retire", plant))
+        for i in np.flatnonzero(fleet.retirement == year):
+            events.append(_plant_event(year, "retire", fleet[i]))
 
         tax = policy.price_at(year_index)
         history.append((year, tax))
@@ -86,9 +86,8 @@ def run_simulation(s: Scenario, policy: CarbonPolicy, seed: int) -> SimulationRe
         for genco in sorted(budgets):
             events += invest(genco, budgets, s, fleet, probes)
 
-        for plant in fleet:
-            if plant.commission_year == year:
-                events.append(_plant_event(year, "commission", plant))
+        for i in np.flatnonzero(fleet.commission == year):
+            events.append(_plant_event(year, "commission", fleet[i]))
 
         noise = 1.0
         if rng is not None:

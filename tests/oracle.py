@@ -1,0 +1,139 @@
+"""Plain oracles the tests hold the market kernel and the whole run to with ``==``.
+
+Each clears every segment bit by bit with ``build_bids`` and
+``clear_segment`` and adds totals up in the order a segment-by-segment
+fill produces them. ``reference_simulation`` runs the yearly loop the same
+way: every candidate unit is valued by clearing ``fleet + [candidate]``
+from scratch, with no market shared between states.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from carbonopt.dispatch import CANDIDATE_ID, YearResult, build_bids, clear_segment, srmc
+from carbonopt.investment import REVENUE_PROBE_YEARS, Event, fit_carbon_forecast, npv
+from carbonopt.scenario import PowerPlant
+from carbonopt.simulation import SimulationResult
+
+
+def reference_segments(fleet, year, carbon_price, s, demand_scale=1.0):
+    """(demand MW, hours, clearing) of every segment of one year, cleared by the oracle."""
+    active = [p for p in fleet if p.active_in(year)]
+    scale = s.demand_scale(year) * demand_scale
+    for day in s.representative_days:
+        for segment in day.segments:
+            demand = segment.demand_mw * scale
+            bids = build_bids(active, year, segment, carbon_price, s)
+            yield demand, segment.duration_hours * day.weight_days, clear_segment(
+                demand, bids, s.loss_of_load_price
+            )
+
+
+def reference_probe(fleet, unit, year, carbon_price, s):
+    """The unit's energy and revenue in the oracle's clearing of ``fleet + [unit]``.
+
+    The unit is told apart by identity: a fleet plant may share its id.
+    """
+    energy = revenue = 0.0
+    for _, hours, clearing in reference_segments(fleet + [unit], year, carbon_price, s):
+        for plant, mw in clearing.dispatched:
+            if plant is unit:
+                e = mw * hours
+                energy, revenue = energy + e, revenue + e * clearing.clearing_price
+    return energy, revenue
+
+
+def reference_year(fleet, year, carbon_price, s, demand_scale=1.0):
+    """The yearly totals of the oracle's clearings, added up segment by segment in merit order."""
+    by_tech = {}
+    emissions = served = unserved = price_weighted = demand_mwh = 0.0
+    for demand, hours, clearing in reference_segments(fleet, year, carbon_price, s, demand_scale):
+        for plant, mw in clearing.dispatched:
+            e = mw * hours
+            tech = plant.technology
+            by_tech[tech.name] = by_tech.get(tech.name, 0.0) + e
+            emissions += e * tech.emission_factor
+            served += e
+        unserved += clearing.unserved_mw * hours
+        seg_demand_mwh = demand * hours
+        price_weighted += clearing.clearing_price * seg_demand_mwh
+        demand_mwh += seg_demand_mwh
+    return YearResult(
+        energy_by_technology=by_tech,
+        emissions_t=emissions,
+        average_price=price_weighted / demand_mwh if demand_mwh > 0 else 0.0,
+        unserved_mwh=unserved,
+        carbon_intensity=emissions / served if served > 0 else 0.0,
+    )
+
+
+def candidates(s, year):
+    """One probe unit per catalog technology, commissioned in ``year``."""
+    return [
+        PowerPlant(id=CANDIDATE_ID, technology=tech, owner="probe", commission_year=year, unit_count=1)
+        for tech in s.technologies
+    ]
+
+
+def reference_yearly_revenue(tech, fleet, future_year, carbon_price, s):
+    """A unit's net yearly cash flow in the oracle's clearing of ``fleet + [unit]``."""
+    (unit,) = (u for u in candidates(s, future_year) if u.technology is tech)
+    energy, revenue = reference_probe(fleet, unit, future_year, carbon_price, s)
+    fuel_price = s.fuel_price(tech.fuel_kind, future_year) if tech.fuel_kind else 0.0
+    return revenue - energy * srmc(tech, fuel_price, carbon_price) - tech.fixed_om * tech.capacity_mw
+
+
+def reference_simulation(s, policy, seed):
+    """``run_simulation`` as a plain loop over years, companies and purchases.
+
+    Each company buys the affordable unit of highest positive NPV, again and
+    again; every unit is valued afresh from ``reference_probe`` in the market
+    ten years ahead at the forecast carbon price.
+    """
+    fleet = list(s.initial_fleet)
+    budgets = {g.id: g.budget for g in s.gencos}
+    events, history, per_year = [], [], []
+    rng = np.random.default_rng(seed) if s.demand_noise_std > 0 else None
+
+    def plant_event(year, kind, plant):
+        return Event(year, kind, plant.owner, plant.technology.name, plant.id, plant.unit_count)
+
+    for year_index in range(1, s.horizon_years + 1):
+        year = s.start_year + year_index - 1
+        events += [plant_event(year, "retire", p) for p in fleet if p.retirement_year == year]
+        tax = policy.price_at(year_index)
+        history.append((year, tax))
+        future_year = year + REVENUE_PROBE_YEARS
+        carbon_price = fit_carbon_forecast(history).predict(future_year)
+        for genco in sorted(budgets):
+            bought = 0
+            while True:
+                best, best_value = None, 0.0
+                for tech in s.technologies:
+                    yearly = reference_yearly_revenue(tech, fleet, future_year, carbon_price, s)
+                    capital = tech.capital_cost * tech.capacity_mw
+                    value = npv([-capital] + [yearly] * tech.lifetime_years, s.discount_rate)
+                    if capital <= budgets[genco] and value > 0.0 and value > best_value:
+                        best, best_value = tech, value
+                if best is None:
+                    break
+                bought += 1
+                capital = best.capital_cost * best.capacity_mw
+                plant = PowerPlant(f"{genco}:{best.name}:{year}:{bought}", best, genco,
+                                   year + best.construction_lag_years, 1)
+                budgets[genco] -= capital
+                fleet.append(plant)
+                events.append(Event(year, "invest", genco, best.name, plant.id, 1, capital, best_value))
+        events += [plant_event(year, "commission", p) for p in fleet if p.commission_year == year]
+        noise = 1.0 if rng is None else max(0.0, 1.0 + rng.normal(0.0, s.demand_noise_std))
+        per_year.append(reference_year(fleet, year, tax, s, noise))
+
+    final = per_year[-1]
+    return SimulationResult(
+        per_year=tuple(per_year),
+        carbon_prices=tuple(tax for _, tax in history),
+        objective_price=final.average_price,
+        objective_rci=final.carbon_intensity / s.base_carbon_intensity if final.emissions_t else 0.0,
+        events=tuple(events),
+    )

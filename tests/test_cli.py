@@ -128,7 +128,8 @@ class TestSimulate:
             ("has no 'args'", lambda m: {k: v for k, v in m.items() if k != "args"}),
             ("args have no 'policy'",
              lambda m: {**m, "args": {k: v for k, v in m["args"].items() if k != "policy"}}),
-            ("has no 'code_sha256'", lambda m: {k: v for k, v in m.items() if k != "code_sha256"}),
+            # the run record cli._inputs owns refuses a missing entry as differing
+            ("code_sha256 None differs", lambda m: {k: v for k, v in m.items() if k != "code_sha256"}),
             # argparse gives a required flag the default None, yet None never parses to str
             ("manifest args.policy must be str", lambda m: {**m, "args": {**m["args"], "policy": None}}),
             ("manifest args.scenario must be str",

@@ -12,19 +12,18 @@ from carbonopt.dispatch import (
     CANDIDATE_ID,
     Bid,
     MarketYear,
-    YearResult,
     build_bids,
     clear_segment,
     merit_order_key,
     run_year,
     srmc,
-    srmc_by_technology,
 )
 from carbonopt import dispatch
 from carbonopt.errors import ConfigurationError
 from carbonopt.scenario import DaySegment, PowerPlant, RepresentativeDay
 
 from conftest import FULL_DAY, make_scenario, make_tech
+from oracle import candidates, reference_probe, reference_year
 
 VOLL = 6000.0
 
@@ -326,57 +325,12 @@ class TestRunYear:
         assert result.average_price == pytest.approx(6000.0)
 
 
-def reference_segments(fleet, year, carbon_price, s, demand_scale=1.0):
-    """(demand MW, hours, clearing) of every segment of one year, cleared by the oracle."""
-    active = [p for p in fleet if p.active_in(year)]
-    scale = s.demand_scale(year) * demand_scale
-    for day in s.representative_days:
-        for segment in day.segments:
-            demand = segment.demand_mw * scale
-            bids = build_bids(active, year, segment, carbon_price, s)
-            yield demand, segment.duration_hours * day.weight_days, clear_segment(
-                demand, bids, s.loss_of_load_price
-            )
-
-
-def reference_plant_totals(fleet, year, carbon_price, s):
-    """(energy, revenue) per plant id of one year, cleared segment by segment by the oracle."""
-    totals = {}
-    for _, hours, clearing in reference_segments(fleet, year, carbon_price, s):
-        for plant, mw in clearing.dispatched:
-            e = mw * hours
-            energy, revenue = totals.get(plant.id, (0.0, 0.0))
-            totals[plant.id] = (energy + e, revenue + e * clearing.clearing_price)
-    return totals
-
-
-def reference_probe(fleet, unit, year, carbon_price, s):
-    """The unit's energy and revenue in the oracle's clearing of ``fleet + [unit]``."""
-    return reference_plant_totals(fleet + [unit], year, carbon_price, s).get(unit.id, (0.0, 0.0))
-
-
-def reference_year(fleet, year, carbon_price, s, demand_scale=1.0):
-    """The yearly totals of the oracle's clearings, added up segment by segment in merit order."""
-    by_tech = {}
-    emissions = served = unserved = price_weighted = demand_mwh = 0.0
-    for demand, hours, clearing in reference_segments(fleet, year, carbon_price, s, demand_scale):
-        for plant, mw in clearing.dispatched:
-            e = mw * hours
-            tech = plant.technology
-            by_tech[tech.name] = by_tech.get(tech.name, 0.0) + e
-            emissions += e * tech.emission_factor
-            served += e
-        unserved += clearing.unserved_mw * hours
-        seg_demand_mwh = demand * hours
-        price_weighted += clearing.clearing_price * seg_demand_mwh
-        demand_mwh += seg_demand_mwh
-    return YearResult(
-        energy_by_technology=by_tech,
-        emissions_t=emissions,
-        average_price=price_weighted / demand_mwh if demand_mwh > 0 else 0.0,
-        unserved_mwh=unserved,
-        carbon_intensity=emissions / served if served > 0 else 0.0,
-    )
+# Plant ids on both sides of the probed unit's, and equal to it: digits and
+# capitals sort before "_", lower case after, and "__candidate_" before
+# CANDIDATE_ID before "__candidate__0".
+plant_ids = st.sampled_from(
+    ["0", "7", "A", "Z1", "_", "__candidate_", CANDIDATE_ID, CANDIDATE_ID + "0", "a", "z"]
+)
 
 
 @st.composite
@@ -391,7 +345,8 @@ def probe_markets(draw):
             capacity_mw=draw(st.sampled_from([10.0, 30.0, 45.5])),
             fuel_kind="gas" if fueled else None,
             efficiency=0.5 if fueled else 1.0,
-            variable_om=draw(st.sampled_from([0.0, 5.0, 5.0, 12.5])),
+            # 45 ties a fuel-free SRMC with a fueled one (fuel term 40) of variable O&M 5
+            variable_om=draw(st.sampled_from([0.0, 5.0, 5.0, 12.5, 45.0])),
             emission_factor=draw(st.sampled_from([0.0, 0.4, 0.4])),
             is_intermittent=intermittent,
             weather_profile=draw(st.sampled_from(["solar", "wind"])) if intermittent else None,
@@ -399,13 +354,13 @@ def probe_markets(draw):
         ))
     fleet = [
         PowerPlant(
-            id=f"{draw(st.sampled_from('Az'))}{k}",  # ids on both sides of the probe's
+            id=plant_id,
             technology=draw(st.sampled_from(techs)),
             owner="g1",
             commission_year=draw(st.sampled_from([2000, 2016, 2020, 2025])),
             unit_count=draw(st.integers(1, 3)),
         )
-        for k in range(draw(st.integers(0, 8)))
+        for plant_id in draw(st.lists(plant_ids, max_size=8, unique=True))  # as a scenario's
     ]
     factors = st.sampled_from([0.0, 0.0, 0.3, 1.0])
     demands = st.sampled_from([5.0, 40.0, 77.7, 150.0, 1000.0])  # the largest always runs short
@@ -423,14 +378,6 @@ def probe_markets(draw):
     s = make_scenario(techs, fleet, days=days, demand_growth=draw(st.sampled_from([1.0, 1.05])))
     carbon_price = draw(st.sampled_from([-100.0, -12.5, 0.0, 12.5, 200.0]))
     return s, fleet, draw(st.sampled_from([2020, 2021])), carbon_price
-
-
-def candidates(s, year):
-    """One probe unit per catalog technology, commissioned in ``year``."""
-    return [
-        PowerPlant(id=CANDIDATE_ID, technology=tech, owner="probe", commission_year=year, unit_count=1)
-        for tech in s.technologies
-    ]
 
 
 class TestRunYearOracle:
@@ -461,13 +408,13 @@ class TestProbeMarket:
         # inactive in the year, ids on both sides of the fleet's and of the probe's
         plants = [
             PowerPlant(
-                id=f"{data.draw(st.sampled_from('Az'))}{k}",
+                id=data.draw(plant_ids),
                 technology=data.draw(st.sampled_from(s.technologies)),
                 owner="g1",
                 commission_year=data.draw(st.sampled_from([2000, 2016, 2020, 2025])),
                 unit_count=data.draw(st.integers(1, 3)),
             )
-            for k in range(data.draw(st.integers(1, 4)))
+            for _ in range(data.draw(st.integers(1, 4)))
         ]
         split = data.draw(st.integers(0, len(plants)))
         market = MarketYear(fleet, year, carbon_price, s)
@@ -487,13 +434,13 @@ class TestProbeMarket:
         # key; commissioned too late or retired already, some are inactive
         plants = [
             PowerPlant(
-                id=f"{data.draw(st.sampled_from('Az'))}{k}",
+                id=data.draw(plant_ids),
                 technology=data.draw(st.sampled_from(s.technologies)),
                 owner="g2",
                 commission_year=data.draw(st.sampled_from([1990, 2016, 2020, 2025])),
                 unit_count=data.draw(st.integers(1, 3)),
             )
-            for k in range(data.draw(st.integers(1, 4)))
+            for _ in range(data.draw(st.integers(1, 4)))
         ]
         # a technology outside the catalog, fuel-free so the scenario prices it
         outsider = make_tech(name="outsider", capacity_mw=25.0, fuel_kind=None, efficiency=1.0,
@@ -516,26 +463,46 @@ class TestProbeMarket:
         assert result == expected
         assert list(result.energy_by_technology) == list(expected.energy_by_technology)
 
+    @given(case=probe_markets(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_added_same_id_units_keep_fleet_order(self, case, data):
+        s, fleet, year, carbon_price = case
+        # units of CANDIDATE_ID, several of one technology, tie with each other and with
+        # every fleet plant of their key: each goes after all of them, in the order added
+        plants = [
+            PowerPlant(id=CANDIDATE_ID, technology=data.draw(st.sampled_from(s.technologies)),
+                       owner="g1", commission_year=year, unit_count=data.draw(st.integers(1, 3)))
+            for _ in range(data.draw(st.integers(2, 5)))
+        ]
+        market = MarketYear(fleet, year, carbon_price, s)
+        market.add(plants[:1])
+        market.add(plants[1:])
+        for unit in candidates(s, year):
+            assert market.probe(unit.technology) == reference_probe(
+                fleet + plants, unit, year, carbon_price, s
+            )
+        result = market.clear()
+        expected = reference_year(fleet + plants, year, carbon_price, s)
+        assert result == expected
+        assert list(result.energy_by_technology) == list(expected.energy_by_technology)
+
     @given(case=probe_markets())
     @settings(max_examples=100, deadline=None)
     def test_each_technology_is_priced_once_per_market_year(self, case):
         s, fleet, year, carbon_price = case
         calls = []
 
-        def counted(technologies, *args):
-            calls.append([tech.name for tech in technologies])
-            return srmc_by_technology(technologies, *args)
+        def counted(tech, *args):
+            calls.append(tech.name)
+            return srmc(tech, *args)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dispatch, "srmc_by_technology", counted)
+            patch.setattr(dispatch, "srmc", counted)
             market = MarketYear(fleet, year, carbon_price, s)
             market.add(candidates(s, year))
             for tech in s.technologies + s.technologies:
                 market.probe(tech)
-        assert len(calls) == len(s.technologies)
-        assert sorted(name for names in calls for name in names) == sorted(
-            tech.name for tech in s.technologies
-        )
+        assert sorted(calls) == sorted(tech.name for tech in s.technologies)
 
     def test_unit_after_every_offer_sets_the_price(self, static_fossil_scenario):
         # gas at SRMC 43 covers 100 of the 150 MW; the peaker sorts last and

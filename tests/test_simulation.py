@@ -5,19 +5,23 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from carbonopt.dispatch import run_year
+from carbonopt.dispatch import CANDIDATE_ID, run_year
 from carbonopt.errors import ConfigurationError, GenomeError
 from carbonopt.policy import NonParametricPolicy, parse_policy_spec
 from carbonopt.scenario import (
     DaySegment,
+    GenCo,
     PowerPlant,
+    RepresentativeDay,
     bundled_scenario_path,
     load_scenario,
 )
-from carbonopt.simulation import evaluate_objectives, run_simulation
+from carbonopt.simulation import SimulationResult, evaluate_objectives, run_simulation
 
 from conftest import FULL_DAY, make_scenario, make_tech
+from oracle import reference_simulation
 
 
 def flat(value, n):
@@ -143,3 +147,80 @@ class TestEvaluateObjectives:
             price, rci = evaluate_objectives(uk_scenario, genome, "linear", seed=0)
             assert math.isfinite(price) and math.isfinite(rci)
             assert rci >= 0.0
+
+
+@st.composite
+def small_runs(draw):
+    """A few years of a small market: SRMC and emission-factor ties, plants that
+    retire or come online inside the ten-year probe horizon, budgets for a few units."""
+    techs = []
+    for k in range(draw(st.integers(2, 5))):
+        intermittent = draw(st.booleans())
+        fueled = not intermittent and draw(st.booleans())
+        techs.append(make_tech(
+            name=f"t{k}",
+            capacity_mw=draw(st.sampled_from([10.0, 30.0, 45.5])),
+            capital_cost=draw(st.sampled_from([20_000.0, 100_000.0, 500_000.0])),
+            fixed_om=draw(st.sampled_from([0.0, 10_000.0])),
+            fuel_kind="gas" if fueled else None,
+            efficiency=0.5 if fueled else 1.0,
+            # 45 ties a fuel-free SRMC with a fueled one (fuel term 40) of variable O&M 5
+            variable_om=draw(st.sampled_from([0.0, 5.0, 45.0])),
+            emission_factor=draw(st.sampled_from([0.0, 0.4])),
+            is_intermittent=intermittent,
+            weather_profile=draw(st.sampled_from(["solar", "wind"])) if intermittent else None,
+            lifetime_years=draw(st.sampled_from([3, 8, 30])),
+            construction_lag_years=draw(st.sampled_from([0, 2, 6])),
+        ))
+    ids = ["0", "A", "_", CANDIDATE_ID, CANDIDATE_ID + "0", "a", "z"]
+    fleet = [
+        PowerPlant(id=plant_id, technology=draw(st.sampled_from(techs)), owner="g1",
+                   commission_year=draw(st.sampled_from([2005, 2015, 2020, 2024, 2027])),
+                   unit_count=draw(st.integers(1, 3)))
+        for plant_id in draw(st.lists(st.sampled_from(ids), min_size=1, max_size=6, unique=True))
+    ]
+    budgets = st.sampled_from([0.0, 2e6, 2e7])
+    factors = st.sampled_from([0.0, 0.3, 1.0])
+    days = tuple(
+        RepresentativeDay(name=f"d{i}", weight_days=weight, segments=tuple(
+            DaySegment(hours, draw(st.sampled_from([20.0, 60.0, 150.0])), draw(factors),
+                       draw(factors))
+            for hours in (8.0, 16.0)
+        ))
+        for i, weight in enumerate((200.0, 165.0))
+    )
+    years = draw(st.integers(2, 4))
+    s = make_scenario(
+        techs, fleet, gencos=(GenCo("g1", draw(budgets)), GenCo("g2", draw(budgets))), days=days,
+        horizon_years=years, demand_growth=draw(st.sampled_from([1.0, 1.05])),
+        demand_noise_std=draw(st.sampled_from([0.0, 0.05])),
+    )
+    policy = NonParametricPolicy(prices=tuple(
+        draw(st.sampled_from([0.0, 12.5, 60.0, 250.0])) for _ in range(years)
+    ))
+    return s, policy, draw(st.integers(0, 3))
+
+
+def assert_same_run(result, expected):
+    for field in dataclasses.fields(SimulationResult):
+        assert getattr(result, field.name) == getattr(expected, field.name), field.name
+    for year, reference in zip(result.per_year, expected.per_year):
+        assert list(year.energy_by_technology) == list(reference.energy_by_technology)
+
+
+class TestRunSimulationOracle:
+    """``run_simulation`` == the plain loop of ``oracle.reference_simulation``, exactly."""
+
+    @given(case=small_runs())
+    @settings(max_examples=60, deadline=None)
+    def test_small_runs_equal_the_plain_loop(self, case):
+        s, policy, seed = case
+        assert_same_run(run_simulation(s, policy, seed), reference_simulation(s, policy, seed))
+
+    def test_uk_first_years_equal_the_plain_loop(self, uk_scenario):
+        s = dataclasses.replace(uk_scenario, horizon_years=4)
+        policy = parse_policy_spec("linear:8,100", s.horizon_years)
+        result = run_simulation(s, policy, 0)
+        assert any(e.kind == "invest" for e in result.events)
+        assert_same_run(result, reference_simulation(s, policy, 0))
+

@@ -14,6 +14,7 @@ import hashlib
 import io
 import json
 import math
+import operator
 import os
 from pathlib import Path
 
@@ -78,7 +79,7 @@ def render_year_summary_csv(result: SimulationResult, start_year: int) -> str:
                 year_result.emissions_t,
                 year_result.carbon_intensity,
                 year_result.unserved_mwh,
-                sum(year_result.energy_by_technology.values()),
+                functools.reduce(operator.add, year_result.energy_by_technology.values(), 0.0),
             ]
         )
     return _rows_to_csv(

@@ -11,9 +11,10 @@ budget lasts.
 An investment state (decision year, fleet) is valued one way only:
 ``YearProbes.value`` holds the year's future market, a ``MarketYear``,
 and asks ``estimate_yearly_revenue`` for each catalog technology, which
-reads that market's ``probe``. The first ``probe`` of a state prices one
-more unit of every catalog technology in one numpy pass without
-clearing the market. A run keeps its fleet as a ``Fleet``, append-only
+reads that market's ``probe``, then works out the catalog's NPVs in one
+numpy pass, bit for bit as ``npv`` adds them. The first ``probe`` of a
+state prices one more unit of every catalog technology in one numpy pass
+without clearing the market. A run keeps its fleet as a ``Fleet``, append-only
 columns that ``invest`` appends each purchase to; the year's market is
 built from them by one sort and reads the rows appended since with
 ``MarketYear.add``, which places each purchase by ``np.searchsorted``.
@@ -24,8 +25,10 @@ bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from operator import truediv
+from functools import lru_cache, reduce
+from operator import add
+
+import numpy as np
 
 from .dispatch import Fleet, MarketYear
 from .scenario import PowerPlant, Scenario, Technology
@@ -64,12 +67,12 @@ def fit_carbon_forecast(history: list[tuple[int, float]]) -> CarbonForecast:
     if not history:
         raise ValueError("carbon price history is empty")
     n = len(history)
-    x_mean = sum(year for year, _ in history) / n
-    y_mean = sum(price for _, price in history) / n
-    sxx = sum((year - x_mean) ** 2 for year, _ in history)
+    x_mean = reduce(add, (year for year, _ in history), 0) / n
+    y_mean = reduce(add, (price for _, price in history), 0.0) / n
+    sxx = reduce(add, ((year - x_mean) ** 2 for year, _ in history), 0.0)
     if sxx == 0.0:
         return CarbonForecast(slope=0.0, intercept=y_mean)
-    sxy = sum((year - x_mean) * (price - y_mean) for year, price in history)
+    sxy = reduce(add, ((year - x_mean) * (price - y_mean) for year, price in history), 0.0)
     slope = sxy / sxx
     return CarbonForecast(slope=slope, intercept=y_mean - slope * x_mean)
 
@@ -82,11 +85,33 @@ def _discount_factors(base: float, n: int) -> tuple[float, ...]:
 def npv(cash_flows: list[float], discount_rate: float) -> float:
     """Discounted sum of cash flows R_0..R_N at rate i: sum of R_t / (1+i)^t.
 
-    (1+i)^t is worked out once per rate and length, not once per call.
+    (1+i)^t is worked out once per rate and length, not once per call. The
+    terms are added strictly left to right from 0.0: the builtin ``sum``
+    compensates float rounding since Python 3.12, so its bits would depend
+    on the interpreter.
     """
     if discount_rate <= -1:
         raise ValueError(f"discount rate must be > -1, got {discount_rate}")
-    return sum(map(truediv, cash_flows, _discount_factors(1.0 + discount_rate, len(cash_flows))))
+    total = 0.0
+    for flow, factor in zip(cash_flows, _discount_factors(1.0 + discount_rate, len(cash_flows))):
+        total += flow / factor
+    return total
+
+
+@lru_cache
+def _npv_terms(technologies: tuple[Technology, ...], discount_rate: float):
+    """What ``YearProbes.value`` needs besides the yearly flows to add up each ``npv``.
+
+    (technology x year) arrays over the longest lifetime: whether a year is
+    an operating year, and the flow of every other year (the capital cost
+    in year 0, 0.0 past the lifetime); and each year's discount factor.
+    """
+    years = np.arange(1 + max(tech.lifetime_years for tech in technologies))
+    lifetimes = np.array([[tech.lifetime_years] for tech in technologies])
+    operating = (years >= 1) & (years <= lifetimes)
+    fixed = np.zeros(operating.shape)
+    fixed[:, 0] = [-tech.capital_cost * tech.capacity_mw for tech in technologies]
+    return operating, fixed, np.array(_discount_factors(1.0 + discount_rate, len(years)))
 
 
 def estimate_yearly_revenue(
@@ -119,11 +144,18 @@ class YearProbes:
     for the first state valued and grown by ``MarketYear.add`` with the
     plants bought since for each later one. Unit valuations are kept per
     fleet length; the market holds the last length's plants.
+
+    The catalog's NPVs are worked out together, equal to ``npv`` bit for
+    bit: one ``np.add.accumulate`` adds each row of a (technology x year)
+    matrix of discounted flows strictly left to right. A row is padded
+    past its lifetime with 0.0, which changes no sum but a -0.0, and
+    ``+ 0.0`` turns a -0.0 into the 0.0 that ``npv`` starts from.
     """
 
     decision_year: int
     forecast: CarbonForecast
     market: MarketYear | None = field(default=None, init=False)
+    npv_terms: tuple[np.ndarray, ...] = field(default=(), init=False)  # ``_npv_terms``
     valuations: dict[int, dict[str, float]] = field(default_factory=dict, init=False)
 
     def value(self, fleet: Fleet | list[PowerPlant], s: Scenario) -> dict[str, float]:
@@ -133,14 +165,20 @@ class YearProbes:
             if self.market is None:
                 future_year = self.decision_year + REVENUE_PROBE_YEARS
                 self.market = MarketYear(fleet, future_year, self.forecast.predict(future_year), s)
+                self.npv_terms = _npv_terms(s.technologies, s.discount_rate)
             else:  # lengths are valued in increasing order: the market holds the last
                 # the plants its fleet lacks: none when it reads ``fleet`` itself
                 self.market.add(fleet[len(self.market.fleet):])
-            valuations = self.valuations[len(fleet)] = {}
-            for tech in s.technologies:
-                yearly = estimate_yearly_revenue(tech, self.decision_year, s, fleet, self.market)
-                flows = [-tech.capital_cost * tech.capacity_mw] + [yearly] * tech.lifetime_years
-                valuations[tech.name] = npv(flows, s.discount_rate)
+            yearly = [
+                estimate_yearly_revenue(tech, self.decision_year, s, fleet, self.market)
+                for tech in s.technologies
+            ]
+            operating, fixed, factors = self.npv_terms
+            flows = np.where(operating, np.divide.outer(yearly, factors), fixed)
+            npvs = (np.add.accumulate(flows, axis=1)[:, -1] + 0.0).tolist()
+            valuations = self.valuations[len(fleet)] = {
+                tech.name: value for tech, value in zip(s.technologies, npvs)
+            }
         return valuations
 
 

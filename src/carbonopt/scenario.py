@@ -21,8 +21,9 @@ import math
 import reprlib
 from contextlib import suppress
 from dataclasses import MISSING, asdict, dataclass, fields
-from functools import partial
+from functools import partial, reduce
 from importlib import resources
+from operator import add
 from pathlib import Path
 from typing import Annotated, get_args, get_origin
 
@@ -104,7 +105,7 @@ class RepresentativeDay:
 
     @property
     def hours(self) -> float:
-        return sum(seg.duration_hours for seg in self.segments)
+        return reduce(add, (seg.duration_hours for seg in self.segments), 0.0)
 
 
 @dataclass(frozen=True)
@@ -270,7 +271,8 @@ def validate_scenario(s: Scenario) -> list[Violation]:
                 )
             )
 
-    weighted_hours = sum(day.weight_days * day.hours for day in s.representative_days)
+    weighted_hours = reduce(add, (day.weight_days * day.hours for day in s.representative_days),
+                            0.0)
     if s.representative_days and abs(weighted_hours - HOURS_PER_YEAR) > HOURS_TOLERANCE:
         names = ", ".join(day.name for day in s.representative_days)
         out.append(

@@ -1,11 +1,16 @@
 """Yearly simulation loop: retirements, investment, dispatch under a tax policy.
 
-One run walks the horizon year by year: expired plants drop out, each
-company invests off its view of the carbon price history, due plants come
-online, and the spot market clears the year. The two quantities the
-optimizer minimizes come from the final simulated year: the average
-electricity price and the carbon intensity relative to the scenario's
-base-year value.
+A run has two steps. The investment pass walks the horizon year by year:
+expired plants drop out, each company invests off its view of the carbon
+price history, due plants come online, and the year's demand-noise factor
+is drawn. Then the spot market clears each year from the run's final
+fleet. That is exact: a plant bought in a year commissions in it or
+later, so it is inactive in every earlier year, and a market-year sorts
+the plants it keeps as the fleet at the time would have had them. The two
+quantities the optimizer minimizes come from the final simulated year:
+the average electricity price and the carbon intensity relative to the
+scenario's base-year value. So a fitness evaluation clears only the
+final year.
 
 Runs are deterministic for a fixed (scenario, policy, seed); the seed
 only matters when the scenario enables the optional demand-noise hook.
@@ -34,14 +39,15 @@ class SimulationResult:
     events: tuple[Event, ...]
 
 
-def _relative_carbon_intensity(final: YearResult, s: Scenario) -> float:
+def _objectives(final: YearResult, s: Scenario) -> tuple[float, float]:
+    """The final year's average price and carbon intensity relative to the base intensity."""
     if final.emissions_t == 0.0:
-        return 0.0
+        return final.average_price, 0.0
     if s.base_carbon_intensity <= 0.0:
         raise ConfigurationError(
             "base_carbon_intensity is 0 but final-year emissions are positive"
         )
-    return final.carbon_intensity / s.base_carbon_intensity
+    return final.average_price, final.carbon_intensity / s.base_carbon_intensity
 
 
 def _plant_event(year: int, kind: str, plant: PowerPlant) -> Event:
@@ -55,13 +61,12 @@ def _plant_event(year: int, kind: str, plant: PowerPlant) -> Event:
     )
 
 
-def run_simulation(s: Scenario, policy: CarbonPolicy, seed: int) -> SimulationResult:
-    """Simulate the full horizon under one carbon tax trajectory.
+def _invest_over_horizon(
+    s: Scenario, policy: CarbonPolicy, seed: int
+) -> tuple[Fleet, list[Event], list[float], list[float]]:
+    """The investment pass: the final fleet, the events, and each year's tax and demand factor.
 
-    The scenario is expected to be valid (see ``validate_scenario``);
-    policy parameters are re-checked against their bounds here. Budgets
-    and the fleet are run-local: the scenario is never changed. The fleet
-    is a ``Fleet``, whose columns every market-year of the run reads.
+    Budgets and the fleet are run-local: the scenario is never changed.
     """
     if seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
@@ -70,7 +75,7 @@ def run_simulation(s: Scenario, policy: CarbonPolicy, seed: int) -> SimulationRe
     budgets = {g.id: g.budget for g in s.gencos}
     events: list[Event] = []
     history: list[tuple[int, float]] = []
-    per_year: list[YearResult] = []
+    noise: list[float] = []
     rng = np.random.default_rng(seed) if s.demand_noise_std > 0 else None
 
     for year_index in range(1, s.horizon_years + 1):
@@ -79,8 +84,7 @@ def run_simulation(s: Scenario, policy: CarbonPolicy, seed: int) -> SimulationRe
         for i in np.flatnonzero(fleet.retirement == year):
             events.append(_plant_event(year, "retire", fleet[i]))
 
-        tax = policy.price_at(year_index)
-        history.append((year, tax))
+        history.append((year, policy.price_at(year_index)))
 
         probes = YearProbes(year, fit_carbon_forecast(history))
         for genco in sorted(budgets):
@@ -89,17 +93,30 @@ def run_simulation(s: Scenario, policy: CarbonPolicy, seed: int) -> SimulationRe
         for i in np.flatnonzero(fleet.commission == year):
             events.append(_plant_event(year, "commission", fleet[i]))
 
-        noise = 1.0
-        if rng is not None:
-            noise = max(0.0, 1.0 + rng.normal(0.0, s.demand_noise_std))
-        per_year.append(run_year(fleet, year, tax, s, demand_scale=noise))
+        noise.append(1.0 if rng is None else max(0.0, 1.0 + rng.normal(0.0, s.demand_noise_std)))
 
-    final = per_year[-1]
+    return fleet, events, [tax for _, tax in history], noise
+
+
+def run_simulation(s: Scenario, policy: CarbonPolicy, seed: int) -> SimulationResult:
+    """Simulate the full horizon under one carbon tax trajectory.
+
+    The scenario is expected to be valid (see ``validate_scenario``);
+    policy parameters are re-checked against their bounds here. Every
+    year's spot market is cleared after the investment pass, from the
+    run's final ``Fleet``.
+    """
+    fleet, events, taxes, noise = _invest_over_horizon(s, policy, seed)
+    per_year = tuple(
+        run_year(fleet, s.start_year + i, tax, s, demand_scale=scale)
+        for i, (tax, scale) in enumerate(zip(taxes, noise))
+    )
+    price, rci = _objectives(per_year[-1], s)
     return SimulationResult(
-        per_year=tuple(per_year),
-        carbon_prices=tuple(tax for _, tax in history),
-        objective_price=final.average_price,
-        objective_rci=_relative_carbon_intensity(final, s),
+        per_year=per_year,
+        carbon_prices=tuple(taxes),
+        objective_price=price,
+        objective_rci=rci,
         events=tuple(events),
     )
 
@@ -107,10 +124,15 @@ def run_simulation(s: Scenario, policy: CarbonPolicy, seed: int) -> SimulationRe
 def evaluate_objectives(
     s: Scenario, genome, policy_kind: str, seed: int
 ) -> tuple[float, float]:
-    """Fitness function for the optimizer: genome -> (price, relative carbon intensity)."""
+    """Fitness function for the optimizer: genome -> (price, relative carbon intensity).
+
+    The objectives of ``run_simulation``, from the investment pass and a
+    clear of the final spot market-year alone.
+    """
     policy = decode(genome, policy_kind, n_years=s.horizon_years)
-    result = run_simulation(s, policy, seed)
-    objectives = (result.objective_price, result.objective_rci)
+    fleet, _, taxes, noise = _invest_over_horizon(s, policy, seed)
+    final_year = s.start_year + len(taxes) - 1
+    objectives = _objectives(run_year(fleet, final_year, taxes[-1], s, demand_scale=noise[-1]), s)
     if not all(math.isfinite(v) for v in objectives):
         raise ConfigurationError(f"non-finite objectives {objectives} for genome {genome}")
     return objectives

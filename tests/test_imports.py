@@ -1,5 +1,6 @@
 """Every imported name is read somewhere in its module, and so is every private
-module-level name of the package: unused-import and dead-helper checks with ``ast`` alone."""
+module-level name of the package: unused-import and dead-helper checks with ``ast`` alone.
+The package never calls the builtin ``sum``, whose float rounding changed in Python 3.12."""
 
 from __future__ import annotations
 
@@ -81,6 +82,36 @@ def test_the_check_names_each_unused_import():
         "print(sys.argv, xml.dom, d)\n"
     )
     assert unused_imports(source) == ["line 2: os", "line 3: osp", "line 5: c"]
+
+
+def builtin_sum_calls(source: str) -> list[str]:
+    """``line N`` for each call of the builtin ``sum``.
+
+    Since Python 3.12 it compensates float rounding, so its bits depend on
+    the interpreter; method calls such as numpy's ``x.sum()`` are not counted.
+    """
+    return [
+        f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: str(path.relative_to(ROOT)))
+def test_the_package_never_calls_the_builtin_sum(path):
+    assert builtin_sum_calls(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_names_each_builtin_sum_call():
+    source = (
+        "import numpy as np\n"
+        "total = sum([0.1, 0.2])\n"
+        "x = np.ones(3).sum()\n"
+        "y = np.sum(np.ones(3))\n"
+        "z = (sum)(x for x in [1.0])\n"
+        "w = sum(\n"
+        "    [1.0])\n"
+    )
+    assert builtin_sum_calls(source) == ["line 2", "line 5", "line 6"]
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda path: str(path.relative_to(ROOT)))

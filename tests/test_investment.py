@@ -103,8 +103,14 @@ class TestNpv:
         # cached discount powers are looked up by both parts of their key
         for rate in rates + rates:
             for cash in flows + flows[::-1]:
-                plain = sum(r / (1.0 + rate) ** t for t, r in enumerate(cash))
+                plain = 0.0
+                for t, r in enumerate(cash):
+                    plain += r / (1.0 + rate) ** t
                 assert npv(cash, rate) == plain
+
+    def test_adds_left_to_right_on_every_python(self):
+        # the builtin sum compensates rounding since Python 3.12 and gives 1.0
+        assert npv([1e16, 1.0, -1e16], 0.0) == 0.0
 
     @pytest.mark.parametrize("rate", [0.0, 0.05, 0.1, 0.2])
     @pytest.mark.parametrize("periods", [1, 5, 17, 40])
@@ -350,6 +356,34 @@ class TestYearProbes:
         assert shared == alone
         assert budgets["g2"] == budget - sum(d.capital_cost for d in shared)
         assert sorted(probes.valuations) == list(range(1, len(fleet) + 1))
+
+    @given(
+        catalog=st.lists(st.tuples(
+            st.sampled_from([1.0, 45.5, 1e9]),  # capital cost
+            st.integers(1, 61),  # lifetime
+            st.one_of(st.floats(-1e9, 1e9), st.sampled_from([0.0, -0.0, 1e16, -1e16])),
+        ), min_size=1, max_size=7),
+        rate=st.sampled_from([0.0, 0.06, 0.35, 1.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_catalog_values_equal_npv_exactly(self, catalog, rate):
+        # the probes value the catalog in one matrix; each value is the npv of
+        # the capital up front and then the yearly flow over the lifetime
+        techs = [make_tech(name=f"t{k}", capital_cost=capital, capacity_mw=1.0,
+                           lifetime_years=lifetime)
+                 for k, (capital, lifetime, _) in enumerate(catalog)]
+        yearly = {tech.name: flow for tech, (_, _, flow) in zip(techs, catalog)}
+        fleet = [PowerPlant(id="g", technology=techs[0], owner="g1", commission_year=2005,
+                            unit_count=1)]
+        s = make_scenario(techs, fleet, discount_rate=rate)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(investment, "estimate_yearly_revenue",
+                          lambda cand, year, s, fleet, market: yearly[cand.name])
+            values = probes_2020().value(fleet, s)
+        for tech in techs:
+            capital = tech.capital_cost * tech.capacity_mw
+            flows = [-capital] + [yearly[tech.name]] * tech.lifetime_years
+            assert values[tech.name] == npv(flows, rate), tech.name
 
     def test_one_market_per_decision_year(self, monkeypatch):
         # 20 MW gas units under a coal plant that always has MW to spare: a new

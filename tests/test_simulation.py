@@ -7,7 +7,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carbonopt.dispatch import CANDIDATE_ID, run_year
+from carbonopt.dispatch import CANDIDATE_ID, MarketYear, run_year
 from carbonopt.errors import ConfigurationError, GenomeError
 from carbonopt.policy import NonParametricPolicy, parse_policy_spec
 from carbonopt.scenario import (
@@ -140,6 +140,44 @@ class TestEvaluateObjectives:
         _, rci_untaxed = evaluate_objectives(uk_scenario, [0.0] * 18, "free", seed=1)
         assert rci_taxed <= rci_untaxed
 
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    def test_negative_seed_is_refused_by_name(self, static_fossil_scenario, noise):
+        s = dataclasses.replace(static_fossil_scenario, demand_noise_std=noise)
+        with pytest.raises(ConfigurationError, match=r"seed must be >= 0, got -1"):
+            evaluate_objectives(s, [0.0, 0.0], "free", seed=-1)
+
+    def test_base_zero_with_emissions_is_an_error(self, static_fossil_scenario):
+        s = dataclasses.replace(static_fossil_scenario, base_carbon_intensity=0.0)
+        with pytest.raises(ConfigurationError, match="base_carbon_intensity is 0"):
+            evaluate_objectives(s, [0.0, 0.0], "free", seed=0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_objectives_are_refused(self, static_fossil_scenario):
+        # 150 MW of load on a 100 MW plant: the shortfall, priced near the float
+        # limit (validation refuses such a price), overflows the price to inf
+        busy = dataclasses.replace(FULL_DAY, segments=(DaySegment(24.0, 150.0, 0.5, 0.5),))
+        s = dataclasses.replace(static_fossil_scenario, representative_days=(busy,),
+                                loss_of_load_price=1e308)
+        with pytest.raises(ConfigurationError, match=r"non-finite objectives \(inf, "):
+            evaluate_objectives(s, [0.0, 0.0], "free", seed=0)
+
+    def test_clears_only_the_final_year(self, uk_scenario, monkeypatch):
+        cleared = []
+
+        def clear(market):
+            cleared.append(market.year)
+            return original(market)
+
+        original = MarketYear.clear
+        monkeypatch.setattr(MarketYear, "clear", clear)
+        final_year = uk_scenario.start_year + uk_scenario.horizon_years - 1
+        evaluate_objectives(uk_scenario, [8.0, 100.0], "linear", seed=0)
+        assert cleared == [final_year]
+        cleared.clear()
+        run_simulation(uk_scenario, parse_policy_spec("linear:8,100", uk_scenario.horizon_years),
+                       seed=0)
+        assert cleared == list(range(uk_scenario.start_year, final_year + 1))
+
     def test_objectives_finite_on_uk_fixture_corners(self, uk_scenario):
         import math
 
@@ -216,6 +254,14 @@ class TestRunSimulationOracle:
     def test_small_runs_equal_the_plain_loop(self, case):
         s, policy, seed = case
         assert_same_run(run_simulation(s, policy, seed), reference_simulation(s, policy, seed))
+
+    @given(case=small_runs())
+    @settings(max_examples=40, deadline=None)
+    def test_objectives_equal_the_plain_loop(self, case):
+        s, policy, seed = case
+        expected = reference_simulation(s, policy, seed)
+        objectives = evaluate_objectives(s, list(policy.prices), "free", seed)
+        assert objectives == (expected.objective_price, expected.objective_rci)
 
     def test_uk_first_years_equal_the_plain_loop(self, uk_scenario):
         s = dataclasses.replace(uk_scenario, horizon_years=4)

@@ -20,14 +20,12 @@ failed.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import datetime
 import functools
 import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -111,12 +109,18 @@ def run_optimize(args: dict) -> tuple[int, dict[str, str]]:
         evaluate_objectives, scenario, policy_kind=kind, seed=args["seed"]
     )
 
-    # a pool starts all its workers at once: never more than the CPUs or the genomes
-    workers = min(jobs, os.cpu_count() or 1, cfg.population_size)
-    with ProcessPoolExecutor(workers) if jobs > 1 else contextlib.nullcontext() as pool:
-        archive = evolve(fitness, cfg, box, map_fn=None if pool is None else (
-            lambda fn, items: pool.map(fn, items, chunksize=max(1, len(items) // (workers * 4)))
-        ))
+    if jobs == 1:
+        archive = evolve(fitness, cfg, box)
+    else:
+        # only a parallel run loads the pool and its machinery (multiprocessing, logging, ...)
+        from concurrent.futures import ProcessPoolExecutor
+
+        # a pool starts all its workers at once: never more than the CPUs or the genomes
+        workers = min(jobs, os.cpu_count() or 1, cfg.population_size)
+        with ProcessPoolExecutor(workers) as pool:
+            archive = evolve(fitness, cfg, box, map_fn=lambda fn, items: pool.map(
+                fn, items, chunksize=max(1, len(items) // (workers * 4))
+            ))
 
     front = archive.final_front
     rows = sorted(zip(front.objectives.tolist(), front.genomes.tolist()), key=lambda r: r[0][0])

@@ -33,7 +33,6 @@ parallel evaluation cannot perturb the stream.
 from __future__ import annotations
 
 import math
-from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,19 +101,6 @@ class FrontArchive:
         return GenerationSnapshot(last.generation, *(a[keep] for a in arrays))
 
 
-def dominates(a, b) -> bool:
-    """True iff a is no worse than b everywhere and strictly better somewhere."""
-    if len(a) != len(b):
-        raise ValueError(f"objective length mismatch: {len(a)} vs {len(b)}")
-    better = False
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-        if x < y:
-            better = True
-    return better
-
-
 def fast_non_dominated_sort(objectives) -> list[np.ndarray]:
     """Layer the rows of an (N, M) objective array into fronts F1, F2, ... of row indices.
 
@@ -122,12 +108,13 @@ def fast_non_dominated_sort(objectives) -> list[np.ndarray]:
     set once earlier fronts are removed. The fronts partition the rows.
 
     ``dom[i, j]`` (i dominates j) is built one objective column at a
-    time: i is strictly better than j on some column and worse on none,
-    so a NaN compares neither way, as in :func:`dominates`. Each front is
-    peeled from the remaining dominator counts. Member order is part of
-    the contract, because crowding and truncation tie-break on it: F1 is
-    in row order, and a later front orders its members by the position,
-    in the front before, of their last dominator there, then by row.
+    time: i is strictly better than j on some column and worse on none;
+    a NaN compares neither way, so its column counts for neither row.
+    Each front is peeled from the remaining dominator counts. Member
+    order is part of the contract, because crowding and truncation
+    tie-break on it: F1 is in row order, and a later front orders its
+    members by the position, in the front before, of their last
+    dominator there, then by row.
     """
     objs = np.asarray(objectives, dtype=float)
     n = len(objs)
@@ -281,9 +268,14 @@ def _evaluate_all(
             if not all(map(math.isfinite, objectives)):
                 raise ValueError(f"fitness returned a non-finite objective: {objectives}")
             results.append(objectives)
-    except (EvaluationError, BrokenExecutor):
-        raise  # a broken pool (say, a killed worker) is no genome's fault
+    except EvaluationError:
+        raise
     except Exception as exc:
+        # a pool that broke has loaded this module already; a serial run never imports it
+        from concurrent.futures import BrokenExecutor
+
+        if isinstance(exc, BrokenExecutor):
+            raise  # a broken pool (say, a killed worker) is no genome's fault
         raise EvaluationError(genomes[min(len(results), len(genomes) - 1)], exc) from exc
     return results
 

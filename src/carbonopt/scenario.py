@@ -21,7 +21,7 @@ import math
 import reprlib
 from contextlib import suppress
 from dataclasses import MISSING, asdict, dataclass, fields
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from importlib import resources
 from operator import add
 from pathlib import Path
@@ -180,9 +180,21 @@ _RULES = {
 }
 
 
-def _declared(f) -> tuple:
-    """A field's type and its rule, ``None`` when its annotation declares none."""
-    return get_args(f.type) if get_origin(f.type) is Annotated else (f.type, None)
+@cache
+def _schema(cls) -> dict[str, tuple]:
+    """Dataclass ``cls``'s fields in order, read from their annotations once per class:
+    name -> ``(kind, items, rule, required)``. ``kind`` is the declared type, except that
+    a tuple field's is ``tuple`` and its element class is ``items`` (else ``None``);
+    ``rule`` is ``None`` when the annotation declares none, and a field with a default
+    is not ``required``."""
+    schema = {}
+    for f in fields(cls):
+        kind, rule = get_args(f.type) if get_origin(f.type) is Annotated else (f.type, None)
+        items = None
+        if get_origin(kind) is tuple:
+            kind, items = tuple, get_args(kind)[0]
+        schema[f.name] = kind, items, rule, f.default is MISSING
+    return schema
 
 
 def _label(item, k: int):
@@ -208,12 +220,11 @@ def _walk(out: list[Violation], obj, path: str) -> None:
     """Hold every number of dataclass ``obj`` and of the elements of its tuples to its
     field's rule; an element whose label repeats an earlier one's is refused at its path."""
     prefix = f"{path}." if path else ""
-    for f in fields(obj):
-        kind, rule = _declared(f)
-        value, where = getattr(obj, f.name), prefix + f.name
+    for name, (kind, _, rule, _) in _schema(type(obj)).items():
+        value, where = getattr(obj, name), prefix + name
         if kind in (int, float):
             _check(out, where, value, rule)
-        elif get_origin(kind) is tuple:
+        elif kind is tuple:
             if rule and not _RULES[rule](value):
                 out.append(Violation(where, f"must be {rule}"))
             seen = set()
@@ -356,21 +367,19 @@ def _read(cls, raw, path: str, **special):
     A key that names no field is refused, so a misspelt optional key cannot pass unseen."""
     _object(raw, path or "scenario")
     prefix = f"{path}." if path else ""
-    declared = fields(cls)
-    names = {f.name for f in declared}
+    schema = _schema(cls)
     for key in raw:
-        if key not in names:
+        if key not in schema:
             raise ScenarioParseError(f"{prefix}{key}: unknown key")
     values = {}
-    for f in declared:
-        if f.name in raw:
-            kind = _declared(f)[0]
-            convert = special.get(f.name) or _CONVERTERS.get(kind)
+    for name, (kind, items, _, required) in schema.items():
+        if name in raw:
+            convert = special.get(name) or _CONVERTERS.get(kind)
             if convert is None:  # a tuple of dataclasses
-                convert = partial(_items, get_args(kind)[0])
-            values[f.name] = convert(raw[f.name], prefix + f.name)
-        elif f.default is MISSING:
-            raise ScenarioParseError(f"{path or 'scenario'}: missing required key {f.name!r}")
+                convert = partial(_items, items)
+            values[name] = convert(raw[name], prefix + name)
+        elif required:
+            raise ScenarioParseError(f"{path or 'scenario'}: missing required key {name!r}")
     return cls(**values)
 
 

@@ -1,13 +1,20 @@
-"""Plain oracles the tests hold the market kernel and the whole run to with ``==``.
+"""Plain oracles the tests hold the market kernel, the whole run and the optimizer to
+with ``==``.
 
-Each clears every segment bit by bit with ``build_bids`` and
+Each market oracle clears every segment bit by bit with ``build_bids`` and
 ``clear_segment`` and adds totals up in the order a segment-by-segment
 fill produces them. ``reference_simulation`` runs the yearly loop the same
 way: every candidate unit is valued by clearing ``fleet + [candidate]``
 from scratch, with no market shared between states.
+
+The optimizer oracles are pairwise Python loops: ``dominates`` and the
+front sorts built on it, per-member crowding, and the child loop that
+draws and varies one pair at a time.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -137,3 +144,131 @@ def reference_simulation(s, policy, seed):
         objective_rci=final.carbon_intensity / s.base_carbon_intensity if final.emissions_t else 0.0,
         events=tuple(events),
     )
+
+
+def dominates(a, b) -> bool:
+    """True iff a is no worse than b everywhere and strictly better somewhere."""
+    if len(a) != len(b):
+        raise ValueError(f"objective length mismatch: {len(a)} vs {len(b)}")
+    better = False
+    for x, y in zip(a, b):
+        if x > y:
+            return False
+        if x < y:
+            better = True
+    return better
+
+
+def brute_force_fronts(objectives):
+    """Peel non-dominated sets by pairwise checks; independent of the fast sort."""
+    remaining = list(range(len(objectives)))
+    fronts = []
+    while remaining:
+        front = [
+            i
+            for i in remaining
+            if not any(dominates(objectives[j], objectives[i]) for j in remaining if j != i)
+        ]
+        fronts.append(front)
+        remaining = [i for i in remaining if i not in front]
+    return fronts
+
+
+def reference_sort(objs):
+    """The pairwise double-loop sort with a Python peel: the oracle for front member order."""
+    n = len(objs)
+    dominated = [[] for _ in range(n)]
+    counts = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if dominates(objs[i], objs[j]):
+                dominated[i].append(j)
+                counts[j] += 1
+            elif dominates(objs[j], objs[i]):
+                dominated[j].append(i)
+                counts[i] += 1
+    fronts = []
+    current = [i for i in range(n) if counts[i] == 0]
+    while current:
+        fronts.append(current)
+        nxt = []
+        for i in current:
+            for j in dominated[i]:
+                counts[j] -= 1
+                if counts[j] == 0:
+                    nxt.append(j)
+        current = nxt
+    return fronts
+
+
+def reference_crowding(front):
+    """The per-member crowding loop over Python floats: the oracle for crowding_distance."""
+    front = [tuple(map(float, row)) for row in front]
+    n = len(front)
+    if n <= 2:
+        return [math.inf] * n
+    dists = [0.0] * n
+    for m in range(len(front[0])):
+        order = sorted(range(n), key=lambda k: front[k][m])
+        dists[order[0]] = math.inf
+        dists[order[-1]] = math.inf
+        values = [row[m] for row in front]
+        if values[order[-1]] == values[order[0]]:
+            continue
+        if values[order[-1]] - values[order[0]] == math.inf:  # the range overflows: halve
+            values = [v / 2 for v in values]
+        span = values[order[-1]] - values[order[0]]
+        for pos in range(1, n - 1):
+            k = order[pos]
+            if dists[k] != math.inf:
+                dists[k] += (values[order[pos + 1]] - values[order[pos - 1]]) / span
+    return dists
+
+
+def reference_tournament(ranks, crowding, rng):
+    """The tournament with one ``integers`` draw of size 2: the oracle for two scalar draws."""
+    i, j = rng.integers(0, len(ranks), size=2)
+    return int(min((ranks[i], -crowding[i], i), (ranks[j], -crowding[j], j))[2])
+
+
+def reference_sbx(parent_a, parent_b, rng, cfg, lows, highs):
+    """SBX of one pair with its own crossover coin, spread and swap draws."""
+    if rng.random() >= cfg.crossover_probability:
+        return parent_a.copy(), parent_b.copy()
+    exponent = 1.0 / (cfg.eta_crossover + 1.0)
+    u = rng.random(parent_a.shape[0])
+    beta = np.where(
+        u <= 0.5, (2.0 * u) ** exponent, (1.0 / (2.0 * (1.0 - u))) ** exponent
+    )
+    child_a = 0.5 * ((1.0 + beta) * parent_a + (1.0 - beta) * parent_b)
+    child_b = 0.5 * ((1.0 - beta) * parent_a + (1.0 + beta) * parent_b)
+    swap = rng.random(parent_a.shape[0]) < 0.5
+    child_a, child_b = (
+        np.where(swap, child_b, child_a),
+        np.where(swap, child_a, child_b),
+    )
+    return np.clip(child_a, lows, highs), np.clip(child_b, lows, highs)
+
+
+def reference_mutate(genome, rng, cfg, lows, highs):
+    """Uniform-reset mutation of one child, drawing and assigning gene by gene."""
+    out = genome.copy()
+    if cfg.mutation_kind == "per-gene":
+        mask = rng.random(out.shape[0]) < cfg.mutation_probability
+        for idx in np.flatnonzero(mask):
+            out[idx] = rng.uniform(lows[idx], highs[idx])
+    elif rng.random() < cfg.mutation_probability:
+        idx = int(rng.integers(0, out.shape[0]))
+        out[idx] = rng.uniform(lows[idx], highs[idx])
+    return out
+
+
+def reference_offspring(pop, rng, cfg, lows, highs):
+    """The per-pair child loop: the oracle for the array generation step."""
+    children = []
+    while len(children) < len(pop.genomes):
+        a = reference_tournament(pop.ranks, pop.crowding, rng)
+        b = reference_tournament(pop.ranks, pop.crowding, rng)
+        pair = reference_sbx(pop.genomes[a], pop.genomes[b], rng, cfg, lows, highs)
+        children.extend(reference_mutate(child, rng, cfg, lows, highs) for child in pair)
+    return np.array(children)

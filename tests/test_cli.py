@@ -340,7 +340,8 @@ class TestOptimize:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+        # the CLI imports the pool only for a parallel run, so the double replaces it at its source
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recorder)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         assert main([
             "optimize", "--scenario", str(fossil_path), "--kind", "linear",
@@ -350,8 +351,6 @@ class TestOptimize:
 
     def test_broken_pool_exits_2(self, fossil_path, tmp_path, monkeypatch, capsys):
         from concurrent.futures.process import BrokenProcessPool
-
-        import carbonopt.cli as cli
 
         class Pool:  # a pool whose worker dies after the first result; starts no process
             def __init__(self, max_workers):
@@ -367,7 +366,7 @@ class TestOptimize:
                 yield (1.0, 1.0)
                 raise BrokenProcessPool("a worker died")
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
         code = main([
             "optimize", "--scenario", str(fossil_path), "--kind", "linear",
             "--pop", "4", "--gens", "1", "--seed", "3", "--jobs", "2", "--out", str(tmp_path / "o"),
@@ -649,3 +648,30 @@ class TestManifest:
         assert same.returncode == 0, same.stderr
         for name in ("generations.csv", "pareto.json"):
             assert (tmp_path / "same" / "out" / name).read_bytes() == (out / name).read_bytes()
+
+
+class TestStartup:
+    POOL_MODULES = ("concurrent.futures", "multiprocessing", "logging")
+
+    def test_serial_commands_never_load_the_process_pool(self, tmp_path):
+        # a fresh interpreter, so that no other test has loaded the modules already
+        code = (
+            "import sys\n"
+            "import carbonopt.cli as cli\n"
+            "from carbonopt.scenario import bundled_scenario_path, load_scenario\n"
+            "load_scenario(bundled_scenario_path('uk_synthetic'))\n"
+            "assert cli.main(['simulate', '--scenario', 'uk_synthetic', '--policy', 'flat:10',\n"
+            "                 '--out', sys.argv[1]]) == 0\n"
+            "assert cli.main(['optimize', '--scenario', 'uk_synthetic', '--kind', 'linear',\n"
+            "                 '--pop', '4', '--gens', '0', '--jobs', '1', '--out', sys.argv[2]]) == 0\n"
+            f"print([m for m in {self.POOL_MODULES!r} if m in sys.modules])\n"
+        )
+        src = Path(carbonopt.__file__).parent.parent
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "sim"), str(tmp_path / "opt")],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "opt" / "pareto.json").is_file()

@@ -9,19 +9,20 @@ at the scenario's loss-of-load price.
 One kernel, ``MarketYear``, clears every production market: the spot
 market of each simulated year (``run_year``) and the investment probes'
 future markets. It reads its plants from a ``Fleet``, which keeps a run's
-plants as append-only columns: technology index, MW (``capacity_mw *
-unit_count``), commission and retirement year, and id. SRMC depends on
-the year and the carbon price, not on the segment, so
-``MarketYear.offer`` prices a technology once per market-year. A build is
-an active mask over the columns, a gather of each plant's SRMC, emission
-factor and availability factors by its technology index, and one stable
-``np.lexsort`` on (id, merit rank), the rank standing for (SRMC, emission
-factor): the merit order, as an (offer x segment) availability matrix.
-Each offer also gets an integer merit key, its rank plus whether its id
-sorts after ``CANDIDATE_ID``, so ``np.searchsorted`` over the keys places
-a plant bought later (``MarketYear.add``, then among the offers of its key
-by id) and a probed unit alike, as a stable sort of ``fleet + [unit]``
-would.
+plants as append-only columns: the index of each plant's technology in
+the scenario's catalog, MW (``capacity_mw * unit_count``), commission and
+retirement year, and id. SRMC depends on the year and the carbon price,
+not on the segment, so a build prices each catalog technology once: SRMC,
+emission factor, availability factors, one unit's MW per segment and a
+merit rank standing for (SRMC, emission factor). It then takes an active
+mask over the columns, a gather of those by technology index, and one
+stable ``np.lexsort`` on (id, rank): the merit order, as an (offer x
+segment) availability matrix. Each offer also gets an integer merit key,
+its rank plus whether its id sorts after ``CANDIDATE_ID``, so
+``np.searchsorted`` over the keys places a plant bought later
+(``MarketYear.add``, then among the offers of its key by id) and a probed
+unit, whose key is its technology's rank, as a stable sort of ``fleet +
+[unit]`` would.
 
 The demand each segment has left before each offer is
 ``np.subtract.accumulate`` over demand and offers. That accumulate
@@ -38,20 +39,19 @@ in the market's own accumulate, and one accumulate down an (offer x
 technology x segment) grid of the offers after each unit finds the price
 where the unit runs short.
 
-``Bid``, ``build_bids`` and ``clear_segment`` clear one segment the
-plain way, bid by bid; the tests hold the kernel to them with ``==``.
+``Bid`` and ``clear_segment`` clear one segment the plain way, bid by bid;
+the tests hold the kernel to them with ``==``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .scenario import DaySegment, PowerPlant, RepresentativeDay, Scenario, Technology
+from .scenario import PowerPlant, RepresentativeDay, Scenario, Technology
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,37 +97,6 @@ def _fuel_price(tech: Technology, year: int, s: Scenario) -> float:
         return s.fuel_price(tech.fuel_kind, year)
     except KeyError as exc:
         raise ConfigurationError(str(exc)) from exc
-
-
-def available_mw(plant: PowerPlant, segment: DaySegment) -> float:
-    """Full capacity, derated by the segment's weather for intermittents."""
-    tech = plant.technology
-    available = tech.capacity_mw * plant.unit_count
-    if tech.is_intermittent:
-        available *= segment.capacity_factor(tech.weather_profile)
-    return available
-
-
-def build_bids(
-    fleet: list[PowerPlant],
-    year: int,
-    segment: DaySegment,
-    carbon_price: float,
-    s: Scenario,
-) -> list[Bid]:
-    """One bid per plant at its available MW in ``segment``.
-
-    Callers are expected to pass a fleet already filtered to plants active
-    in ``year``.
-    """
-    return [
-        Bid(
-            plant=plant,
-            available_mw=available_mw(plant, segment),
-            srmc=srmc(plant.technology, _fuel_price(plant.technology, year, s), carbon_price),
-        )
-        for plant in fleet
-    ]
 
 
 # The plant id a probed unit sorts by among offers of equal SRMC and emission factor.
@@ -188,22 +157,23 @@ class Fleet:
 
     The fleet only grows: ``append`` and ``extend`` add plants at the end,
     and a ``MarketYear`` reads the rows that were there when it last
-    looked. One row per plant: ``tech``, the index of its technology in
-    ``technologies`` (one entry per technology name, in order of first
-    appearance); ``mw``, its ``capacity_mw * unit_count``; ``commission``
-    and ``retirement``, the years it starts and stops running; ``ids``; and
-    ``after_probe``, whether its id sorts after ``CANDIDATE_ID``. Each
-    column is a view of an array that doubles when full, so a purchase is
-    appended in place.
+    looked. Each plant holds a technology of ``catalog``, the scenario's
+    technologies; a plant whose technology is not the catalog's entry of
+    its name is refused. One row per plant: ``tech``, the index of its
+    technology in ``catalog``; ``mw``, its ``capacity_mw * unit_count``;
+    ``commission`` and ``retirement``, the years it starts and stops
+    running; ``ids``; and ``after_probe``, whether its id sorts after
+    ``CANDIDATE_ID``. Each column is a view of an array that doubles when
+    full, so a purchase is appended in place.
     """
 
     _DTYPES = {"tech": np.intp, "mw": float, "commission": np.intp, "retirement": np.intp,
                "ids": str, "after_probe": bool}
 
-    def __init__(self, plants=()):
+    def __init__(self, catalog: tuple[Technology, ...], plants=()):
+        self.catalog = catalog
+        self.index = {tech.name: i for i, tech in enumerate(catalog)}  # name -> catalog index
         self.plants: list[PowerPlant] = []
-        self.technologies: list[Technology] = []
-        self._index: dict[str, int] = {}  # technology name -> index
         self._columns = {name: np.empty(0, dtype) for name, dtype in self._DTYPES.items()}
         vars(self).update(self._columns)  # no rows yet
         self.extend(plants)
@@ -221,18 +191,20 @@ class Fleet:
         plants = list(plants)
         if not plants:
             return
-        for plant in plants:
-            if plant.technology.name not in self._index:
-                self._index[plant.technology.name] = len(self.technologies)
-                self.technologies.append(plant.technology)
+        techs = [self.index.get(plant.technology.name) for plant in plants]
+        for plant, i in zip(plants, techs):
+            tech = plant.technology
+            if i is None or tech is not self.catalog[i] and tech != self.catalog[i]:
+                raise ConfigurationError(f"plant {plant.id!r}: technology {tech.name!r} is not "
+                                         "the catalog's entry of that name")
         n, m = len(self.plants), len(self.plants) + len(plants)
         width = max(len(plant.id) for plant in plants)
         if m > len(self._columns["mw"]) or width > self._columns["ids"].itemsize // 4:
             self._grow(m, width)
         rows = [  # one value per column, in ``_DTYPES`` order
-            (self._index[plant.technology.name], plant.technology.capacity_mw * plant.unit_count,
-             plant.commission_year, plant.retirement_year, plant.id, plant.id > CANDIDATE_ID)
-            for plant in plants
+            (i, plant.technology.capacity_mw * plant.unit_count, plant.commission_year,
+             plant.retirement_year, plant.id, plant.id > CANDIDATE_ID)
+            for plant, i in zip(plants, techs)
         ]
         for (name, column), values in zip(self._columns.items(), zip(*rows)):
             column[n:m] = values
@@ -301,13 +273,19 @@ class MarketYear:
     own MW are both > 0, and the marginal offer is the one after which it
     is first <= 0.
 
-    A build sorts the rows of ``fleet`` active in the market-year by one
-    stable ``np.lexsort``. Each offer also has an integer merit key, its
-    technology's rank (see ``_by_technology``) plus its ``after_probe``;
-    keys ascend in merit order, so ``np.searchsorted`` over them finds
-    where a plant bought later or a probed unit goes. ``fleet`` is read,
-    not copied: ``add`` places the rows a ``Fleet`` gained since. A list
-    of plants is made into a ``Fleet`` first, the constructor a run uses.
+    A build prices every technology of the fleet's catalog once, in
+    arrays by catalog index: ``srmc``, emission factor, availability
+    factors, one unit's MW per segment, and rank, 2 x the index of its
+    (SRMC, emission factor) among the catalog's distinct pairs in
+    ascending order. It then sorts the rows of ``fleet`` active in the
+    market-year by one stable ``np.lexsort``. Each offer has an integer
+    merit key, its technology's rank plus its ``after_probe``: keys ascend
+    in merit order and order plants up to their ids, which they split at
+    ``CANDIDATE_ID``, so ``np.searchsorted`` over them finds where a plant
+    bought later or a probed unit, whose key is its rank, goes.
+    ``fleet`` is read, not copied: ``add`` places the rows a ``Fleet``
+    gained since. A list of plants is made into a ``Fleet`` of the
+    scenario's catalog first, the constructor a run uses.
     """
 
     def __init__(
@@ -318,19 +296,27 @@ class MarketYear:
         s: Scenario,
         demand_scale: float = 1.0,
     ):
-        self.fleet = fleet if isinstance(fleet, Fleet) else Fleet(fleet)
+        self.fleet = fleet if isinstance(fleet, Fleet) else Fleet(s.technologies, fleet)
         self.year = year
-        self.carbon_price = carbon_price
-        self._s = s
-        self._days = _Days.of(s.representative_days)
-        self._demand = self._days.demand_mw * (s.demand_scale(year) * demand_scale)
-        self._hours = self._days.hours
-        self._offers: dict[str, tuple[float, np.ndarray]] = {}
-        self._priced: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._pairs: list[tuple[float, float]] = []  # the fleet's distinct (SRMC, emission factor)
-        self._catalog_keys: np.ndarray | None = None  # the catalog's unit keys at these ranks
-        self._batch: dict[str, tuple[float, float]] | None = None  # probes of the catalog
-        self._rows = np.empty(0, dtype=np.intp)  # nothing held yet
+        days = _Days.of(s.representative_days)
+        self._demand = days.demand_mw * (s.demand_scale(year) * demand_scale)
+        self._hours = days.hours
+        self._batch: list[tuple[float, float]] | None = None  # probes of the catalog
+
+        # The catalog, priced: per technology its SRMC, emission factor, availability
+        # factors, one unit's MW per segment and merit rank.
+        catalog = self.fleet.catalog
+        pairs = [(srmc(tech, _fuel_price(tech, year, s), carbon_price), tech.emission_factor)
+                 for tech in catalog]
+        ranked = sorted(set(pairs))
+        self.srmc = np.array([cost for cost, _ in pairs])
+        self._ef = np.array([ef for _, ef in pairs])
+        self._factors = np.reshape(
+            [days.factors(tech.weather_profile if tech.is_intermittent else None) for tech in catalog],
+            (len(catalog), len(self._demand)),
+        )
+        self._unit_mw = self._factors * np.reshape([tech.capacity_mw for tech in catalog], (-1, 1))
+        self._rank = np.array([2 * bisect_left(ranked, pair) for pair in pairs], dtype=np.intp)
 
         # The build: the plants active in the market-year in merit order, by one stable
         # sort. Per offer its fleet row, merit key and SRMC (loss of load's last), and
@@ -338,54 +324,14 @@ class MarketYear:
         fleet = self.fleet
         self._seen = len(fleet)  # the fleet rows looked at
         rows = np.flatnonzero((fleet.commission <= year) & (year < fleet.retirement))
-        cost, _, factors, rank = self._by_technology()
         tech = fleet.tech[rows]
-        order = np.lexsort((fleet.ids[rows], rank[tech]))
+        order = np.lexsort((fleet.ids[rows], self._rank[tech]))
         self._rows, tech = rows[order], tech[order]
-        self._key = rank[tech] + fleet.after_probe[self._rows]
-        self._cost = np.concatenate((cost[tech], [s.loss_of_load_price]))
-        self._stack = np.concatenate((self._demand[None], factors[tech] * fleet.mw[self._rows, None],
+        self._key = self._rank[tech] + fleet.after_probe[self._rows]
+        self._cost = np.concatenate((self.srmc[tech], [s.loss_of_load_price]))
+        self._stack = np.concatenate((self._demand[None], self._factors[tech] * fleet.mw[self._rows, None],
                                       np.full((1, len(self._demand)), np.inf)))
         self._avail = self._stack[1:]
-
-    def offer(self, tech: Technology) -> tuple[float, np.ndarray]:
-        """SRMC and per-segment availability factors of one unit of ``tech`` in the market-year.
-
-        Worked out once per technology name (names are unique in a scenario); the
-        factors are the weather profile's for an intermittent technology, else 1.
-        """
-        offer = self._offers.get(tech.name)
-        if offer is None:
-            cost = srmc(tech, _fuel_price(tech, self.year, self._s), self.carbon_price)
-            factors = self._days.factors(tech.weather_profile if tech.is_intermittent else None)
-            offer = self._offers[tech.name] = (cost, factors)
-        return offer
-
-    def _by_technology(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """SRMC, emission factor, availability factors and rank of each fleet technology.
-
-        Arrays by technology index. A technology's rank is 2 x the index of
-        its (SRMC, emission factor) among the fleet's distinct pairs in
-        ascending order, so the merit key of a plant, rank + ``after_probe``,
-        orders plants by merit key up to their ids, which it splits at
-        ``CANDIDATE_ID``.
-        """
-        techs = self.fleet.technologies
-        if self._priced is None or len(self._priced[0]) < len(techs):  # new technologies
-            offers = [self.offer(tech) for tech in techs]
-            pairs = [(cost, tech.emission_factor) for tech, (cost, _) in zip(techs, offers)]
-            self._pairs = sorted(set(pairs))
-            rank = np.array([2 * bisect_left(self._pairs, pair) for pair in pairs])
-            self._priced = (
-                np.array([cost for cost, _ in pairs]),
-                np.array([ef for _, ef in pairs]),
-                np.reshape([factors for _, factors in offers], (len(techs), len(self._demand))),
-                rank,
-            )
-            if len(self._rows):  # held offers take the new ranks
-                self._key = rank[self.fleet.tech[self._rows]] + self.fleet.after_probe[self._rows]
-            self._catalog_keys = None
-        return self._priced
 
     def add(self, plants=()) -> None:
         """Append ``plants`` to the fleet, then place each plant it gained since the last look.
@@ -399,18 +345,17 @@ class MarketYear:
         """
         fleet = self.fleet
         fleet.extend(plants)
-        cost, _, factors, rank = self._by_technology()
         for row in range(self._seen, len(fleet)):
             if not fleet.commission[row] <= self.year < fleet.retirement[row]:
                 continue
             tech = fleet.tech[row]
-            key = rank[tech] + fleet.after_probe[row]
+            key = self._rank[tech] + fleet.after_probe[row]
             lo, hi = self._key.searchsorted(key), self._key.searchsorted(key, "right")
             at = lo + fleet.ids[self._rows[lo:hi]].searchsorted(fleet.ids[row], "right")
             self._rows = _spliced(self._rows, at, [row])
             self._key = _spliced(self._key, at, [key])
-            self._cost = _spliced(self._cost, at, [cost[tech]])
-            self._stack = _spliced(self._stack, at + 1, (factors[tech] * fleet.mw[row])[None])
+            self._cost = _spliced(self._cost, at, [self.srmc[tech]])
+            self._stack = _spliced(self._stack, at + 1, (self._factors[tech] * fleet.mw[row])[None])
             self._avail = self._stack[1:]
             self._batch = None
         self._seen = len(fleet)
@@ -437,17 +382,17 @@ class MarketYear:
 
         # ``np.add.at`` adds each technology's MWh in the order given, segment-major
         tech = self.fleet.tech[self._rows]
-        by_tech = np.zeros(len(self.fleet.technologies))
+        by_tech = np.zeros(len(self.fleet.catalog))
         np.add.at(by_tech, tech[None].repeat(len(energy), axis=0).ravel(), energy.ravel())
         by_tech = by_tech.tolist()
         # the offers ever dispatched, by where (segment-major) they first are
         first, ever = dispatched.argmax(axis=0), np.flatnonzero(dispatched.any(axis=0))
         order = ever[np.argsort(first[ever] * n + ever)]
-        names = [tech.name for tech in self.fleet.technologies]
+        names = [tech.name for tech in self.fleet.catalog]
         energy_by_tech = {  # in first-dispatch order
             names[k]: by_tech[k] for k in dict.fromkeys(tech[order].tolist())
         }
-        emissions = _total((energy * self._by_technology()[1][tech]).ravel())
+        emissions = _total((energy * self._ef[tech]).ravel())
         served_mwh = _total(energy.ravel())
 
         seg_demand_mwh = self._demand * self._hours
@@ -465,81 +410,40 @@ class MarketYear:
 
         Equal, with ``==``, to the totals of a unit with id ``CANDIDATE_ID``
         over a segment-by-segment ``clear_segment`` of ``fleet + [unit]``
-        (0.0 when it is never dispatched). ``tech`` is one of the scenario's
-        catalog: the first probe after a build or an ``add`` prices the
-        whole catalog in one pass, and each probe reads its own.
+        (0.0 when it is never dispatched). ``tech`` is one of the catalog:
+        the first probe after a build or an ``add`` prices one unit of every
+        catalog technology in one pass, and each probe reads its own.
+
+        A stable sort of ``fleet + [unit]`` puts a unit after every offer of
+        a key <= its rank (``np.searchsorted``), so the demand left before it
+        is the market's own accumulate there. Where the unit is short (gives
+        all it has), the fill goes on past it: one ``np.subtract.accumulate``
+        down an (offer x unit x segment) grid, from the demand left after
+        each unit, finds the first offer after which nothing is left, which
+        sets the price. Elsewhere the unit's SRMC does.
         """
         if self._batch is None:
-            names, cost, ef, available = self._catalog
-            if self._catalog_keys is None:
-                self._catalog_keys = self._unit_keys(zip(cost.tolist(), ef.tolist()))
-            self._batch = self._probe(names, cost, available, self._catalog_keys)
-        return self._batch[tech.name]
-
-    def probe_all(self, techs) -> dict[str, tuple[float, float]]:
-        """``probe`` of each of ``techs``, by name, in one pass."""
-        names, cost, ef, available = self._units(techs)
-        return self._probe(names, cost, available, self._unit_keys(zip(cost.tolist(), ef.tolist())))
-
-    @cached_property
-    def _catalog(self):
-        """``_units`` of the scenario's catalog, the same for every state of the market-year."""
-        return self._units(self._s.technologies)
-
-    def _units(self, techs):
-        """Names, SRMC, emission factors and per-segment MW of one unit of each of ``techs``."""
-        offers = [self.offer(tech) for tech in techs]
-        return (
-            [tech.name for tech in techs],
-            np.array([cost for cost, _ in offers]),
-            np.array([tech.emission_factor for tech in techs]),
-            np.array([factors * tech.capacity_mw for tech, (_, factors) in zip(techs, offers)]),
-        )
-
-    def _unit_keys(self, units) -> np.ndarray:
-        """The merit key of a unit of each (SRMC, emission factor) in ``units``, id ``CANDIDATE_ID``.
-
-        That is its pair's rank where a fleet technology has the pair, else
-        1 past the rank of the highest pair below it (-1 if none): every
-        offer of a key <= it goes ahead of the unit.
-        """
-        self._by_technology()
-        keys = []
-        for pair in units:
-            i = bisect_left(self._pairs, pair)
-            keys.append(2 * i if i < len(self._pairs) and self._pairs[i] == pair else 2 * i - 1)
-        return np.array(keys)
-
-    def _probe(self, names, cost, available, keys) -> dict[str, tuple[float, float]]:
-        """Energy and revenue of one unit per row of ``available`` (unit x segment).
-
-        ``cost`` is the units' SRMC and ``keys`` their merit keys. A stable
-        sort of ``fleet + [unit]`` puts a unit after every offer of a key <=
-        its own (``np.searchsorted``), so the demand left before it is the
-        market's own accumulate there. Where the unit is short (gives all it
-        has), the fill goes on past it: one ``np.subtract.accumulate`` down
-        an (offer x unit x segment) grid, from the demand left after each
-        unit, finds the first offer after which nothing is left, which sets
-        the price. Elsewhere the unit's SRMC does.
-        """
-        at = self._key.searchsorted(keys, "right")
-        remaining = np.subtract.accumulate(self._stack)[at]  # demand left before each unit
-        # A unit's grid column: the demand left after it, then the offers after it up to
-        # loss of load, which ``take`` repeats past the end (its -inf stays <= 0).
-        steps = at + np.arange(-1, len(self._avail) - at.min())[:, None]
-        grid = self._avail.take(steps, axis=0, mode="clip")
-        grid[0] = remaining - available
-        np.subtract.accumulate(grid, out=grid)
-        # the offer after which nothing is left (row j of the grid follows offer
-        # at - 1 + j); where the unit is not short, unread
-        marginal = self._cost.take((grid <= 0.0).argmax(axis=0) + steps[0][:, None], mode="clip")
-        # dispatched where the demand left and the unit's MW are both > 0 (elsewhere
-        # it takes 0 MWh, which adds nothing to the totals)
-        totals = np.empty((2, *available.shape))
-        energy = np.multiply(np.maximum(np.minimum(available, remaining), 0.0), self._hours,
-                             out=totals[0])
-        np.multiply(energy, np.where(available < remaining, marginal, cost[:, None]), out=totals[1])
-        return dict(zip(names, zip(*_total(totals))))
+            available = self._unit_mw
+            at = self._key.searchsorted(self._rank, "right")
+            remaining = np.subtract.accumulate(self._stack)[at]  # demand left before each unit
+            # A unit's grid column: the demand left after it, then the offers after it up to
+            # loss of load, which ``take`` repeats past the end (its -inf stays <= 0).
+            steps = at + np.arange(-1, len(self._avail) - at.min())[:, None]
+            grid = self._avail.take(steps, axis=0, mode="clip")
+            grid[0] = remaining - available
+            np.subtract.accumulate(grid, out=grid)
+            # the offer after which nothing is left (row j of the grid follows offer
+            # at - 1 + j); where the unit is not short, unread
+            marginal = self._cost.take((grid <= 0.0).argmax(axis=0) + steps[0][:, None], mode="clip")
+            # dispatched where the demand left and the unit's MW are both > 0 (elsewhere
+            # it takes 0 MWh, which adds nothing to the totals)
+            totals = np.empty((2, *available.shape))
+            energy = np.multiply(np.maximum(np.minimum(available, remaining), 0.0), self._hours,
+                                 out=totals[0])
+            np.multiply(energy, np.where(available < remaining, marginal, self.srmc[:, None]),
+                        out=totals[1])
+            self._batch = list(zip(*_total(totals)))
+        return self._batch[self.fleet.index[tech.name]]
 
 
 def _spliced(a: np.ndarray, at: int, rows) -> np.ndarray:

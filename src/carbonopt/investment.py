@@ -12,8 +12,9 @@ An investment state (decision year, fleet) is valued one way only:
 ``YearProbes.value`` holds the year's future market, a ``MarketYear``,
 and asks ``estimate_yearly_revenue`` for each catalog technology, which
 reads that market's ``probe``, then works out the catalog's NPVs in one
-numpy pass, bit for bit as ``npv`` adds them. The first ``probe`` of a
-state prices one more unit of every catalog technology in one numpy pass
+numpy pass, bit for bit as ``npv`` adds them. The market prices the
+scenario's catalog once, by catalog index, and the first ``probe`` of a
+state values one more unit of every catalog technology in one numpy pass
 without clearing the market. A run keeps its fleet as a ``Fleet``, append-only
 columns that ``invest`` appends each purchase to; the year's market is
 built from them by one sort and reads the rows appended since with
@@ -126,12 +127,12 @@ def estimate_yearly_revenue(
     ``market`` is the market of ``decision_year`` + 10 holding ``fleet``
     at the forecast carbon price, as ``YearProbes`` builds it. The unit's
     revenue there at clearing prices minus its running costs (its SRMC
-    in that market, ``MarketYear.offer``, and fixed O&M) stands in for
+    in that market, read from ``MarketYear.srmc``, and fixed O&M) stands in for
     every operating year of its life. ``perfbench/spans.py`` counts
     probed states from the positional ``decision_year`` and ``fleet``.
     """
     energy, revenue = market.probe(candidate)
-    running_cost = energy * market.offer(candidate)[0]
+    running_cost = energy * market.srmc[market.fleet.index[candidate.name]]
     return revenue - running_cost - candidate.fixed_om * candidate.capacity_mw
 
 

@@ -253,14 +253,16 @@ def validate_scenario(s: Scenario) -> list[Violation]:
             out.append(Violation(f"technologies[{tech.name}].weather_profile",
                                  f"{needs}, got {tech.weather_profile!r}"))
 
-    catalog = {t.name for t in s.technologies}
+    catalog = {t.name: t for t in s.technologies}
     owners = {g.id for g in s.gencos}
     for plant in s.initial_fleet:
         path = f"initial_fleet[{plant.id}]"
-        if plant.technology.name not in catalog:
-            out.append(
-                Violation(f"{path}.technology", f"unknown technology {plant.technology.name!r}")
-            )
+        name = plant.technology.name
+        if name not in catalog:
+            out.append(Violation(f"{path}.technology", f"unknown technology {name!r}"))
+        elif plant.technology != catalog[name]:  # a market prices a name by the catalog's entry
+            out.append(Violation(f"{path}.technology",
+                                 f"technology {name!r} differs from the catalog's entry"))
         if plant.owner not in owners:
             out.append(Violation(f"{path}.owner", f"unknown genco {plant.owner!r}"))
 

@@ -18,10 +18,35 @@ import math
 
 import numpy as np
 
-from carbonopt.dispatch import CANDIDATE_ID, YearResult, build_bids, clear_segment, srmc
+from carbonopt.dispatch import CANDIDATE_ID, Bid, YearResult, _fuel_price, clear_segment, srmc
 from carbonopt.investment import REVENUE_PROBE_YEARS, Event, fit_carbon_forecast, npv
 from carbonopt.scenario import PowerPlant
 from carbonopt.simulation import SimulationResult
+
+
+def available_mw(plant, segment):
+    """Full capacity, derated by the segment's weather for intermittents."""
+    tech = plant.technology
+    available = tech.capacity_mw * plant.unit_count
+    if tech.is_intermittent:
+        available *= segment.capacity_factor(tech.weather_profile)
+    return available
+
+
+def build_bids(fleet, year, segment, carbon_price, s):
+    """One bid per plant at its available MW in ``segment``.
+
+    Callers are expected to pass a fleet already filtered to plants active
+    in ``year``.
+    """
+    return [
+        Bid(
+            plant=plant,
+            available_mw=available_mw(plant, segment),
+            srmc=srmc(plant.technology, _fuel_price(plant.technology, year, s), carbon_price),
+        )
+        for plant in fleet
+    ]
 
 
 def reference_segments(fleet, year, carbon_price, s, demand_scale=1.0):

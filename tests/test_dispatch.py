@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from carbonopt.dispatch import (
     CANDIDATE_ID,
     Bid,
+    Fleet,
     MarketYear,
-    build_bids,
     clear_segment,
     merit_order_key,
     run_year,
@@ -23,7 +23,7 @@ from carbonopt.errors import ConfigurationError
 from carbonopt.scenario import DaySegment, PowerPlant, RepresentativeDay
 
 from conftest import FULL_DAY, make_scenario, make_tech
-from oracle import candidates, reference_probe, reference_year
+from oracle import build_bids, candidates, reference_probe, reference_year
 
 VOLL = 6000.0
 
@@ -95,6 +95,10 @@ class TestBuildBids:
         segment = s.representative_days[0].segments[0]
         with pytest.raises(ConfigurationError, match="oil"):
             build_bids([plant], 2020, segment, carbon_price=0.0, s=s)
+        # the kernel prices the whole catalog, so it refuses the series even with no oil plant
+        s_oil = dataclasses.replace(s, technologies=(*s.technologies, oil))
+        with pytest.raises(ConfigurationError, match="oil"):
+            run_year(list(s.initial_fleet), 2020, 0.0, s_oil)
 
     def test_retired_plants_are_filtered_upstream(self, static_fossil_scenario):
         s = static_fossil_scenario
@@ -106,6 +110,22 @@ class TestBuildBids:
         result = run_year(fleet + [old], 2020, 10.0, s, demand_scale=2.0)
         assert result == run_year(fleet, 2020, 10.0, s, demand_scale=2.0)  # retired 2010, never bids
         assert result.unserved_mwh == pytest.approx(60.0 * 8760.0)
+
+
+class TestFleet:
+    def test_a_plant_outside_the_catalog_is_refused(self, static_fossil_scenario):
+        s = static_fossil_scenario
+        gas = s.technologies[0]
+        fleet = Fleet(s.technologies, s.initial_fleet)
+        for tech in (make_tech(name="oil", fuel_kind="oil"), dataclasses.replace(gas, variable_om=50.0)):
+            plant = PowerPlant(id="p9", technology=tech, owner="g1", commission_year=2000, unit_count=1)
+            with pytest.raises(ConfigurationError, match=f"plant 'p9': technology '{tech.name}'"):
+                fleet.append(plant)
+            with pytest.raises(ConfigurationError, match="'p9'"):
+                run_year([*s.initial_fleet, plant], 2020, 10.0, s)
+        assert fleet.plants == list(s.initial_fleet) and len(fleet.mw) == 1  # nothing appended
+        fleet.append(dataclasses.replace(s.initial_fleet[0], id="p9", technology=dataclasses.replace(gas)))
+        assert fleet.tech.tolist() == [0, 0]  # an equal copy is the catalog's entry
 
 
 class TestClearSegment:
@@ -442,22 +462,13 @@ class TestProbeMarket:
             )
             for _ in range(data.draw(st.integers(1, 4)))
         ]
-        # a technology outside the catalog, fuel-free so the scenario prices it
-        outsider = make_tech(name="outsider", capacity_mw=25.0, fuel_kind=None, efficiency=1.0,
-                             variable_om=5.0)
-        alone = PowerPlant(id=CANDIDATE_ID, technology=outsider, owner="probe",
-                           commission_year=year, unit_count=1)
         market = MarketYear(fleet, year, carbon_price, s)
         for unit in candidates(s, year):
             assert market.probe(unit.technology) == reference_probe(fleet, unit, year, carbon_price, s)
-        expected = reference_probe(fleet, alone, year, carbon_price, s)
-        assert market.probe_all([outsider]) == {"outsider": expected}
         market.add(plants)
         for unit in candidates(s, year):
             expected = reference_probe(fleet + plants, unit, year, carbon_price, s)
             assert market.probe(unit.technology) == expected
-        expected = reference_probe(fleet + plants, alone, year, carbon_price, s)
-        assert market.probe_all([outsider]) == {"outsider": expected}
         result = market.clear()
         expected = reference_year(fleet + plants, year, carbon_price, s)
         assert result == expected

@@ -1,6 +1,7 @@
 """Every imported name is read somewhere in its module, and so is every private
-module-level name of the package: unused-import and dead-helper checks with ``ast`` alone.
-The package never calls the builtin ``sum``, whose float rounding changed in Python 3.12."""
+module-level name and private class attribute of the package: unused-import, dead-helper
+and dead-state checks with ``ast`` alone. The package never calls the builtin ``sum``,
+whose float rounding changed in Python 3.12."""
 
 from __future__ import annotations
 
@@ -136,4 +137,68 @@ def test_the_check_names_each_unread_private_name():
     )
     assert unread_private_names(source) == [
         "line 4: _a", "line 5: _LIMIT", "line 8: _dead", "line 11: _Old",
+    ]
+
+
+def unread_private_attributes(source: str) -> list[str]:
+    """``line N: Class.name`` for each ``_private`` method, class-level name or ``self._x``
+    attribute a class of the module binds that no attribute load of the module reads.
+
+    Reads are matched by attribute name alone (``obj._x`` for any ``obj``), so the check
+    never flags state that is read; dunder names are not private.
+    """
+    tree = ast.parse(source)
+    bound: dict[str, tuple[int, str]] = {}
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                bound.setdefault(name, (node.lineno, cls.name))
+        for node in ast.walk(cls):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                bound.setdefault(node.attr, (node.lineno, cls.name))
+    read = {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"line {line}: {cls}.{name}" for name, (line, cls) in sorted(bound.items(), key=lambda x: x[1])
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: str(path.relative_to(ROOT)))
+def test_every_private_attribute_is_read(path):
+    assert unread_private_attributes(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_names_each_unread_private_attribute():
+    source = (
+        "class Market:\n"
+        "    _LIMIT = 4\n"
+        "    _UNUSED: int = 5\n"
+        "    def __init__(self):\n"
+        "        self._cache = {}\n"
+        "        self._priced = None\n"
+        "        self.public = self._LIMIT\n"
+        "        self._held = 0\n"
+        "    def _used(self):\n"
+        "        return self._cache\n"
+        "    def _dead(self):\n"
+        "        self._held += 1\n"
+        "    def run(self):\n"
+        "        return self._used(), other._seen\n"
+    )
+    assert unread_private_attributes(source) == [
+        "line 3: Market._UNUSED", "line 6: Market._priced", "line 8: Market._held",  # only written
+        "line 11: Market._dead",
     ]

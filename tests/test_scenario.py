@@ -184,6 +184,22 @@ class TestValidate:
         assert [v.path for v in violations] == ["fuel_prices[gas]"]
         assert "2022" in violations[0].message
 
+    def test_plant_technology_must_be_the_catalog_entry(self, static_fossil_scenario):
+        # a copy of the catalog's gas with other costs: a market would price it as the
+        # catalog's gas (SRMC 47 at tax 10), not at its own (SRMC 99)
+        s = static_fossil_scenario
+        gas = s.technologies[0]
+        copy = dataclasses.replace(gas, variable_om=50.0, emission_factor=0.9)
+        plants = (dataclasses.replace(s.initial_fleet[0], id="own", technology=copy),
+                  *s.initial_fleet)
+        violations = validate_scenario(dataclasses.replace(s, initial_fleet=plants))
+        assert [(v.path, v.message) for v in violations] == [
+            ("initial_fleet[own].technology", "technology 'gas' differs from the catalog's entry")
+        ]
+        equal = dataclasses.replace(gas)  # an equal copy prices the same and is accepted
+        plants = (dataclasses.replace(s.initial_fleet[0], id="own", technology=equal),)
+        assert validate_scenario(dataclasses.replace(s, initial_fleet=plants)) == []
+
     def test_intermittent_needs_weather_profile(self):
         from carbonopt.scenario import Scenario
 

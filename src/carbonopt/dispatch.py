@@ -11,12 +11,14 @@ market of each simulated year (``run_year``) and the investment probes'
 future markets. It reads its plants from a ``Fleet``, which keeps a run's
 plants as append-only columns: the index of each plant's technology in
 the scenario's catalog, MW (``capacity_mw * unit_count``), commission and
-retirement year, and id. SRMC depends on the year and the carbon price,
-not on the segment, so a build prices each catalog technology once: SRMC,
-emission factor, availability factors, one unit's MW per segment and a
-merit rank standing for (SRMC, emission factor). It then takes an active
-mask over the columns, a gather of those by technology index, and one
-stable ``np.lexsort`` on (id, rank): the merit order, as an (offer x
+retirement year, and id. The fleet also holds the tables no market-year
+changes, read once from its scenario: segment demand and hours, and per
+catalog technology its availability factors, one unit's MW per segment
+and emission factor. SRMC depends on the year and the carbon price, not
+on the segment, so a build prices each catalog technology once: SRMC and
+a merit rank standing for (SRMC, emission factor). It then takes an
+active mask over the columns, a gather of those by technology index, and
+one stable ``np.lexsort`` on (id, rank): the merit order, as an (offer x
 segment) availability matrix. Each offer also gets an integer merit key,
 its rank plus whether its id sorts after ``CANDIDATE_ID``, so
 ``np.searchsorted`` over the keys places a plant bought later
@@ -51,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .scenario import PowerPlant, RepresentativeDay, Scenario, Technology
+from .scenario import PowerPlant, Scenario, Technology
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,26 +155,45 @@ def run_year(
 
 
 class Fleet:
-    """A run's plants in the order they joined, with the columns markets are built from.
+    """A run's plants in the order they joined, and the market tables no market-year changes.
+
+    A fleet belongs to the scenario ``s`` it was built from. Built, it
+    reads the tables every market-year of the run shares: per segment of
+    ``s``'s representative days, in day order, ``demand_mw`` and ``hours``
+    (duration x day weight); per technology of ``catalog``, the scenario's
+    technologies, ``factors`` (its weather profile's capacity factor per
+    segment, 1.0 when firm), ``unit_mw`` (one unit's MW per segment) and
+    ``ef``, its emission factor.
 
     The fleet only grows: ``append`` and ``extend`` add plants at the end,
     and a ``MarketYear`` reads the rows that were there when it last
-    looked. Each plant holds a technology of ``catalog``, the scenario's
-    technologies; a plant whose technology is not the catalog's entry of
-    its name is refused. One row per plant: ``tech``, the index of its
-    technology in ``catalog``; ``mw``, its ``capacity_mw * unit_count``;
-    ``commission`` and ``retirement``, the years it starts and stops
-    running; ``ids``; and ``after_probe``, whether its id sorts after
-    ``CANDIDATE_ID``. Each column is a view of an array that doubles when
-    full, so a purchase is appended in place.
+    looked. Each plant holds a technology of ``catalog``; a plant whose
+    technology is not the catalog's entry of its name is refused. One row
+    per plant: ``tech``, the index of its technology in ``catalog``;
+    ``mw``, its ``capacity_mw * unit_count``; ``commission`` and
+    ``retirement``, the years it starts and stops running; ``ids``; and
+    ``after_probe``, whether its id sorts after ``CANDIDATE_ID``. Each
+    column is a view of an array that doubles when full, so a purchase is
+    appended in place.
     """
 
     _DTYPES = {"tech": np.intp, "mw": float, "commission": np.intp, "retirement": np.intp,
                "ids": str, "after_probe": bool}
 
-    def __init__(self, catalog: tuple[Technology, ...], plants=()):
-        self.catalog = catalog
+    def __init__(self, s: Scenario, plants=()):
+        self.catalog = catalog = s.technologies
         self.index = {tech.name: i for i, tech in enumerate(catalog)}  # name -> catalog index
+        segments = [(segment, day.weight_days) for day in s.representative_days for segment in day.segments]
+        self.demand_mw = np.array([segment.demand_mw for segment, _ in segments])
+        self.hours = np.array([segment.duration_hours * weight for segment, weight in segments])
+        profiles = [tech.weather_profile if tech.is_intermittent else None for tech in catalog]
+        self.factors = np.reshape(
+            [[1.0 if profile is None else segment.capacity_factor(profile) for segment, _ in segments]
+             for profile in profiles],
+            (len(catalog), len(segments)),
+        )
+        self.unit_mw = self.factors * np.reshape([tech.capacity_mw for tech in catalog], (-1, 1))
+        self.ef = np.array([tech.emission_factor for tech in catalog])
         self.plants: list[PowerPlant] = []
         self._columns = {name: np.empty(0, dtype) for name, dtype in self._DTYPES.items()}
         vars(self).update(self._columns)  # no rows yet
@@ -222,42 +243,6 @@ class Fleet:
             self._columns[name][:n] = column[:n]
 
 
-class _Days:
-    """A scenario's representative days as arrays over their segments, in day order.
-
-    ``of`` keeps the tables of the last few day sets it was given, by
-    identity (it holds each set, so no other can take its id), so the
-    market-years of a run share one.
-    """
-
-    _recent: dict[int, tuple[tuple[RepresentativeDay, ...], _Days]] = {}
-
-    def __init__(self, days: tuple[RepresentativeDay, ...]):
-        self._segments = [segment for day in days for segment in day.segments]
-        self.demand_mw = np.array([segment.demand_mw for segment in self._segments])
-        self.hours = np.array([segment.duration_hours * day.weight_days
-                               for day in days for segment in day.segments])
-        self._factors: dict[str | None, np.ndarray] = {None: np.ones(len(self._segments))}
-
-    @classmethod
-    def of(cls, days: tuple[RepresentativeDay, ...]) -> _Days:
-        held = cls._recent.get(id(days))
-        if held is None:
-            if len(cls._recent) == 8:
-                cls._recent.pop(next(iter(cls._recent)))
-            held = cls._recent[id(days)] = (days, cls(days))
-        return held[1]
-
-    def factors(self, profile: str | None) -> np.ndarray:
-        """Per-segment availability factors of a weather profile; 1 for ``None`` (firm)."""
-        factors = self._factors.get(profile)
-        if factors is None:
-            factors = self._factors[profile] = np.array(
-                [segment.capacity_factor(profile) for segment in self._segments]
-            )
-        return factors
-
-
 class MarketYear:
     """A fleet's market-year: cleared as a whole, or pricing one added unit per technology.
 
@@ -273,9 +258,12 @@ class MarketYear:
     own MW are both > 0, and the marginal offer is the one after which it
     is first <= 0.
 
-    A build prices every technology of the fleet's catalog once, in
-    arrays by catalog index: ``srmc``, emission factor, availability
-    factors, one unit's MW per segment, and rank, 2 x the index of its
+    A market takes its days and catalog from ``fleet``, whose tables
+    (segment demand and hours; per technology availability factors, one
+    unit's MW and emission factor) it reads, and fuel prices, demand
+    growth and the loss-of-load price from ``s``, the scenario the fleet
+    was built from. A build prices every technology of the catalog once,
+    in arrays by catalog index: ``srmc``, and rank, 2 x the index of its
     (SRMC, emission factor) among the catalog's distinct pairs in
     ascending order. It then sorts the rows of ``fleet`` active in the
     market-year by one stable ``np.lexsort``. Each offer has an integer
@@ -284,8 +272,8 @@ class MarketYear:
     ``CANDIDATE_ID``, so ``np.searchsorted`` over them finds where a plant
     bought later or a probed unit, whose key is its rank, goes.
     ``fleet`` is read, not copied: ``add`` places the rows a ``Fleet``
-    gained since. A list of plants is made into a ``Fleet`` of the
-    scenario's catalog first, the constructor a run uses.
+    gained since. A list of plants is made into a ``Fleet(s, plants)``
+    first, the constructor a run uses.
     """
 
     def __init__(
@@ -296,32 +284,21 @@ class MarketYear:
         s: Scenario,
         demand_scale: float = 1.0,
     ):
-        self.fleet = fleet if isinstance(fleet, Fleet) else Fleet(s.technologies, fleet)
+        self.fleet = fleet = fleet if isinstance(fleet, Fleet) else Fleet(s, fleet)
         self.year = year
-        days = _Days.of(s.representative_days)
-        self._demand = days.demand_mw * (s.demand_scale(year) * demand_scale)
-        self._hours = days.hours
+        self._demand = fleet.demand_mw * (s.demand_scale(year) * demand_scale)
         self._batch: list[tuple[float, float]] | None = None  # probes of the catalog
 
-        # The catalog, priced: per technology its SRMC, emission factor, availability
-        # factors, one unit's MW per segment and merit rank.
-        catalog = self.fleet.catalog
+        # The catalog, priced: per technology its SRMC and merit rank.
         pairs = [(srmc(tech, _fuel_price(tech, year, s), carbon_price), tech.emission_factor)
-                 for tech in catalog]
+                 for tech in fleet.catalog]
         ranked = sorted(set(pairs))
         self.srmc = np.array([cost for cost, _ in pairs])
-        self._ef = np.array([ef for _, ef in pairs])
-        self._factors = np.reshape(
-            [days.factors(tech.weather_profile if tech.is_intermittent else None) for tech in catalog],
-            (len(catalog), len(self._demand)),
-        )
-        self._unit_mw = self._factors * np.reshape([tech.capacity_mw for tech in catalog], (-1, 1))
         self._rank = np.array([2 * bisect_left(ranked, pair) for pair in pairs], dtype=np.intp)
 
         # The build: the plants active in the market-year in merit order, by one stable
         # sort. Per offer its fleet row, merit key and SRMC (loss of load's last), and
         # the demand, then each offer's MW.
-        fleet = self.fleet
         self._seen = len(fleet)  # the fleet rows looked at
         rows = np.flatnonzero((fleet.commission <= year) & (year < fleet.retirement))
         tech = fleet.tech[rows]
@@ -329,7 +306,7 @@ class MarketYear:
         self._rows, tech = rows[order], tech[order]
         self._key = self._rank[tech] + fleet.after_probe[self._rows]
         self._cost = np.concatenate((self.srmc[tech], [s.loss_of_load_price]))
-        self._stack = np.concatenate((self._demand[None], self._factors[tech] * fleet.mw[self._rows, None],
+        self._stack = np.concatenate((self._demand[None], fleet.factors[tech] * fleet.mw[self._rows, None],
                                       np.full((1, len(self._demand)), np.inf)))
         self._avail = self._stack[1:]
 
@@ -355,7 +332,7 @@ class MarketYear:
             self._rows = _spliced(self._rows, at, [row])
             self._key = _spliced(self._key, at, [key])
             self._cost = _spliced(self._cost, at, [self.srmc[tech]])
-            self._stack = _spliced(self._stack, at + 1, (self._factors[tech] * fleet.mw[row])[None])
+            self._stack = _spliced(self._stack, at + 1, (fleet.factors[tech] * fleet.mw[row])[None])
             self._avail = self._stack[1:]
             self._batch = None
         self._seen = len(fleet)
@@ -369,7 +346,7 @@ class MarketYear:
         dispatched add nothing) and ``energy_by_technology`` keeps its
         first-dispatch key order.
         """
-        n = len(self._rows)
+        fleet, n = self.fleet, len(self._rows)
         left = np.subtract.accumulate(self._stack)
         # The loss-of-load offer, last, is dispatched exactly where the segment runs
         # short, so the marginal offer sets the price; -1 where there is no demand.
@@ -378,30 +355,30 @@ class MarketYear:
         unserved = np.where(left[n] > 0.0, left[n], 0.0)
         left, avail = left[:n].T, self._avail[:n].T  # segment-major, as the totals add up
         dispatched = (left > 0.0) & (avail > 0.0)
-        energy = np.where(dispatched, np.where(avail < left, avail, left) * self._hours[:, None], 0.0)
+        energy = np.where(dispatched, np.where(avail < left, avail, left) * fleet.hours[:, None], 0.0)
 
         # ``np.add.at`` adds each technology's MWh in the order given, segment-major
-        tech = self.fleet.tech[self._rows]
-        by_tech = np.zeros(len(self.fleet.catalog))
+        tech = fleet.tech[self._rows]
+        by_tech = np.zeros(len(fleet.catalog))
         np.add.at(by_tech, tech[None].repeat(len(energy), axis=0).ravel(), energy.ravel())
         by_tech = by_tech.tolist()
         # the offers ever dispatched, by where (segment-major) they first are
         first, ever = dispatched.argmax(axis=0), np.flatnonzero(dispatched.any(axis=0))
         order = ever[np.argsort(first[ever] * n + ever)]
-        names = [tech.name for tech in self.fleet.catalog]
+        names = [tech.name for tech in fleet.catalog]
         energy_by_tech = {  # in first-dispatch order
             names[k]: by_tech[k] for k in dict.fromkeys(tech[order].tolist())
         }
-        emissions = _total((energy * self._ef[tech]).ravel())
+        emissions = _total((energy * fleet.ef[tech]).ravel())
         served_mwh = _total(energy.ravel())
 
-        seg_demand_mwh = self._demand * self._hours
+        seg_demand_mwh = self._demand * fleet.hours
         demand_mwh = _total(seg_demand_mwh)
         return YearResult(
             energy_by_technology=energy_by_tech,
             emissions_t=emissions,
             average_price=_total(price * seg_demand_mwh) / demand_mwh if demand_mwh > 0 else 0.0,
-            unserved_mwh=_total(unserved * self._hours),
+            unserved_mwh=_total(unserved * fleet.hours),
             carbon_intensity=emissions / served_mwh if served_mwh > 0 else 0.0,
         )
 
@@ -423,7 +400,7 @@ class MarketYear:
         sets the price. Elsewhere the unit's SRMC does.
         """
         if self._batch is None:
-            available = self._unit_mw
+            available = self.fleet.unit_mw
             at = self._key.searchsorted(self._rank, "right")
             remaining = np.subtract.accumulate(self._stack)[at]  # demand left before each unit
             # A unit's grid column: the demand left after it, then the offers after it up to
@@ -438,7 +415,7 @@ class MarketYear:
             # dispatched where the demand left and the unit's MW are both > 0 (elsewhere
             # it takes 0 MWh, which adds nothing to the totals)
             totals = np.empty((2, *available.shape))
-            energy = np.multiply(np.maximum(np.minimum(available, remaining), 0.0), self._hours,
+            energy = np.multiply(np.maximum(np.minimum(available, remaining), 0.0), self.fleet.hours,
                                  out=totals[0])
             np.multiply(energy, np.where(available < remaining, marginal, self.srmc[:, None]),
                         out=totals[1])

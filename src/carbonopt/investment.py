@@ -13,11 +13,14 @@ An investment state (decision year, fleet) is valued one way only:
 and asks ``estimate_yearly_revenue`` for each catalog technology, which
 reads that market's ``probe``, then works out the catalog's NPVs in one
 numpy pass, bit for bit as ``npv`` adds them. The market prices the
-scenario's catalog once, by catalog index, and the first ``probe`` of a
-state values one more unit of every catalog technology in one numpy pass
-without clearing the market. A run keeps its fleet as a ``Fleet``, append-only
-columns that ``invest`` appends each purchase to; the year's market is
-built from them by one sort and reads the rows appended since with
+scenario's catalog once (SRMC and merit rank), by catalog index, and the
+first ``probe`` of a state values one more unit of every catalog
+technology in one numpy pass without clearing the market. A run keeps its
+fleet as a ``Fleet``, append-only columns that ``invest`` appends each
+purchase to, beside the tables no market-year changes (segment demand and
+hours; per technology availability factors, one unit's MW and emission
+factor), read once per run. The year's market is built from the columns
+by one sort and reads the rows appended since with
 ``MarketYear.add``, which places each purchase by ``np.searchsorted``.
 The figures equal those of clearing ``fleet + [candidate]`` from scratch
 bit for bit.

@@ -394,9 +394,15 @@ def _items(cls, value, where: str, **special) -> tuple:
 
 
 def _year(key, where: str) -> int:
-    """A fuel-price year; JSON object keys are strings, so a year is read from its numeral."""
+    """A fuel-price year; JSON object keys are strings, so a year is read from its numeral.
+
+    Only a year's own decimal numeral is one: ``int()`` also reads ``"2_020"``,
+    ``" 2020"``, ``"+2020"`` and ``"02020"``, which would spell a listed year twice.
+    """
     with suppress(ValueError):  # not a numeral, or longer than int() reads
-        return int(str(key))
+        year = int(str(key))
+        if str(year) == str(key):
+            return year
     return _integer(key, where)
 
 
@@ -457,6 +463,16 @@ def scenario_to_dict(s: Scenario) -> dict:
     return raw
 
 
+def _unique_keys(pairs: list[tuple[str, object]], path: Path) -> dict:
+    """A JSON object of ``path`` as a dict; a key it repeats is refused, not kept once."""
+    raw = dict(pairs)
+    if len(raw) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for k, key in enumerate(keys) if key in keys[:k])
+        raise ScenarioParseError(f"scenario file {path}: key {repeated!r} is repeated in one object")
+    return raw
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Load and validate a scenario file; raises on parse or validation failure."""
     path = Path(path)
@@ -465,7 +481,7 @@ def load_scenario(path: str | Path) -> Scenario:
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioParseError(f"cannot read scenario file {path}: {exc}") from exc
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=partial(_unique_keys, path=path))
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"scenario file {path} is not valid JSON: {exc}") from exc
     scenario = scenario_from_dict(raw)

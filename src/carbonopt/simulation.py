@@ -71,7 +71,7 @@ def _invest_over_horizon(
     if seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
     check_bounds(policy, s.horizon_years)
-    fleet = Fleet(s.technologies, s.initial_fleet)
+    fleet = Fleet(s, s.initial_fleet)
     budgets = {g.id: g.budget for g in s.gencos}
     events: list[Event] = []
     history: list[tuple[int, float]] = []

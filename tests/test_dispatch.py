@@ -116,7 +116,7 @@ class TestFleet:
     def test_a_plant_outside_the_catalog_is_refused(self, static_fossil_scenario):
         s = static_fossil_scenario
         gas = s.technologies[0]
-        fleet = Fleet(s.technologies, s.initial_fleet)
+        fleet = Fleet(s, s.initial_fleet)
         for tech in (make_tech(name="oil", fuel_kind="oil"), dataclasses.replace(gas, variable_om=50.0)):
             plant = PowerPlant(id="p9", technology=tech, owner="g1", commission_year=2000, unit_count=1)
             with pytest.raises(ConfigurationError, match=f"plant 'p9': technology '{tech.name}'"):
@@ -126,6 +126,19 @@ class TestFleet:
         assert fleet.plants == list(s.initial_fleet) and len(fleet.mw) == 1  # nothing appended
         fleet.append(dataclasses.replace(s.initial_fleet[0], id="p9", technology=dataclasses.replace(gas)))
         assert fleet.tech.tolist() == [0, 0]  # an equal copy is the catalog's entry
+
+    def test_the_market_tables_are_read_from_its_scenario(self):
+        solar = make_tech(name="solar", capacity_mw=10.0, fuel_kind=None, efficiency=1.0,
+                          emission_factor=0.0, is_intermittent=True, weather_profile="solar")
+        gas = make_tech(capacity_mw=20.0, emission_factor=0.4)
+        day = RepresentativeDay(name="d", weight_days=365.0, segments=(
+            DaySegment(8.0, 50.0, 0.5, 0.2), DaySegment(16.0, 70.0, 0.0, 0.9)))
+        fleet = Fleet(make_scenario([solar, gas], [], days=(day,)))
+        assert fleet.demand_mw.tolist() == [50.0, 70.0]
+        assert fleet.hours.tolist() == [8.0 * 365.0, 16.0 * 365.0]
+        assert fleet.factors.tolist() == [[0.5, 0.0], [1.0, 1.0]]  # solar's profile; gas is firm
+        assert fleet.unit_mw.tolist() == [[5.0, 0.0], [20.0, 20.0]]
+        assert fleet.ef.tolist() == [0.0, 0.4]
 
 
 class TestClearSegment:

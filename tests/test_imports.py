@@ -1,7 +1,8 @@
 """Every imported name is read somewhere in its module, and so is every private
 module-level name and private class attribute of the package: unused-import, dead-helper
 and dead-state checks with ``ast`` alone. The package never calls the builtin ``sum``,
-whose float rounding changed in Python 3.12."""
+whose float rounding changed in Python 3.12, and no class of it mutates state held on the
+class itself, which every run in a process would share."""
 
 from __future__ import annotations
 
@@ -201,4 +202,77 @@ def test_the_check_names_each_unread_private_attribute():
     assert unread_private_attributes(source) == [
         "line 3: Market._UNUSED", "line 6: Market._priced", "line 8: Market._held",  # only written
         "line 11: Market._dead",
+    ]
+
+
+MUTATORS = {"pop", "append", "update", "setdefault", "clear", "extend", "add", "insert", "remove",
+            "discard", "popitem"}
+
+
+def class_state_mutations(source: str) -> list[str]:
+    """``line N: Class.name`` for each mutation of a class-level name through ``cls.`` or the
+    class's own name: a subscript store or delete, or a call of a mutating method on it.
+
+    State kept on a class outlives every instance and is shared by every run in the
+    process, so runs that should be independent could see each other's entries.
+    """
+    tree = ast.parse(source)
+
+    def mutated(node) -> ast.expr | None:
+        """What ``node`` mutates in place, if it is a subscript store or delete or a mutator call."""
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            return node.value
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in MUTATORS:
+            return node.func.value
+        return None
+
+    found = set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        names = {
+            target.id for node in cls.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name)
+        }
+        # through the class's name anywhere in the module, through ``cls`` in its body
+        for scope, owner in ((tree, cls.name), (cls, "cls")):
+            for node in ast.walk(scope):
+                target = mutated(node)
+                if (isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name)
+                        and target.value.id == owner and target.attr in names):
+                    found.add((node.lineno, f"{cls.name}.{target.attr}"))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: str(path.relative_to(ROOT)))
+def test_no_class_mutates_state_held_on_it(path):
+    assert class_state_mutations(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_names_each_class_state_mutation():
+    source = (
+        "class Cache:\n"
+        "    _recent = {}\n"
+        "    _seen: list = []\n"
+        "    LIMIT = 8\n"
+        "    def __init__(self):\n"
+        "        self._own = {}\n"
+        "        self._own['a'] = 1\n"              # an instance's own state
+        "        self._recent['b'] = 2\n"           # through self: not this check's
+        "    @classmethod\n"
+        "    def of(cls, key):\n"
+        "        if len(cls._recent) == cls.LIMIT:\n"
+        "            cls._recent.pop(next(iter(cls._recent)))\n"
+        "        held = cls._recent[key] = cls()\n"
+        "        cls._recent.get(key)\n"            # a read
+        "        Cache._seen.append(key)\n"
+        "        del Cache._recent[key]\n"
+        "        cls._other['x'] = 1\n"             # not a class-level name
+        "        other._seen.append(key)\n"         # not through the class
+        "        return held\n"
+    )
+    assert class_state_mutations(source) == [
+        "line 12: Cache._recent", "line 13: Cache._recent", "line 15: Cache._seen",
+        "line 16: Cache._recent",
     ]

@@ -123,6 +123,30 @@ class TestLoad:
         with pytest.raises(ScenarioParseError, match="start_year"):
             load_scenario(write_json(tmp_path, data))
 
+    def test_a_repeated_key_is_refused(self, tmp_path):
+        # ``json`` keeps the last value of a repeated key, so 1.0 would vanish unseen
+        text = bundled_scenario_path("uk_synthetic").read_text(encoding="utf-8")
+        path = tmp_path / "twice.scenario"
+        path.write_text(text.replace('"capacity_mw": 1000.0', '"capacity_mw": 1.0, "capacity_mw": 1000.0', 1),
+                        encoding="utf-8")
+        with pytest.raises(ScenarioParseError) as err:
+            load_scenario(path)
+        assert str(err.value) == f"scenario file {path}: key 'capacity_mw' is repeated in one object"
+
+    @pytest.mark.parametrize("spelling", ["2_020", " 2020", "2020 ", "+2020", "02020", "٢٠٢٠"])
+    def test_a_year_spelled_twice_is_refused(self, tmp_path, spelling):
+        # each is int() 2020: beside "2020" it would replace the listed 20.0 with 999.0
+        raw = json.loads(bundled_scenario_path("uk_synthetic").read_text(encoding="utf-8"))
+        raw["fuel_prices"]["gas"][spelling] = 999.0
+        with pytest.raises(ScenarioParseError) as err:
+            load_scenario(write_json(tmp_path, raw))
+        assert str(err.value) == f"fuel_prices[gas] year: must be an integer, got {spelling!r}"
+
+    def test_int_years_from_python_are_read(self):
+        raw = copy.deepcopy(MINIMAL)
+        raw["fuel_prices"] = {"gas": {2020: 20.0, 2021: 21.0}}
+        assert scenario_from_dict(raw).fuel_prices == {"gas": {2020: 20.0, 2021: 21.0}}
+
     def test_unknown_plant_technology(self, tmp_path):
         data = json.loads(json.dumps(MINIMAL))
         data["initial_fleet"][0]["technology"] = "fusion"

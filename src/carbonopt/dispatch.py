@@ -35,8 +35,8 @@ np.cumsum(...)`` is not: it adds the offers up first and subtracts once,
 Totals are likewise added strictly in order (``_total``), segment by
 segment and in merit order within a segment, the order a
 segment-by-segment fill produces them in; ``np.sum`` would add pairwise
-and round differently. ``MarketYear.probe`` prices one more unit of each
-catalog technology in one pass: each unit finds the demand left before it
+and round differently. ``MarketYear.probe`` values one more unit of every
+catalog technology in one call: each unit finds the demand left before it
 in the market's own accumulate, and one accumulate down an (offer x
 technology x segment) grid of the offers after each unit finds the price
 where the unit runs short.
@@ -287,7 +287,6 @@ class MarketYear:
         self.fleet = fleet = fleet if isinstance(fleet, Fleet) else Fleet(s, fleet)
         self.year = year
         self._demand = fleet.demand_mw * (s.demand_scale(year) * demand_scale)
-        self._batch: list[tuple[float, float]] | None = None  # probes of the catalog
 
         # The catalog, priced: per technology its SRMC and merit rank.
         pairs = [(srmc(tech, _fuel_price(tech, year, s), carbon_price), tech.emission_factor)
@@ -318,7 +317,6 @@ class MarketYear:
         puts it: ``np.searchsorted`` over the integer keys finds the offers
         of its (SRMC, emission factor) on its side of ``CANDIDATE_ID``, which
         are sorted by id, and another over their ids its place among them.
-        Probes priced before are dropped.
         """
         fleet = self.fleet
         fleet.extend(plants)
@@ -334,7 +332,6 @@ class MarketYear:
             self._cost = _spliced(self._cost, at, [self.srmc[tech]])
             self._stack = _spliced(self._stack, at + 1, (fleet.factors[tech] * fleet.mw[row])[None])
             self._avail = self._stack[1:]
-            self._batch = None
         self._seen = len(fleet)
 
     def clear(self) -> YearResult:
@@ -382,14 +379,14 @@ class MarketYear:
             carbon_intensity=emissions / served_mwh if served_mwh > 0 else 0.0,
         )
 
-    def probe(self, tech: Technology) -> tuple[float, float]:
-        """Energy (MWh) and revenue (£) of one more unit of ``tech`` in the market-year.
+    def probe(self) -> tuple[np.ndarray, np.ndarray]:
+        """Energy (MWh) and revenue (£) of one more unit of each catalog technology.
 
-        Equal, with ``==``, to the totals of a unit with id ``CANDIDATE_ID``
-        over a segment-by-segment ``clear_segment`` of ``fleet + [unit]``
-        (0.0 when it is never dispatched). ``tech`` is one of the catalog:
-        the first probe after a build or an ``add`` prices one unit of every
-        catalog technology in one pass, and each probe reads its own.
+        Both arrays are in catalog order, the order of ``srmc``. Entry ``k``
+        equals, with ``==``, the totals of a unit of catalog technology
+        ``k`` with id ``CANDIDATE_ID`` over a segment-by-segment
+        ``clear_segment`` of ``fleet + [unit]`` (0.0 when it is never
+        dispatched). One call values the whole catalog.
 
         A stable sort of ``fleet + [unit]`` puts a unit after every offer of
         a key <= its rank (``np.searchsorted``), so the demand left before it
@@ -399,28 +396,26 @@ class MarketYear:
         each unit, finds the first offer after which nothing is left, which
         sets the price. Elsewhere the unit's SRMC does.
         """
-        if self._batch is None:
-            available = self.fleet.unit_mw
-            at = self._key.searchsorted(self._rank, "right")
-            remaining = np.subtract.accumulate(self._stack)[at]  # demand left before each unit
-            # A unit's grid column: the demand left after it, then the offers after it up to
-            # loss of load, which ``take`` repeats past the end (its -inf stays <= 0).
-            steps = at + np.arange(-1, len(self._avail) - at.min())[:, None]
-            grid = self._avail.take(steps, axis=0, mode="clip")
-            grid[0] = remaining - available
-            np.subtract.accumulate(grid, out=grid)
-            # the offer after which nothing is left (row j of the grid follows offer
-            # at - 1 + j); where the unit is not short, unread
-            marginal = self._cost.take((grid <= 0.0).argmax(axis=0) + steps[0][:, None], mode="clip")
-            # dispatched where the demand left and the unit's MW are both > 0 (elsewhere
-            # it takes 0 MWh, which adds nothing to the totals)
-            totals = np.empty((2, *available.shape))
-            energy = np.multiply(np.maximum(np.minimum(available, remaining), 0.0), self.fleet.hours,
-                                 out=totals[0])
-            np.multiply(energy, np.where(available < remaining, marginal, self.srmc[:, None]),
-                        out=totals[1])
-            self._batch = list(zip(*_total(totals)))
-        return self._batch[self.fleet.index[tech.name]]
+        available = self.fleet.unit_mw
+        at = self._key.searchsorted(self._rank, "right")
+        remaining = np.subtract.accumulate(self._stack)[at]  # demand left before each unit
+        # A unit's grid column: the demand left after it, then the offers after it up to
+        # loss of load, which ``take`` repeats past the end (its -inf stays <= 0).
+        steps = at + np.arange(-1, len(self._avail) - at.min())[:, None]
+        grid = self._avail.take(steps, axis=0, mode="clip")
+        grid[0] = remaining - available
+        np.subtract.accumulate(grid, out=grid)
+        # the offer after which nothing is left (row j of the grid follows offer
+        # at - 1 + j); where the unit is not short, unread
+        marginal = self._cost.take((grid <= 0.0).argmax(axis=0) + steps[0][:, None], mode="clip")
+        # dispatched where the demand left and the unit's MW are both > 0 (elsewhere
+        # it takes 0 MWh, which adds nothing to the totals)
+        totals = np.empty((2, *available.shape))
+        energy = np.multiply(np.maximum(np.minimum(available, remaining), 0.0), self.fleet.hours,
+                             out=totals[0])
+        np.multiply(energy, np.where(available < remaining, marginal, self.srmc[:, None]),
+                    out=totals[1])
+        return tuple(np.array(_total(totals)))
 
 
 def _spliced(a: np.ndarray, at: int, rows) -> np.ndarray:

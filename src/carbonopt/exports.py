@@ -21,6 +21,7 @@ from pathlib import Path
 from .nsga2 import FrontArchive
 from .errors import CarbonOptError
 from .investment import Event
+from .scenario import _unique_keys
 from .simulation import SimulationResult
 
 
@@ -211,7 +212,7 @@ def load_manifest(path: Path) -> dict:
     it with the running one, so a missing entry is refused there as differing.
     """
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except (OSError, ValueError) as exc:
         raise CarbonOptError(f"cannot read manifest {path}: {exc}") from exc
     if not isinstance(raw, dict) or not isinstance(raw.get("args", {}), dict):

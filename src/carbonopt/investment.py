@@ -8,14 +8,14 @@ carbon price projected by a linear regression over the realized tax
 history. Positive-NPV options are bought greedily, best first, while the
 budget lasts.
 
-An investment state (decision year, fleet) is valued one way only:
-``YearProbes.value`` holds the year's future market, a ``MarketYear``,
-and asks ``estimate_yearly_revenue`` for each catalog technology, which
-reads that market's ``probe``, then works out the catalog's NPVs in one
+An investment state (decision year, fleet) is valued one way only, in
+one call: ``YearProbes.value`` holds the year's future market, a
+``MarketYear``, and asks ``estimate_yearly_revenue`` once for the yearly
+flows of the whole catalog, then works out the catalog's NPVs in one
 numpy pass, bit for bit as ``npv`` adds them. The market prices the
-scenario's catalog once (SRMC and merit rank), by catalog index, and the
-first ``probe`` of a state values one more unit of every catalog
-technology in one numpy pass without clearing the market. A run keeps its
+scenario's catalog once (SRMC and merit rank), by catalog index, and its
+``probe`` values one more unit of every catalog technology in one numpy
+pass without clearing the market. A run keeps its
 fleet as a ``Fleet``, append-only columns that ``invest`` appends each
 purchase to, beside the tables no market-year changes (segment demand and
 hours; per technology availability factors, one unit's MW and emission
@@ -119,24 +119,23 @@ def _npv_terms(technologies: tuple[Technology, ...], discount_rate: float):
 
 
 def estimate_yearly_revenue(
-    candidate: Technology,
+    market: MarketYear,
     decision_year: int,
     s: Scenario,
     fleet: Fleet | list[PowerPlant],
-    market: MarketYear,
-) -> float:
-    """Net yearly cash flow of one candidate unit in a simulated future market.
+) -> np.ndarray:
+    """Net yearly cash flow of one more unit of each catalog technology, in catalog order.
 
-    ``market`` is the market of ``decision_year`` + 10 holding ``fleet``
-    at the forecast carbon price, as ``YearProbes`` builds it. The unit's
-    revenue there at clearing prices minus its running costs (its SRMC
-    in that market, read from ``MarketYear.srmc``, and fixed O&M) stands in for
-    every operating year of its life. ``perfbench/spans.py`` counts
-    probed states from the positional ``decision_year`` and ``fleet``.
+    ``market`` is the future market of the investment state (``decision_year``,
+    ``fleet``), as ``YearProbes`` builds it: the market of ``decision_year`` + 10 at
+    the forecast carbon price. A unit's revenue there at clearing prices minus its
+    running costs (its SRMC there, ``MarketYear.srmc``, and fixed O&M) stands in for
+    every operating year of its life. ``perfbench/spans.py`` counts probed states
+    from the positional ``decision_year`` and ``fleet``.
     """
-    energy, revenue = market.probe(candidate)
-    running_cost = energy * market.srmc[market.fleet.index[candidate.name]]
-    return revenue - running_cost - candidate.fixed_om * candidate.capacity_mw
+    energy, revenue = market.probe()
+    fixed = np.array([tech.fixed_om * tech.capacity_mw for tech in market.fleet.catalog])
+    return revenue - energy * market.srmc - fixed
 
 
 @dataclass
@@ -173,10 +172,7 @@ class YearProbes:
             else:  # lengths are valued in increasing order: the market holds the last
                 # the plants its fleet lacks: none when it reads ``fleet`` itself
                 self.market.add(fleet[len(self.market.fleet):])
-            yearly = [
-                estimate_yearly_revenue(tech, self.decision_year, s, fleet, self.market)
-                for tech in s.technologies
-            ]
+            yearly = estimate_yearly_revenue(self.market, self.decision_year, s, fleet)
             operating, fixed, factors = self.npv_terms
             flows = np.where(operating, np.divide.outer(yearly, factors), fixed)
             npvs = (np.add.accumulate(flows, axis=1)[:, -1] + 0.0).tolist()

@@ -463,13 +463,13 @@ def scenario_to_dict(s: Scenario) -> dict:
     return raw
 
 
-def _unique_keys(pairs: list[tuple[str, object]], path: Path) -> dict:
-    """A JSON object of ``path`` as a dict; a key it repeats is refused, not kept once."""
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a key it repeats is refused (``ValueError``), not kept once."""
     raw = dict(pairs)
     if len(raw) < len(pairs):
         keys = [key for key, _ in pairs]
         repeated = next(key for k, key in enumerate(keys) if key in keys[:k])
-        raise ScenarioParseError(f"scenario file {path}: key {repeated!r} is repeated in one object")
+        raise ValueError(f"key {repeated!r} is repeated in one object")
     return raw
 
 
@@ -481,9 +481,11 @@ def load_scenario(path: str | Path) -> Scenario:
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioParseError(f"cannot read scenario file {path}: {exc}") from exc
     try:
-        raw = json.loads(text, object_pairs_hook=partial(_unique_keys, path=path))
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"scenario file {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise ScenarioParseError(f"scenario file {path}: {exc}") from exc
     scenario = scenario_from_dict(raw)
     violations = validate_scenario(scenario)
     if violations:

@@ -1,9 +1,12 @@
-"""Shared fixtures: tiny hand-checkable scenarios plus the bundled one."""
+"""Shared fixtures: tiny hand-checkable scenarios plus the bundled one, and the fuzzed
+small markets the market kernel and the cash flows are held to the oracle on."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
+from carbonopt.dispatch import CANDIDATE_ID
 from carbonopt.scenario import (
     DaySegment,
     GenCo,
@@ -105,3 +108,59 @@ def static_fossil_scenario():
         id="gas-1", technology=tech, owner="g1", commission_year=2000, unit_count=1
     )
     return make_scenario([tech], [plant])
+
+
+# Plant ids on both sides of the probed unit's, and equal to it: digits and
+# capitals sort before "_", lower case after, and "__candidate_" before
+# CANDIDATE_ID before "__candidate__0".
+plant_ids = st.sampled_from(
+    ["0", "7", "A", "Z1", "_", "__candidate_", CANDIDATE_ID, CANDIDATE_ID + "0", "a", "z"]
+)
+
+
+@st.composite
+def probe_markets(draw):
+    """Small fleets built to hit ties, dark or windless segments, shortages and subsidies."""
+    techs = []
+    for k in range(draw(st.integers(1, 4))):
+        intermittent = draw(st.booleans())
+        fueled = not intermittent and draw(st.booleans())
+        techs.append(make_tech(
+            name=f"t{k}",
+            capacity_mw=draw(st.sampled_from([10.0, 30.0, 45.5])),
+            fuel_kind="gas" if fueled else None,
+            efficiency=0.5 if fueled else 1.0,
+            # 45 ties a fuel-free SRMC with a fueled one (fuel term 40) of variable O&M 5
+            variable_om=draw(st.sampled_from([0.0, 5.0, 5.0, 12.5, 45.0])),
+            emission_factor=draw(st.sampled_from([0.0, 0.4, 0.4])),
+            is_intermittent=intermittent,
+            weather_profile=draw(st.sampled_from(["solar", "wind"])) if intermittent else None,
+            lifetime_years=draw(st.sampled_from([5, 30])),
+            fixed_om=draw(st.sampled_from([10_000.0, 0.1, 7_777.7])),  # flows that round
+        ))
+    fleet = [
+        PowerPlant(
+            id=plant_id,
+            technology=draw(st.sampled_from(techs)),
+            owner="g1",
+            commission_year=draw(st.sampled_from([2000, 2016, 2020, 2025])),
+            unit_count=draw(st.integers(1, 3)),
+        )
+        for plant_id in draw(st.lists(plant_ids, max_size=8, unique=True))  # as a scenario's
+    ]
+    factors = st.sampled_from([0.0, 0.0, 0.3, 1.0])
+    demands = st.sampled_from([5.0, 40.0, 77.7, 150.0, 1000.0])  # the largest always runs short
+    days = tuple(
+        RepresentativeDay(
+            name=f"d{i}",
+            weight_days=weight,
+            segments=tuple(
+                DaySegment(hours, draw(demands), draw(factors), draw(factors))
+                for hours in (8.0, 16.0)
+            ),
+        )
+        for i, weight in enumerate((200.0, 165.0))
+    )
+    s = make_scenario(techs, fleet, days=days, demand_growth=draw(st.sampled_from([1.0, 1.05])))
+    carbon_price = draw(st.sampled_from([-100.0, -12.5, 0.0, 12.5, 200.0]))
+    return s, fleet, draw(st.sampled_from([2020, 2021])), carbon_price

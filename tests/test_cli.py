@@ -426,6 +426,23 @@ class TestBenchmark:
         assert f"manifest args.{key} must be" in err and "runtime error" not in err
         assert not out_b.exists()
 
+    def test_replay_refuses_a_key_repeated_in_the_manifest(self, tmp_path, capsys):
+        # ``json`` keeps the last value of a repeated key, so gens 50 would vanish unseen
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main([
+            "benchmark", "--problem", "schaffer", "--pop", "8", "--gens", "2",
+            "--seed", "2", "--out", str(out_a),
+        ]) == 0
+        manifest = out_a / "manifest.json"
+        text = manifest.read_text()
+        manifest.write_text(text.replace('"gens": 2', '"gens": 50, "gens": 2', 1))
+        capsys.readouterr()
+        assert main(["replay", str(manifest), "--out", str(out_b)]) == 1
+        err = capsys.readouterr().err
+        assert f"manifest {manifest}: key 'gens' is repeated in one object" in err
+        assert "runtime error" not in err
+        assert not out_b.exists()
+
     def test_replay_accepts_an_int_for_a_float_and_null_for_a_null_default(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main([

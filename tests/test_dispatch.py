@@ -22,7 +22,7 @@ from carbonopt import dispatch
 from carbonopt.errors import ConfigurationError
 from carbonopt.scenario import DaySegment, PowerPlant, RepresentativeDay
 
-from conftest import FULL_DAY, make_scenario, make_tech
+from conftest import FULL_DAY, make_scenario, make_tech, plant_ids, probe_markets
 from oracle import build_bids, candidates, reference_probe, reference_year
 
 VOLL = 6000.0
@@ -339,7 +339,8 @@ class TestRunYear:
         assert result.emissions_t == pytest.approx(350400.0 * 0.2)
         assert result.carbon_intensity == pytest.approx(350400.0 * 0.2 / 876000.0)
         # "a" earns the 10 £/MWh set by "b" on all it runs
-        assert MarketYear([p2], 2020, 0.0, s).probe(p1.technology) == pytest.approx((525600.0, 525600.0 * 10.0))
+        energy, revenue = MarketYear([p2], 2020, 0.0, s).probe()  # "cheap" is catalog entry 0
+        assert (energy[0], revenue[0]) == pytest.approx((525600.0, 525600.0 * 10.0))
 
     def test_demand_growth_scales_each_year(self, static_fossil_scenario):
         import dataclasses
@@ -358,61 +359,6 @@ class TestRunYear:
         assert result.average_price == pytest.approx(6000.0)
 
 
-# Plant ids on both sides of the probed unit's, and equal to it: digits and
-# capitals sort before "_", lower case after, and "__candidate_" before
-# CANDIDATE_ID before "__candidate__0".
-plant_ids = st.sampled_from(
-    ["0", "7", "A", "Z1", "_", "__candidate_", CANDIDATE_ID, CANDIDATE_ID + "0", "a", "z"]
-)
-
-
-@st.composite
-def probe_markets(draw):
-    """Small fleets built to hit ties, dark or windless segments, shortages and subsidies."""
-    techs = []
-    for k in range(draw(st.integers(1, 4))):
-        intermittent = draw(st.booleans())
-        fueled = not intermittent and draw(st.booleans())
-        techs.append(make_tech(
-            name=f"t{k}",
-            capacity_mw=draw(st.sampled_from([10.0, 30.0, 45.5])),
-            fuel_kind="gas" if fueled else None,
-            efficiency=0.5 if fueled else 1.0,
-            # 45 ties a fuel-free SRMC with a fueled one (fuel term 40) of variable O&M 5
-            variable_om=draw(st.sampled_from([0.0, 5.0, 5.0, 12.5, 45.0])),
-            emission_factor=draw(st.sampled_from([0.0, 0.4, 0.4])),
-            is_intermittent=intermittent,
-            weather_profile=draw(st.sampled_from(["solar", "wind"])) if intermittent else None,
-            lifetime_years=draw(st.sampled_from([5, 30])),
-        ))
-    fleet = [
-        PowerPlant(
-            id=plant_id,
-            technology=draw(st.sampled_from(techs)),
-            owner="g1",
-            commission_year=draw(st.sampled_from([2000, 2016, 2020, 2025])),
-            unit_count=draw(st.integers(1, 3)),
-        )
-        for plant_id in draw(st.lists(plant_ids, max_size=8, unique=True))  # as a scenario's
-    ]
-    factors = st.sampled_from([0.0, 0.0, 0.3, 1.0])
-    demands = st.sampled_from([5.0, 40.0, 77.7, 150.0, 1000.0])  # the largest always runs short
-    days = tuple(
-        RepresentativeDay(
-            name=f"d{i}",
-            weight_days=weight,
-            segments=tuple(
-                DaySegment(hours, draw(demands), draw(factors), draw(factors))
-                for hours in (8.0, 16.0)
-            ),
-        )
-        for i, weight in enumerate((200.0, 165.0))
-    )
-    s = make_scenario(techs, fleet, days=days, demand_growth=draw(st.sampled_from([1.0, 1.05])))
-    carbon_price = draw(st.sampled_from([-100.0, -12.5, 0.0, 12.5, 200.0]))
-    return s, fleet, draw(st.sampled_from([2020, 2021])), carbon_price
-
-
 class TestRunYearOracle:
     @given(case=probe_markets(), demand_scale=st.sampled_from([0.0, 0.97, 1.0, 1.3]))
     @settings(max_examples=300, deadline=None)
@@ -429,9 +375,9 @@ class TestProbeMarket:
     @settings(max_examples=300, deadline=None)
     def test_probe_equals_full_clearing_exactly(self, case):
         s, fleet, year, carbon_price = case
-        market = MarketYear(fleet, year, carbon_price, s)
-        for unit in candidates(s, year):
-            assert market.probe(unit.technology) == reference_probe(fleet, unit, year, carbon_price, s)
+        energy, revenue = MarketYear(fleet, year, carbon_price, s).probe()
+        for k, unit in enumerate(candidates(s, year)):
+            assert (energy[k], revenue[k]) == reference_probe(fleet, unit, year, carbon_price, s)
 
     @given(case=probe_markets(), data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -453,11 +399,13 @@ class TestProbeMarket:
         market = MarketYear(fleet, year, carbon_price, s)
         market.add(plants[:split])
         market.add(plants[split:])
-        fresh = MarketYear(fleet + plants, year, carbon_price, s)
-        for unit in candidates(s, year):
+        (energy, revenue), (fresh_energy, fresh_revenue) = (
+            market.probe(), MarketYear(fleet + plants, year, carbon_price, s).probe()
+        )
+        for k, unit in enumerate(candidates(s, year)):
             expected = reference_probe(fleet + plants, unit, year, carbon_price, s)
-            assert market.probe(unit.technology) == expected
-            assert fresh.probe(unit.technology) == expected
+            assert (energy[k], revenue[k]) == expected
+            assert (fresh_energy[k], fresh_revenue[k]) == expected
 
     @given(case=probe_markets(), data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -476,12 +424,14 @@ class TestProbeMarket:
             for _ in range(data.draw(st.integers(1, 4)))
         ]
         market = MarketYear(fleet, year, carbon_price, s)
-        for unit in candidates(s, year):
-            assert market.probe(unit.technology) == reference_probe(fleet, unit, year, carbon_price, s)
+        energy, revenue = market.probe()
+        for k, unit in enumerate(candidates(s, year)):
+            assert (energy[k], revenue[k]) == reference_probe(fleet, unit, year, carbon_price, s)
         market.add(plants)
-        for unit in candidates(s, year):
+        energy, revenue = market.probe()
+        for k, unit in enumerate(candidates(s, year)):
             expected = reference_probe(fleet + plants, unit, year, carbon_price, s)
-            assert market.probe(unit.technology) == expected
+            assert (energy[k], revenue[k]) == expected
         result = market.clear()
         expected = reference_year(fleet + plants, year, carbon_price, s)
         assert result == expected
@@ -501,8 +451,9 @@ class TestProbeMarket:
         market = MarketYear(fleet, year, carbon_price, s)
         market.add(plants[:1])
         market.add(plants[1:])
-        for unit in candidates(s, year):
-            assert market.probe(unit.technology) == reference_probe(
+        energy, revenue = market.probe()
+        for k, unit in enumerate(candidates(s, year)):
+            assert (energy[k], revenue[k]) == reference_probe(
                 fleet + plants, unit, year, carbon_price, s
             )
         result = market.clear()
@@ -524,8 +475,8 @@ class TestProbeMarket:
             patch.setattr(dispatch, "srmc", counted)
             market = MarketYear(fleet, year, carbon_price, s)
             market.add(candidates(s, year))
-            for tech in s.technologies + s.technologies:
-                market.probe(tech)
+            market.probe()
+            market.probe()
         assert sorted(calls) == sorted(tech.name for tech in s.technologies)
 
     def test_unit_after_every_offer_sets_the_price(self, static_fossil_scenario):
@@ -540,7 +491,7 @@ class TestProbeMarket:
             s_busy = make_scenario([s.technologies[0], peaker], fleet, days=(busy,))
             market = MarketYear(fleet, 2020, 0.0, s_busy)
             (unit,) = candidates(s_busy, 2020)[1:]
-            energy, revenue = market.probe(unit.technology)
+            (_, energy), (_, revenue) = market.probe()  # the peaker is catalog entry 1
             assert (energy, revenue) == reference_probe(fleet, unit, 2020, 0.0, s_busy)
             assert energy == min(capacity, 50.0) * 8760.0
             assert revenue == energy * price
@@ -554,7 +505,7 @@ class TestProbeMarket:
         s_short = make_scenario(list(s.technologies), fleet, days=(starved,))
         market = MarketYear(fleet, 2020, 10.0, s_short)
         (unit,) = candidates(s_short, 2020)
-        energy, revenue = market.probe(unit.technology)
+        (energy,), (revenue,) = market.probe()
         assert (energy, revenue) == reference_probe(fleet, unit, 2020, 10.0, s_short)
         assert energy == 100.0 * 8.0 * 365.0 + 100.0 * 16.0 * 365.0
         assert revenue == pytest.approx(energy * VOLL)

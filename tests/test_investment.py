@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,7 +20,8 @@ from carbonopt.investment import (
 )
 from carbonopt.scenario import DaySegment, GenCo, PowerPlant, RepresentativeDay
 
-from conftest import make_scenario, make_tech
+from conftest import make_scenario, make_tech, plant_ids, probe_markets
+from oracle import reference_yearly_revenue
 
 
 class TestForecast:
@@ -142,10 +144,16 @@ def solar_tech(**overrides):
 
 
 def yearly_revenue(candidate, s, fleet, forecast, decision_year=2020):
-    """``estimate_yearly_revenue`` in the future market ``YearProbes`` builds for the state."""
+    """The candidate's entry of ``estimate_yearly_revenue`` in the future market ``YearProbes``
+    builds for the state."""
     future_year = decision_year + REVENUE_PROBE_YEARS
     market = MarketYear(fleet, future_year, forecast.predict(future_year), s)
-    return estimate_yearly_revenue(candidate, decision_year, s, fleet, market)
+    return estimate_yearly_revenue(market, decision_year, s, fleet)[s.technologies.index(candidate)]
+
+
+def pinned_revenue(flows):
+    """A stand-in for ``estimate_yearly_revenue`` that returns ``flows[name]`` per catalog entry."""
+    return lambda market, year, s, fleet: np.array([flows[tech.name] for tech in s.technologies])
 
 
 class TestEstimateRevenue:
@@ -199,6 +207,30 @@ class TestEstimateRevenue:
         assert all(a >= b for a, b in zip(values, values[1:]))
         assert values[0] > values[-1]
 
+    @given(case=probe_markets(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_catalog_flows_equal_the_oracle_exactly(self, case, data):
+        # every catalog unit's flow, in the market as built and after plants join it
+        # (ties, inactive plants, ids about the probed unit's, subsidies among the prices)
+        s, fleet, year, carbon_price = case
+        plants = [
+            PowerPlant(
+                id=data.draw(plant_ids),
+                technology=data.draw(st.sampled_from(s.technologies)),
+                owner="g2",
+                commission_year=data.draw(st.sampled_from([1990, 2016, 2020, 2025])),
+                unit_count=data.draw(st.integers(1, 3)),
+            )
+            for _ in range(data.draw(st.integers(1, 4)))
+        ]
+        market = MarketYear(fleet, year, carbon_price, s)
+        for state in (fleet, fleet + plants):
+            market.add(state[len(market.fleet):])  # nothing, then the plants
+            flows = estimate_yearly_revenue(market, year - REVENUE_PROBE_YEARS, s, state)
+            for k, tech in enumerate(s.technologies):
+                expected = reference_yearly_revenue(tech, state, year, carbon_price, s)
+                assert flows[k] == expected, (len(state), tech.name)
+
 
 def probes_2020() -> YearProbes:
     """Probes of decision year 2020 after one year of zero tax."""
@@ -245,11 +277,7 @@ class TestInvest:
         tech_b = make_tech(name="b", capital_cost=6_000.0, capacity_mw=1.0, lifetime_years=10)
         tech_c = make_tech(name="c", capital_cost=5_000.0, capacity_mw=1.0, lifetime_years=10)
         revenue = {"a": 3_000.0, "b": 1_500.0, "c": 1_000.0, "gas": -1.0}
-        monkeypatch.setattr(
-            investment,
-            "estimate_yearly_revenue",
-            lambda cand, year, s, fleet, market: revenue[cand.name],
-        )
+        monkeypatch.setattr(investment, "estimate_yearly_revenue", pinned_revenue(revenue))
         plant = PowerPlant(id="g", technology=gas_tech, owner="g1", commission_year=2005, unit_count=1)
         budgets = {"g1": 16_000.0}
         s = make_scenario([tech_a, tech_b, tech_c, gas_tech], [plant], horizon_years=2)
@@ -275,11 +303,8 @@ class TestInvest:
             for n, (cap, _) in tech_specs.items()
             if n != "gas"
         ]
-        monkeypatch.setattr(
-            investment,
-            "estimate_yearly_revenue",
-            lambda cand, year, s, fleet, market: tech_specs[cand.name][1],
-        )
+        monkeypatch.setattr(investment, "estimate_yearly_revenue",
+                            pinned_revenue({name: rev for name, (_, rev) in tech_specs.items()}))
         plant = PowerPlant(id="g", technology=gas_tech, owner="g1", commission_year=2005, unit_count=1)
         s_all = make_scenario(techs + [gas_tech], [plant], horizon_years=2)
 
@@ -313,11 +338,7 @@ class TestInvest:
         big = make_tech(name="big", capital_cost=100_000.0, capacity_mw=1.0, lifetime_years=10)
         small = make_tech(name="small", capital_cost=4_000.0, capacity_mw=1.0, lifetime_years=10)
         revenue = {"big": 30_000.0, "small": 900.0, "gas": -1.0}
-        monkeypatch.setattr(
-            investment,
-            "estimate_yearly_revenue",
-            lambda cand, year, s, fleet, market: revenue[cand.name],
-        )
+        monkeypatch.setattr(investment, "estimate_yearly_revenue", pinned_revenue(revenue))
         plant = PowerPlant(id="g", technology=gas_tech, owner="g1", commission_year=2005, unit_count=1)
         budgets = {"g1": 9_000.0}
         s = make_scenario([big, small, gas_tech], [plant], horizon_years=2)
@@ -377,8 +398,7 @@ class TestYearProbes:
                             unit_count=1)]
         s = make_scenario(techs, fleet, discount_rate=rate)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(investment, "estimate_yearly_revenue",
-                          lambda cand, year, s, fleet, market: yearly[cand.name])
+            patch.setattr(investment, "estimate_yearly_revenue", pinned_revenue(yearly))
             values = probes_2020().value(fleet, s)
         for tech in techs:
             capital = tech.capital_cost * tech.capacity_mw

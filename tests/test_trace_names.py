@@ -38,7 +38,8 @@ def test_every_name_the_metrics_read_is_traced(spans):
 def test_a_traced_simulation_counts_the_pinned_valuations(spans, tmp_path, capsys):
     # figures measured on uk_synthetic: NOTES reads the probed state from the
     # positional args of estimate_yearly_revenue, so they move when those do;
-    # the calls are 72 invest + 18 carbon forecasts + 875 revenue estimates
+    # the calls are 72 invest + 18 carbon forecasts + 125 revenue estimates, one per
+    # investment state valued
     from carbonopt import cli
 
     tracer = spans.Tracer()
@@ -47,4 +48,4 @@ def test_a_traced_simulation_counts_the_pinned_valuations(spans, tmp_path, capsy
         assert cli.main(argv + ["--out", str(tmp_path)]) == 0
     metrics = spans.layer_metrics(tracer, 1)
     assert metrics["investment.valuation_reuse_ratio"] == 0.3016759776536313
-    assert metrics["investment.calls"] == 965
+    assert metrics["investment.calls"] == 215

@@ -8,23 +8,19 @@ at the scenario's loss-of-load price.
 
 One kernel, ``MarketYear``, clears every production market: the spot
 market of each simulated year (``run_year``) and the investment probes'
-future markets. It reads its plants from a ``Fleet``, which keeps a run's
-plants as append-only columns: the index of each plant's technology in
-the scenario's catalog, MW (``capacity_mw * unit_count``), commission and
-retirement year, and id. The fleet also holds the tables no market-year
-changes, read once from its scenario: segment demand and hours, and per
-catalog technology its availability factors, one unit's MW per segment
-and emission factor. SRMC depends on the year and the carbon price, not
+future markets. It reads its plants from a ``Fleet``: a run's plants in
+the order they joined, one list per column, and the tables no
+market-year changes. SRMC depends on the year and the carbon price, not
 on the segment, so a build prices each catalog technology once: SRMC and
-a merit rank standing for (SRMC, emission factor). It then takes an
-active mask over the columns, a gather of those by technology index, and
-one stable ``np.lexsort`` on (id, rank): the merit order, as an (offer x
-segment) availability matrix. Each offer also gets an integer merit key,
-its rank plus whether its id sorts after ``CANDIDATE_ID``, so
-``np.searchsorted`` over the keys places a plant bought later
-(``MarketYear.add``, then among the offers of its key by id) and a probed
-unit, whose key is its technology's rank, as a stable sort of ``fleet +
-[unit]`` would.
+a merit rank standing for (SRMC, emission factor). It then turns the
+columns it reads into arrays and takes an active mask, a gather of those
+by technology index, and one stable ``np.lexsort`` on (id, rank): the
+merit order, as an (offer x segment) availability matrix. Each offer
+also gets an integer merit key, its rank plus whether its id sorts after
+``CANDIDATE_ID``, so ``np.searchsorted`` over the keys places a plant
+bought later (``MarketYear.add``, then among the offers of its key by
+id) and a probed unit, whose key is its technology's rank, as a stable
+sort of ``fleet + [unit]`` would.
 
 The demand each segment has left before each offer is
 ``np.subtract.accumulate`` over demand and offers. That accumulate
@@ -47,7 +43,7 @@ the tests hold the kernel to them with ``==``.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,7 +134,7 @@ def clear_segment(
 
 
 def run_year(
-    fleet: Fleet | list[PowerPlant],
+    fleet: Fleet,
     year: int,
     carbon_price: float,
     s: Scenario,
@@ -167,18 +163,15 @@ class Fleet:
 
     The fleet only grows: ``append`` and ``extend`` add plants at the end,
     and a ``MarketYear`` reads the rows that were there when it last
-    looked. Each plant holds a technology of ``catalog``; a plant whose
-    technology is not the catalog's entry of its name is refused. One row
-    per plant: ``tech``, the index of its technology in ``catalog``;
-    ``mw``, its ``capacity_mw * unit_count``; ``commission`` and
-    ``retirement``, the years it starts and stops running; ``ids``; and
-    ``after_probe``, whether its id sorts after ``CANDIDATE_ID``. Each
-    column is a view of an array that doubles when full, so a purchase is
-    appended in place.
+    looked. One row per plant, each column a list: ``tech``, the index of
+    its technology in ``catalog``; ``mw``, its ``capacity_mw *
+    unit_count``; ``commission`` and ``retirement``, the years it starts
+    and stops running; and ``ids``. A batch is checked whole before any of
+    it is appended. A plant whose technology is not the catalog's entry of
+    its name is refused, and so is an id holding U+0000: numpy strings drop
+    trailing NULs, so a build's sort would tie ``"a"`` with ``"a\\x00"``,
+    which Python's order (``add``'s, and the oracle's) keeps apart.
     """
-
-    _DTYPES = {"tech": np.intp, "mw": float, "commission": np.intp, "retirement": np.intp,
-               "ids": str, "after_probe": bool}
 
     def __init__(self, s: Scenario, plants=()):
         self.catalog = catalog = s.technologies
@@ -195,52 +188,35 @@ class Fleet:
         self.unit_mw = self.factors * np.reshape([tech.capacity_mw for tech in catalog], (-1, 1))
         self.ef = np.array([tech.emission_factor for tech in catalog])
         self.plants: list[PowerPlant] = []
-        self._columns = {name: np.empty(0, dtype) for name, dtype in self._DTYPES.items()}
-        vars(self).update(self._columns)  # no rows yet
+        self.tech: list[int] = []
+        self.mw: list[float] = []
+        self.commission: list[int] = []
+        self.retirement: list[int] = []
+        self.ids: list[str] = []
         self.extend(plants)
 
     def __len__(self) -> int:
         return len(self.plants)
-
-    def __getitem__(self, key):
-        return self.plants[key]
 
     def append(self, plant: PowerPlant) -> None:
         self.extend((plant,))
 
     def extend(self, plants) -> None:
         plants = list(plants)
-        if not plants:
-            return
         techs = [self.index.get(plant.technology.name) for plant in plants]
         for plant, i in zip(plants, techs):
             tech = plant.technology
             if i is None or tech is not self.catalog[i] and tech != self.catalog[i]:
                 raise ConfigurationError(f"plant {plant.id!r}: technology {tech.name!r} is not "
                                          "the catalog's entry of that name")
-        n, m = len(self.plants), len(self.plants) + len(plants)
-        width = max(len(plant.id) for plant in plants)
-        if m > len(self._columns["mw"]) or width > self._columns["ids"].itemsize // 4:
-            self._grow(m, width)
-        rows = [  # one value per column, in ``_DTYPES`` order
-            (i, plant.technology.capacity_mw * plant.unit_count, plant.commission_year,
-             plant.retirement_year, plant.id, plant.id > CANDIDATE_ID)
-            for plant, i in zip(plants, techs)
-        ]
-        for (name, column), values in zip(self._columns.items(), zip(*rows)):
-            column[n:m] = values
-            setattr(self, name, column[:m])
+            if "\0" in plant.id:
+                raise ConfigurationError(f"plant {plant.id!r}: id contains U+0000")
         self.plants += plants
-
-    def _grow(self, rows: int, width: int) -> None:
-        """Room for ``rows`` rows, doubling, and for ids of ``width`` characters (4 bytes each)."""
-        n = len(self.plants)
-        for name, column in self._columns.items():
-            dtype = column.dtype
-            if name == "ids":
-                dtype = np.dtype(f"U{max(width, dtype.itemsize // 4)}")
-            self._columns[name] = np.empty(max(2 * rows, 16), dtype)
-            self._columns[name][:n] = column[:n]
+        self.tech += techs
+        self.mw += [plant.technology.capacity_mw * plant.unit_count for plant in plants]
+        self.commission += [plant.commission_year for plant in plants]
+        self.retirement += [plant.retirement_year for plant in plants]
+        self.ids += [plant.id for plant in plants]
 
 
 class MarketYear:
@@ -267,24 +243,22 @@ class MarketYear:
     (SRMC, emission factor) among the catalog's distinct pairs in
     ascending order. It then sorts the rows of ``fleet`` active in the
     market-year by one stable ``np.lexsort``. Each offer has an integer
-    merit key, its technology's rank plus its ``after_probe``: keys ascend
-    in merit order and order plants up to their ids, which they split at
-    ``CANDIDATE_ID``, so ``np.searchsorted`` over them finds where a plant
-    bought later or a probed unit, whose key is its rank, goes.
-    ``fleet`` is read, not copied: ``add`` places the rows a ``Fleet``
-    gained since. A list of plants is made into a ``Fleet(s, plants)``
-    first, the constructor a run uses.
+    merit key, its technology's rank plus whether its id sorts after
+    ``CANDIDATE_ID``: keys ascend in merit order and order plants up to
+    their ids, so ``np.searchsorted`` over them finds where a plant bought
+    later or a probed unit, whose key is its rank, goes. ``fleet`` is
+    read, not copied: ``add`` places the rows it gained since.
     """
 
     def __init__(
         self,
-        fleet: Fleet | list[PowerPlant],
+        fleet: Fleet,
         year: int,
         carbon_price: float,
         s: Scenario,
         demand_scale: float = 1.0,
     ):
-        self.fleet = fleet = fleet if isinstance(fleet, Fleet) else Fleet(s, fleet)
+        self.fleet = fleet
         self.year = year
         self._demand = fleet.demand_mw * (s.demand_scale(year) * demand_scale)
 
@@ -299,34 +273,35 @@ class MarketYear:
         # sort. Per offer its fleet row, merit key and SRMC (loss of load's last), and
         # the demand, then each offer's MW.
         self._seen = len(fleet)  # the fleet rows looked at
-        rows = np.flatnonzero((fleet.commission <= year) & (year < fleet.retirement))
-        tech = fleet.tech[rows]
-        order = np.lexsort((fleet.ids[rows], self._rank[tech]))
+        active = (np.array(fleet.commission) <= year) & (year < np.array(fleet.retirement))
+        rows = np.flatnonzero(active)
+        tech, ids = np.array(fleet.tech, np.intp)[rows], np.array(fleet.ids, str)[rows]
+        order = np.lexsort((ids, self._rank[tech]))
         self._rows, tech = rows[order], tech[order]
-        self._key = self._rank[tech] + fleet.after_probe[self._rows]
+        self._key = self._rank[tech] + (ids[order] > CANDIDATE_ID)
         self._cost = np.concatenate((self.srmc[tech], [s.loss_of_load_price]))
-        self._stack = np.concatenate((self._demand[None], fleet.factors[tech] * fleet.mw[self._rows, None],
+        mw = np.array(fleet.mw)[self._rows, None]
+        self._stack = np.concatenate((self._demand[None], fleet.factors[tech] * mw,
                                       np.full((1, len(self._demand)), np.inf)))
         self._avail = self._stack[1:]
 
-    def add(self, plants=()) -> None:
-        """Append ``plants`` to the fleet, then place each plant it gained since the last look.
+    def add(self) -> None:
+        """Place each plant the fleet gained since the last look.
 
         Each one active in the market-year goes in after every offer of a
         merit key <= its own, where a stable sort of the fleet by merit key
         puts it: ``np.searchsorted`` over the integer keys finds the offers
         of its (SRMC, emission factor) on its side of ``CANDIDATE_ID``, which
-        are sorted by id, and another over their ids its place among them.
+        are sorted by id, and a bisection over their ids its place among them.
         """
         fleet = self.fleet
-        fleet.extend(plants)
         for row in range(self._seen, len(fleet)):
             if not fleet.commission[row] <= self.year < fleet.retirement[row]:
                 continue
-            tech = fleet.tech[row]
-            key = self._rank[tech] + fleet.after_probe[row]
+            tech, plant_id = fleet.tech[row], fleet.ids[row]
+            key = self._rank[tech] + (plant_id > CANDIDATE_ID)
             lo, hi = self._key.searchsorted(key), self._key.searchsorted(key, "right")
-            at = lo + fleet.ids[self._rows[lo:hi]].searchsorted(fleet.ids[row], "right")
+            at = bisect_right(self._rows, plant_id, lo, hi, key=fleet.ids.__getitem__)
             self._rows = _spliced(self._rows, at, [row])
             self._key = _spliced(self._key, at, [key])
             self._cost = _spliced(self._cost, at, [self.srmc[tech]])
@@ -355,7 +330,7 @@ class MarketYear:
         energy = np.where(dispatched, np.where(avail < left, avail, left) * fleet.hours[:, None], 0.0)
 
         # ``np.add.at`` adds each technology's MWh in the order given, segment-major
-        tech = fleet.tech[self._rows]
+        tech = np.array(fleet.tech, np.intp)[self._rows]
         by_tech = np.zeros(len(fleet.catalog))
         np.add.at(by_tech, tech[None].repeat(len(energy), axis=0).ravel(), energy.ravel())
         by_tech = by_tech.tolist()

@@ -15,15 +15,11 @@ flows of the whole catalog, then works out the catalog's NPVs in one
 numpy pass, bit for bit as ``npv`` adds them. The market prices the
 scenario's catalog once (SRMC and merit rank), by catalog index, and its
 ``probe`` values one more unit of every catalog technology in one numpy
-pass without clearing the market. A run keeps its
-fleet as a ``Fleet``, append-only columns that ``invest`` appends each
-purchase to, beside the tables no market-year changes (segment demand and
-hours; per technology availability factors, one unit's MW and emission
-factor), read once per run. The year's market is built from the columns
-by one sort and reads the rows appended since with
-``MarketYear.add``, which places each purchase by ``np.searchsorted``.
-The figures equal those of clearing ``fleet + [candidate]`` from scratch
-bit for bit.
+pass without clearing the market. A run keeps its fleet as a ``Fleet``
+(see ``dispatch.Fleet``), which ``invest`` appends each purchase to; the
+year's market places the plants appended since it was built with
+``MarketYear.add``. The figures equal those of clearing ``fleet +
+[candidate]`` from scratch bit for bit.
 """
 
 from __future__ import annotations
@@ -122,7 +118,7 @@ def estimate_yearly_revenue(
     market: MarketYear,
     decision_year: int,
     s: Scenario,
-    fleet: Fleet | list[PowerPlant],
+    fleet: Fleet,
 ) -> np.ndarray:
     """Net yearly cash flow of one more unit of each catalog technology, in catalog order.
 
@@ -161,7 +157,7 @@ class YearProbes:
     npv_terms: tuple[np.ndarray, ...] = field(default=(), init=False)  # ``_npv_terms``
     valuations: dict[int, dict[str, float]] = field(default_factory=dict, init=False)
 
-    def value(self, fleet: Fleet | list[PowerPlant], s: Scenario) -> dict[str, float]:
+    def value(self, fleet: Fleet, s: Scenario) -> dict[str, float]:
         """NPV per catalog technology of one more unit added to ``fleet``."""
         valuations = self.valuations.get(len(fleet))
         if valuations is None:
@@ -170,8 +166,7 @@ class YearProbes:
                 self.market = MarketYear(fleet, future_year, self.forecast.predict(future_year), s)
                 self.npv_terms = _npv_terms(s.technologies, s.discount_rate)
             else:  # lengths are valued in increasing order: the market holds the last
-                # the plants its fleet lacks: none when it reads ``fleet`` itself
-                self.market.add(fleet[len(self.market.fleet):])
+                self.market.add()
             yearly = estimate_yearly_revenue(self.market, self.decision_year, s, fleet)
             operating, fixed, factors = self.npv_terms
             flows = np.where(operating, np.divide.outer(yearly, factors), fixed)
@@ -186,7 +181,7 @@ def invest(
     genco: str,
     budgets: dict[str, float],
     s: Scenario,
-    fleet: Fleet | list[PowerPlant],
+    fleet: Fleet,
     probes: YearProbes,
 ) -> list[Event]:
     """Buy the highest-NPV affordable unit, re-evaluate, and repeat until nothing attracts.

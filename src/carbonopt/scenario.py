@@ -257,6 +257,8 @@ def validate_scenario(s: Scenario) -> list[Violation]:
     owners = {g.id for g in s.gencos}
     for plant in s.initial_fleet:
         path = f"initial_fleet[{plant.id}]"
+        if "\0" in plant.id:  # a run's ``Fleet`` refuses it (see there)
+            out.append(Violation(f"{path}.id", "must not contain U+0000"))
         name = plant.technology.name
         if name not in catalog:
             out.append(Violation(f"{path}.technology", f"unknown technology {name!r}"))

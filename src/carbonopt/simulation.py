@@ -81,8 +81,8 @@ def _invest_over_horizon(
     for year_index in range(1, s.horizon_years + 1):
         year = s.start_year + year_index - 1
 
-        for i in np.flatnonzero(fleet.retirement == year):
-            events.append(_plant_event(year, "retire", fleet[i]))
+        events += [_plant_event(year, "retire", plant)
+                   for plant, end in zip(fleet.plants, fleet.retirement) if end == year]
 
         history.append((year, policy.price_at(year_index)))
 
@@ -90,8 +90,8 @@ def _invest_over_horizon(
         for genco in sorted(budgets):
             events += invest(genco, budgets, s, fleet, probes)
 
-        for i in np.flatnonzero(fleet.commission == year):
-            events.append(_plant_event(year, "commission", fleet[i]))
+        events += [_plant_event(year, "commission", plant)
+                   for plant, start in zip(fleet.plants, fleet.commission) if start == year]
 
         noise.append(1.0 if rng is None else max(0.0, 1.0 + rng.normal(0.0, s.demand_noise_std)))
 

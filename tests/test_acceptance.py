@@ -18,7 +18,7 @@ import pytest
 
 from carbonopt.benchmarks import BENCHMARKS, generational_distance
 from carbonopt.cli import main
-from carbonopt.dispatch import MarketYear, clear_segment, merit_order_key
+from carbonopt.dispatch import Fleet, MarketYear, clear_segment, merit_order_key
 from carbonopt.investment import fit_carbon_forecast, npv
 from carbonopt import nsga2
 from carbonopt.nsga2 import GAConfig, evolve, fast_non_dominated_sort
@@ -110,7 +110,7 @@ def one_hour_market(demand: float, bids, voll: float):
         base_carbon_intensity=1.0,
         loss_of_load_price=voll,
     )
-    return MarketYear(fleet, 2020, 0.0, s).clear()
+    return MarketYear(Fleet(s, fleet), 2020, 0.0, s).clear()
 
 
 def test_criterion_3_dispatch_properties():

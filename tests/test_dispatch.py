@@ -98,7 +98,7 @@ class TestBuildBids:
         # the kernel prices the whole catalog, so it refuses the series even with no oil plant
         s_oil = dataclasses.replace(s, technologies=(*s.technologies, oil))
         with pytest.raises(ConfigurationError, match="oil"):
-            run_year(list(s.initial_fleet), 2020, 0.0, s_oil)
+            run_year(Fleet(s_oil, s.initial_fleet), 2020, 0.0, s_oil)
 
     def test_retired_plants_are_filtered_upstream(self, static_fossil_scenario):
         s = static_fossil_scenario
@@ -107,8 +107,9 @@ class TestBuildBids:
         )
         # demand 160 vs the 100 MW still active: the retired 500 MW would be needed
         fleet = list(s.initial_fleet)
-        result = run_year(fleet + [old], 2020, 10.0, s, demand_scale=2.0)
-        assert result == run_year(fleet, 2020, 10.0, s, demand_scale=2.0)  # retired 2010, never bids
+        result = run_year(Fleet(s, fleet + [old]), 2020, 10.0, s, demand_scale=2.0)
+        # retired 2010, never bids
+        assert result == run_year(Fleet(s, fleet), 2020, 10.0, s, demand_scale=2.0)
         assert result.unserved_mwh == pytest.approx(60.0 * 8760.0)
 
 
@@ -122,10 +123,42 @@ class TestFleet:
             with pytest.raises(ConfigurationError, match=f"plant 'p9': technology '{tech.name}'"):
                 fleet.append(plant)
             with pytest.raises(ConfigurationError, match="'p9'"):
-                run_year([*s.initial_fleet, plant], 2020, 10.0, s)
+                Fleet(s, [*s.initial_fleet, plant])
         assert fleet.plants == list(s.initial_fleet) and len(fleet.mw) == 1  # nothing appended
         fleet.append(dataclasses.replace(s.initial_fleet[0], id="p9", technology=dataclasses.replace(gas)))
-        assert fleet.tech.tolist() == [0, 0]  # an equal copy is the catalog's entry
+        assert fleet.tech == [0, 0]  # an equal copy is the catalog's entry
+
+    def test_a_refused_batch_appends_nothing(self, static_fossil_scenario):
+        s = static_fossil_scenario
+        fleet = Fleet(s, s.initial_fleet)
+        good = dataclasses.replace(s.initial_fleet[0], id="p8")
+        oil = make_tech(name="oil", fuel_kind="oil")
+        for refused in (dataclasses.replace(good, id="p9", technology=oil),
+                        dataclasses.replace(good, id="p9\0")):
+            with pytest.raises(ConfigurationError, match="plant 'p9"):
+                fleet.extend([good, refused, dataclasses.replace(good, id="p10")])
+            assert fleet.plants == list(s.initial_fleet)
+            columns = fleet.tech, fleet.mw, fleet.commission, fleet.retirement, fleet.ids
+            assert columns == ([0], [100.0], [2000], [2030], ["gas-1"])
+
+    def test_an_id_holding_nul_is_refused(self):
+        # wind "a\0" and solar "a" tie on SRMC and emission factor, so their ids order
+        # them. numpy strings drop trailing NULs: a build's sort tied the two and
+        # dispatched wind first, where Python's order (the oracle's) puts solar first.
+        wind, solar = (make_tech(name=name, capacity_mw=60.0, fuel_kind=None, efficiency=1.0,
+                                 variable_om=0.0, emission_factor=0.0)
+                       for name in ("wind", "solar"))
+        plants = [PowerPlant(id=plant_id, technology=tech, owner="g1", commission_year=2000,
+                             unit_count=1) for plant_id, tech in (("a\0", wind), ("a", solar))]
+        s = make_scenario([wind, solar], plants[1:])
+        assert reference_year(plants, 2020, 0.0, s).energy_by_technology == {
+            "solar": 525600.0, "wind": 175200.0}
+        with pytest.raises(ConfigurationError, match=r"plant 'a\\x00': id contains U\+0000"):
+            Fleet(s, plants)
+        fleet = Fleet(s, plants[1:])
+        with pytest.raises(ConfigurationError, match=r"'a\\x00'"):
+            fleet.append(plants[0])
+        assert fleet.ids == ["a"]
 
     def test_the_market_tables_are_read_from_its_scenario(self):
         solar = make_tech(name="solar", capacity_mw=10.0, fuel_kind=None, efficiency=1.0,
@@ -313,7 +346,7 @@ class TestRunYear:
         )
         plant = PowerPlant(id="s1", technology=solar, owner="g1", commission_year=2010, unit_count=3)
         s = make_scenario([solar], [plant])  # demand 80, solar cf 0.5 -> 150 MW available
-        result = run_year([plant], 2020, 250.0, s)
+        result = run_year(Fleet(s, [plant]), 2020, 250.0, s)
         assert result.carbon_intensity == 0.0
         assert result.average_price == 0.0
         assert result.unserved_mwh == 0.0
@@ -332,28 +365,29 @@ class TestRunYear:
             segments=(DaySegment(24.0, 100.0, 0.0, 0.0),),
         )
         s = make_scenario([cheap, dear], [p1, p2], days=(day,))
-        result = run_year([p1, p2], 2020, 0.0, s)
+        result = run_year(Fleet(s, [p1, p2]), 2020, 0.0, s)
         assert result.energy_by_technology["cheap"] == pytest.approx(525600.0)
         assert result.energy_by_technology["dear"] == pytest.approx(350400.0)
         assert result.average_price == pytest.approx(10.0)
         assert result.emissions_t == pytest.approx(350400.0 * 0.2)
         assert result.carbon_intensity == pytest.approx(350400.0 * 0.2 / 876000.0)
         # "a" earns the 10 £/MWh set by "b" on all it runs
-        energy, revenue = MarketYear([p2], 2020, 0.0, s).probe()  # "cheap" is catalog entry 0
+        # "cheap" is catalog entry 0
+        energy, revenue = MarketYear(Fleet(s, [p2]), 2020, 0.0, s).probe()
         assert (energy[0], revenue[0]) == pytest.approx((525600.0, 525600.0 * 10.0))
 
     def test_demand_growth_scales_each_year(self, static_fossil_scenario):
         import dataclasses
 
         s = dataclasses.replace(static_fossil_scenario, demand_growth=1.1)
-        base = run_year(list(s.initial_fleet), 2020, 0.0, s)
-        grown = run_year(list(s.initial_fleet), 2021, 0.0, s)
+        base = run_year(Fleet(s, s.initial_fleet), 2020, 0.0, s)
+        grown = run_year(Fleet(s, s.initial_fleet), 2021, 0.0, s)
         energy = sum(base.energy_by_technology.values())
         assert sum(grown.energy_by_technology.values()) == pytest.approx(energy * 1.1)
 
     def test_shortage_year_uses_voll(self, static_fossil_scenario):
         s = static_fossil_scenario
-        result = run_year(list(s.initial_fleet), 2020, 0.0, s, demand_scale=2.0)
+        result = run_year(Fleet(s, s.initial_fleet), 2020, 0.0, s, demand_scale=2.0)
         # demand 160 vs 100 MW available: 60 MW unserved all year at VoLL
         assert result.unserved_mwh == pytest.approx(60.0 * 8760.0)
         assert result.average_price == pytest.approx(6000.0)
@@ -364,7 +398,7 @@ class TestRunYearOracle:
     @settings(max_examples=300, deadline=None)
     def test_run_year_equals_segment_by_segment_clearing_exactly(self, case, demand_scale):
         s, fleet, year, carbon_price = case
-        result = run_year(fleet, year, carbon_price, s, demand_scale)
+        result = run_year(Fleet(s, fleet), year, carbon_price, s, demand_scale)
         expected = reference_year(fleet, year, carbon_price, s, demand_scale)
         assert result == expected
         assert list(result.energy_by_technology) == list(expected.energy_by_technology)
@@ -375,7 +409,7 @@ class TestProbeMarket:
     @settings(max_examples=300, deadline=None)
     def test_probe_equals_full_clearing_exactly(self, case):
         s, fleet, year, carbon_price = case
-        energy, revenue = MarketYear(fleet, year, carbon_price, s).probe()
+        energy, revenue = MarketYear(Fleet(s, fleet), year, carbon_price, s).probe()
         for k, unit in enumerate(candidates(s, year)):
             assert (energy[k], revenue[k]) == reference_probe(fleet, unit, year, carbon_price, s)
 
@@ -396,11 +430,12 @@ class TestProbeMarket:
             for _ in range(data.draw(st.integers(1, 4)))
         ]
         split = data.draw(st.integers(0, len(plants)))
-        market = MarketYear(fleet, year, carbon_price, s)
-        market.add(plants[:split])
-        market.add(plants[split:])
+        market = MarketYear(Fleet(s, fleet), year, carbon_price, s)
+        for batch in (plants[:split], plants[split:]):
+            market.fleet.extend(batch)
+            market.add()
         (energy, revenue), (fresh_energy, fresh_revenue) = (
-            market.probe(), MarketYear(fleet + plants, year, carbon_price, s).probe()
+            market.probe(), MarketYear(Fleet(s, fleet + plants), year, carbon_price, s).probe()
         )
         for k, unit in enumerate(candidates(s, year)):
             expected = reference_probe(fleet + plants, unit, year, carbon_price, s)
@@ -409,7 +444,7 @@ class TestProbeMarket:
 
     @given(case=probe_markets(), data=st.data())
     @settings(max_examples=200, deadline=None)
-    def test_add_drops_the_probes_priced_before(self, case, data):
+    def test_probes_after_an_add_price_the_grown_fleet(self, case, data):
         s, fleet, year, carbon_price = case
         # ids on both sides of the fleet's, so some keys tie with a fleet plant's
         # key; commissioned too late or retired already, some are inactive
@@ -423,11 +458,12 @@ class TestProbeMarket:
             )
             for _ in range(data.draw(st.integers(1, 4)))
         ]
-        market = MarketYear(fleet, year, carbon_price, s)
+        market = MarketYear(Fleet(s, fleet), year, carbon_price, s)
         energy, revenue = market.probe()
         for k, unit in enumerate(candidates(s, year)):
             assert (energy[k], revenue[k]) == reference_probe(fleet, unit, year, carbon_price, s)
-        market.add(plants)
+        market.fleet.extend(plants)
+        market.add()
         energy, revenue = market.probe()
         for k, unit in enumerate(candidates(s, year)):
             expected = reference_probe(fleet + plants, unit, year, carbon_price, s)
@@ -448,9 +484,10 @@ class TestProbeMarket:
                        owner="g1", commission_year=year, unit_count=data.draw(st.integers(1, 3)))
             for _ in range(data.draw(st.integers(2, 5)))
         ]
-        market = MarketYear(fleet, year, carbon_price, s)
-        market.add(plants[:1])
-        market.add(plants[1:])
+        market = MarketYear(Fleet(s, fleet), year, carbon_price, s)
+        for batch in (plants[:1], plants[1:]):
+            market.fleet.extend(batch)
+            market.add()
         energy, revenue = market.probe()
         for k, unit in enumerate(candidates(s, year)):
             assert (energy[k], revenue[k]) == reference_probe(
@@ -473,8 +510,9 @@ class TestProbeMarket:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dispatch, "srmc", counted)
-            market = MarketYear(fleet, year, carbon_price, s)
-            market.add(candidates(s, year))
+            market = MarketYear(Fleet(s, fleet), year, carbon_price, s)
+            market.fleet.extend(candidates(s, year))
+            market.add()
             market.probe()
             market.probe()
         assert sorted(calls) == sorted(tech.name for tech in s.technologies)
@@ -489,7 +527,7 @@ class TestProbeMarket:
                                emission_factor=0.0, capacity_mw=capacity)
             busy = dataclasses.replace(FULL_DAY, segments=(DaySegment(24.0, 150.0, 0.5, 0.5),))
             s_busy = make_scenario([s.technologies[0], peaker], fleet, days=(busy,))
-            market = MarketYear(fleet, 2020, 0.0, s_busy)
+            market = MarketYear(Fleet(s_busy, fleet), 2020, 0.0, s_busy)
             (unit,) = candidates(s_busy, 2020)[1:]
             (_, energy), (_, revenue) = market.probe()  # the peaker is catalog entry 1
             assert (energy, revenue) == reference_probe(fleet, unit, 2020, 0.0, s_busy)
@@ -503,7 +541,7 @@ class TestProbeMarket:
             DaySegment(8.0, 1000.0, 0.5, 0.5), DaySegment(16.0, 500.0, 0.5, 0.5),
         ))
         s_short = make_scenario(list(s.technologies), fleet, days=(starved,))
-        market = MarketYear(fleet, 2020, 10.0, s_short)
+        market = MarketYear(Fleet(s_short, fleet), 2020, 10.0, s_short)
         (unit,) = candidates(s_short, 2020)
         (energy,), (revenue,) = market.probe()
         assert (energy, revenue) == reference_probe(fleet, unit, 2020, 10.0, s_short)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import carbonopt.investment as investment
-from carbonopt.dispatch import MarketYear
+from carbonopt.dispatch import Fleet, MarketYear
 from carbonopt.investment import (
     REVENUE_PROBE_YEARS,
     CarbonForecast,
@@ -169,7 +169,7 @@ class TestEstimateRevenue:
         plant = PowerPlant(id="g", technology=gas_tech, owner="g1", commission_year=2005, unit_count=1)
         s = make_scenario([gas_tech, candidate], [plant], horizon_years=2)
         forecast = CarbonForecast(slope=0.0, intercept=10.0)
-        cash = yearly_revenue(candidate, s, [plant], forecast)
+        cash = yearly_revenue(candidate, s, Fleet(s, [plant]), forecast)
         assert cash == pytest.approx(50 * 8760 * 47.0 - 800_000.0)
 
     def test_never_dispatched_candidate_pays_fixed_om(self, gas_tech):
@@ -177,14 +177,15 @@ class TestEstimateRevenue:
         plant = PowerPlant(id="g", technology=gas_tech, owner="g1", commission_year=2005, unit_count=2)
         s = make_scenario([gas_tech, expensive], [plant], horizon_years=2)
         forecast = CarbonForecast(slope=0.0, intercept=0.0)
-        cash = yearly_revenue(expensive, s, [plant], forecast)
+        cash = yearly_revenue(expensive, s, Fleet(s, [plant]), forecast)
         assert cash == pytest.approx(-9_000.0 * 100.0)
 
     def test_zero_srmc_candidate_in_priced_market_earns(self, gas_tech):
         candidate = solar_tech()
         plant = PowerPlant(id="g", technology=gas_tech, owner="g1", commission_year=2005, unit_count=1)
         s = make_scenario([gas_tech, candidate], [plant], horizon_years=2)
-        cash = yearly_revenue(candidate, s, [plant], CarbonForecast(slope=0.0, intercept=0.0))
+        forecast = CarbonForecast(slope=0.0, intercept=0.0)
+        cash = yearly_revenue(candidate, s, Fleet(s, [plant]), forecast)
         assert cash > 0.0
 
     def test_high_emitter_npv_non_increasing_in_forecast_slope(self):
@@ -202,7 +203,7 @@ class TestEstimateRevenue:
         values = []
         for slope in [0.0, 0.5, 1.0, 2.0, 5.0]:
             forecast = CarbonForecast(slope=slope, intercept=0.0)
-            revenue = yearly_revenue(coal, s, [plant], forecast)
+            revenue = yearly_revenue(coal, s, Fleet(s, [plant]), forecast)
             values.append(npv([-coal.capital_cost * coal.capacity_mw] + [revenue] * 40, 0.06))
         assert all(a >= b for a, b in zip(values, values[1:]))
         assert values[0] > values[-1]
@@ -223,10 +224,11 @@ class TestEstimateRevenue:
             )
             for _ in range(data.draw(st.integers(1, 4)))
         ]
-        market = MarketYear(fleet, year, carbon_price, s)
+        market = MarketYear(Fleet(s, fleet), year, carbon_price, s)
         for state in (fleet, fleet + plants):
-            market.add(state[len(market.fleet):])  # nothing, then the plants
-            flows = estimate_yearly_revenue(market, year - REVENUE_PROBE_YEARS, s, state)
+            market.fleet.extend(state[len(market.fleet):])  # nothing, then the plants
+            market.add()
+            flows = estimate_yearly_revenue(market, year - REVENUE_PROBE_YEARS, s, market.fleet)
             for k, tech in enumerate(s.technologies):
                 expected = reference_yearly_revenue(tech, state, year, carbon_price, s)
                 assert flows[k] == expected, (len(state), tech.name)
@@ -242,11 +244,11 @@ class TestInvest:
         plant = PowerPlant(id="g", technology=gas_tech, owner="g1", commission_year=2005, unit_count=2)
         budgets = {"g1": 1e12}
         s = make_scenario([gas_tech], [plant], horizon_years=2)
-        fleet = [plant]
+        fleet = Fleet(s, [plant])
         decisions = invest("g1", budgets, s, fleet, probes_2020())
         assert decisions == []
         assert budgets["g1"] == 1e12
-        assert fleet == [plant]
+        assert fleet.plants == [plant]
 
     def test_single_affordable_positive_option_is_bought_once(self):
         # old unit prices the market at 50; the cheaper new-build earns a
@@ -258,7 +260,7 @@ class TestInvest:
         capital = new.capital_cost * new.capacity_mw
         budgets = {"g1": capital * 1.5}
         s = make_scenario([old, new], [plant], horizon_years=2)
-        fleet = [plant]
+        fleet = Fleet(s, [plant])
         decisions = invest("g1", budgets, s, fleet, probes_2020())
         assert [d.technology for d in decisions] == ["new-gas"]
         assert budgets["g1"] == pytest.approx(capital * 0.5)
@@ -266,9 +268,9 @@ class TestInvest:
         assert len(fleet) == 2
         # the purchase comes back as the event the run logs
         assert decisions == [
-            Event(2020, "invest", "g1", "new-gas", fleet[1].id, 1, capital, decisions[0].npv)
+            Event(2020, "invest", "g1", "new-gas", fleet.plants[1].id, 1, capital, decisions[0].npv)
         ]
-        assert fleet[1].id == "g1:new-gas:2020:1"
+        assert fleet.plants[1].id == "g1:new-gas:2020:1"
 
     def test_greedy_picks_best_npv_first(self, monkeypatch, gas_tech):
         # three candidates with pinned yearly revenues; greedy must buy the
@@ -282,15 +284,15 @@ class TestInvest:
         budgets = {"g1": 16_000.0}
         s = make_scenario([tech_a, tech_b, tech_c, gas_tech], [plant], horizon_years=2)
 
-        fleet = [plant]
+        fleet = Fleet(s, [plant])
         decisions = invest("g1", budgets, s, fleet, probes_2020())
         # npv(a) ~ 3000*annuity - 10000 best, then with 6000 left only b or c
         # are affordable and b has the higher npv
         assert [d.technology for d in decisions] == ["a", "b"]
         assert budgets["g1"] == pytest.approx(0.0)
         assert all(d.npv > 0 for d in decisions)
-        assert [p.technology.name for p in fleet[1:]] == ["a", "b"]
-        assert fleet[1].commission_year == 2021  # one year construction lag
+        assert [p.technology.name for p in fleet.plants[1:]] == ["a", "b"]
+        assert fleet.plants[1].commission_year == 2021  # one year construction lag
 
     def test_greedy_matches_sequence_enumeration(self, monkeypatch, gas_tech):
         # oracle: enumerate every purchase sequence of <= 3 options under the
@@ -327,7 +329,7 @@ class TestInvest:
 
         for budget in [0.0, 4_000.0, 5_500.0, 11_000.0, 16_000.0, 21_000.0, 60_000.0]:
             budgets = {"g1": budget}
-            fleet = [plant]
+            fleet = Fleet(s_all, [plant])
             decisions = invest("g1", budgets, s_all, fleet, probes_2020())
             assert [d.technology for d in decisions] == greedy_oracle(budget), budget
             assert budgets["g1"] >= 0.0
@@ -342,7 +344,7 @@ class TestInvest:
         plant = PowerPlant(id="g", technology=gas_tech, owner="g1", commission_year=2005, unit_count=1)
         budgets = {"g1": 9_000.0}
         s = make_scenario([big, small, gas_tech], [plant], horizon_years=2)
-        decisions = invest("g1", budgets, s, [plant], probes_2020())
+        decisions = invest("g1", budgets, s, Fleet(s, [plant]), probes_2020())
         assert [d.technology for d in decisions] == ["small", "small"]
         assert budgets["g1"] == pytest.approx(1_000.0)
 
@@ -367,11 +369,11 @@ class TestYearProbes:
         s, plant = self.coal_and_gas()
         forecast = fit_carbon_forecast([(2020, 50.0)])
         budget = s.gencos[1].budget
-        fleet = [plant]
+        fleet = Fleet(s, [plant])
         probes = YearProbes(2020, forecast)
         budgets = {"g0": budget, "g2": budget}
         first = invest("g0", budgets, s, fleet, probes)
-        alone = invest("g2", {"g2": budget}, s, list(fleet), YearProbes(2020, forecast))
+        alone = invest("g2", {"g2": budget}, s, Fleet(s, fleet.plants), YearProbes(2020, forecast))
         shared = invest("g2", budgets, s, fleet, probes)
         assert first  # so the second company values a state the market grew into
         assert shared == alone
@@ -399,7 +401,7 @@ class TestYearProbes:
         s = make_scenario(techs, fleet, discount_rate=rate)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(investment, "estimate_yearly_revenue", pinned_revenue(yearly))
-            values = probes_2020().value(fleet, s)
+            values = probes_2020().value(Fleet(s, fleet), s)
         for tech in techs:
             capital = tech.capital_cost * tech.capacity_mw
             flows = [-capital] + [yearly[tech.name]] * tech.lifetime_years
@@ -422,22 +424,24 @@ class TestYearProbes:
         coal = make_tech(name="coal", fuel_kind="coal", efficiency=0.35, variable_om=2.0,
                          emission_factor=0.9, capacity_mw=200.0)
         gas = make_tech(name="gas", capacity_mw=20.0)
-        fleet = [PowerPlant(id="c", technology=coal, owner="g1", commission_year=2005, unit_count=1)]
+        coal_plant = PowerPlant(id="c", technology=coal, owner="g1", commission_year=2005,
+                                unit_count=1)
         day = RepresentativeDay(name="steps", weight_days=365.0, segments=tuple(
             DaySegment(4.0, demand, 0.5, 0.5) for demand in (25.0, 45.0, 65.0, 85.0, 105.0, 125.0)
         ))
-        s = make_scenario([coal, gas], fleet, days=(day,))
+        s = make_scenario([coal, gas], [coal_plant], days=(day,))
+        fleet = Fleet(s, [coal_plant])
         forecast = fit_carbon_forecast([(2019, 10.0), (2020, 50.0)])
         probes = YearProbes(2020, forecast)
         for bought in (0, 1, 2, 1, 0):  # two at once, then a state valued twice
-            fleet += [
+            fleet.extend([
                 PowerPlant(id=f"g{len(fleet) + k}", technology=gas, owner="g1",
                            commission_year=2021, unit_count=1)
                 for k in range(bought)
-            ]
+            ])
             assert probes.value(fleet, s) is probes.valuations[len(fleet)]
         assert built == [probes.market]
         assert list(probes.valuations) == [1, 2, 4, 5]
         for n, valuations in probes.valuations.items():
-            assert valuations == YearProbes(2020, forecast).value(fleet[:n], s)
+            assert valuations == YearProbes(2020, forecast).value(Fleet(s, fleet.plants[:n]), s)
         assert len({v["gas"] for v in probes.valuations.values()}) == 4

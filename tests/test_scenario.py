@@ -224,6 +224,21 @@ class TestValidate:
         plants = (dataclasses.replace(s.initial_fleet[0], id="own", technology=equal),)
         assert validate_scenario(dataclasses.replace(s, initial_fleet=plants)) == []
 
+    def test_a_plant_id_holding_nul_is_refused(self, static_fossil_scenario, tmp_path):
+        # numpy strings drop trailing NULs, so the market's sort would tie "coal-a\0"
+        # with "coal-a" (see ``dispatch.Fleet``)
+        s = static_fossil_scenario
+        plants = (dataclasses.replace(s.initial_fleet[0], id="own\0"), *s.initial_fleet)
+        violations = validate_scenario(dataclasses.replace(s, initial_fleet=plants))
+        assert [str(v) for v in violations] == ["initial_fleet[own\0].id: must not contain U+0000"]
+        raw = json.loads(bundled_scenario_path("uk_synthetic").read_text(encoding="utf-8"))
+        (plant,) = (plant for plant in raw["initial_fleet"] if plant["id"] == "coal-b")
+        plant["id"] = "coal-a\u0000"
+        with pytest.raises(ScenarioValidationError) as err:
+            load_scenario(write_json(tmp_path, raw))
+        assert [str(v) for v in err.value.violations] == [
+            "initial_fleet[coal-a\0].id: must not contain U+0000"]
+
     def test_intermittent_needs_weather_profile(self):
         from carbonopt.scenario import Scenario
 

@@ -8,19 +8,21 @@ at the scenario's loss-of-load price.
 
 One kernel, ``MarketYear``, clears every production market: the spot
 market of each simulated year (``run_year``) and the investment probes'
-future markets. It reads its plants from a ``Fleet``: a run's plants in
-the order they joined, one list per column, and the tables no
-market-year changes. SRMC depends on the year and the carbon price, not
-on the segment, so a build prices each catalog technology once: SRMC and
-a merit rank standing for (SRMC, emission factor). It then turns the
-columns it reads into arrays and takes an active mask, a gather of those
-by technology index, and one stable ``np.lexsort`` on (id, rank): the
-merit order, as an (offer x segment) availability matrix. Each offer
-also gets an integer merit key, its rank plus whether its id sorts after
-``CANDIDATE_ID``, so ``np.searchsorted`` over the keys places a plant
-bought later (``MarketYear.add``, then among the offers of its key by
-id) and a probed unit, whose key is its technology's rank, as a stable
-sort of ``fleet + [unit]`` would.
+future markets. It reads everything from a ``Fleet``: a run's plants in
+the order they joined, one list per column, the tables no market-year
+changes, and the scenario the fleet was built from, whose fuel prices,
+demand growth and loss-of-load price a market-year reads. SRMC depends
+on the year and the carbon price, not on the segment, so a build prices
+each catalog technology once: SRMC and a merit rank standing for (SRMC,
+emission factor). It then turns the columns it reads into arrays and
+takes an active mask, a gather of those by technology index, and one
+stable ``np.lexsort`` on (id, rank): the merit order, as an (offer x
+segment) availability matrix. Each offer also gets an integer merit
+key, its rank plus whether its id sorts after ``CANDIDATE_ID``, so
+``np.searchsorted`` over the keys places a plant bought later
+(``MarketYear.add``, then among the offers of its key by id) and a
+probed unit, whose key is its technology's rank, as a stable sort of
+``fleet + [unit]`` would.
 
 The demand each segment has left before each offer is
 ``np.subtract.accumulate`` over demand and offers. That accumulate
@@ -134,46 +136,44 @@ def clear_segment(
 
 
 def run_year(
-    fleet: Fleet,
-    year: int,
-    carbon_price: float,
-    s: Scenario,
-    demand_scale: float = 1.0,
+    fleet: Fleet, year: int, carbon_price: float, demand_scale: float = 1.0
 ) -> YearResult:
     """Clear every segment of every representative day and aggregate to yearly totals.
 
-    Segment demand is the scenario demand scaled by cumulative growth to
-    ``year`` (times an optional extra factor, used by the demand-noise
-    hook). Energies are weighted by segment duration and day weight so
-    they sum to a full year.
+    The scenario is the fleet's (``fleet.scenario``). Segment demand is its
+    demand scaled by cumulative growth to ``year`` (times an optional extra
+    factor, used by the demand-noise hook). Energies are weighted by segment
+    duration and day weight so they sum to a full year.
     """
-    return MarketYear(fleet, year, carbon_price, s, demand_scale).clear()
+    return MarketYear(fleet, year, carbon_price, demand_scale).clear()
 
 
 class Fleet:
     """A run's plants in the order they joined, and the market tables no market-year changes.
 
-    A fleet belongs to the scenario ``s`` it was built from. Built, it
-    reads the tables every market-year of the run shares: per segment of
-    ``s``'s representative days, in day order, ``demand_mw`` and ``hours``
+    A fleet carries the scenario ``s`` it was built from as ``scenario``,
+    and every market-year of it reads its prices there. Built, it reads
+    the tables every market-year of the run shares: per segment of ``s``'s
+    representative days, in day order, ``demand_mw`` and ``hours``
     (duration x day weight); per technology of ``catalog``, the scenario's
     technologies, ``factors`` (its weather profile's capacity factor per
     segment, 1.0 when firm), ``unit_mw`` (one unit's MW per segment) and
     ``ef``, its emission factor.
 
-    The fleet only grows: ``append`` and ``extend`` add plants at the end,
-    and a ``MarketYear`` reads the rows that were there when it last
-    looked. One row per plant, each column a list: ``tech``, the index of
-    its technology in ``catalog``; ``mw``, its ``capacity_mw *
-    unit_count``; ``commission`` and ``retirement``, the years it starts
-    and stops running; and ``ids``. A batch is checked whole before any of
-    it is appended. A plant whose technology is not the catalog's entry of
-    its name is refused, and so is an id holding U+0000: numpy strings drop
+    The fleet only grows: ``extend`` adds plants at the end, and a
+    ``MarketYear`` reads the rows that were there when it last looked. One
+    row per plant, each column a list: ``tech``, the index of its
+    technology in ``catalog``; ``mw``, its ``capacity_mw * unit_count``;
+    ``commission`` and ``retirement``, the years it starts and stops
+    running; and ``ids``. A batch is checked whole before any of it is
+    appended. A plant whose technology is not the catalog's entry of its
+    name is refused, and so is an id holding U+0000: numpy strings drop
     trailing NULs, so a build's sort would tie ``"a"`` with ``"a\\x00"``,
     which Python's order (``add``'s, and the oracle's) keeps apart.
     """
 
     def __init__(self, s: Scenario, plants=()):
+        self.scenario = s
         self.catalog = catalog = s.technologies
         self.index = {tech.name: i for i, tech in enumerate(catalog)}  # name -> catalog index
         segments = [(segment, day.weight_days) for day in s.representative_days for segment in day.segments]
@@ -197,9 +197,6 @@ class Fleet:
 
     def __len__(self) -> int:
         return len(self.plants)
-
-    def append(self, plant: PowerPlant) -> None:
-        self.extend((plant,))
 
     def extend(self, plants) -> None:
         plants = list(plants)
@@ -237,28 +234,22 @@ class MarketYear:
     A market takes its days and catalog from ``fleet``, whose tables
     (segment demand and hours; per technology availability factors, one
     unit's MW and emission factor) it reads, and fuel prices, demand
-    growth and the loss-of-load price from ``s``, the scenario the fleet
-    was built from. A build prices every technology of the catalog once,
-    in arrays by catalog index: ``srmc``, and rank, 2 x the index of its
-    (SRMC, emission factor) among the catalog's distinct pairs in
-    ascending order. It then sorts the rows of ``fleet`` active in the
-    market-year by one stable ``np.lexsort``. Each offer has an integer
-    merit key, its technology's rank plus whether its id sorts after
-    ``CANDIDATE_ID``: keys ascend in merit order and order plants up to
-    their ids, so ``np.searchsorted`` over them finds where a plant bought
-    later or a probed unit, whose key is its rank, goes. ``fleet`` is
-    read, not copied: ``add`` places the rows it gained since.
+    growth and the loss-of-load price from ``fleet.scenario``, the
+    scenario the fleet was built from, so no market pairs a fleet with
+    another scenario's prices. A build prices every technology of the
+    catalog once, in arrays by catalog index: ``srmc``, and rank, 2 x the
+    index of its (SRMC, emission factor) among the catalog's distinct
+    pairs in ascending order. It then sorts the rows of ``fleet`` active
+    in the market-year by one stable ``np.lexsort``. Each offer has an
+    integer merit key, its technology's rank plus whether its id sorts
+    after ``CANDIDATE_ID``: keys ascend in merit order and order plants up
+    to their ids, so ``np.searchsorted`` over them finds where a plant
+    bought later or a probed unit, whose key is its rank, goes. ``fleet``
+    is read, not copied: ``add`` places the rows it gained since.
     """
 
-    def __init__(
-        self,
-        fleet: Fleet,
-        year: int,
-        carbon_price: float,
-        s: Scenario,
-        demand_scale: float = 1.0,
-    ):
-        self.fleet = fleet
+    def __init__(self, fleet: Fleet, year: int, carbon_price: float, demand_scale: float = 1.0):
+        self.fleet, s = fleet, fleet.scenario
         self.year = year
         self._demand = fleet.demand_mw * (s.demand_scale(year) * demand_scale)
 

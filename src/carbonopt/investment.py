@@ -9,22 +9,23 @@ history. Positive-NPV options are bought greedily, best first, while the
 budget lasts.
 
 An investment state (decision year, fleet) is valued one way only, in
-one call: ``YearProbes.value`` holds the year's future market, a
-``MarketYear``, and asks ``estimate_yearly_revenue`` once for the yearly
-flows of the whole catalog, then works out the catalog's NPVs in one
-numpy pass, bit for bit as ``npv`` adds them. The market prices the
-scenario's catalog once (SRMC and merit rank), by catalog index, and its
-``probe`` values one more unit of every catalog technology in one numpy
-pass without clearing the market. A run keeps its fleet as a ``Fleet``
-(see ``dispatch.Fleet``), which ``invest`` appends each purchase to; the
-year's market places the plants appended since it was built with
-``MarketYear.add``. The figures equal those of clearing ``fleet +
-[candidate]`` from scratch bit for bit.
+one call: ``YearProbes``, built over the run's ``Fleet`` (see
+``dispatch.Fleet``) for a decision year, holds the year's future market,
+a ``MarketYear`` that reads its scenario from the fleet. Its ``value``
+asks ``estimate_yearly_revenue`` once for the yearly flows of the whole
+catalog, then works out the catalog's NPVs in one numpy pass, bit for
+bit as ``npv`` adds them. The market prices the scenario's catalog once
+(SRMC and merit rank), by catalog index, and its ``probe`` values one
+more unit of every catalog technology in one numpy pass without clearing
+the market. ``invest`` picks the best affordable unit by catalog index
+and extends the fleet with it; the year's market places the plants added
+since it was built with ``MarketYear.add``. The figures equal those of
+clearing ``fleet + [candidate]`` from scratch bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import add
 
@@ -100,18 +101,20 @@ def npv(cash_flows: list[float], discount_rate: float) -> float:
 
 @lru_cache
 def _npv_terms(technologies: tuple[Technology, ...], discount_rate: float):
-    """What ``YearProbes.value`` needs besides the yearly flows to add up each ``npv``.
+    """What ``YearProbes`` needs besides the yearly flows to add up each ``npv``.
 
     (technology x year) arrays over the longest lifetime: whether a year is
     an operating year, and the flow of every other year (the capital cost
-    in year 0, 0.0 past the lifetime); and each year's discount factor.
+    in year 0, 0.0 past the lifetime); each year's discount factor; and the
+    capital cost of one unit of each technology, in catalog order.
     """
     years = np.arange(1 + max(tech.lifetime_years for tech in technologies))
     lifetimes = np.array([[tech.lifetime_years] for tech in technologies])
     operating = (years >= 1) & (years <= lifetimes)
+    capital = tuple(tech.capital_cost * tech.capacity_mw for tech in technologies)
     fixed = np.zeros(operating.shape)
-    fixed[:, 0] = [-tech.capital_cost * tech.capacity_mw for tech in technologies]
-    return operating, fixed, np.array(_discount_factors(1.0 + discount_rate, len(years)))
+    fixed[:, 0] = np.negative(capital)
+    return operating, fixed, np.array(_discount_factors(1.0 + discount_rate, len(years))), capital
 
 
 def estimate_yearly_revenue(
@@ -126,23 +129,24 @@ def estimate_yearly_revenue(
     ``fleet``), as ``YearProbes`` builds it: the market of ``decision_year`` + 10 at
     the forecast carbon price. A unit's revenue there at clearing prices minus its
     running costs (its SRMC there, ``MarketYear.srmc``, and fixed O&M) stands in for
-    every operating year of its life. ``perfbench/spans.py`` counts probed states
-    from the positional ``decision_year`` and ``fleet``.
+    every operating year of its life. ``YearProbes`` passes ``fleet.scenario`` as ``s``;
+    ``perfbench/spans.py`` counts probed states from the positional ``decision_year``
+    and ``fleet``, which are not read here.
     """
     energy, revenue = market.probe()
     fixed = np.array([tech.fixed_om * tech.capacity_mw for tech in market.fleet.catalog])
     return revenue - energy * market.srmc - fixed
 
 
-@dataclass
 class YearProbes:
-    """The NPV probes of one decision year, shared by every company's ``invest``.
+    """The NPV probes of one decision year over a fleet, shared by every company's ``invest``.
 
     Within a decision year the fleet only grows: each purchase appends
-    one plant. So one future market covers the whole year: it is built
-    for the first state valued and grown by ``MarketYear.add`` with the
-    plants bought since for each later one. Unit valuations are kept per
-    fleet length; the market holds the last length's plants.
+    one plant. So one future market covers the whole year: the market of
+    ``decision_year`` + 10 at the forecast carbon price, built with the
+    probes and grown by ``MarketYear.add`` with the plants bought since for
+    each later state. Only the fleet's last length can be looked up again,
+    so only the last state valued is kept: its fleet length and its NPVs.
 
     The catalog's NPVs are worked out together, equal to ``npv`` bit for
     bit: one ``np.add.accumulate`` adds each row of a (technology x year)
@@ -151,77 +155,56 @@ class YearProbes:
     ``+ 0.0`` turns a -0.0 into the 0.0 that ``npv`` starts from.
     """
 
-    decision_year: int
-    forecast: CarbonForecast
-    market: MarketYear | None = field(default=None, init=False)
-    npv_terms: tuple[np.ndarray, ...] = field(default=(), init=False)  # ``_npv_terms``
-    valuations: dict[int, dict[str, float]] = field(default_factory=dict, init=False)
+    def __init__(self, decision_year: int, forecast: CarbonForecast, fleet: Fleet):
+        s, future_year = fleet.scenario, decision_year + REVENUE_PROBE_YEARS
+        self.decision_year = decision_year
+        self.market = MarketYear(fleet, future_year, forecast.predict(future_year))
+        self.operating, self.fixed, self.factors, self.capital = _npv_terms(
+            s.technologies, s.discount_rate)
+        self.valued: tuple[int, list[float]] = (-1, [])  # fleet length, NPVs
 
-    def value(self, fleet: Fleet, s: Scenario) -> dict[str, float]:
-        """NPV per catalog technology of one more unit added to ``fleet``."""
-        valuations = self.valuations.get(len(fleet))
-        if valuations is None:
-            if self.market is None:
-                future_year = self.decision_year + REVENUE_PROBE_YEARS
-                self.market = MarketYear(fleet, future_year, self.forecast.predict(future_year), s)
-                self.npv_terms = _npv_terms(s.technologies, s.discount_rate)
-            else:  # lengths are valued in increasing order: the market holds the last
-                self.market.add()
-            yearly = estimate_yearly_revenue(self.market, self.decision_year, s, fleet)
-            operating, fixed, factors = self.npv_terms
-            flows = np.where(operating, np.divide.outer(yearly, factors), fixed)
-            npvs = (np.add.accumulate(flows, axis=1)[:, -1] + 0.0).tolist()
-            valuations = self.valuations[len(fleet)] = {
-                tech.name: value for tech, value in zip(s.technologies, npvs)
-            }
-        return valuations
+    def value(self) -> list[float]:
+        """NPV of one more unit of each catalog technology added to the fleet, in catalog order."""
+        market, fleet = self.market, self.market.fleet
+        if self.valued[0] != len(fleet):
+            market.add()
+            yearly = estimate_yearly_revenue(market, self.decision_year, fleet.scenario, fleet)
+            flows = np.where(self.operating, np.divide.outer(yearly, self.factors), self.fixed)
+            self.valued = len(fleet), (np.add.accumulate(flows, axis=1)[:, -1] + 0.0).tolist()
+        return self.valued[1]
 
 
-def invest(
-    genco: str,
-    budgets: dict[str, float],
-    s: Scenario,
-    fleet: Fleet,
-    probes: YearProbes,
-) -> list[Event]:
+def invest(genco: str, budgets: dict[str, float], probes: YearProbes) -> list[Event]:
     """Buy the highest-NPV affordable unit, re-evaluate, and repeat until nothing attracts.
 
-    ``genco`` is the buying company's id. The decision year and the carbon
-    forecast are those of ``probes``, the year's probes shared by every
-    company that invests in that year. Executed purchases debit
-    ``budgets[genco]`` and append the new plant to ``fleet``
-    (commissioning after the technology's construction lag), so later
-    decisions see the updated market.
+    ``genco`` is the buying company's id. The decision year, the carbon
+    forecast and the run's fleet are those of ``probes``, the year's probes
+    shared by every company that invests in that year. Among equal NPVs the
+    first technology of the catalog is bought. Executed purchases debit
+    ``budgets[genco]`` and append the new plant to the fleet (commissioning
+    after the technology's construction lag), so later decisions see the
+    updated market.
 
     Returns the ``"invest"`` events of the executed purchases; an empty
     list means nothing was both positive-NPV and affordable.
     """
-    decision_year = probes.decision_year
+    fleet, year, capital = probes.market.fleet, probes.decision_year, probes.capital
     events: list[Event] = []
     while True:
-        valuations = probes.value(fleet, s)
-        best: Technology | None = None
-        best_value = 0.0
-        for tech in s.technologies:
-            capital = tech.capital_cost * tech.capacity_mw
-            if capital > budgets[genco]:
-                continue
-            value = valuations[tech.name]
-            if value > 0.0 and value > best_value:
-                best = tech
-                best_value = value
+        best, best_value, budget = None, 0.0, budgets[genco]
+        for k, value in enumerate(probes.value()):
+            if value > best_value and capital[k] <= budget:
+                best, best_value = k, value
         if best is None:
             return events
-        capital = best.capital_cost * best.capacity_mw
+        tech = fleet.catalog[best]
         plant = PowerPlant(
-            id=f"{genco}:{best.name}:{decision_year}:{len(events) + 1}",
-            technology=best,
+            id=f"{genco}:{tech.name}:{year}:{len(events) + 1}",
+            technology=tech,
             owner=genco,
-            commission_year=decision_year + best.construction_lag_years,
+            commission_year=year + tech.construction_lag_years,
             unit_count=1,
         )
-        budgets[genco] -= capital
-        fleet.append(plant)
-        events.append(
-            Event(decision_year, "invest", genco, best.name, plant.id, 1, capital, best_value)
-        )
+        budgets[genco] -= capital[best]
+        fleet.extend((plant,))
+        events.append(Event(year, "invest", genco, tech.name, plant.id, 1, capital[best], best_value))

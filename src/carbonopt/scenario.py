@@ -253,6 +253,12 @@ def validate_scenario(s: Scenario) -> list[Violation]:
             out.append(Violation(f"technologies[{tech.name}].weather_profile",
                                  f"{needs}, got {tech.weather_profile!r}"))
 
+    # a bought plant's id is "<genco>:<technology>:<year>:<n>", and a run's ``Fleet``
+    # refuses an id holding U+0000 (see there)
+    named = [(f"gencos[{g.id}].id", g.id) for g in s.gencos]
+    named += [(f"technologies[{t.name}].name", t.name) for t in s.technologies]
+    out += [Violation(path, "must not contain U+0000") for path, name in named if "\0" in name]
+
     catalog = {t.name: t for t in s.technologies}
     owners = {g.id for g in s.gencos}
     for plant in s.initial_fleet:

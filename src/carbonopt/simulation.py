@@ -86,9 +86,9 @@ def _invest_over_horizon(
 
         history.append((year, policy.price_at(year_index)))
 
-        probes = YearProbes(year, fit_carbon_forecast(history))
+        probes = YearProbes(year, fit_carbon_forecast(history), fleet)
         for genco in sorted(budgets):
-            events += invest(genco, budgets, s, fleet, probes)
+            events += invest(genco, budgets, probes)
 
         events += [_plant_event(year, "commission", plant)
                    for plant, start in zip(fleet.plants, fleet.commission) if start == year]
@@ -108,7 +108,7 @@ def run_simulation(s: Scenario, policy: CarbonPolicy, seed: int) -> SimulationRe
     """
     fleet, events, taxes, noise = _invest_over_horizon(s, policy, seed)
     per_year = tuple(
-        run_year(fleet, s.start_year + i, tax, s, demand_scale=scale)
+        run_year(fleet, s.start_year + i, tax, demand_scale=scale)
         for i, (tax, scale) in enumerate(zip(taxes, noise))
     )
     price, rci = _objectives(per_year[-1], s)
@@ -132,7 +132,7 @@ def evaluate_objectives(
     policy = decode(genome, policy_kind, n_years=s.horizon_years)
     fleet, _, taxes, noise = _invest_over_horizon(s, policy, seed)
     final_year = s.start_year + len(taxes) - 1
-    objectives = _objectives(run_year(fleet, final_year, taxes[-1], s, demand_scale=noise[-1]), s)
+    objectives = _objectives(run_year(fleet, final_year, taxes[-1], demand_scale=noise[-1]), s)
     if not all(math.isfinite(v) for v in objectives):
         raise ConfigurationError(f"non-finite objectives {objectives} for genome {genome}")
     return objectives

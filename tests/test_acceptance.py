@@ -110,7 +110,7 @@ def one_hour_market(demand: float, bids, voll: float):
         base_carbon_intensity=1.0,
         loss_of_load_price=voll,
     )
-    return MarketYear(Fleet(s, fleet), 2020, 0.0, s).clear()
+    return MarketYear(Fleet(s, fleet), 2020, 0.0).clear()
 
 
 def test_criterion_3_dispatch_properties():

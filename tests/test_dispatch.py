@@ -98,7 +98,7 @@ class TestBuildBids:
         # the kernel prices the whole catalog, so it refuses the series even with no oil plant
         s_oil = dataclasses.replace(s, technologies=(*s.technologies, oil))
         with pytest.raises(ConfigurationError, match="oil"):
-            run_year(Fleet(s_oil, s.initial_fleet), 2020, 0.0, s_oil)
+            run_year(Fleet(s_oil, s.initial_fleet), 2020, 0.0)
 
     def test_retired_plants_are_filtered_upstream(self, static_fossil_scenario):
         s = static_fossil_scenario
@@ -107,9 +107,9 @@ class TestBuildBids:
         )
         # demand 160 vs the 100 MW still active: the retired 500 MW would be needed
         fleet = list(s.initial_fleet)
-        result = run_year(Fleet(s, fleet + [old]), 2020, 10.0, s, demand_scale=2.0)
+        result = run_year(Fleet(s, fleet + [old]), 2020, 10.0, demand_scale=2.0)
         # retired 2010, never bids
-        assert result == run_year(Fleet(s, fleet), 2020, 10.0, s, demand_scale=2.0)
+        assert result == run_year(Fleet(s, fleet), 2020, 10.0, demand_scale=2.0)
         assert result.unserved_mwh == pytest.approx(60.0 * 8760.0)
 
 
@@ -121,11 +121,12 @@ class TestFleet:
         for tech in (make_tech(name="oil", fuel_kind="oil"), dataclasses.replace(gas, variable_om=50.0)):
             plant = PowerPlant(id="p9", technology=tech, owner="g1", commission_year=2000, unit_count=1)
             with pytest.raises(ConfigurationError, match=f"plant 'p9': technology '{tech.name}'"):
-                fleet.append(plant)
+                fleet.extend([plant])
             with pytest.raises(ConfigurationError, match="'p9'"):
                 Fleet(s, [*s.initial_fleet, plant])
         assert fleet.plants == list(s.initial_fleet) and len(fleet.mw) == 1  # nothing appended
-        fleet.append(dataclasses.replace(s.initial_fleet[0], id="p9", technology=dataclasses.replace(gas)))
+        fleet.extend([dataclasses.replace(s.initial_fleet[0], id="p9",
+                                          technology=dataclasses.replace(gas))])
         assert fleet.tech == [0, 0]  # an equal copy is the catalog's entry
 
     def test_a_refused_batch_appends_nothing(self, static_fossil_scenario):
@@ -157,7 +158,7 @@ class TestFleet:
             Fleet(s, plants)
         fleet = Fleet(s, plants[1:])
         with pytest.raises(ConfigurationError, match=r"'a\\x00'"):
-            fleet.append(plants[0])
+            fleet.extend(plants[:1])
         assert fleet.ids == ["a"]
 
     def test_the_market_tables_are_read_from_its_scenario(self):
@@ -346,7 +347,7 @@ class TestRunYear:
         )
         plant = PowerPlant(id="s1", technology=solar, owner="g1", commission_year=2010, unit_count=3)
         s = make_scenario([solar], [plant])  # demand 80, solar cf 0.5 -> 150 MW available
-        result = run_year(Fleet(s, [plant]), 2020, 250.0, s)
+        result = run_year(Fleet(s, [plant]), 2020, 250.0)
         assert result.carbon_intensity == 0.0
         assert result.average_price == 0.0
         assert result.unserved_mwh == 0.0
@@ -365,7 +366,7 @@ class TestRunYear:
             segments=(DaySegment(24.0, 100.0, 0.0, 0.0),),
         )
         s = make_scenario([cheap, dear], [p1, p2], days=(day,))
-        result = run_year(Fleet(s, [p1, p2]), 2020, 0.0, s)
+        result = run_year(Fleet(s, [p1, p2]), 2020, 0.0)
         assert result.energy_by_technology["cheap"] == pytest.approx(525600.0)
         assert result.energy_by_technology["dear"] == pytest.approx(350400.0)
         assert result.average_price == pytest.approx(10.0)
@@ -373,21 +374,21 @@ class TestRunYear:
         assert result.carbon_intensity == pytest.approx(350400.0 * 0.2 / 876000.0)
         # "a" earns the 10 £/MWh set by "b" on all it runs
         # "cheap" is catalog entry 0
-        energy, revenue = MarketYear(Fleet(s, [p2]), 2020, 0.0, s).probe()
+        energy, revenue = MarketYear(Fleet(s, [p2]), 2020, 0.0).probe()
         assert (energy[0], revenue[0]) == pytest.approx((525600.0, 525600.0 * 10.0))
 
     def test_demand_growth_scales_each_year(self, static_fossil_scenario):
         import dataclasses
 
         s = dataclasses.replace(static_fossil_scenario, demand_growth=1.1)
-        base = run_year(Fleet(s, s.initial_fleet), 2020, 0.0, s)
-        grown = run_year(Fleet(s, s.initial_fleet), 2021, 0.0, s)
+        base = run_year(Fleet(s, s.initial_fleet), 2020, 0.0)
+        grown = run_year(Fleet(s, s.initial_fleet), 2021, 0.0)
         energy = sum(base.energy_by_technology.values())
         assert sum(grown.energy_by_technology.values()) == pytest.approx(energy * 1.1)
 
     def test_shortage_year_uses_voll(self, static_fossil_scenario):
         s = static_fossil_scenario
-        result = run_year(Fleet(s, s.initial_fleet), 2020, 0.0, s, demand_scale=2.0)
+        result = run_year(Fleet(s, s.initial_fleet), 2020, 0.0, demand_scale=2.0)
         # demand 160 vs 100 MW available: 60 MW unserved all year at VoLL
         assert result.unserved_mwh == pytest.approx(60.0 * 8760.0)
         assert result.average_price == pytest.approx(6000.0)
@@ -398,7 +399,7 @@ class TestRunYearOracle:
     @settings(max_examples=300, deadline=None)
     def test_run_year_equals_segment_by_segment_clearing_exactly(self, case, demand_scale):
         s, fleet, year, carbon_price = case
-        result = run_year(Fleet(s, fleet), year, carbon_price, s, demand_scale)
+        result = run_year(Fleet(s, fleet), year, carbon_price, demand_scale)
         expected = reference_year(fleet, year, carbon_price, s, demand_scale)
         assert result == expected
         assert list(result.energy_by_technology) == list(expected.energy_by_technology)
@@ -409,7 +410,7 @@ class TestProbeMarket:
     @settings(max_examples=300, deadline=None)
     def test_probe_equals_full_clearing_exactly(self, case):
         s, fleet, year, carbon_price = case
-        energy, revenue = MarketYear(Fleet(s, fleet), year, carbon_price, s).probe()
+        energy, revenue = MarketYear(Fleet(s, fleet), year, carbon_price).probe()
         for k, unit in enumerate(candidates(s, year)):
             assert (energy[k], revenue[k]) == reference_probe(fleet, unit, year, carbon_price, s)
 
@@ -430,12 +431,12 @@ class TestProbeMarket:
             for _ in range(data.draw(st.integers(1, 4)))
         ]
         split = data.draw(st.integers(0, len(plants)))
-        market = MarketYear(Fleet(s, fleet), year, carbon_price, s)
+        market = MarketYear(Fleet(s, fleet), year, carbon_price)
         for batch in (plants[:split], plants[split:]):
             market.fleet.extend(batch)
             market.add()
         (energy, revenue), (fresh_energy, fresh_revenue) = (
-            market.probe(), MarketYear(Fleet(s, fleet + plants), year, carbon_price, s).probe()
+            market.probe(), MarketYear(Fleet(s, fleet + plants), year, carbon_price).probe()
         )
         for k, unit in enumerate(candidates(s, year)):
             expected = reference_probe(fleet + plants, unit, year, carbon_price, s)
@@ -458,7 +459,7 @@ class TestProbeMarket:
             )
             for _ in range(data.draw(st.integers(1, 4)))
         ]
-        market = MarketYear(Fleet(s, fleet), year, carbon_price, s)
+        market = MarketYear(Fleet(s, fleet), year, carbon_price)
         energy, revenue = market.probe()
         for k, unit in enumerate(candidates(s, year)):
             assert (energy[k], revenue[k]) == reference_probe(fleet, unit, year, carbon_price, s)
@@ -484,7 +485,7 @@ class TestProbeMarket:
                        owner="g1", commission_year=year, unit_count=data.draw(st.integers(1, 3)))
             for _ in range(data.draw(st.integers(2, 5)))
         ]
-        market = MarketYear(Fleet(s, fleet), year, carbon_price, s)
+        market = MarketYear(Fleet(s, fleet), year, carbon_price)
         for batch in (plants[:1], plants[1:]):
             market.fleet.extend(batch)
             market.add()
@@ -510,7 +511,7 @@ class TestProbeMarket:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dispatch, "srmc", counted)
-            market = MarketYear(Fleet(s, fleet), year, carbon_price, s)
+            market = MarketYear(Fleet(s, fleet), year, carbon_price)
             market.fleet.extend(candidates(s, year))
             market.add()
             market.probe()
@@ -527,7 +528,7 @@ class TestProbeMarket:
                                emission_factor=0.0, capacity_mw=capacity)
             busy = dataclasses.replace(FULL_DAY, segments=(DaySegment(24.0, 150.0, 0.5, 0.5),))
             s_busy = make_scenario([s.technologies[0], peaker], fleet, days=(busy,))
-            market = MarketYear(Fleet(s_busy, fleet), 2020, 0.0, s_busy)
+            market = MarketYear(Fleet(s_busy, fleet), 2020, 0.0)
             (unit,) = candidates(s_busy, 2020)[1:]
             (_, energy), (_, revenue) = market.probe()  # the peaker is catalog entry 1
             assert (energy, revenue) == reference_probe(fleet, unit, 2020, 0.0, s_busy)
@@ -541,7 +542,7 @@ class TestProbeMarket:
             DaySegment(8.0, 1000.0, 0.5, 0.5), DaySegment(16.0, 500.0, 0.5, 0.5),
         ))
         s_short = make_scenario(list(s.technologies), fleet, days=(starved,))
-        market = MarketYear(Fleet(s_short, fleet), 2020, 10.0, s_short)
+        market = MarketYear(Fleet(s_short, fleet), 2020, 10.0)
         (unit,) = candidates(s_short, 2020)
         (energy,), (revenue,) = market.probe()
         assert (energy, revenue) == reference_probe(fleet, unit, 2020, 10.0, s_short)

@@ -147,7 +147,7 @@ def yearly_revenue(candidate, s, fleet, forecast, decision_year=2020):
     """The candidate's entry of ``estimate_yearly_revenue`` in the future market ``YearProbes``
     builds for the state."""
     future_year = decision_year + REVENUE_PROBE_YEARS
-    market = MarketYear(fleet, future_year, forecast.predict(future_year), s)
+    market = MarketYear(fleet, future_year, forecast.predict(future_year))
     return estimate_yearly_revenue(market, decision_year, s, fleet)[s.technologies.index(candidate)]
 
 
@@ -224,7 +224,7 @@ class TestEstimateRevenue:
             )
             for _ in range(data.draw(st.integers(1, 4)))
         ]
-        market = MarketYear(Fleet(s, fleet), year, carbon_price, s)
+        market = MarketYear(Fleet(s, fleet), year, carbon_price)
         for state in (fleet, fleet + plants):
             market.fleet.extend(state[len(market.fleet):])  # nothing, then the plants
             market.add()
@@ -234,9 +234,9 @@ class TestEstimateRevenue:
                 assert flows[k] == expected, (len(state), tech.name)
 
 
-def probes_2020() -> YearProbes:
-    """Probes of decision year 2020 after one year of zero tax."""
-    return YearProbes(2020, fit_carbon_forecast([(2020, 0.0)]))
+def probes_2020(fleet: Fleet) -> YearProbes:
+    """Probes of decision year 2020 over ``fleet`` after one year of zero tax."""
+    return YearProbes(2020, fit_carbon_forecast([(2020, 0.0)]), fleet)
 
 
 class TestInvest:
@@ -245,7 +245,7 @@ class TestInvest:
         budgets = {"g1": 1e12}
         s = make_scenario([gas_tech], [plant], horizon_years=2)
         fleet = Fleet(s, [plant])
-        decisions = invest("g1", budgets, s, fleet, probes_2020())
+        decisions = invest("g1", budgets, probes_2020(fleet))
         assert decisions == []
         assert budgets["g1"] == 1e12
         assert fleet.plants == [plant]
@@ -261,7 +261,7 @@ class TestInvest:
         budgets = {"g1": capital * 1.5}
         s = make_scenario([old, new], [plant], horizon_years=2)
         fleet = Fleet(s, [plant])
-        decisions = invest("g1", budgets, s, fleet, probes_2020())
+        decisions = invest("g1", budgets, probes_2020(fleet))
         assert [d.technology for d in decisions] == ["new-gas"]
         assert budgets["g1"] == pytest.approx(capital * 0.5)
         assert decisions[0].npv > 0.0
@@ -285,7 +285,7 @@ class TestInvest:
         s = make_scenario([tech_a, tech_b, tech_c, gas_tech], [plant], horizon_years=2)
 
         fleet = Fleet(s, [plant])
-        decisions = invest("g1", budgets, s, fleet, probes_2020())
+        decisions = invest("g1", budgets, probes_2020(fleet))
         # npv(a) ~ 3000*annuity - 10000 best, then with 6000 left only b or c
         # are affordable and b has the higher npv
         assert [d.technology for d in decisions] == ["a", "b"]
@@ -330,7 +330,7 @@ class TestInvest:
         for budget in [0.0, 4_000.0, 5_500.0, 11_000.0, 16_000.0, 21_000.0, 60_000.0]:
             budgets = {"g1": budget}
             fleet = Fleet(s_all, [plant])
-            decisions = invest("g1", budgets, s_all, fleet, probes_2020())
+            decisions = invest("g1", budgets, probes_2020(fleet))
             assert [d.technology for d in decisions] == greedy_oracle(budget), budget
             assert budgets["g1"] >= 0.0
             spent = sum(d.capital_cost for d in decisions)
@@ -344,9 +344,23 @@ class TestInvest:
         plant = PowerPlant(id="g", technology=gas_tech, owner="g1", commission_year=2005, unit_count=1)
         budgets = {"g1": 9_000.0}
         s = make_scenario([big, small, gas_tech], [plant], horizon_years=2)
-        decisions = invest("g1", budgets, s, Fleet(s, [plant]), probes_2020())
+        decisions = invest("g1", budgets, probes_2020(Fleet(s, [plant])))
         assert [d.technology for d in decisions] == ["small", "small"]
         assert budgets["g1"] == pytest.approx(1_000.0)
+
+    def test_equal_npvs_buy_the_first_in_catalog_order(self, monkeypatch, gas_tech):
+        # two technologies alike but for their names; the budget covers one unit
+        twins = [make_tech(name=name, capital_cost=5_000.0, capacity_mw=1.0, lifetime_years=10)
+                 for name in ("x", "y")]
+        revenue = {"x": 1_000.0, "y": 1_000.0, "gas": -1.0}
+        monkeypatch.setattr(investment, "estimate_yearly_revenue", pinned_revenue(revenue))
+        plant = PowerPlant(id="g", technology=gas_tech, owner="g1", commission_year=2005, unit_count=1)
+        for catalog in (twins, twins[::-1]):
+            s = make_scenario([*catalog, gas_tech], [plant], horizon_years=2)
+            probes = probes_2020(Fleet(s, [plant]))
+            assert probes.value()[0] == probes.value()[1] > 0.0
+            decisions = invest("g1", {"g1": 5_000.0}, probes)
+            assert [d.technology for d in decisions] == [catalog[0].name]
 
 
 class TestYearProbes:
@@ -363,22 +377,30 @@ class TestYearProbes:
                                        "gas": {2020: 20.0, 2021: 20.0}})
         return s, plant
 
-    def test_shared_probes_equal_fresh_calls(self):
+    def test_shared_probes_equal_fresh_calls(self, monkeypatch):
         # two companies in one decision year: the second reuses the market the
         # first built and grew, and decides exactly as it would alone
         s, plant = self.coal_and_gas()
         forecast = fit_carbon_forecast([(2020, 50.0)])
         budget = s.gencos[1].budget
         fleet = Fleet(s, [plant])
-        probes = YearProbes(2020, forecast)
+        valued = []  # the length of ``fleet`` at each revenue estimate over it
+
+        def counted(market, decision_year, s, probed):
+            if probed is fleet:
+                valued.append(len(probed))
+            return estimate_yearly_revenue(market, decision_year, s, probed)
+
+        monkeypatch.setattr(investment, "estimate_yearly_revenue", counted)
+        probes = YearProbes(2020, forecast, fleet)
         budgets = {"g0": budget, "g2": budget}
-        first = invest("g0", budgets, s, fleet, probes)
-        alone = invest("g2", {"g2": budget}, s, Fleet(s, fleet.plants), YearProbes(2020, forecast))
-        shared = invest("g2", budgets, s, fleet, probes)
+        first = invest("g0", budgets, probes)
+        alone = invest("g2", {"g2": budget}, YearProbes(2020, forecast, Fleet(s, fleet.plants)))
+        shared = invest("g2", budgets, probes)
         assert first  # so the second company values a state the market grew into
         assert shared == alone
         assert budgets["g2"] == budget - sum(d.capital_cost for d in shared)
-        assert sorted(probes.valuations) == list(range(1, len(fleet) + 1))
+        assert valued == list(range(1, len(fleet) + 1))  # every state valued exactly once
 
     @given(
         catalog=st.lists(st.tuples(
@@ -401,11 +423,12 @@ class TestYearProbes:
         s = make_scenario(techs, fleet, discount_rate=rate)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(investment, "estimate_yearly_revenue", pinned_revenue(yearly))
-            values = probes_2020().value(Fleet(s, fleet), s)
-        for tech in techs:
+            values = probes_2020(Fleet(s, fleet)).value()
+        assert len(values) == len(techs)
+        for value, tech in zip(values, techs):
             capital = tech.capital_cost * tech.capacity_mw
             flows = [-capital] + [yearly[tech.name]] * tech.lifetime_years
-            assert values[tech.name] == npv(flows, rate), tech.name
+            assert value == npv(flows, rate), tech.name
 
     def test_one_market_per_decision_year(self, monkeypatch):
         # 20 MW gas units under a coal plant that always has MW to spare: a new
@@ -420,7 +443,14 @@ class TestYearProbes:
                 built.append(self)
                 super().__init__(*args, **kwargs)
 
+        valued = []  # the fleet length at each revenue estimate
+
+        def counted(market, decision_year, s, fleet):
+            valued.append(len(fleet))
+            return estimate_yearly_revenue(market, decision_year, s, fleet)
+
         monkeypatch.setattr(investment, "MarketYear", CountedMarketYear)
+        monkeypatch.setattr(investment, "estimate_yearly_revenue", counted)
         coal = make_tech(name="coal", fuel_kind="coal", efficiency=0.35, variable_om=2.0,
                          emission_factor=0.9, capacity_mw=200.0)
         gas = make_tech(name="gas", capacity_mw=20.0)
@@ -432,16 +462,20 @@ class TestYearProbes:
         s = make_scenario([coal, gas], [coal_plant], days=(day,))
         fleet = Fleet(s, [coal_plant])
         forecast = fit_carbon_forecast([(2019, 10.0), (2020, 50.0)])
-        probes = YearProbes(2020, forecast)
+        probes = YearProbes(2020, forecast, fleet)
+        looked_up = []  # (fleet length, NPVs) of each lookup
         for bought in (0, 1, 2, 1, 0):  # two at once, then a state valued twice
             fleet.extend([
                 PowerPlant(id=f"g{len(fleet) + k}", technology=gas, owner="g1",
                            commission_year=2021, unit_count=1)
                 for k in range(bought)
             ])
-            assert probes.value(fleet, s) is probes.valuations[len(fleet)]
+            looked_up.append((len(fleet), probes.value()))
         assert built == [probes.market]
-        assert list(probes.valuations) == [1, 2, 4, 5]
-        for n, valuations in probes.valuations.items():
-            assert valuations == YearProbes(2020, forecast).value(Fleet(s, fleet.plants[:n]), s)
-        assert len({v["gas"] for v in probes.valuations.values()}) == 4
+        assert valued == [1, 2, 4, 5]  # each length valued exactly once
+        assert looked_up[-1][1] is looked_up[-2][1]  # the repeated lookup
+        states = dict(looked_up)
+        assert list(states) == [1, 2, 4, 5]
+        for n, npvs in states.items():
+            assert npvs == YearProbes(2020, forecast, Fleet(s, fleet.plants[:n])).value()
+        assert len({npvs[s.technologies.index(gas)] for npvs in states.values()}) == 4

@@ -239,6 +239,25 @@ class TestValidate:
         assert [str(v) for v in err.value.violations] == [
             "initial_fleet[coal-a\0].id: must not contain U+0000"]
 
+    @pytest.mark.parametrize("key, old, path", [
+        ("gencos", "alpha", "gencos[alpha\0].id"),
+        ("technologies", "nuclear", "technologies[nuclear\0].name"),
+    ], ids=["genco", "technology"])
+    def test_a_genco_or_technology_name_holding_nul_is_refused(self, tmp_path, key, old, path):
+        # a bought plant's id is "<genco>:<technology>:<year>:<n>", which a run's fleet
+        # refuses if it holds U+0000: a run would stop naming a plant not in the file
+        raw = json.loads(bundled_scenario_path("uk_synthetic").read_text(encoding="utf-8"))
+        field, reference = ("id", "owner") if key == "gencos" else ("name", "technology")
+        for item in raw[key]:
+            if item[field] == old:
+                item[field] += "\u0000"
+        for plant in raw["initial_fleet"]:
+            if plant[reference] == old:
+                plant[reference] += "\u0000"
+        with pytest.raises(ScenarioValidationError) as err:
+            load_scenario(write_json(tmp_path, raw))
+        assert [str(v) for v in err.value.violations] == [f"{path}: must not contain U+0000"]
+
     def test_intermittent_needs_weather_profile(self):
         from carbonopt.scenario import Scenario
 

@@ -90,8 +90,8 @@ class TestRunSimulation:
         assert (2021, "retire", "old") in kinds
         assert (2021, "commission", "new") in kinds
         # year 2020: only "old" active; year 2021: only "new"
-        assert result.per_year[0] == run_year(Fleet(s, [retiree]), 2020, 0.0, s)
-        assert result.per_year[1] == run_year(Fleet(s, [keeper]), 2021, 0.0, s)
+        assert result.per_year[0] == run_year(Fleet(s, [retiree]), 2020, 0.0)
+        assert result.per_year[1] == run_year(Fleet(s, [keeper]), 2021, 0.0)
         assert [y.unserved_mwh for y in result.per_year] == [50.0 * 8760.0] * 2
 
     def test_base_zero_with_emissions_is_an_error(self, static_fossil_scenario):

@@ -157,8 +157,9 @@ class Fleet:
     representative days, in day order, ``demand_mw`` and ``hours``
     (duration x day weight); per technology of ``catalog``, the scenario's
     technologies, ``factors`` (its weather profile's capacity factor per
-    segment, 1.0 when firm), ``unit_mw`` (one unit's MW per segment) and
-    ``ef``, its emission factor.
+    segment, 1.0 when firm), ``unit_mw`` (one unit's MW per segment),
+    ``ef``, its emission factor, and ``fixed_om``, one unit's fixed O&M
+    cost per year.
 
     The fleet only grows: ``extend`` adds plants at the end, and a
     ``MarketYear`` reads the rows that were there when it last looked. One
@@ -187,6 +188,7 @@ class Fleet:
         )
         self.unit_mw = self.factors * np.reshape([tech.capacity_mw for tech in catalog], (-1, 1))
         self.ef = np.array([tech.emission_factor for tech in catalog])
+        self.fixed_om = np.array([tech.fixed_om * tech.capacity_mw for tech in catalog])
         self.plants: list[PowerPlant] = []
         self.tech: list[int] = []
         self.mw: list[float] = []

@@ -122,7 +122,17 @@ def render_objectives_json(result: SimulationResult) -> str:
 
 
 def render_generations_csv(archive: FrontArchive, objective_names: list[str]) -> str:
-    """Full evolution trace: every individual of every archived generation."""
+    """Full evolution trace: every individual of every archived generation.
+
+    NSGA-II keeps its elite, so most individuals reappear in later
+    generations. Repeated individuals share one formatting: the text of
+    their gene and objective cells is made once and joined into each of
+    their rows between the row's own generation, index, rank and crowding
+    cells. An individual is keyed by the bytes of its genome and objective
+    rows, in the arrays' own dtype, not by their float values: equal floats
+    can render differently (``0.0 == -0.0``), and bytes give each bit
+    pattern its own text.
+    """
     if not archive.snapshots:
         return _rows_to_csv(["generation", "individual"], [])
     n_genes = archive.snapshots[0].genomes.shape[1]
@@ -134,12 +144,15 @@ def render_generations_csv(archive: FrontArchive, objective_names: list[str]) ->
     )
     # every cell is an int or a float repr, never a comma, quote or newline: join directly
     lines = [_rows_to_csv(header, [])]
+    cells: dict[bytes, str] = {}  # an individual's key -> its gene and objective cells
     for snap in archive.snapshots:
-        rows = zip(snap.genomes.tolist(), snap.objectives.tolist(),
-                   snap.ranks.tolist(), snap.crowding.tolist())
-        for i, (genes, objectives, rank, crowding) in enumerate(rows):
-            values = ",".join(map(repr, genes + objectives))
-            lines.append(f"{snap.generation},{i},{values},{rank},{crowding!r}\n")
+        rows = zip(snap.genomes, snap.objectives, snap.ranks.tolist(), snap.crowding.tolist())
+        for i, (genes, values, rank, crowding) in enumerate(rows):
+            key = genes.tobytes() + values.tobytes()
+            text = cells.get(key)
+            if text is None:
+                text = cells[key] = ",".join(map(repr, genes.tolist() + values.tolist()))
+            lines += (f"{snap.generation},{i},", text, f",{rank},{crowding!r}\n")
     return "".join(lines)
 
 

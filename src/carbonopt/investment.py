@@ -128,14 +128,14 @@ def estimate_yearly_revenue(
     ``market`` is the future market of the investment state (``decision_year``,
     ``fleet``), as ``YearProbes`` builds it: the market of ``decision_year`` + 10 at
     the forecast carbon price. A unit's revenue there at clearing prices minus its
-    running costs (its SRMC there, ``MarketYear.srmc``, and fixed O&M) stands in for
-    every operating year of its life. ``YearProbes`` passes ``fleet.scenario`` as ``s``;
+    running costs (its SRMC there, ``MarketYear.srmc``, and its fixed O&M,
+    ``Fleet.fixed_om``) stands in for every operating year of its life.
+    ``YearProbes`` passes ``fleet.scenario`` as ``s``;
     ``perfbench/spans.py`` counts probed states from the positional ``decision_year``
     and ``fleet``, which are not read here.
     """
     energy, revenue = market.probe()
-    fixed = np.array([tech.fixed_om * tech.capacity_mw for tech in market.fleet.catalog])
-    return revenue - energy * market.srmc - fixed
+    return revenue - energy * market.srmc - market.fleet.fixed_om
 
 
 class YearProbes:

@@ -197,12 +197,18 @@ def _schema(cls) -> dict[str, tuple]:
     return schema
 
 
-def _label(item, k: int):
-    """How a list element is named in a path: its ``name`` or ``id`` string, else its index."""
+def _ident(item, k: int):
+    """What names a list element: its ``name`` or ``id`` string, else its index."""
     # getattr, not vars(): a materialised instance __dict__ slows every later attribute read
     get = item.get if isinstance(item, dict) else partial(getattr, item)
     ident = get("name", get("id", None))
     return ident if isinstance(ident, str) else k
+
+
+def _label(ident):
+    """How an element named ``ident`` is shown in a path: a name that is not printable
+    as its ``repr``, so a message never carries a NUL or another control character."""
+    return ident if not isinstance(ident, str) or ident.isprintable() else repr(ident)
 
 
 def _check(out: list[Violation], path: str, value, rule: str | None) -> None:
@@ -218,7 +224,7 @@ def _check(out: list[Violation], path: str, value, rule: str | None) -> None:
 
 def _walk(out: list[Violation], obj, path: str) -> None:
     """Hold every number of dataclass ``obj`` and of the elements of its tuples to its
-    field's rule; an element whose label repeats an earlier one's is refused at its path."""
+    field's rule; an element whose name or id repeats an earlier one's is refused at its path."""
     prefix = f"{path}." if path else ""
     for name, (kind, _, rule, _) in _schema(type(obj)).items():
         value, where = getattr(obj, name), prefix + name
@@ -229,12 +235,13 @@ def _walk(out: list[Violation], obj, path: str) -> None:
                 out.append(Violation(where, f"must be {rule}"))
             seen = set()
             for k, item in enumerate(value):
-                label = _label(item, k)
-                if label in seen:
+                ident = _ident(item, k)
+                at = f"{where}[{_label(ident)}]"
+                if ident in seen:
                     noun = "name" if hasattr(item, "name") else "id"
-                    out.append(Violation(f"{where}[{label}]", f"duplicate {noun}"))
-                seen.add(label)
-                _walk(out, item, f"{where}[{label}]")
+                    out.append(Violation(at, f"duplicate {noun}"))
+                seen.add(ident)
+                _walk(out, item, at)
 
 
 def validate_scenario(s: Scenario) -> list[Violation]:
@@ -250,19 +257,19 @@ def validate_scenario(s: Scenario) -> list[Violation]:
     for tech in s.technologies:
         if tech.is_intermittent and tech.weather_profile not in WEATHER_PROFILES:
             needs = f"intermittent technology needs one of {WEATHER_PROFILES}"
-            out.append(Violation(f"technologies[{tech.name}].weather_profile",
+            out.append(Violation(f"technologies[{_label(tech.name)}].weather_profile",
                                  f"{needs}, got {tech.weather_profile!r}"))
 
     # a bought plant's id is "<genco>:<technology>:<year>:<n>", and a run's ``Fleet``
     # refuses an id holding U+0000 (see there)
-    named = [(f"gencos[{g.id}].id", g.id) for g in s.gencos]
-    named += [(f"technologies[{t.name}].name", t.name) for t in s.technologies]
+    named = [(f"gencos[{_label(g.id)}].id", g.id) for g in s.gencos]
+    named += [(f"technologies[{_label(t.name)}].name", t.name) for t in s.technologies]
     out += [Violation(path, "must not contain U+0000") for path, name in named if "\0" in name]
 
     catalog = {t.name: t for t in s.technologies}
     owners = {g.id for g in s.gencos}
     for plant in s.initial_fleet:
-        path = f"initial_fleet[{plant.id}]"
+        path = f"initial_fleet[{_label(plant.id)}]"
         if "\0" in plant.id:  # a run's ``Fleet`` refuses it (see there)
             out.append(Violation(f"{path}.id", "must not contain U+0000"))
         name = plant.technology.name
@@ -276,10 +283,10 @@ def validate_scenario(s: Scenario) -> list[Violation]:
 
     refused = {v.path for v in out}
     richest = max(
-        (g.budget for g in s.gencos if f"gencos[{g.id}].budget" not in refused), default=0.0
+        (g.budget for g in s.gencos if f"gencos[{_label(g.id)}].budget" not in refused), default=0.0
     )
     for tech in s.technologies:
-        path = f"technologies[{tech.name}]"
+        path = f"technologies[{_label(tech.name)}]"
         if {f"{path}.capacity_mw", f"{path}.capital_cost"} & refused:
             continue
         unit = tech.capital_cost * tech.capacity_mw
@@ -295,7 +302,7 @@ def validate_scenario(s: Scenario) -> list[Violation]:
     weighted_hours = reduce(add, (day.weight_days * day.hours for day in s.representative_days),
                             0.0)
     if s.representative_days and abs(weighted_hours - HOURS_PER_YEAR) > HOURS_TOLERANCE:
-        names = ", ".join(day.name for day in s.representative_days)
+        names = ", ".join(_label(day.name) for day in s.representative_days)
         out.append(
             Violation(
                 "representative_days",
@@ -312,7 +319,7 @@ def validate_scenario(s: Scenario) -> list[Violation]:
     for fuel in sorted(used | set(s.fuel_prices)):
         series = s.fuel_prices.get(fuel, {})
         for year, price in series.items():
-            _check(out, f"fuel_prices[{fuel}][{year}]", price, ">= 0")
+            _check(out, f"fuel_prices[{_label(fuel)}][{year}]", price, ">= 0")
         end = max(series, default=s.start_year - 1)
         if fuel in used and horizon_known:
             end = max(end, s.final_year)
@@ -322,15 +329,15 @@ def validate_scenario(s: Scenario) -> list[Violation]:
                 break
             year += 1
         if year <= end:
-            out.append(Violation(f"fuel_prices[{fuel}]", f"missing price for year {year}"))
+            out.append(Violation(f"fuel_prices[{_label(fuel)}]", f"missing price for year {year}"))
 
     # A plant whose fuel alone costs more than shortage is dispatched ahead of
     # the loss-of-load offer; a tiny efficiency makes its SRMC overflow.
     refused = {v.path for v in out}
     for tech in s.technologies:
-        path, fuel = f"technologies[{tech.name}].efficiency", tech.fuel_kind
+        path, fuel = f"technologies[{_label(tech.name)}].efficiency", tech.fuel_kind
         if not s.fuel_prices.get(fuel) or {path, "loss_of_load_price"} & refused or any(
-            p.startswith(f"fuel_prices[{fuel}]") for p in refused
+            p.startswith(f"fuel_prices[{_label(fuel)}]") for p in refused
         ):
             continue
         cost = max(s.fuel_prices[fuel].values()) / tech.efficiency
@@ -380,7 +387,7 @@ def _read(cls, raw, path: str, **special):
     schema = _schema(cls)
     for key in raw:
         if key not in schema:
-            raise ScenarioParseError(f"{prefix}{key}: unknown key")
+            raise ScenarioParseError(f"{prefix}{_label(key)}: unknown key")
     values = {}
     for name, (kind, items, _, required) in schema.items():
         if name in raw:
@@ -396,7 +403,7 @@ def _read(cls, raw, path: str, **special):
 def _items(cls, value, where: str, **special) -> tuple:
     """A JSON list of ``cls`` objects, each named by its ``name`` or ``id``, else its index."""
     return tuple(
-        _read(cls, item, f"{where}[{_label(item, k)}]", **special)
+        _read(cls, item, f"{where}[{_label(_ident(item, k))}]", **special)
         for k, item in enumerate(_list(value, where))
     )
 
@@ -416,13 +423,12 @@ def _year(key, where: str) -> int:
 
 def _fuel_prices(value, where: str) -> dict[str, dict[int, float]]:
     """fuel kind -> year -> price."""
-    return {
-        fuel: {
-            _year(year, f"{where}[{fuel}] year"): _number(price, f"{where}[{fuel}][{year}]")
-            for year, price in _object(series, f"{where}[{fuel}]").items()
-        }
-        for fuel, series in _object(value, where).items()
-    }
+    prices = {}
+    for fuel, series in _object(value, where).items():
+        at = f"{where}[{_label(fuel)}]"
+        prices[fuel] = {_year(year, f"{at} year"): _number(price, f"{at}[{year}]")
+                        for year, price in _object(series, at).items()}
+    return prices
 
 
 def scenario_from_dict(raw: dict) -> Scenario:

@@ -70,6 +70,21 @@ class TestSimulate:
         code = main(["simulate", "--scenario", str(bad), "--policy", "flat:0", "--out", str(tmp_path / "o")])
         assert code == 1
 
+    def test_an_unprintable_genco_id_reaches_stderr_escaped(self, tmp_path, capfd):
+        # capfd reads the bytes written to the process's stderr
+        raw = json.loads(bundled_scenario_path("uk_synthetic").read_text(encoding="utf-8"))
+        for item in (*raw["gencos"], *raw["initial_fleet"]):
+            for key in ("id", "owner"):
+                if item.get(key) == "alpha":
+                    item[key] = "alpha\u0000"
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(json.dumps(raw), encoding="utf-8")
+        code = main(["simulate", "--scenario", str(bad), "--policy", "flat:0", "--out", str(tmp_path / "o")])
+        err = capfd.readouterr().err
+        assert code == 1
+        assert "gencos['alpha\\x00'].id: must not contain U+0000" in err
+        assert "\0" not in err
+
     def test_unknown_scenario_name_exits_1(self, tmp_path):
         code = main(["simulate", "--scenario", "atlantis", "--policy", "flat:0", "--out", str(tmp_path / "o")])
         assert code == 1

@@ -65,3 +65,48 @@ class TestGenerationsCsv:
         archive = FrontArchive()
         assert render_generations_csv(archive, NAMES) == csv_module_rendering(archive)
         assert render_generations_csv(archive, NAMES) == "generation,individual\n"
+
+    def test_survivors_render_as_their_first_rows_do(self):
+        # NSGA-II keeps its elite: later generations repeat earlier rows, in another
+        # order and with another rank and crowding
+        rng = np.random.default_rng(7)
+        first = snapshot(0, rng, 12, 3)
+        snapshots = [first]
+        for g in (1, 2, 3):
+            fresh = snapshot(g, rng, 12, 3)
+            keep = rng.permutation(12)[:8]
+            prev = snapshots[-1]
+            fresh.genomes[:8], fresh.objectives[:8] = prev.genomes[keep], prev.objectives[keep]
+            snapshots.append(fresh)
+        archive = FrontArchive(snapshots=snapshots)
+        assert render_generations_csv(archive, NAMES) == csv_module_rendering(archive)
+
+    def test_a_row_repeated_within_one_generation(self):
+        snap = snapshot(0, np.random.default_rng(8), 6, 2)
+        snap.genomes[3], snap.objectives[3] = snap.genomes[1], snap.objectives[1]
+        snap.genomes[5], snap.objectives[5] = snap.genomes[1], snap.objectives[1]
+        archive = FrontArchive(snapshots=[snap])
+        text = render_generations_csv(archive, NAMES)
+        assert text == csv_module_rendering(archive)
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert rows[1][2:-2] == rows[3][2:-2] == rows[5][2:-2]
+
+    def test_zero_and_negative_zero_stay_apart(self):
+        # 0.0 == -0.0, but the two render differently: rows that differ only in the
+        # sign of a zero gene or objective, across generations and within one
+        rng = np.random.default_rng(9)
+        snaps = [snapshot(g, rng, 4, 3) for g in range(2)]
+        for snap in snaps:
+            snap.genomes[:] = snaps[0].genomes
+            snap.objectives[:] = snaps[0].objectives
+            snap.genomes[:, 1] = 0.0
+            snap.objectives[:, 0] = 0.0
+        snaps[0].genomes[1, 1] = -0.0
+        snaps[0].objectives[2, 0] = -0.0
+        snaps[1].genomes[0, 1] = -0.0
+        snaps[1].genomes[3], snaps[1].objectives[3] = snaps[1].genomes[2], snaps[1].objectives[2]
+        snaps[1].genomes[3, 1] = -0.0
+        archive = FrontArchive(snapshots=snaps)
+        text = render_generations_csv(archive, NAMES)
+        assert text == csv_module_rendering(archive)
+        assert text.count(",-0.0,") == 4

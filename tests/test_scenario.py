@@ -230,18 +230,29 @@ class TestValidate:
         s = static_fossil_scenario
         plants = (dataclasses.replace(s.initial_fleet[0], id="own\0"), *s.initial_fleet)
         violations = validate_scenario(dataclasses.replace(s, initial_fleet=plants))
-        assert [str(v) for v in violations] == ["initial_fleet[own\0].id: must not contain U+0000"]
+        # a name that is not printable is shown as its repr
+        assert [str(v) for v in violations] == ["initial_fleet['own\\x00'].id: must not contain U+0000"]
         raw = json.loads(bundled_scenario_path("uk_synthetic").read_text(encoding="utf-8"))
         (plant,) = (plant for plant in raw["initial_fleet"] if plant["id"] == "coal-b")
         plant["id"] = "coal-a\u0000"
         with pytest.raises(ScenarioValidationError) as err:
             load_scenario(write_json(tmp_path, raw))
         assert [str(v) for v in err.value.violations] == [
-            "initial_fleet[coal-a\0].id: must not contain U+0000"]
+            "initial_fleet['coal-a\\x00'].id: must not contain U+0000"]
+
+    def test_an_unprintable_label_is_escaped_and_kept_apart(self, static_fossil_scenario):
+        # the repeated "g1\t" is a duplicate; "'g1\\t'", the escaped label's text, is not
+        s = static_fossil_scenario
+        ids = ("g1\t", "'g1\\t'", "g1\t")
+        gencos = tuple(dataclasses.replace(s.gencos[0], id=i) for i in ids)
+        plants = (dataclasses.replace(s.initial_fleet[0], owner="g1\t"),)
+        violations = validate_scenario(dataclasses.replace(s, gencos=gencos, initial_fleet=plants))
+        assert [str(v) for v in violations] == ["gencos['g1\\t']: duplicate id"]
+        assert all(str(v).isprintable() for v in violations)
 
     @pytest.mark.parametrize("key, old, path", [
-        ("gencos", "alpha", "gencos[alpha\0].id"),
-        ("technologies", "nuclear", "technologies[nuclear\0].name"),
+        ("gencos", "alpha", "gencos['alpha\\x00'].id"),
+        ("technologies", "nuclear", "technologies['nuclear\\x00'].name"),
     ], ids=["genco", "technology"])
     def test_a_genco_or_technology_name_holding_nul_is_refused(self, tmp_path, key, old, path):
         # a bought plant's id is "<genco>:<technology>:<year>:<n>", which a run's fleet
@@ -460,11 +471,15 @@ class TestNumericGuards:
              lambda d: d["technologies"][0].update(efficency=0.5)),
             ("representative_days[always].segments[0].wind: unknown key",
              lambda d: d["representative_days"][0]["segments"][0].update(wind=0.5)),
+            ("'grow\\x00th': unknown key", lambda d: d.update({"grow\0th": 1.5})),
+            ("fuel_prices['g\\x00'] year: must be an integer, got 'next'",
+             lambda d: d["fuel_prices"].update({"g\0": {"next": 20.0}})),
         ],
         ids=["null-number", "string-number", "true-number", "string-integer", "number-fuel-kind",
              "string-bool", "number-id", "object-list", "list-fuel-price", "word-year",
              "superscript-year", "long-year", "tuple-list", "unknown-key", "unknown-technology-key",
-             "unknown-segment-key"],
+             "unknown-segment-key", "unprintable-unknown-key",
+             "unprintable-fuel"],
     )
     def test_wrong_json_type_is_named(self, message, edit):
         data = copy.deepcopy(MINIMAL)

@@ -11,16 +11,19 @@ budget lasts.
 An investment state (decision year, fleet) is valued one way only, in
 one call: ``YearProbes``, built over the run's ``Fleet`` (see
 ``dispatch.Fleet``) for a decision year, holds the year's future market,
-a ``MarketYear`` that reads its scenario from the fleet. Its ``value``
-asks ``estimate_yearly_revenue`` once for the yearly flows of the whole
-catalog, then works out the catalog's NPVs in one numpy pass, bit for
-bit as ``npv`` adds them. The market prices the scenario's catalog once
+a ``MarketYear`` that reads its scenario from the fleet, built by the
+first valuation, so a year in which no company can buy builds none. Its
+``value`` asks ``estimate_yearly_revenue`` once for the yearly flows of
+the whole catalog, then works out the catalog's NPVs in one numpy pass,
+bit for bit as ``npv`` adds them. The market prices the scenario's catalog once
 (SRMC and merit rank), by catalog index, and its ``probe`` values one
 more unit of every catalog technology in one numpy pass without clearing
 the market. ``invest`` picks the best affordable unit by catalog index
 and extends the fleet with it; the year's market places the plants added
 since it was built with ``MarketYear.add``. The figures equal those of
-clearing ``fleet + [candidate]`` from scratch bit for bit.
+clearing ``fleet + [candidate]`` from scratch bit for bit. A company
+whose budget is below the catalog's cheapest unit values nothing: it
+could buy nothing whatever the NPVs, so they would never be read.
 """
 
 from __future__ import annotations
@@ -143,10 +146,12 @@ class YearProbes:
 
     Within a decision year the fleet only grows: each purchase appends
     one plant. So one future market covers the whole year: the market of
-    ``decision_year`` + 10 at the forecast carbon price, built with the
-    probes and grown by ``MarketYear.add`` with the plants bought since for
-    each later state. Only the fleet's last length can be looked up again,
-    so only the last state valued is kept: its fleet length and its NPVs.
+    ``decision_year`` + 10 at the forecast carbon price, ``market``, built
+    by the first ``value`` (None until then) and grown by ``MarketYear.add``
+    with the plants bought since for each later state. Built late, it holds
+    what a build at the start of the year grown by ``add`` would. Only the
+    fleet's last length can be looked up again, so only the last state
+    valued is kept: its fleet length and its NPVs.
 
     The catalog's NPVs are worked out together, equal to ``npv`` bit for
     bit: one ``np.add.accumulate`` adds each row of a (technology x year)
@@ -156,19 +161,23 @@ class YearProbes:
     """
 
     def __init__(self, decision_year: int, forecast: CarbonForecast, fleet: Fleet):
-        s, future_year = fleet.scenario, decision_year + REVENUE_PROBE_YEARS
-        self.decision_year = decision_year
-        self.market = MarketYear(fleet, future_year, forecast.predict(future_year))
+        s = fleet.scenario
+        self.decision_year, self.forecast, self.fleet = decision_year, forecast, fleet
+        self.market: MarketYear | None = None  # built by the first ``value``
         self.operating, self.fixed, self.factors, self.capital = _npv_terms(
             s.technologies, s.discount_rate)
+        self.cheapest = min(self.capital)
         self.valued: tuple[int, list[float]] = (-1, [])  # fleet length, NPVs
 
     def value(self) -> list[float]:
         """NPV of one more unit of each catalog technology added to the fleet, in catalog order."""
-        market, fleet = self.market, self.market.fleet
+        fleet = self.fleet
         if self.valued[0] != len(fleet):
-            market.add()
-            yearly = estimate_yearly_revenue(market, self.decision_year, fleet.scenario, fleet)
+            if self.market is None:
+                future_year = self.decision_year + REVENUE_PROBE_YEARS
+                self.market = MarketYear(fleet, future_year, self.forecast.predict(future_year))
+            self.market.add()
+            yearly = estimate_yearly_revenue(self.market, self.decision_year, fleet.scenario, fleet)
             flows = np.where(self.operating, np.divide.outer(yearly, self.factors), self.fixed)
             self.valued = len(fleet), (np.add.accumulate(flows, axis=1)[:, -1] + 0.0).tolist()
         return self.valued[1]
@@ -178,25 +187,27 @@ def invest(genco: str, budgets: dict[str, float], probes: YearProbes) -> list[Ev
     """Buy the highest-NPV affordable unit, re-evaluate, and repeat until nothing attracts.
 
     ``genco`` is the buying company's id. The decision year, the carbon
-    forecast and the run's fleet are those of ``probes``, the year's probes
-    shared by every company that invests in that year. Among equal NPVs the
-    first technology of the catalog is bought. Executed purchases debit
-    ``budgets[genco]`` and append the new plant to the fleet (commissioning
-    after the technology's construction lag), so later decisions see the
-    updated market.
+    forecast and the run's fleet (``probes.fleet``) are those of ``probes``,
+    the year's probes shared by every company that invests in that year.
+    While the budget is below ``probes.cheapest``, the capital cost of the
+    catalog's cheapest unit, nothing is affordable, so no state is valued.
+    Among equal NPVs the first technology of the catalog is bought.
+    Executed purchases debit ``budgets[genco]`` and append the new plant to
+    the fleet (commissioning after the technology's construction lag), so
+    later decisions see the updated market.
 
     Returns the ``"invest"`` events of the executed purchases; an empty
     list means nothing was both positive-NPV and affordable.
     """
-    fleet, year, capital = probes.market.fleet, probes.decision_year, probes.capital
+    fleet, year, capital = probes.fleet, probes.decision_year, probes.capital
     events: list[Event] = []
-    while True:
+    while budgets[genco] >= probes.cheapest:
         best, best_value, budget = None, 0.0, budgets[genco]
         for k, value in enumerate(probes.value()):
             if value > best_value and capital[k] <= budget:
                 best, best_value = k, value
         if best is None:
-            return events
+            break
         tech = fleet.catalog[best]
         plant = PowerPlant(
             id=f"{genco}:{tech.name}:{year}:{len(events) + 1}",
@@ -208,3 +219,4 @@ def invest(genco: str, budgets: dict[str, float], probes: YearProbes) -> list[Ev
         budgets[genco] -= capital[best]
         fleet.extend((plant,))
         events.append(Event(year, "invest", genco, tech.name, plant.id, 1, capital[best], best_value))
+    return events

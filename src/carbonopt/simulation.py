@@ -1,16 +1,24 @@
 """Yearly simulation loop: retirements, investment, dispatch under a tax policy.
 
 A run has two steps. The investment pass walks the horizon year by year:
-expired plants drop out, each company invests off its view of the carbon
-price history, due plants come online, and the year's demand-noise factor
-is drawn. Then the spot market clears each year from the run's final
-fleet. That is exact: a plant bought in a year commissions in it or
-later, so it is inactive in every earlier year, and a market-year sorts
-the plants it keeps as the fleet at the time would have had them. The two
-quantities the optimizer minimizes come from the final simulated year:
-the average electricity price and the carbon intensity relative to the
-scenario's base-year value. So a fitness evaluation clears only the
-final year.
+each company invests off its view of the carbon price history, and the
+year's demand-noise factor is drawn. Then the spot market clears each
+year from the run's final fleet. That is exact: a plant bought in a year
+commissions in it or later, so it is inactive in every earlier year, and
+a market-year sorts the plants it keeps as the fleet at the time would
+have had them. The event log is read from the final fleet too: each
+year's retirements, then its purchases, then its commissionings.
+
+The two quantities the optimizer minimizes come from the final simulated
+year: the average electricity price and the carbon intensity relative to
+the scenario's base-year value. So a fitness evaluation clears only the
+final year and builds no event log. When every catalog technology takes
+a year or more to build, it also skips the final year's investment
+round: a unit bought then commissions after the horizon, so it changes
+neither objective. Within the pass, a company that can afford no unit
+values nothing, and a year's probe market is built only when some
+company values a state (see ``investment``); what is skipped is never
+read, so the results are the same.
 
 Runs are deterministic for a fixed (scenario, policy, seed); the seed
 only matters when the scenario enables the optional demand-noise hook.
@@ -62,40 +70,57 @@ def _plant_event(year: int, kind: str, plant: PowerPlant) -> Event:
 
 
 def _invest_over_horizon(
-    s: Scenario, policy: CarbonPolicy, seed: int
-) -> tuple[Fleet, list[Event], list[float], list[float]]:
-    """The investment pass: the final fleet, the events, and each year's tax and demand factor.
+    s: Scenario, policy: CarbonPolicy, seed: int, rounds: int
+) -> tuple[Fleet, list[list[Event]], list[float], list[float]]:
+    """The investment pass: the final fleet, and each year's purchases, tax and demand factor.
 
-    Budgets and the fleet are run-local: the scenario is never changed.
+    Companies invest in the first ``rounds`` years of the horizon only; a
+    year past them has no purchases. Budgets and the fleet are run-local:
+    the scenario is never changed.
     """
     if seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
     check_bounds(policy, s.horizon_years)
     fleet = Fleet(s, s.initial_fleet)
     budgets = {g.id: g.budget for g in s.gencos}
-    events: list[Event] = []
+    bought: list[list[Event]] = []
     history: list[tuple[int, float]] = []
     noise: list[float] = []
     rng = np.random.default_rng(seed) if s.demand_noise_std > 0 else None
 
     for year_index in range(1, s.horizon_years + 1):
         year = s.start_year + year_index - 1
-
-        events += [_plant_event(year, "retire", plant)
-                   for plant, end in zip(fleet.plants, fleet.retirement) if end == year]
-
         history.append((year, policy.price_at(year_index)))
-
-        probes = YearProbes(year, fit_carbon_forecast(history), fleet)
-        for genco in sorted(budgets):
-            events += invest(genco, budgets, probes)
-
-        events += [_plant_event(year, "commission", plant)
-                   for plant, start in zip(fleet.plants, fleet.commission) if start == year]
-
+        bought.append([])
+        if year_index <= rounds:
+            probes = YearProbes(year, fit_carbon_forecast(history), fleet)
+            for genco in sorted(budgets):
+                bought[-1] += invest(genco, budgets, probes)
         noise.append(1.0 if rng is None else max(0.0, 1.0 + rng.normal(0.0, s.demand_noise_std)))
 
-    return fleet, events, [tax for _, tax in history], noise
+    return fleet, bought, [tax for _, tax in history], noise
+
+
+def _event_log(fleet: Fleet, bought: list[list[Event]]) -> tuple[Event, ...]:
+    """Each year's retirements, then its purchases, then its commissionings, from the final fleet.
+
+    ``bought`` holds each year's purchases. A plant bought in a year
+    commissions in it or later and retires at least a year after that, so
+    the final fleet's plants that retire in a year were in the fleet before
+    its round, and those that commission in it were bought by its end.
+    Within a year, plants keep fleet order, the order they joined in.
+    """
+    retiring: dict[int, list[PowerPlant]] = {}
+    commissioning: dict[int, list[PowerPlant]] = {}
+    for plant, start, end in zip(fleet.plants, fleet.commission, fleet.retirement):
+        retiring.setdefault(end, []).append(plant)
+        commissioning.setdefault(start, []).append(plant)
+    events: list[Event] = []
+    for year, purchases in enumerate(bought, fleet.scenario.start_year):
+        events += [_plant_event(year, "retire", plant) for plant in retiring.get(year, ())]
+        events += purchases
+        events += [_plant_event(year, "commission", plant) for plant in commissioning.get(year, ())]
+    return tuple(events)
 
 
 def run_simulation(s: Scenario, policy: CarbonPolicy, seed: int) -> SimulationResult:
@@ -106,7 +131,7 @@ def run_simulation(s: Scenario, policy: CarbonPolicy, seed: int) -> SimulationRe
     year's spot market is cleared after the investment pass, from the
     run's final ``Fleet``.
     """
-    fleet, events, taxes, noise = _invest_over_horizon(s, policy, seed)
+    fleet, bought, taxes, noise = _invest_over_horizon(s, policy, seed, s.horizon_years)
     per_year = tuple(
         run_year(fleet, s.start_year + i, tax, demand_scale=scale)
         for i, (tax, scale) in enumerate(zip(taxes, noise))
@@ -117,7 +142,7 @@ def run_simulation(s: Scenario, policy: CarbonPolicy, seed: int) -> SimulationRe
         carbon_prices=tuple(taxes),
         objective_price=price,
         objective_rci=rci,
-        events=tuple(events),
+        events=_event_log(fleet, bought),
     )
 
 
@@ -127,10 +152,13 @@ def evaluate_objectives(
     """Fitness function for the optimizer: genome -> (price, relative carbon intensity).
 
     The objectives of ``run_simulation``, from the investment pass and a
-    clear of the final spot market-year alone.
+    clear of the final spot market-year alone. When every catalog
+    technology takes a year or more to build, nothing bought in the final
+    year runs in it, so the pass skips that year's investment round.
     """
     policy = decode(genome, policy_kind, n_years=s.horizon_years)
-    fleet, _, taxes, noise = _invest_over_horizon(s, policy, seed)
+    final_round = any(tech.construction_lag_years < 1 for tech in s.technologies)
+    fleet, _, taxes, noise = _invest_over_horizon(s, policy, seed, s.horizon_years - 1 + final_round)
     final_year = s.start_year + len(taxes) - 1
     objectives = _objectives(run_year(fleet, final_year, taxes[-1], demand_scale=noise[-1]), s)
     if not all(math.isfinite(v) for v in objectives):

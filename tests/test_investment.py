@@ -327,7 +327,9 @@ class TestInvest:
                 sequence.append(best)
                 remaining -= tech_specs[best][0]
 
-        for budget in [0.0, 4_000.0, 5_500.0, 11_000.0, 16_000.0, 21_000.0, 60_000.0]:
+        # 5_000 and 15_000 leave exactly the cheapest unit (c) affordable
+        for budget in [0.0, 4_000.0, 5_000.0, 5_500.0, 11_000.0, 15_000.0, 16_000.0, 21_000.0,
+                       60_000.0]:
             budgets = {"g1": budget}
             fleet = Fleet(s_all, [plant])
             decisions = invest("g1", budgets, probes_2020(fleet))

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from carbonopt import dispatch, investment
 from carbonopt.dispatch import CANDIDATE_ID, Fleet, MarketYear, run_year
 from carbonopt.errors import ConfigurationError, GenomeError
-from carbonopt.policy import NonParametricPolicy, parse_policy_spec
+from carbonopt.policy import NonParametricPolicy, bounds, decode, parse_policy_spec
 from carbonopt.scenario import (
     DaySegment,
     GenCo,
@@ -178,6 +180,69 @@ class TestEvaluateObjectives:
                        seed=0)
         assert cleared == list(range(uk_scenario.start_year, final_year + 1))
 
+    @pytest.mark.parametrize("buyers", ["broke", "none"])
+    def test_no_buyer_builds_no_probe_market(self, uk_scenario, gas_tech, monkeypatch, buyers):
+        # only the spot markets are built: every year's for a run, the final
+        # year's for a fitness evaluation
+        built = []  # the year of each market built
+
+        class CountedMarketYear(MarketYear):
+            def __init__(self, fleet, year, *args, **kwargs):
+                built.append(year)
+                super().__init__(fleet, year, *args, **kwargs)
+
+        monkeypatch.setattr(dispatch, "MarketYear", CountedMarketYear)
+        monkeypatch.setattr(investment, "MarketYear", CountedMarketYear)
+        if buyers == "broke":
+            s = dataclasses.replace(uk_scenario, gencos=tuple(
+                dataclasses.replace(genco, budget=0.0) for genco in uk_scenario.gencos))
+        else:
+            s = make_scenario([gas_tech], [], gencos=())
+        years = list(range(s.start_year, s.start_year + s.horizon_years))
+        run_simulation(s, flat(10.0, s.horizon_years), seed=0)
+        assert built == years
+        built.clear()
+        evaluate_objectives(s, [10.0] * s.horizon_years, "free", seed=0)
+        assert built == years[-1:]
+
+    def test_a_unit_built_in_the_final_year_counts(self):
+        # with no construction lag the wind unit runs in the final year and
+        # displaces gas; with a lag of a year it is bought all the same but
+        # comes too late, so the final round may be skipped only then
+        objectives = {}
+        for lag in (0, 1):
+            s, policy, seed = final_year_wind(lag)
+            result = run_simulation(s, policy, seed)
+            assert [(e.year, e.technology) for e in result.events if e.kind == "invest"] \
+                == [(2021, "wind")]
+            objectives[lag] = evaluate_objectives(s, list(policy.prices), "free", seed)
+            assert objectives[lag] == (result.objective_price, result.objective_rci)
+        assert objectives[0] != objectives[1]
+        assert objectives[0][1] == pytest.approx(0.375)  # 50 of 80 MW from wind
+
+    @pytest.mark.parametrize("zero_lag", [(), ("ocgt",)])
+    def test_drawn_uk_genomes_score_as_their_runs(self, uk_scenario, zero_lag):
+        # the bundled catalog takes a year or more to build everything; with a
+        # technology of no construction lag, the final round is run
+        techs = {tech.name: dataclasses.replace(
+            tech, construction_lag_years=0 if tech.name in zero_lag else tech.construction_lag_years)
+            for tech in uk_scenario.technologies}
+        s = dataclasses.replace(
+            uk_scenario, technologies=tuple(techs.values()),
+            initial_fleet=tuple(dataclasses.replace(plant, technology=techs[plant.technology.name])
+                                for plant in uk_scenario.initial_fleet))
+        rng = np.random.default_rng(11)
+        final_purchases = 0
+        for kind in ("linear", "free"):
+            low, high = np.array(bounds(kind, s.horizon_years)).T
+            for genome in rng.uniform(low, high, (5, len(low))).tolist():
+                result = run_simulation(s, decode(genome, kind, s.horizon_years), seed=0)
+                final_purchases += any(e.kind == "invest" and e.year == s.final_year
+                                       for e in result.events)
+                assert evaluate_objectives(s, genome, kind, seed=0) == (
+                    result.objective_price, result.objective_rci), (kind, genome)
+        assert final_purchases > 0
+
     def test_objectives_finite_on_uk_fixture_corners(self, uk_scenario):
         import math
 
@@ -185,6 +250,21 @@ class TestEvaluateObjectives:
             price, rci = evaluate_objectives(uk_scenario, genome, "linear", seed=0)
             assert math.isfinite(price) and math.isfinite(rci)
             assert rci >= 0.0
+
+
+def final_year_wind(lag):
+    """A run whose only purchase is made in its final year: (scenario, policy, seed).
+
+    A wind unit of construction lag ``lag`` pays off against a gas plant
+    only once the second year's tax of 250 steepens the carbon forecast.
+    """
+    gas = make_tech()
+    plant = PowerPlant(id="gas-1", technology=gas, owner="g1", commission_year=2010, unit_count=1)
+    wind = make_tech(name="wind", capital_cost=4e6, fixed_om=0.0, variable_om=0.0, fuel_kind=None,
+                     efficiency=1.0, emission_factor=0.0, is_intermittent=True,
+                     weather_profile="wind", construction_lag_years=lag)
+    s = make_scenario([gas, wind], [plant], gencos=(GenCo("g1", 4e8),))
+    return s, NonParametricPolicy((0.0, 250.0)), 0
 
 
 @st.composite
@@ -256,6 +336,7 @@ class TestRunSimulationOracle:
         assert_same_run(run_simulation(s, policy, seed), reference_simulation(s, policy, seed))
 
     @given(case=small_runs())
+    @example(case=final_year_wind(0))  # few drawn runs buy a unit that runs in the final year
     @settings(max_examples=40, deadline=None)
     def test_objectives_equal_the_plain_loop(self, case):
         s, policy, seed = case

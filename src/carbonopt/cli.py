@@ -44,7 +44,7 @@ from .exports import (
     write_manifest,
     write_output_set,
 )
-from .nsga2 import GAConfig, evolve
+from .nsga2 import MUTATION_KINDS, GAConfig, evolve
 from .policy import bounds as policy_bounds, parse_policy_spec
 from .scenario import bundled_scenario_path, load_scenario
 from .simulation import evaluate_objectives, run_simulation
@@ -246,16 +246,21 @@ def _run(command: str, args: dict) -> int:
 
 
 def _add_ga_flags(parser: argparse.ArgumentParser, pop_default: int, gens_default: int):
+    defaults = GAConfig()
     parser.add_argument("--pop", type=int, default=pop_default, help="population size")
     parser.add_argument("--gens", type=int, default=gens_default, help="generations to run")
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
+    parser.add_argument("--seed", type=int, default=defaults.seed, help="random seed")
     parser.add_argument(
-        "--crossover-prob", type=float, default=0.9, dest="crossover_prob"
+        "--crossover-prob", type=float, default=defaults.crossover_probability,
+        dest="crossover_prob",
     )
-    parser.add_argument("--mutation-prob", type=float, default=0.05, dest="mutation_prob")
-    parser.add_argument("--eta-c", type=float, default=15.0, dest="eta_c")
     parser.add_argument(
-        "--mutation-kind", choices=["per-gene", "per-child"], default="per-gene"
+        "--mutation-prob", type=float, default=defaults.mutation_probability,
+        dest="mutation_prob",
+    )
+    parser.add_argument("--eta-c", type=float, default=defaults.eta_crossover, dest="eta_c")
+    parser.add_argument(
+        "--mutation-kind", choices=MUTATION_KINDS, default=defaults.mutation_kind
     )
 
 

@@ -1,14 +1,14 @@
-"""Carbon-tax trajectories and their genome encodings.
+"""Carbon-tax trajectories, held as the genomes the optimizer searches.
 
-Two families are supported:
+A ``CarbonPolicy`` is its kind and its genes. Two kinds are supported:
 
 * ``free``: one tax level per simulated year, each gene bounded to
   [0, 250] £/tCO2.
 * ``linear``: tax is an affine function of the year index,
-  ``gradient * y + intercept``, with the gradient in [-14, 14] and the
-  intercept in [0, 250]. A negative evaluated price is allowed and acts
-  as a per-tCO2 subsidy in dispatch costs; it is deliberately not
-  clamped.
+  ``gradient * y + intercept``, with genes ``(gradient, intercept)``,
+  the gradient in [-14, 14] and the intercept in [0, 250]. A negative
+  evaluated price is allowed and acts as a per-tCO2 subsidy in dispatch
+  costs; it is deliberately not clamped.
 """
 
 from __future__ import annotations
@@ -27,41 +27,27 @@ GRADIENT_BOUND = 14.0
 
 
 @dataclass(frozen=True)
-class NonParametricPolicy:
-    """A separate tax level for every year of the horizon."""
+class CarbonPolicy:
+    """A tax trajectory: a ``free`` policy's genes are its yearly taxes, a ``linear`` one's
+    are ``(gradient, intercept)`` in £/tCO2 per year and £/tCO2."""
 
-    prices: tuple[float, ...]
-
-    kind = FREE
-
-    def price_at(self, year_index: int) -> float:
-        if not 1 <= year_index <= len(self.prices):
-            raise IndexError(
-                f"year index {year_index} outside 1..{len(self.prices)}"
-            )
-        return self.prices[year_index - 1]
-
-
-@dataclass(frozen=True)
-class LinearPolicy:
-    """Tax as an affine function of the 1-based year index."""
-
-    gradient: float  # £/tCO2 per year
-    intercept: float  # £/tCO2
-
-    kind = LINEAR
+    kind: str
+    genes: tuple[float, ...]
 
     def price_at(self, year_index: int) -> float:
-        if year_index < 1:
-            raise IndexError(f"year index {year_index} outside 1..horizon")
-        return self.gradient * year_index + self.intercept
+        """The tax in the 1-based ``year_index``th year of the horizon."""
+        if self.kind == LINEAR:
+            if year_index < 1:
+                raise IndexError(f"year index {year_index} outside 1..horizon")
+            gradient, intercept = self.genes
+            return gradient * year_index + intercept
+        if not 1 <= year_index <= len(self.genes):
+            raise IndexError(f"year index {year_index} outside 1..{len(self.genes)}")
+        return self.genes[year_index - 1]
 
 
-CarbonPolicy = NonParametricPolicy | LinearPolicy
-
-
-def bounds(kind: str, n_years: int = 18) -> list[tuple[float, float]]:
-    """Per-gene (low, high) box for a policy kind."""
+def bounds(kind: str, n_years: int) -> list[tuple[float, float]]:
+    """Per-gene (low, high) box for a policy kind over an ``n_years`` horizon."""
     if kind == FREE:
         return [(TAX_LOW, TAX_HIGH)] * n_years
     if kind == LINEAR:
@@ -69,40 +55,25 @@ def bounds(kind: str, n_years: int = 18) -> list[tuple[float, float]]:
     raise GenomeError(f"unknown policy kind {kind!r}; expected one of {POLICY_KINDS}")
 
 
-def encode(policy: CarbonPolicy) -> list[float]:
-    """Flatten a policy into its genome vector."""
-    if isinstance(policy, NonParametricPolicy):
-        return list(policy.prices)
-    if isinstance(policy, LinearPolicy):
-        return [policy.gradient, policy.intercept]
-    raise GenomeError(f"cannot encode {type(policy).__name__}")
-
-
-def _check_box(genes: list[float], kind: str, n_years: int) -> None:
-    box = bounds(kind, n_years)
-    if len(genes) != len(box):
+def check_bounds(policy: CarbonPolicy, n_years: int) -> None:
+    """Raise GenomeError unless the policy's genes fit its kind's box."""
+    box = bounds(policy.kind, n_years)
+    if len(policy.genes) != len(box):
         raise GenomeError(
-            f"{kind} genome must have {len(box)} genes, got {len(genes)}"
+            f"{policy.kind} genome must have {len(box)} genes, got {len(policy.genes)}"
         )
-    for i, (g, (low, high)) in enumerate(zip(genes, box)):
+    for i, (g, (low, high)) in enumerate(zip(policy.genes, box)):
         if not low <= g <= high:
             raise GenomeError(
-                f"gene {i} = {g} outside [{low}, {high}] for kind {kind!r}"
+                f"gene {i} = {g} outside [{low}, {high}] for kind {policy.kind!r}"
             )
 
 
-def decode(genome, kind: str, n_years: int = 18) -> CarbonPolicy:
+def decode(genome, kind: str, n_years: int) -> CarbonPolicy:
     """Build a policy from a genome; out-of-bounds genes are rejected."""
-    genes = [float(g) for g in genome]
-    _check_box(genes, kind, n_years)
-    if kind == FREE:
-        return NonParametricPolicy(prices=tuple(genes))
-    return LinearPolicy(gradient=genes[0], intercept=genes[1])
-
-
-def check_bounds(policy: CarbonPolicy, n_years: int) -> None:
-    """Raise GenomeError unless the policy parameters sit inside their box."""
-    _check_box(encode(policy), policy.kind, n_years)
+    policy = CarbonPolicy(kind, tuple(float(g) for g in genome))
+    check_bounds(policy, n_years)
+    return policy
 
 
 def parse_policy_spec(spec: str, n_years: int) -> CarbonPolicy:
@@ -122,8 +93,6 @@ def parse_policy_spec(spec: str, n_years: int) -> CarbonPolicy:
         if len(values) != 1:
             raise GenomeError(f"flat policy takes one value, got {len(values)}")
         return decode(values * n_years, FREE, n_years=n_years)
-    if head == LINEAR:
-        return decode(values, LINEAR, n_years=n_years)
-    if head == FREE:
-        return decode(values, FREE, n_years=n_years)
+    if head in POLICY_KINDS:
+        return decode(values, head, n_years=n_years)
     raise GenomeError(f"unknown policy kind {head!r} in spec {spec!r}")

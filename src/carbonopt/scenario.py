@@ -68,9 +68,6 @@ class PowerPlant:
     def retirement_year(self) -> int:
         return self.commission_year + self.technology.lifetime_years
 
-    def active_in(self, year: int) -> bool:
-        return self.commission_year <= year < self.retirement_year
-
 
 @dataclass(frozen=True)
 class GenCo:

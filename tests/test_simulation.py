@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from carbonopt import dispatch, investment
 from carbonopt.dispatch import CANDIDATE_ID, Fleet, MarketYear, run_year
 from carbonopt.errors import ConfigurationError, GenomeError
-from carbonopt.policy import NonParametricPolicy, bounds, decode, parse_policy_spec
+from carbonopt.policy import FREE, CarbonPolicy, bounds, decode, parse_policy_spec
 from carbonopt.scenario import (
     DaySegment,
     GenCo,
@@ -27,7 +27,7 @@ from oracle import reference_simulation
 
 
 def flat(value, n):
-    return NonParametricPolicy(prices=(float(value),) * n)
+    return CarbonPolicy(FREE, (float(value),) * n)
 
 
 class TestRunSimulation:
@@ -123,6 +123,30 @@ class TestEvaluateObjectives:
         assert price == pytest.approx(47.0)
         assert rci == pytest.approx(1.0)
 
+    def test_the_genome_is_checked_once(self, static_fossil_scenario, monkeypatch):
+        # decode checks the genome against its kind's box; the investment pass
+        # does not check it again. Each check builds the box once.
+        from carbonopt import policy, simulation
+
+        checks, boxes = [], []
+        check_bounds, bounds = policy.check_bounds, policy.bounds
+
+        def counted_check(*args):
+            checks.append(args)
+            return check_bounds(*args)
+
+        def counted_box(*args):
+            boxes.append(args)
+            return bounds(*args)
+
+        for module in (policy, simulation):
+            monkeypatch.setattr(module, "check_bounds", counted_check)
+        monkeypatch.setattr(policy, "bounds", counted_box)
+        evaluate_objectives(static_fossil_scenario, [10.0, 10.0], "free", seed=0)
+        assert (len(checks), len(boxes)) == (1, 1)
+        run_simulation(static_fossil_scenario, flat(10.0, 2), seed=0)
+        assert (len(checks), len(boxes)) == (2, 2)
+
     def test_decode_failure_raises(self, static_fossil_scenario):
         with pytest.raises(GenomeError):
             evaluate_objectives(static_fossil_scenario, [10.0], "free", seed=0)
@@ -215,7 +239,7 @@ class TestEvaluateObjectives:
             result = run_simulation(s, policy, seed)
             assert [(e.year, e.technology) for e in result.events if e.kind == "invest"] \
                 == [(2021, "wind")]
-            objectives[lag] = evaluate_objectives(s, list(policy.prices), "free", seed)
+            objectives[lag] = evaluate_objectives(s, list(policy.genes), "free", seed)
             assert objectives[lag] == (result.objective_price, result.objective_rci)
         assert objectives[0] != objectives[1]
         assert objectives[0][1] == pytest.approx(0.375)  # 50 of 80 MW from wind
@@ -264,7 +288,7 @@ def final_year_wind(lag):
                      efficiency=1.0, emission_factor=0.0, is_intermittent=True,
                      weather_profile="wind", construction_lag_years=lag)
     s = make_scenario([gas, wind], [plant], gencos=(GenCo("g1", 4e8),))
-    return s, NonParametricPolicy((0.0, 250.0)), 0
+    return s, CarbonPolicy(FREE, (0.0, 250.0)), 0
 
 
 @st.composite
@@ -313,7 +337,7 @@ def small_runs(draw):
         horizon_years=years, demand_growth=draw(st.sampled_from([1.0, 1.05])),
         demand_noise_std=draw(st.sampled_from([0.0, 0.05])),
     )
-    policy = NonParametricPolicy(prices=tuple(
+    policy = CarbonPolicy(FREE, tuple(
         draw(st.sampled_from([0.0, 12.5, 60.0, 250.0])) for _ in range(years)
     ))
     return s, policy, draw(st.integers(0, 3))
@@ -341,7 +365,7 @@ class TestRunSimulationOracle:
     def test_objectives_equal_the_plain_loop(self, case):
         s, policy, seed = case
         expected = reference_simulation(s, policy, seed)
-        objectives = evaluate_objectives(s, list(policy.prices), "free", seed)
+        objectives = evaluate_objectives(s, list(policy.genes), "free", seed)
         assert objectives == (expected.objective_price, expected.objective_rci)
 
     def test_uk_first_years_equal_the_plain_loop(self, uk_scenario):

@@ -7,7 +7,9 @@ Commands:
 * ``benchmark``: score the optimizer on an analytic test problem.
 * ``replay``: re-run the command recorded in a manifest.
 
-Each command computes and returns its result files; ``_run`` writes them
+Each command computes and returns its result files, each as its text or
+as the chunks that render it (``generations.csv`` is rendered one
+generation at a time, as it is written); ``_run`` writes them
 with a ``manifest.json`` that records the fully resolved configuration,
 the output directory and checksums of the scenario and of the package
 code. Replaying a manifest reproduces the result files byte for byte
@@ -26,6 +28,7 @@ import math
 import os
 import sys
 import time
+from collections.abc import Iterator
 from pathlib import Path
 
 from . import __version__
@@ -34,9 +37,9 @@ from .errors import CarbonOptError
 from .exports import (
     code_sha256,
     file_sha256,
+    generations_csv_chunks,
     load_manifest,
     render_events_csv,
-    render_generations_csv,
     render_objectives_json,
     render_pareto_json,
     render_per_year_csv,
@@ -97,7 +100,7 @@ def run_simulate(args: dict) -> tuple[int, dict[str, str]]:
     }
 
 
-def run_optimize(args: dict) -> tuple[int, dict[str, str]]:
+def run_optimize(args: dict) -> tuple[int, dict[str, str | Iterator[str]]]:
     jobs = args["jobs"]
     if jobs < 1:
         raise CarbonOptError(f"--jobs must be >= 1, got {jobs}")
@@ -130,12 +133,12 @@ def run_optimize(args: dict) -> tuple[int, dict[str, str]]:
         genes = ", ".join(f"{v:.2f}" for v in genome)
         print(f"{price:>16.4f} {rci:>14.4f}  [{genes}]")
     return EXIT_OK, {
-        "generations.csv": render_generations_csv(archive, OBJECTIVE_NAMES),
+        "generations.csv": generations_csv_chunks(archive, OBJECTIVE_NAMES),
         "pareto.json": render_pareto_json(archive, OBJECTIVE_NAMES),
     }
 
 
-def run_benchmark(args: dict) -> tuple[int, dict[str, str]]:
+def run_benchmark(args: dict) -> tuple[int, dict[str, str | Iterator[str]]]:
     problem, fail_above = args["problem"], args["fail_above"]
     if fail_above is not None and not math.isfinite(fail_above):
         raise CarbonOptError(f"--fail-above must be finite, got {fail_above!r}")
@@ -154,7 +157,7 @@ def run_benchmark(args: dict) -> tuple[int, dict[str, str]]:
     if args["out"] is None:  # nothing will be written
         return code, {}
     return code, {
-        "generations.csv": render_generations_csv(archive, ["f1", "f2"]),
+        "generations.csv": generations_csv_chunks(archive, ["f1", "f2"]),
         "pareto.json": render_pareto_json(archive, ["f1", "f2"]),
     }
 

@@ -2,8 +2,9 @@
 
 All column layouts are documented in ``docs/outputs.md``. Floats are
 written with ``repr`` so files round-trip bit-exactly and re-runs can be
-compared byte for byte. Files are staged in memory and written through a
-temp-file rename, so a failing command leaves no partial outputs.
+compared byte for byte. A set of files is streamed chunk by chunk into
+temp files, which are renamed only once every file of the set is
+complete, so a failing command leaves no partial outputs.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import math
 import operator
 import os
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from .nsga2 import FrontArchive
@@ -29,7 +31,7 @@ def _cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # a numpy float's own repr is ``np.float64(...)``
     return str(value)
 
 
@@ -121,20 +123,25 @@ def render_objectives_json(result: SimulationResult) -> str:
     )
 
 
-def render_generations_csv(archive: FrontArchive, objective_names: list[str]) -> str:
+def generations_csv_chunks(archive: FrontArchive, objective_names: list[str]) -> Iterator[str]:
     """Full evolution trace: every individual of every archived generation.
 
-    NSGA-II keeps its elite, so most individuals reappear in later
-    generations. Repeated individuals share one formatting: the text of
-    their gene and objective cells is made once and joined into each of
-    their rows between the row's own generation, index, rank and crowding
-    cells. An individual is keyed by the bytes of its genome and objective
-    rows, in the arrays' own dtype, not by their float values: equal floats
-    can render differently (``0.0 == -0.0``), and bytes give each bit
-    pattern its own text.
+    Yields the header, then one chunk of rows per archived generation, so
+    a writer holds one generation's text at a time, not the whole file.
+
+    NSGA-II keeps its elite, so most individuals reappear in the next
+    generation. A survivor reuses the text of its gene and objective cells
+    from the previous generation, joined between the row's own
+    generation, index, rank and crowding cells. Only the previous
+    generation's texts are kept: an individual that drops out and returns
+    later is formatted again, to the same text. An individual is keyed by
+    the bytes of its genome and objective rows, in the arrays' own dtype,
+    not by their float values: equal floats can render differently
+    (``0.0 == -0.0``), and bytes give each bit pattern its own text.
     """
     if not archive.snapshots:
-        return _rows_to_csv(["generation", "individual"], [])
+        yield _rows_to_csv(["generation", "individual"], [])
+        return
     n_genes = archive.snapshots[0].genomes.shape[1]
     header = (
         ["generation", "individual"]
@@ -142,18 +149,27 @@ def render_generations_csv(archive: FrontArchive, objective_names: list[str]) ->
         + list(objective_names)
         + ["rank", "crowding"]
     )
+    yield _rows_to_csv(header, [])
     # every cell is an int or a float repr, never a comma, quote or newline: join directly
-    lines = [_rows_to_csv(header, [])]
-    cells: dict[bytes, str] = {}  # an individual's key -> its gene and objective cells
+    previous: dict[bytes, str] = {}  # an individual's key -> its gene and objective cells
     for snap in archive.snapshots:
+        cells: dict[bytes, str] = {}
+        lines = []
         rows = zip(snap.genomes, snap.objectives, snap.ranks.tolist(), snap.crowding.tolist())
         for i, (genes, values, rank, crowding) in enumerate(rows):
             key = genes.tobytes() + values.tobytes()
-            text = cells.get(key)
+            text = cells.get(key) or previous.get(key)
             if text is None:
-                text = cells[key] = ",".join(map(repr, genes.tolist() + values.tolist()))
+                text = ",".join(map(repr, genes.tolist() + values.tolist()))
+            cells[key] = text
             lines += (f"{snap.generation},{i},", text, f",{rank},{crowding!r}\n")
-    return "".join(lines)
+        yield "".join(lines)
+        previous = cells
+
+
+def render_generations_csv(archive: FrontArchive, objective_names: list[str]) -> str:
+    """``generations.csv`` as one string (see ``generations_csv_chunks``)."""
+    return "".join(generations_csv_chunks(archive, objective_names))
 
 
 def render_pareto_json(archive: FrontArchive, objective_names: list[str]) -> str:
@@ -173,20 +189,33 @@ def render_pareto_json(archive: FrontArchive, objective_names: list[str]) -> str
     return json.dumps(entries, indent=2) + "\n"
 
 
-def atomic_write_text(path: Path, text: str) -> None:
-    """Write via a same-directory temp file and rename, so readers never see partials."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+def _write_all_or_nothing(out_dir: Path, files: dict[str, str | Iterable[str]]) -> None:
+    """Write each file to ``<name>.tmp`` in ``out_dir``, chunk by chunk, then rename them all.
+
+    Nothing is renamed until every file is complete, so readers never see a
+    partial file. If a chunk fails to render or a write fails, the temp files
+    are removed and the error raised, and every file of the set is as it was.
+    """
+    staged = []
+    try:
+        for name, content in files.items():
+            tmp = out_dir / f"{name}.tmp"
+            staged.append(tmp)
+            with open(tmp, "w", encoding="utf-8") as f:
+                f.writelines([content] if isinstance(content, str) else content)
+        for tmp, name in zip(staged, files):
+            os.replace(tmp, out_dir / name)
+    except BaseException:
+        for tmp in staged:
+            tmp.unlink(missing_ok=True)
+        raise
 
 
-def write_output_set(out_dir: Path, files: dict[str, str]) -> list[str]:
-    """Atomically write a set of fully rendered files into ``out_dir``."""
+def write_output_set(out_dir: Path, files: dict[str, str | Iterable[str]]) -> list[str]:
+    """Write a set of files into ``out_dir`` all or nothing; each is a ``str`` or its chunks."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        atomic_write_text(out_dir / name, text)
+    _write_all_or_nothing(out_dir, files)
     return sorted(files)
 
 
@@ -215,7 +244,7 @@ MANIFEST_NAME = "manifest.json"
 
 def write_manifest(out_dir: Path, manifest: dict) -> None:
     """Write the record of one run; its ``timings`` are all that varies between identical runs."""
-    atomic_write_text(Path(out_dir) / MANIFEST_NAME, json.dumps(manifest, indent=2) + "\n")
+    _write_all_or_nothing(Path(out_dir), {MANIFEST_NAME: json.dumps(manifest, indent=2) + "\n"})
 
 
 def load_manifest(path: Path) -> dict:

@@ -28,6 +28,7 @@ import math
 import os
 import sys
 import time
+import typing
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from . import __version__
 from .benchmarks import BENCHMARKS, generational_distance
 from .errors import CarbonOptError
 from .exports import (
+    MANIFEST_NAME,
     code_sha256,
     file_sha256,
     generations_csv_chunks,
@@ -47,7 +49,7 @@ from .exports import (
     write_manifest,
     write_output_set,
 )
-from .nsga2 import MUTATION_KINDS, GAConfig, evolve
+from .nsga2 import MUTATION_KINDS, FrontArchive, GAConfig, evolve
 from .policy import bounds as policy_bounds, parse_policy_spec
 from .scenario import bundled_scenario_path, load_scenario
 from .simulation import evaluate_objectives, run_simulation
@@ -71,17 +73,30 @@ def _resolve_scenario(spec: str) -> Path:
     raise CarbonOptError(f"scenario {spec!r} is neither a file nor a bundled scenario name")
 
 
+# each GA flag's dest -> its ``GAConfig`` field and its help, in the order a manifest
+# records them
+_GA_FLAGS = {
+    "pop": ("population_size", "population size"),
+    "gens": ("generations", "generations to run"),
+    "seed": ("seed", "random seed"),
+    "crossover_prob": ("crossover_probability", "chance that a parent pair is crossed over"),
+    "mutation_prob": ("mutation_probability", "chance of a reset, per gene or per child"),
+    "eta_c": ("eta_crossover", "SBX distribution index"),
+    "mutation_kind": ("mutation_kind", "what a mutation draw resets"),
+}
+
+
 def _ga_config(args: dict) -> GAConfig:
     """The optimizer settings recorded in an ``optimize`` or ``benchmark`` run's args."""
-    return GAConfig(
-        population_size=args["pop"],
-        generations=args["gens"],
-        crossover_probability=args["crossover_prob"],
-        mutation_probability=args["mutation_prob"],
-        eta_crossover=args["eta_c"],
-        mutation_kind=args["mutation_kind"],
-        seed=args["seed"],
-    )
+    return GAConfig(**{field: args[dest] for dest, (field, _) in _GA_FLAGS.items()})
+
+
+def _search_files(archive: FrontArchive, objective_names: list[str]) -> dict:
+    """A search's result files; ``generations.csv`` is rendered only as it is written."""
+    return {
+        "generations.csv": generations_csv_chunks(archive, objective_names),
+        "pareto.json": render_pareto_json(archive, objective_names),
+    }
 
 
 def run_simulate(args: dict) -> tuple[int, dict[str, str]]:
@@ -132,10 +147,7 @@ def run_optimize(args: dict) -> tuple[int, dict[str, str | Iterator[str]]]:
     for (price, rci), genome in rows:
         genes = ", ".join(f"{v:.2f}" for v in genome)
         print(f"{price:>16.4f} {rci:>14.4f}  [{genes}]")
-    return EXIT_OK, {
-        "generations.csv": generations_csv_chunks(archive, OBJECTIVE_NAMES),
-        "pareto.json": render_pareto_json(archive, OBJECTIVE_NAMES),
-    }
+    return EXIT_OK, _search_files(archive, OBJECTIVE_NAMES)
 
 
 def run_benchmark(args: dict) -> tuple[int, dict[str, str | Iterator[str]]]:
@@ -154,12 +166,7 @@ def run_benchmark(args: dict) -> tuple[int, dict[str, str | Iterator[str]]]:
     if fail_above is not None and gd > fail_above:
         print(f"generational distance {gd!r} above threshold {fail_above!r}", file=sys.stderr)
         code = EXIT_GATE
-    if args["out"] is None:  # nothing will be written
-        return code, {}
-    return code, {
-        "generations.csv": generations_csv_chunks(archive, ["f1", "f2"]),
-        "pareto.json": render_pareto_json(archive, ["f1", "f2"]),
-    }
+    return code, _search_files(archive, ["f1", "f2"])
 
 
 def _inputs(args: dict) -> dict:
@@ -233,38 +240,35 @@ def _run(command: str, args: dict) -> int:
     if args["out"] is not None:
         out_dir = Path(args["out"])
         outputs = write_output_set(out_dir, files)
-        write_manifest(out_dir, {
-            "command": command,
-            "args": args,
-            "seed": args["seed"],
-            **inputs,
-            "outputs": outputs,
-            "timings": {
-                "started_utc": started.isoformat(timespec="seconds"),
-                "elapsed_seconds": round(time.perf_counter() - t0, 3),
-            },
-        })
+        try:
+            write_manifest(out_dir, {
+                "command": command,
+                "args": args,
+                **inputs,
+                "outputs": outputs,
+                "timings": {
+                    "started_utc": started.isoformat(timespec="seconds"),
+                    "elapsed_seconds": round(time.perf_counter() - t0, 3),
+                },
+            })
+        except BaseException:
+            # the results are this run's now: an earlier run's manifest would claim them
+            (out_dir / MANIFEST_NAME).unlink(missing_ok=True)
+            raise
         print(f"wrote {', '.join(outputs)} to {out_dir}")
     return code
 
 
-def _add_ga_flags(parser: argparse.ArgumentParser, pop_default: int, gens_default: int):
-    defaults = GAConfig()
-    parser.add_argument("--pop", type=int, default=pop_default, help="population size")
-    parser.add_argument("--gens", type=int, default=gens_default, help="generations to run")
-    parser.add_argument("--seed", type=int, default=defaults.seed, help="random seed")
-    parser.add_argument(
-        "--crossover-prob", type=float, default=defaults.crossover_probability,
-        dest="crossover_prob",
-    )
-    parser.add_argument(
-        "--mutation-prob", type=float, default=defaults.mutation_probability,
-        dest="mutation_prob",
-    )
-    parser.add_argument("--eta-c", type=float, default=defaults.eta_crossover, dest="eta_c")
-    parser.add_argument(
-        "--mutation-kind", choices=MUTATION_KINDS, default=defaults.mutation_kind
-    )
+def _add_ga_flags(parser: argparse.ArgumentParser, **overrides) -> None:
+    """A flag for each GA setting, defaulting to ``GAConfig(**overrides)``'s value and of
+    the field's declared type (a default's own type would make ``eta_crossover=15`` an int)."""
+    defaults, types = GAConfig(**overrides), typing.get_type_hints(GAConfig)
+    for dest, (field, text) in _GA_FLAGS.items():
+        parser.add_argument(
+            f"--{dest.replace('_', '-')}", dest=dest, type=types[field],
+            default=getattr(defaults, field), help=text,
+            choices=MUTATION_KINDS if field == "mutation_kind" else None,
+        )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -295,7 +299,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     opt = sub.add_parser("optimize", help="search tax trajectories with the optimizer")
     opt.add_argument("--scenario", required=True, help="scenario file or bundled name")
     opt.add_argument("--kind", required=True, help="policy encoding: free | linear")
-    _add_ga_flags(opt, pop_default=100, gens_default=20)
+    _add_ga_flags(opt)
     opt.add_argument(
         "--jobs",
         type=int,
@@ -306,7 +310,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     bench = sub.add_parser("benchmark", help="score the optimizer on an analytic problem")
     bench.add_argument("--problem", required=True, help="schaffer | zdt1")
-    _add_ga_flags(bench, pop_default=100, gens_default=100)
+    _add_ga_flags(bench, generations=100)
     bench.add_argument(
         "--fail-above",
         type=float,

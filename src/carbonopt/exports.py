@@ -259,7 +259,7 @@ def load_manifest(path: Path) -> dict:
         raise CarbonOptError(f"cannot read manifest {path}: {exc}") from exc
     if not isinstance(raw, dict) or not isinstance(raw.get("args", {}), dict):
         raise CarbonOptError(f"manifest {path} must be a JSON object with an 'args' object")
-    for key in ("command", "args", "seed"):
+    for key in ("command", "args"):
         if key not in raw:
             raise CarbonOptError(f"manifest {path} has no {key!r}")
     return raw

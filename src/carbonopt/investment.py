@@ -81,24 +81,18 @@ def fit_carbon_forecast(history: list[tuple[int, float]]) -> CarbonForecast:
     return CarbonForecast(slope=slope, intercept=y_mean - slope * x_mean)
 
 
-@lru_cache
-def _discount_factors(base: float, n: int) -> tuple[float, ...]:
-    return tuple(base**t for t in range(n))
-
-
 def npv(cash_flows: list[float], discount_rate: float) -> float:
     """Discounted sum of cash flows R_0..R_N at rate i: sum of R_t / (1+i)^t.
 
-    (1+i)^t is worked out once per rate and length, not once per call. The
-    terms are added strictly left to right from 0.0: the builtin ``sum``
+    The terms are added strictly left to right from 0.0: the builtin ``sum``
     compensates float rounding since Python 3.12, so its bits would depend
     on the interpreter.
     """
     if discount_rate <= -1:
         raise ValueError(f"discount rate must be > -1, got {discount_rate}")
     total = 0.0
-    for flow, factor in zip(cash_flows, _discount_factors(1.0 + discount_rate, len(cash_flows))):
-        total += flow / factor
+    for t, flow in enumerate(cash_flows):
+        total += flow / (1.0 + discount_rate) ** t
     return total
 
 
@@ -117,7 +111,8 @@ def _npv_terms(technologies: tuple[Technology, ...], discount_rate: float):
     capital = tuple(tech.capital_cost * tech.capacity_mw for tech in technologies)
     fixed = np.zeros(operating.shape)
     fixed[:, 0] = np.negative(capital)
-    return operating, fixed, np.array(_discount_factors(1.0 + discount_rate, len(years))), capital
+    factors = np.array([(1.0 + discount_rate) ** t for t in range(len(years))])
+    return operating, fixed, factors, capital
 
 
 def estimate_yearly_revenue(

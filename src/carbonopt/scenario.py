@@ -12,8 +12,9 @@ the dataclass fields (so annotations here are types, never postponed); the
 schema is documented in ``docs/scenario-schema.md``. A field's rule lives
 in its annotation, as in ``Annotated[float, "> 0"]``: ``validate_scenario``
 walks the same fields, holds every number finite, at most ``MAX_MAGNITUDE``
-in size and to its rule, and refuses a repeated list-element label; only
-the rules that tie several fields together are written out there.
+in size and to its rule, holds a string to its rule, and refuses a repeated
+list-element label; only the rules that tie several fields together are
+written out there.
 """
 
 import json
@@ -39,7 +40,7 @@ WEATHER_PROFILES = ("solar", "wind")
 class Technology:
     """One investable generation technology; ``capacity_mw`` is the size of a single unit."""
 
-    name: str
+    name: Annotated[str, "not contain U+0000"]
     capacity_mw: Annotated[float, "> 0"]
     # a free-to-build technology would let the greedy investment loop buy
     # forever without draining any budget
@@ -58,7 +59,7 @@ class Technology:
 
 @dataclass(frozen=True)
 class PowerPlant:
-    id: str
+    id: Annotated[str, "not contain U+0000"]
     technology: Technology
     owner: str
     commission_year: int
@@ -73,7 +74,7 @@ class PowerPlant:
 class GenCo:
     """Generation company agent; ``budget`` is its investment budget for a whole run."""
 
-    id: str
+    id: Annotated[str, "not contain U+0000"]
     budget: Annotated[float, ">= 0"]
 
 
@@ -174,6 +175,9 @@ _RULES = {
     "in [0, 1]": lambda v: 0 <= v <= 1,
     "in (0, 2]": lambda v: 0 < v <= 2,
     "non-empty": lambda v: len(v) > 0,
+    # a run's ``Fleet`` refuses a plant id holding U+0000 (see there), and a bought
+    # plant's id is "<genco>:<technology>:<year>:<n>"
+    "not contain U+0000": lambda v: "\0" not in v,
 }
 
 
@@ -220,13 +224,16 @@ def _check(out: list[Violation], path: str, value, rule: str | None) -> None:
 
 
 def _walk(out: list[Violation], obj, path: str) -> None:
-    """Hold every number of dataclass ``obj`` and of the elements of its tuples to its
-    field's rule; an element whose name or id repeats an earlier one's is refused at its path."""
+    """Hold every number and string of dataclass ``obj`` and of the elements of its tuples
+    to its field's rule; an element whose name or id repeats an earlier one's is refused at
+    its path."""
     prefix = f"{path}." if path else ""
     for name, (kind, _, rule, _) in _schema(type(obj)).items():
         value, where = getattr(obj, name), prefix + name
         if kind in (int, float):
             _check(out, where, value, rule)
+        elif kind is str and rule and not _RULES[rule](value):
+            out.append(Violation(where, f"must {rule}"))
         elif kind is tuple:
             if rule and not _RULES[rule](value):
                 out.append(Violation(where, f"must be {rule}"))
@@ -257,18 +264,10 @@ def validate_scenario(s: Scenario) -> list[Violation]:
             out.append(Violation(f"technologies[{_label(tech.name)}].weather_profile",
                                  f"{needs}, got {tech.weather_profile!r}"))
 
-    # a bought plant's id is "<genco>:<technology>:<year>:<n>", and a run's ``Fleet``
-    # refuses an id holding U+0000 (see there)
-    named = [(f"gencos[{_label(g.id)}].id", g.id) for g in s.gencos]
-    named += [(f"technologies[{_label(t.name)}].name", t.name) for t in s.technologies]
-    out += [Violation(path, "must not contain U+0000") for path, name in named if "\0" in name]
-
     catalog = {t.name: t for t in s.technologies}
     owners = {g.id for g in s.gencos}
     for plant in s.initial_fleet:
         path = f"initial_fleet[{_label(plant.id)}]"
-        if "\0" in plant.id:  # a run's ``Fleet`` refuses it (see there)
-            out.append(Violation(f"{path}.id", "must not contain U+0000"))
         name = plant.technology.name
         if name not in catalog:
             out.append(Violation(f"{path}.technology", f"unknown technology {name!r}"))

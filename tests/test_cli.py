@@ -494,6 +494,18 @@ class TestBenchmark:
         assert message in capsys.readouterr().err
         assert not out_b.exists()
 
+    def test_benchmark_without_out_renders_no_generations_csv(self, tmp_path, monkeypatch):
+        import carbonopt.cli as cli
+
+        def unrendered(archive, objective_names):
+            raise AssertionError("generations.csv rendered with nothing to write")
+            yield
+
+        monkeypatch.setattr(cli, "generations_csv_chunks", unrendered)
+        monkeypatch.chdir(tmp_path)
+        assert main(["benchmark", "--problem", "schaffer", "--pop", "8", "--gens", "2"]) == 0
+        assert output_files(tmp_path) == []
+
     def test_benchmark_replay_reproduces(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main([
@@ -550,7 +562,7 @@ class TestManifest:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "simulate"
         assert manifest["args"]["policy"] == "flat:1"
-        assert manifest["seed"] == 2
+        assert manifest["args"]["seed"] == 2
         assert len(manifest["scenario_sha256"]) == 64
         assert manifest["outputs"] == ["events.csv", "objectives.json", "per_year.csv", "year_summary.csv"]
 
@@ -581,6 +593,8 @@ class TestManifest:
         args = json.loads((tmp_path / "out" / "manifest.json").read_text())["args"]
         assert list(args) == list(expected)
         assert args == expected
+        # 15 == 15.0, so the values alone would let an int-typed float flag pass
+        assert [type(v) for v in args.values()] == [type(v) for v in expected.values()]
 
     @pytest.mark.parametrize("command", ["simulate", "optimize", "benchmark"])
     def test_identical_runs_and_a_replay_write_the_same_manifest(self, command, fossil_path, tmp_path):
@@ -588,8 +602,7 @@ class TestManifest:
             # only the timings vary between identical runs; the text keeps the key order
             manifest = json.loads((out / "manifest.json").read_text())
             assert list(manifest) == [
-                "command", "args", "seed", "version", "scenario_sha256", "code_sha256", "outputs",
-                "timings",
+                "command", "args", "version", "scenario_sha256", "code_sha256", "outputs", "timings",
             ]
             del manifest["timings"]
             if drop_out:
@@ -609,6 +622,39 @@ class TestManifest:
         assert text(out_a) == first
         assert main(["replay", str(out_a / "manifest.json"), "--out", str(out_b)]) == 0
         assert text(out_b, drop_out=True) == text(out_a, drop_out=True)
+
+    def test_a_manifest_without_a_top_level_seed_replays(self, tmp_path):
+        # the run's seed is args.seed, the value a replay runs with
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main(["benchmark", "--problem", "schaffer", "--pop", "8", "--gens", "2",
+                     "--seed", "2", "--out", str(out_a)]) == 0
+        manifest = json.loads((out_a / "manifest.json").read_text())
+        manifest.pop("seed", None)
+        (out_a / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["replay", str(out_a / "manifest.json"), "--out", str(out_b)]) == 0
+        for name in ("generations.csv", "pareto.json"):
+            assert (out_b / name).read_bytes() == (out_a / name).read_bytes()
+
+    def test_a_failed_manifest_write_leaves_no_earlier_manifest(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        import carbonopt.cli as cli
+
+        out, fresh = tmp_path / "a", tmp_path / "fresh"
+        argv = ["benchmark", "--problem", "schaffer", "--pop", "8", "--gens", "2"]
+        assert main([*argv, "--seed", "2", "--out", str(out)]) == 0
+        assert main([*argv, "--seed", "3", "--out", str(fresh)]) == 0
+
+        def refuse(out_dir, manifest):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_manifest", refuse)
+        capsys.readouterr()
+        assert main([*argv, "--seed", "3", "--out", str(out)]) == 2
+        assert "disk full" in capsys.readouterr().err
+        # the seed-2 manifest would claim seed 3's results: it is removed, not kept
+        assert output_files(out) == ["generations.csv", "pareto.json"]
+        for name in ("generations.csv", "pareto.json"):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
 
     def test_a_replay_records_the_directory_it_wrote(self, fossil_path, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -99,23 +99,20 @@ def _search_files(archive: FrontArchive, objective_names: list[str]) -> dict:
     }
 
 
-def run_simulate(args: dict) -> tuple[int, dict[str, str]]:
+def run_simulate(args: dict) -> tuple[int, dict[str, str], list[str]]:
     scenario = load_scenario(_resolve_scenario(args["scenario"]))
     policy = parse_policy_spec(args["policy"], scenario.horizon_years)
     result = run_simulation(scenario, policy, args["seed"])
-    print(
-        f"objective_price={result.objective_price!r} "
-        f"objective_rci={result.objective_rci!r}"
-    )
+    summary = [f"objective_price={result.objective_price!r} objective_rci={result.objective_rci!r}"]
     return EXIT_OK, {
         "per_year.csv": render_per_year_csv(result, scenario.start_year),
         "year_summary.csv": render_year_summary_csv(result, scenario.start_year),
         "events.csv": render_events_csv(result.events),
         "objectives.json": render_objectives_json(result),
-    }
+    }, summary
 
 
-def run_optimize(args: dict) -> tuple[int, dict[str, str | Iterator[str]]]:
+def run_optimize(args: dict) -> tuple[int, dict[str, str | Iterator[str]], list[str]]:
     jobs = args["jobs"]
     if jobs < 1:
         raise CarbonOptError(f"--jobs must be >= 1, got {jobs}")
@@ -142,15 +139,15 @@ def run_optimize(args: dict) -> tuple[int, dict[str, str | Iterator[str]]]:
 
     front = archive.final_front
     rows = sorted(zip(front.objectives.tolist(), front.genomes.tolist()), key=lambda r: r[0][0])
-    print(f"final front ({len(rows)} solutions):")
-    print(f"{'objective_price':>16} {'objective_rci':>14}  genome")
+    summary = [f"final front ({len(rows)} solutions):",
+               f"{'objective_price':>16} {'objective_rci':>14}  genome"]
     for (price, rci), genome in rows:
         genes = ", ".join(f"{v:.2f}" for v in genome)
-        print(f"{price:>16.4f} {rci:>14.4f}  [{genes}]")
-    return EXIT_OK, _search_files(archive, OBJECTIVE_NAMES)
+        summary.append(f"{price:>16.4f} {rci:>14.4f}  [{genes}]")
+    return EXIT_OK, _search_files(archive, OBJECTIVE_NAMES), summary
 
 
-def run_benchmark(args: dict) -> tuple[int, dict[str, str | Iterator[str]]]:
+def run_benchmark(args: dict) -> tuple[int, dict[str, str | Iterator[str]], list[str]]:
     problem, fail_above = args["problem"], args["fail_above"]
     if fail_above is not None and not math.isfinite(fail_above):
         raise CarbonOptError(f"--fail-above must be finite, got {fail_above!r}")
@@ -161,12 +158,12 @@ def run_benchmark(args: dict) -> tuple[int, dict[str, str | Iterator[str]]]:
     fitness, bounds_fn, front_fn = BENCHMARKS[problem]
     archive = evolve(fitness, _ga_config(args), bounds_fn())
     gd = generational_distance(archive.final_front.objectives, front_fn())
-    print(f"{problem}: generational distance to analytic front = {gd!r}")
     code = EXIT_OK
     if fail_above is not None and gd > fail_above:
         print(f"generational distance {gd!r} above threshold {fail_above!r}", file=sys.stderr)
         code = EXIT_GATE
-    return code, _search_files(archive, ["f1", "f2"])
+    summary = [f"{problem}: generational distance to analytic front = {gd!r}"]
+    return code, _search_files(archive, ["f1", "f2"]), summary
 
 
 def _inputs(args: dict) -> dict:
@@ -222,7 +219,8 @@ def run_replay(manifest_path: str, out_override: str | None) -> int:
 def _run(command: str, args: dict) -> int:
     """Run a command and write its files with the manifest that replays them: ``simulate``
     and ``optimize`` to ``args["out"]``, else ``$CARBONOPT_OUT``, else ``carbonopt-out``;
-    ``benchmark`` only when ``args["out"]`` names a directory."""
+    ``benchmark`` only when ``args["out"]`` names a directory. The run's summary is
+    printed last, once its files are written (see ``_print``)."""
     started = datetime.datetime.now(datetime.timezone.utc)
     t0 = time.perf_counter()
     # a file is recorded by its absolute path and a bundled scenario by its name, so a
@@ -236,7 +234,7 @@ def _run(command: str, args: dict) -> int:
     # taken before the run reads the scenario, and only for a run that records them
     inputs = {} if args["out"] is None else _inputs(args)
     runners = {"simulate": run_simulate, "optimize": run_optimize, "benchmark": run_benchmark}
-    code, files = runners[command](args)
+    code, files, summary = runners[command](args)
     if args["out"] is not None:
         out_dir = Path(args["out"])
         outputs = write_output_set(out_dir, files)
@@ -255,8 +253,22 @@ def _run(command: str, args: dict) -> int:
             # the results are this run's now: an earlier run's manifest would claim them
             (out_dir / MANIFEST_NAME).unlink(missing_ok=True)
             raise
-        print(f"wrote {', '.join(outputs)} to {out_dir}")
+        summary.append(f"wrote {', '.join(outputs)} to {out_dir}")
+    _print(summary)
     return code
+
+
+def _print(lines: list[str]) -> None:
+    """Print ``lines`` to stdout, and nothing if its reader has gone.
+
+    A run whose reader goes away (``carbonopt optimize ... | head -3``) keeps
+    its files, written before, and its exit code. The failed write leaves
+    nothing buffered, and nothing is printed after it.
+    """
+    try:
+        print("\n".join(lines), flush=True)
+    except BrokenPipeError:
+        pass
 
 
 def _add_ga_flags(parser: argparse.ArgumentParser, **overrides) -> None:

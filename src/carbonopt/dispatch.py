@@ -9,7 +9,8 @@ at the scenario's loss-of-load price.
 One kernel, ``MarketYear``, clears every production market: the spot
 market of each simulated year (``run_year``) and the investment probes'
 future markets. It reads everything from a ``Fleet``: a run's plants in
-the order they joined, one list per column, the tables no market-year
+the order they joined, one list per column (a unit a company buys is
+appended as a row, with no object of its own), the tables no market-year
 changes, and the scenario the fleet was built from, whose fuel prices,
 demand growth and loss-of-load price a market-year reads. SRMC depends
 on the year and the carbon price, not on the segment, so a build prices
@@ -18,11 +19,12 @@ emission factor). It then turns the columns it reads into arrays and
 takes an active mask, a gather of those by technology index, and one
 stable ``np.lexsort`` on (id, rank): the merit order, as an (offer x
 segment) availability matrix. Each offer also gets an integer merit
-key, its rank plus whether its id sorts after ``CANDIDATE_ID``, so
-``np.searchsorted`` over the keys places a plant bought later
-(``MarketYear.add``, then among the offers of its key by id) and a
-probed unit, whose key is its technology's rank, as a stable sort of
-``fleet + [unit]`` would.
+key, its rank plus whether its id sorts after ``CANDIDATE_ID``. The keys
+and the offers' fleet rows are kept as Python lists, so bisecting the
+keys places a plant bought later (``MarketYear.add``, then among the
+offers of its key by id, with ``list.insert``) and a probed unit, whose
+key is its technology's rank, as a stable sort of ``fleet + [unit]``
+would.
 
 The demand each segment has left before each offer is
 ``np.subtract.accumulate`` over demand and offers. That accumulate
@@ -161,16 +163,22 @@ class Fleet:
     ``ef``, its emission factor, and ``fixed_om``, one unit's fixed O&M
     cost per year.
 
-    The fleet only grows: ``extend`` adds plants at the end, and a
-    ``MarketYear`` reads the rows that were there when it last looked. One
-    row per plant, each column a list: ``tech``, the index of its
-    technology in ``catalog``; ``mw``, its ``capacity_mw * unit_count``;
-    ``commission`` and ``retirement``, the years it starts and stops
-    running; and ``ids``. A batch is checked whole before any of it is
-    appended. A plant whose technology is not the catalog's entry of its
-    name is refused, and so is an id holding U+0000: numpy strings drop
+    The fleet only grows, one row per plant at the end, and a
+    ``MarketYear`` reads the rows that were there when it last looked.
+    Each column is a list: ``tech``, the index of its technology in
+    ``catalog``; ``mw``, its ``capacity_mw * unit_count``; ``commission``
+    and ``retirement``, the years it starts and stops running; ``ids``;
+    ``owner``, its company's id; and ``units``, its unit count.
+
+    ``extend`` adds external plants, a batch checked whole before any of
+    it is appended. A plant whose technology is not the catalog's entry of
+    its name is refused, and so is an id holding U+0000: numpy strings drop
     trailing NULs, so a build's sort would tie ``"a"`` with ``"a\\x00"``,
     which Python's order (``add``'s, and the oracle's) keeps apart.
+    ``buy`` appends a purchase, one unit of a catalog technology, as a row
+    and nothing else: its technology is a catalog index, and its id is
+    built from a validated company id and technology name, so there is
+    nothing to check.
     """
 
     def __init__(self, s: Scenario, plants=()):
@@ -189,16 +197,17 @@ class Fleet:
         self.unit_mw = self.factors * np.reshape([tech.capacity_mw for tech in catalog], (-1, 1))
         self.ef = np.array([tech.emission_factor for tech in catalog])
         self.fixed_om = np.array([tech.fixed_om * tech.capacity_mw for tech in catalog])
-        self.plants: list[PowerPlant] = []
         self.tech: list[int] = []
         self.mw: list[float] = []
         self.commission: list[int] = []
         self.retirement: list[int] = []
         self.ids: list[str] = []
+        self.owner: list[str] = []
+        self.units: list[int] = []
         self.extend(plants)
 
     def __len__(self) -> int:
-        return len(self.plants)
+        return len(self.ids)
 
     def extend(self, plants) -> None:
         plants = list(plants)
@@ -210,12 +219,29 @@ class Fleet:
                                          "the catalog's entry of that name")
             if "\0" in plant.id:
                 raise ConfigurationError(f"plant {plant.id!r}: id contains U+0000")
-        self.plants += plants
         self.tech += techs
         self.mw += [plant.technology.capacity_mw * plant.unit_count for plant in plants]
         self.commission += [plant.commission_year for plant in plants]
         self.retirement += [plant.retirement_year for plant in plants]
         self.ids += [plant.id for plant in plants]
+        self.owner += [plant.owner for plant in plants]
+        self.units += [plant.unit_count for plant in plants]
+
+    def buy(self, owner: str, k: int, plant_id: str, year: int) -> None:
+        """Append one unit of catalog technology ``k`` bought by ``owner`` in ``year``.
+
+        It commissions after the technology's construction lag; its row is
+        the one ``extend`` stores for the equal ``PowerPlant``.
+        """
+        tech = self.catalog[k]
+        commission = year + tech.construction_lag_years
+        self.tech.append(k)
+        self.mw.append(tech.capacity_mw)
+        self.commission.append(commission)
+        self.retirement.append(commission + tech.lifetime_years)
+        self.ids.append(plant_id)
+        self.owner.append(owner)
+        self.units.append(1)
 
 
 class MarketYear:
@@ -245,9 +271,9 @@ class MarketYear:
     in the market-year by one stable ``np.lexsort``. Each offer has an
     integer merit key, its technology's rank plus whether its id sorts
     after ``CANDIDATE_ID``: keys ascend in merit order and order plants up
-    to their ids, so ``np.searchsorted`` over them finds where a plant
-    bought later or a probed unit, whose key is its rank, goes. ``fleet``
-    is read, not copied: ``add`` places the rows it gained since.
+    to their ids, so bisecting the list of keys finds where a plant bought
+    later or a probed unit, whose key is its rank, goes. ``fleet`` is
+    read, not copied: ``add`` places the rows it gained since.
     """
 
     def __init__(self, fleet: Fleet, year: int, carbon_price: float, demand_scale: float = 1.0):
@@ -260,20 +286,22 @@ class MarketYear:
                  for tech in fleet.catalog]
         ranked = sorted(set(pairs))
         self.srmc = np.array([cost for cost, _ in pairs])
-        self._rank = np.array([2 * bisect_left(ranked, pair) for pair in pairs], dtype=np.intp)
+        self._rank = [2 * bisect_left(ranked, pair) for pair in pairs]
 
         # The build: the plants active in the market-year in merit order, by one stable
-        # sort. Per offer its fleet row, merit key and SRMC (loss of load's last), and
-        # the demand, then each offer's MW.
+        # sort. Per offer its fleet row and merit key, as lists, and its SRMC (loss of
+        # load's last), and the demand, then each offer's MW.
         self._seen = len(fleet)  # the fleet rows looked at
         active = (np.array(fleet.commission) <= year) & (year < np.array(fleet.retirement))
         rows = np.flatnonzero(active)
         tech, ids = np.array(fleet.tech, np.intp)[rows], np.array(fleet.ids, str)[rows]
-        order = np.lexsort((ids, self._rank[tech]))
-        self._rows, tech = rows[order], tech[order]
-        self._key = self._rank[tech] + (ids[order] > CANDIDATE_ID)
+        rank = np.array(self._rank, np.intp)[tech]
+        order = np.lexsort((ids, rank))
+        rows, tech = rows[order], tech[order]
+        self._rows: list[int] = rows.tolist()
+        self._key: list[int] = (rank[order] + (ids[order] > CANDIDATE_ID)).tolist()
         self._cost = np.concatenate((self.srmc[tech], [s.loss_of_load_price]))
-        mw = np.array(fleet.mw)[self._rows, None]
+        mw = np.array(fleet.mw)[rows, None]
         self._stack = np.concatenate((self._demand[None], fleet.factors[tech] * mw,
                                       np.full((1, len(self._demand)), np.inf)))
         self._avail = self._stack[1:]
@@ -283,23 +311,26 @@ class MarketYear:
 
         Each one active in the market-year goes in after every offer of a
         merit key <= its own, where a stable sort of the fleet by merit key
-        puts it: ``np.searchsorted`` over the integer keys finds the offers
-        of its (SRMC, emission factor) on its side of ``CANDIDATE_ID``, which
-        are sorted by id, and a bisection over their ids its place among them.
+        puts it: bisecting the key list finds the offers of its (SRMC,
+        emission factor) on its side of ``CANDIDATE_ID``, which are sorted
+        by id, and bisecting their ids its place among them. The row and
+        key go into their lists; only the SRMC vector and the availability
+        stack are spliced.
         """
-        fleet = self.fleet
+        fleet, rows, keys = self.fleet, self._rows, self._key
         for row in range(self._seen, len(fleet)):
             if not fleet.commission[row] <= self.year < fleet.retirement[row]:
                 continue
             tech, plant_id = fleet.tech[row], fleet.ids[row]
             key = self._rank[tech] + (plant_id > CANDIDATE_ID)
-            lo, hi = self._key.searchsorted(key), self._key.searchsorted(key, "right")
-            at = bisect_right(self._rows, plant_id, lo, hi, key=fleet.ids.__getitem__)
-            self._rows = _spliced(self._rows, at, [row])
-            self._key = _spliced(self._key, at, [key])
-            self._cost = _spliced(self._cost, at, [self.srmc[tech]])
+            lo = bisect_left(keys, key)
+            hi = bisect_right(keys, key, lo)
+            at = bisect_right(rows, plant_id, lo, hi, key=fleet.ids.__getitem__)
+            rows.insert(at, row)
+            keys.insert(at, key)
+            self._cost = _spliced(self._cost, at, self.srmc[tech, None])
             self._stack = _spliced(self._stack, at + 1, (fleet.factors[tech] * fleet.mw[row])[None])
-            self._avail = self._stack[1:]
+        self._avail = self._stack[1:]
         self._seen = len(fleet)
 
     def clear(self) -> YearResult:
@@ -357,33 +388,36 @@ class MarketYear:
         dispatched). One call values the whole catalog.
 
         A stable sort of ``fleet + [unit]`` puts a unit after every offer of
-        a key <= its rank (``np.searchsorted``), so the demand left before it
-        is the market's own accumulate there. Where the unit is short (gives
-        all it has), the fill goes on past it: one ``np.subtract.accumulate``
-        down an (offer x unit x segment) grid, from the demand left after
-        each unit, finds the first offer after which nothing is left, which
-        sets the price. Elsewhere the unit's SRMC does.
+        a key <= its rank (a bisection of the key list), so the demand left
+        before it is the market's own accumulate there. Where the unit is
+        short (gives all it has), the fill goes on past it: one
+        ``np.subtract.accumulate`` down an (offer x unit x segment) grid,
+        from the demand left after each unit, finds the first offer after
+        which nothing is left, which sets the price. Elsewhere the unit's
+        SRMC does.
         """
-        available = self.fleet.unit_mw
-        at = self._key.searchsorted(self._rank, "right")
+        available, hours = self.fleet.unit_mw, self.fleet.hours
+        at = np.array([bisect_right(self._key, rank) for rank in self._rank])
         remaining = np.subtract.accumulate(self._stack)[at]  # demand left before each unit
         # A unit's grid column: the demand left after it, then the offers after it up to
         # loss of load, which ``take`` repeats past the end (its -inf stays <= 0).
         steps = at + np.arange(-1, len(self._avail) - at.min())[:, None]
         grid = self._avail.take(steps, axis=0, mode="clip")
-        grid[0] = remaining - available
+        np.subtract(remaining, available, out=grid[0])
         np.subtract.accumulate(grid, out=grid)
         # the offer after which nothing is left (row j of the grid follows offer
         # at - 1 + j); where the unit is not short, unread
         marginal = self._cost.take((grid <= 0.0).argmax(axis=0) + steps[0][:, None], mode="clip")
         # dispatched where the demand left and the unit's MW are both > 0 (elsewhere
-        # it takes 0 MWh, which adds nothing to the totals)
+        # it takes 0 MWh, which adds nothing to the totals); each total added up
+        # strictly in order, as ``_total`` does
         totals = np.empty((2, *available.shape))
-        energy = np.multiply(np.maximum(np.minimum(available, remaining), 0.0), self.fleet.hours,
+        energy = np.multiply(np.maximum(np.minimum(available, remaining), 0.0), hours,
                              out=totals[0])
         np.multiply(energy, np.where(available < remaining, marginal, self.srmc[:, None]),
                     out=totals[1])
-        return tuple(np.array(_total(totals)))
+        energy, revenue = np.add.accumulate(totals, axis=-1, out=totals)[..., -1] + 0.0
+        return energy, revenue
 
 
 def _spliced(a: np.ndarray, at: int, rows) -> np.ndarray:

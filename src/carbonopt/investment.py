@@ -19,8 +19,11 @@ bit for bit as ``npv`` adds them. The market prices the scenario's catalog once
 (SRMC and merit rank), by catalog index, and its ``probe`` values one
 more unit of every catalog technology in one numpy pass without clearing
 the market. ``invest`` picks the best affordable unit by catalog index
-and extends the fleet with it; the year's market places the plants added
-since it was built with ``MarketYear.add``. The figures equal those of
+and appends it to the fleet as a row (``Fleet.buy``), recording the
+purchase as a plain (catalog index, plant id, NPV) tuple: no plant or
+event object is built, and only ``simulation.run_simulation`` turns the
+records into events. The year's market places the plants added since it
+was built with ``MarketYear.add``. The figures equal those of
 clearing ``fleet + [candidate]`` from scratch bit for bit. A company
 whose budget is below the catalog's cheapest unit values nothing: it
 could buy nothing whatever the NPVs, so they would never be read.
@@ -35,7 +38,7 @@ from operator import add
 import numpy as np
 
 from .dispatch import Fleet, MarketYear
-from .scenario import PowerPlant, Scenario, Technology
+from .scenario import Scenario, Technology
 
 # How far ahead the revenue-probe market is simulated.
 REVENUE_PROBE_YEARS = 10
@@ -101,18 +104,18 @@ def _npv_terms(technologies: tuple[Technology, ...], discount_rate: float):
     """What ``YearProbes`` needs besides the yearly flows to add up each ``npv``.
 
     (technology x year) arrays over the longest lifetime: whether a year is
-    an operating year, and the flow of every other year (the capital cost
+    not an operating year, and the flow of each such year (the capital cost
     in year 0, 0.0 past the lifetime); each year's discount factor; and the
     capital cost of one unit of each technology, in catalog order.
     """
     years = np.arange(1 + max(tech.lifetime_years for tech in technologies))
     lifetimes = np.array([[tech.lifetime_years] for tech in technologies])
-    operating = (years >= 1) & (years <= lifetimes)
+    idle = (years < 1) | (years > lifetimes)
     capital = tuple(tech.capital_cost * tech.capacity_mw for tech in technologies)
-    fixed = np.zeros(operating.shape)
+    fixed = np.zeros(idle.shape)
     fixed[:, 0] = np.negative(capital)
     factors = np.array([(1.0 + discount_rate) ** t for t in range(len(years))])
-    return operating, fixed, factors, capital
+    return idle, fixed, factors, capital
 
 
 def estimate_yearly_revenue(
@@ -159,7 +162,7 @@ class YearProbes:
         s = fleet.scenario
         self.decision_year, self.forecast, self.fleet = decision_year, forecast, fleet
         self.market: MarketYear | None = None  # built by the first ``value``
-        self.operating, self.fixed, self.factors, self.capital = _npv_terms(
+        self.idle, self.fixed, self.factors, self.capital = _npv_terms(
             s.technologies, s.discount_rate)
         self.cheapest = min(self.capital)
         self.valued: tuple[int, list[float]] = (-1, [])  # fleet length, NPVs
@@ -173,12 +176,16 @@ class YearProbes:
                 self.market = MarketYear(fleet, future_year, self.forecast.predict(future_year))
             self.market.add()
             yearly = estimate_yearly_revenue(self.market, self.decision_year, fleet.scenario, fleet)
-            flows = np.where(self.operating, np.divide.outer(yearly, self.factors), self.fixed)
-            self.valued = len(fleet), (np.add.accumulate(flows, axis=1)[:, -1] + 0.0).tolist()
+            flows = np.divide.outer(yearly, self.factors)
+            np.copyto(flows, self.fixed, where=self.idle)
+            np.add.accumulate(flows, axis=1, out=flows)
+            self.valued = len(fleet), (flows[:, -1] + 0.0).tolist()
         return self.valued[1]
 
 
-def invest(genco: str, budgets: dict[str, float], probes: YearProbes) -> list[Event]:
+def invest(
+    genco: str, budgets: dict[str, float], probes: YearProbes
+) -> list[tuple[int, str, float]]:
     """Buy the highest-NPV affordable unit, re-evaluate, and repeat until nothing attracts.
 
     ``genco`` is the buying company's id. The decision year, the carbon
@@ -187,15 +194,17 @@ def invest(genco: str, budgets: dict[str, float], probes: YearProbes) -> list[Ev
     While the budget is below ``probes.cheapest``, the capital cost of the
     catalog's cheapest unit, nothing is affordable, so no state is valued.
     Among equal NPVs the first technology of the catalog is bought.
-    Executed purchases debit ``budgets[genco]`` and append the new plant to
-    the fleet (commissioning after the technology's construction lag), so
-    later decisions see the updated market.
+    Executed purchases debit ``budgets[genco]`` and append the new unit to
+    the fleet as a row (``Fleet.buy``; it commissions after the
+    technology's construction lag), so later decisions see the updated
+    market.
 
-    Returns the ``"invest"`` events of the executed purchases; an empty
-    list means nothing was both positive-NPV and affordable.
+    Returns one ``(catalog index, plant id, NPV)`` per executed purchase,
+    in order; an empty list means nothing was both positive-NPV and
+    affordable. ``simulation.run_simulation`` turns them into events.
     """
     fleet, year, capital = probes.fleet, probes.decision_year, probes.capital
-    events: list[Event] = []
+    bought: list[tuple[int, str, float]] = []
     while budgets[genco] >= probes.cheapest:
         best, best_value, budget = None, 0.0, budgets[genco]
         for k, value in enumerate(probes.value()):
@@ -203,15 +212,8 @@ def invest(genco: str, budgets: dict[str, float], probes: YearProbes) -> list[Ev
                 best, best_value = k, value
         if best is None:
             break
-        tech = fleet.catalog[best]
-        plant = PowerPlant(
-            id=f"{genco}:{tech.name}:{year}:{len(events) + 1}",
-            technology=tech,
-            owner=genco,
-            commission_year=year + tech.construction_lag_years,
-            unit_count=1,
-        )
+        plant_id = f"{genco}:{fleet.catalog[best].name}:{year}:{len(bought) + 1}"
         budgets[genco] -= capital[best]
-        fleet.extend((plant,))
-        events.append(Event(year, "invest", genco, tech.name, plant.id, 1, capital[best], best_value))
-    return events
+        fleet.buy(genco, best, plant_id, year)
+        bought.append((best, plant_id, best_value))
+    return bought

@@ -6,13 +6,15 @@ year's demand-noise factor is drawn. Then the spot market clears each
 year from the run's final fleet. That is exact: a plant bought in a year
 commissions in it or later, so it is inactive in every earlier year, and
 a market-year sorts the plants it keeps as the fleet at the time would
-have had them. The event log is read from the final fleet too: each
-year's retirements, then its purchases, then its commissionings.
+have had them. A purchase is a row of the fleet and a record of what
+``invest`` bought, not an object. The event log is built from the final
+fleet's rows and those records, by ``run_simulation`` alone: each year's
+retirements, then its purchases, then its commissionings.
 
 The two quantities the optimizer minimizes come from the final simulated
 year: the average electricity price and the carbon intensity relative to
 the scenario's base-year value. So a fitness evaluation clears only the
-final year and builds no event log. When every catalog technology takes
+final year and builds no event log, no plant and no event. When every catalog technology takes
 a year or more to build, it also skips the final year's investment
 round: a unit bought then commissions after the horizon, so it changes
 neither objective. Within the pass, a company that can afford no unit
@@ -35,7 +37,7 @@ from .dispatch import Fleet, YearResult, run_year
 from .errors import ConfigurationError
 from .investment import Event, YearProbes, fit_carbon_forecast, invest
 from .policy import CarbonPolicy, check_bounds, decode
-from .scenario import PowerPlant, Scenario
+from .scenario import Scenario
 
 
 @dataclass(frozen=True)
@@ -58,20 +60,13 @@ def _objectives(final: YearResult, s: Scenario) -> tuple[float, float]:
     return final.average_price, final.carbon_intensity / s.base_carbon_intensity
 
 
-def _plant_event(year: int, kind: str, plant: PowerPlant) -> Event:
-    return Event(
-        year=year,
-        kind=kind,
-        genco=plant.owner,
-        technology=plant.technology.name,
-        plant_id=plant.id,
-        unit_count=plant.unit_count,
-    )
+# One year's purchases: per company, in company order, what ``invest`` returned.
+Purchases = list[tuple[str, list[tuple[int, str, float]]]]
 
 
 def _invest_over_horizon(
     s: Scenario, policy: CarbonPolicy, seed: int, rounds: int
-) -> tuple[Fleet, list[list[Event]], list[float], list[float]]:
+) -> tuple[Fleet, list[Purchases], list[float], list[float]]:
     """The investment pass: the final fleet, and each year's purchases, tax and demand factor.
 
     Companies invest in the first ``rounds`` years of the horizon only; a
@@ -82,7 +77,7 @@ def _invest_over_horizon(
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
     fleet = Fleet(s, s.initial_fleet)
     budgets = {g.id: g.budget for g in s.gencos}
-    bought: list[list[Event]] = []
+    bought: list[Purchases] = []
     history: list[tuple[int, float]] = []
     noise: list[float] = []
     rng = np.random.default_rng(seed) if s.demand_noise_std > 0 else None
@@ -90,35 +85,47 @@ def _invest_over_horizon(
     for year_index in range(1, s.horizon_years + 1):
         year = s.start_year + year_index - 1
         history.append((year, policy.price_at(year_index)))
-        bought.append([])
+        purchases: Purchases = []
         if year_index <= rounds:
             probes = YearProbes(year, fit_carbon_forecast(history), fleet)
-            for genco in sorted(budgets):
-                bought[-1] += invest(genco, budgets, probes)
+            purchases = [(genco, invest(genco, budgets, probes)) for genco in sorted(budgets)]
+        bought.append(purchases)
         noise.append(1.0 if rng is None else max(0.0, 1.0 + rng.normal(0.0, s.demand_noise_std)))
 
     return fleet, bought, [tax for _, tax in history], noise
 
 
-def _event_log(fleet: Fleet, bought: list[list[Event]]) -> tuple[Event, ...]:
+def _event_log(fleet: Fleet, bought: list[Purchases]) -> tuple[Event, ...]:
     """Each year's retirements, then its purchases, then its commissionings, from the final fleet.
 
     ``bought`` holds each year's purchases. A plant bought in a year
     commissions in it or later and retires at least a year after that, so
     the final fleet's plants that retire in a year were in the fleet before
     its round, and those that commission in it were bought by its end.
-    Within a year, plants keep fleet order, the order they joined in.
+    Within a year, plants keep fleet order, the order they joined in. The
+    events are built here from the fleet's rows and the purchase records;
+    a fitness evaluation builds none.
     """
-    retiring: dict[int, list[PowerPlant]] = {}
-    commissioning: dict[int, list[PowerPlant]] = {}
-    for plant, start, end in zip(fleet.plants, fleet.commission, fleet.retirement):
-        retiring.setdefault(end, []).append(plant)
-        commissioning.setdefault(start, []).append(plant)
+    catalog = fleet.catalog
+    retiring: dict[int, list[int]] = {}
+    commissioning: dict[int, list[int]] = {}
+    for row, (start, end) in enumerate(zip(fleet.commission, fleet.retirement)):
+        retiring.setdefault(end, []).append(row)
+        commissioning.setdefault(start, []).append(row)
+
+    def plant_events(year: int, kind: str, rows) -> list[Event]:
+        return [Event(year, kind, fleet.owner[row], catalog[fleet.tech[row]].name, fleet.ids[row],
+                      fleet.units[row]) for row in rows]
+
     events: list[Event] = []
     for year, purchases in enumerate(bought, fleet.scenario.start_year):
-        events += [_plant_event(year, "retire", plant) for plant in retiring.get(year, ())]
-        events += purchases
-        events += [_plant_event(year, "commission", plant) for plant in commissioning.get(year, ())]
+        events += plant_events(year, "retire", retiring.get(year, ()))
+        events += [
+            Event(year, "invest", genco, catalog[k].name, plant_id, 1,
+                  catalog[k].capital_cost * catalog[k].capacity_mw, value)
+            for genco, records in purchases for k, plant_id, value in records
+        ]
+        events += plant_events(year, "commission", commissioning.get(year, ()))
     return tuple(events)
 
 

@@ -110,6 +110,22 @@ def static_fossil_scenario():
     return make_scenario([tech], [plant])
 
 
+def fleet_columns(fleet) -> tuple[list, ...]:
+    """What a ``Fleet`` holds of its plants, column by column in fleet order."""
+    return (fleet.tech, fleet.mw, fleet.commission, fleet.retirement, fleet.ids, fleet.owner,
+            fleet.units)
+
+
+def fleet_plants(fleet) -> list[PowerPlant]:
+    """The plants whose ``Fleet.extend`` stores ``fleet``'s rows, in fleet order."""
+    return [
+        PowerPlant(id=plant_id, technology=fleet.catalog[k], owner=owner, commission_year=start,
+                   unit_count=units)
+        for k, start, plant_id, owner, units
+        in zip(fleet.tech, fleet.commission, fleet.ids, fleet.owner, fleet.units)
+    ]
+
+
 # Plant ids on both sides of the probed unit's, and equal to it: digits and
 # capitals sort before "_", lower case after, and "__candidate_" before
 # CANDIDATE_ID before "__candidate__0".

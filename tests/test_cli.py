@@ -753,3 +753,55 @@ class TestStartup:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[]"
         assert (tmp_path / "opt" / "pareto.json").is_file()
+
+
+class TestStdoutReaderGone:
+    """A run whose stdout reader has gone (``carbonopt optimize ... | head -3``) still
+    writes its files and manifest and exits with its own code."""
+
+    RUNS = {
+        "simulate": ["simulate", "--policy", "flat:0", "--seed", "1"],
+        "optimize": ["optimize", "--kind", "linear", "--pop", "4", "--gens", "1", "--seed", "0",
+                     "--jobs", "1"],
+    }
+
+    class GoneStdout:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    @staticmethod
+    def results(out: Path) -> dict[str, bytes]:
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "manifest.json"}
+
+    @pytest.mark.parametrize("command", RUNS)
+    def test_results_are_written_when_stdout_is_gone(self, fossil_path, tmp_path, monkeypatch,
+                                                     command):
+        argv = [*self.RUNS[command], "--scenario", str(fossil_path), "--out"]
+        assert main([*argv, str(tmp_path / "printed")]) == 0
+        monkeypatch.setattr(sys, "stdout", self.GoneStdout())
+        assert main([*argv, str(tmp_path / "gone")]) == 0
+        monkeypatch.undo()
+        gone = tmp_path / "gone"
+        assert self.results(gone) == self.results(tmp_path / "printed")
+        manifest = json.loads((gone / "manifest.json").read_text())
+        assert sorted(manifest["outputs"]) == sorted(self.results(gone))
+
+    def test_a_closed_pipe_exits_0_with_nothing_on_stderr(self, fossil_path, tmp_path):
+        # a fresh interpreter whose stdout is a pipe with no reader, so the summary's
+        # write fails: no traceback, and no error from the interpreter's exit flush
+        read, write = os.pipe()
+        os.close(read)
+        src = Path(carbonopt.__file__).parent.parent
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from carbonopt.cli import main; sys.exit(main(sys.argv[1:]))",
+                 *self.RUNS["simulate"], "--scenario", str(fossil_path),
+                 "--out", str(tmp_path / "out")],
+                cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+                stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert (tmp_path / "out" / "manifest.json").is_file()

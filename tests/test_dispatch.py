@@ -22,7 +22,15 @@ from carbonopt import dispatch
 from carbonopt.errors import ConfigurationError
 from carbonopt.scenario import DaySegment, PowerPlant, RepresentativeDay
 
-from conftest import FULL_DAY, make_scenario, make_tech, plant_ids, probe_markets
+from conftest import (
+    FULL_DAY,
+    fleet_columns,
+    fleet_plants,
+    make_scenario,
+    make_tech,
+    plant_ids,
+    probe_markets,
+)
 from oracle import build_bids, candidates, reference_probe, reference_year
 
 VOLL = 6000.0
@@ -124,7 +132,7 @@ class TestFleet:
                 fleet.extend([plant])
             with pytest.raises(ConfigurationError, match="'p9'"):
                 Fleet(s, [*s.initial_fleet, plant])
-        assert fleet.plants == list(s.initial_fleet) and len(fleet.mw) == 1  # nothing appended
+        assert fleet_columns(fleet) == fleet_columns(Fleet(s, s.initial_fleet))  # nothing appended
         fleet.extend([dataclasses.replace(s.initial_fleet[0], id="p9",
                                           technology=dataclasses.replace(gas))])
         assert fleet.tech == [0, 0]  # an equal copy is the catalog's entry
@@ -138,9 +146,30 @@ class TestFleet:
                         dataclasses.replace(good, id="p9\0")):
             with pytest.raises(ConfigurationError, match="plant 'p9"):
                 fleet.extend([good, refused, dataclasses.replace(good, id="p10")])
-            assert fleet.plants == list(s.initial_fleet)
-            columns = fleet.tech, fleet.mw, fleet.commission, fleet.retirement, fleet.ids
-            assert columns == ([0], [100.0], [2000], [2030], ["gas-1"])
+            assert fleet_columns(fleet) == ([0], [100.0], [2000], [2030], ["gas-1"], ["g1"], [1])
+
+    def test_a_purchase_row_is_the_row_of_its_plant(self):
+        # a purchase appends, column for column and type for type, what ``extend``
+        # stores for the equal one-unit PowerPlant: it commissions after its
+        # technology's construction lag and retires a lifetime after that
+        techs = [make_tech(name="gas", capacity_mw=45.5, construction_lag_years=0),
+                 make_tech(name="nuclear", capacity_mw=1200.0, construction_lag_years=5,
+                           lifetime_years=40),
+                 make_tech(name="wind", capacity_mw=3.0, fuel_kind=None, efficiency=1.0,
+                           is_intermittent=True, weather_profile="wind")]
+        s = make_scenario(techs, [])
+        bought, extended = Fleet(s), Fleet(s)
+        for k, tech in enumerate(techs):
+            for owner, year in (("g1", 2020), ("g2", 2031)):
+                plant_id = f"{owner}:{tech.name}:{year}:1"
+                bought.buy(owner, k, plant_id, year)
+                extended.extend([PowerPlant(id=plant_id, technology=tech, owner=owner,
+                                            commission_year=year + tech.construction_lag_years,
+                                            unit_count=1)])
+        assert len(bought) == len(extended) == 6
+        assert repr(fleet_columns(bought)) == repr(fleet_columns(extended))
+        assert bought.commission[:4] == [2020, 2031, 2025, 2036]
+        assert bought.retirement[:4] == [2050, 2061, 2065, 2076]
 
     def test_an_id_holding_nul_is_refused(self):
         # wind "a\0" and solar "a" tie on SRMC and emission factor, so their ids order
@@ -442,6 +471,26 @@ class TestProbeMarket:
             expected = reference_probe(fleet + plants, unit, year, carbon_price, s)
             assert (energy[k], revenue[k]) == expected
             assert (fresh_energy[k], fresh_revenue[k]) == expected
+
+    @given(case=probe_markets(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_purchased_rows_equal_a_fresh_market_exactly(self, case, data):
+        # units bought as fleet rows over several adds: some inactive in the year, ids
+        # on both sides of the fleet's and of the probe's, keys tied with the fleet's
+        s, fleet, year, carbon_price = case
+        market = MarketYear(Fleet(s, fleet), year, carbon_price)
+        for _ in range(data.draw(st.integers(1, 3))):
+            for _ in range(data.draw(st.integers(0, 3))):
+                market.fleet.buy(data.draw(st.sampled_from(["g1", "g2"])),
+                                 data.draw(st.integers(0, len(s.technologies) - 1)),
+                                 data.draw(plant_ids),
+                                 data.draw(st.sampled_from([1990, 2016, 2019, 2020, 2021])))
+            market.add()
+        fresh = MarketYear(Fleet(s, fleet_plants(market.fleet)), year, carbon_price)
+        assert [a.tolist() for a in market.probe()] == [a.tolist() for a in fresh.probe()]
+        result, expected = market.clear(), fresh.clear()
+        assert result == expected
+        assert list(result.energy_by_technology) == list(expected.energy_by_technology)
 
     @given(case=probe_markets(), data=st.data())
     @settings(max_examples=200, deadline=None)

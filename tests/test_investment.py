@@ -20,7 +20,9 @@ from carbonopt.investment import (
 )
 from carbonopt.scenario import DaySegment, GenCo, PowerPlant, RepresentativeDay
 
-from conftest import make_scenario, make_tech, plant_ids, probe_markets
+from carbonopt.simulation import _event_log
+
+from conftest import fleet_columns, fleet_plants, make_scenario, make_tech, plant_ids, probe_markets
 from oracle import reference_yearly_revenue
 
 
@@ -248,7 +250,7 @@ class TestInvest:
         decisions = invest("g1", budgets, probes_2020(fleet))
         assert decisions == []
         assert budgets["g1"] == 1e12
-        assert fleet.plants == [plant]
+        assert fleet_columns(fleet) == fleet_columns(Fleet(s, [plant]))
 
     def test_single_affordable_positive_option_is_bought_once(self):
         # old unit prices the market at 50; the cheaper new-build earns a
@@ -262,15 +264,18 @@ class TestInvest:
         s = make_scenario([old, new], [plant], horizon_years=2)
         fleet = Fleet(s, [plant])
         decisions = invest("g1", budgets, probes_2020(fleet))
-        assert [d.technology for d in decisions] == ["new-gas"]
+        assert [(k, plant_id) for k, plant_id, _ in decisions] == [(1, "g1:new-gas:2020:1")]
         assert budgets["g1"] == pytest.approx(capital * 0.5)
-        assert decisions[0].npv > 0.0
-        assert len(fleet) == 2
-        # the purchase comes back as the event the run logs
-        assert decisions == [
-            Event(2020, "invest", "g1", "new-gas", fleet.plants[1].id, 1, capital, decisions[0].npv)
+        value = decisions[0][2]
+        assert value > 0.0
+        # the unit joins the fleet as a one-unit row, commissioning after its lag
+        bought = PowerPlant(id="g1:new-gas:2020:1", technology=new, owner="g1",
+                            commission_year=2021, unit_count=1)
+        assert fleet_columns(fleet) == fleet_columns(Fleet(s, [plant, bought]))
+        # and the run logs it as this event, with the capital it spent
+        assert [e for e in _event_log(fleet, [[("g1", decisions)]]) if e.kind == "invest"] == [
+            Event(2020, "invest", "g1", "new-gas", "g1:new-gas:2020:1", 1, capital, value)
         ]
-        assert fleet.plants[1].id == "g1:new-gas:2020:1"
 
     def test_greedy_picks_best_npv_first(self, monkeypatch, gas_tech):
         # three candidates with pinned yearly revenues; greedy must buy the
@@ -288,11 +293,11 @@ class TestInvest:
         decisions = invest("g1", budgets, probes_2020(fleet))
         # npv(a) ~ 3000*annuity - 10000 best, then with 6000 left only b or c
         # are affordable and b has the higher npv
-        assert [d.technology for d in decisions] == ["a", "b"]
+        assert [s.technologies[k].name for k, _, _ in decisions] == ["a", "b"]
         assert budgets["g1"] == pytest.approx(0.0)
-        assert all(d.npv > 0 for d in decisions)
-        assert [p.technology.name for p in fleet.plants[1:]] == ["a", "b"]
-        assert fleet.plants[1].commission_year == 2021  # one year construction lag
+        assert all(value > 0 for _, _, value in decisions)
+        assert [s.technologies[k].name for k in fleet.tech[1:]] == ["a", "b"]
+        assert fleet.commission[1] == 2021  # one year construction lag
 
     def test_greedy_matches_sequence_enumeration(self, monkeypatch, gas_tech):
         # oracle: enumerate every purchase sequence of <= 3 options under the
@@ -333,9 +338,9 @@ class TestInvest:
             budgets = {"g1": budget}
             fleet = Fleet(s_all, [plant])
             decisions = invest("g1", budgets, probes_2020(fleet))
-            assert [d.technology for d in decisions] == greedy_oracle(budget), budget
+            assert [s_all.technologies[k].name for k, _, _ in decisions] == greedy_oracle(budget), budget
             assert budgets["g1"] >= 0.0
-            spent = sum(d.capital_cost for d in decisions)
+            spent = sum(tech_specs[s_all.technologies[k].name][0] for k, _, _ in decisions)
             assert spent <= budget + 1e-9
 
     def test_unaffordable_high_npv_falls_back_to_affordable(self, monkeypatch, gas_tech):
@@ -347,7 +352,7 @@ class TestInvest:
         budgets = {"g1": 9_000.0}
         s = make_scenario([big, small, gas_tech], [plant], horizon_years=2)
         decisions = invest("g1", budgets, probes_2020(Fleet(s, [plant])))
-        assert [d.technology for d in decisions] == ["small", "small"]
+        assert [s.technologies[k].name for k, _, _ in decisions] == ["small", "small"]
         assert budgets["g1"] == pytest.approx(1_000.0)
 
     def test_equal_npvs_buy_the_first_in_catalog_order(self, monkeypatch, gas_tech):
@@ -362,7 +367,7 @@ class TestInvest:
             probes = probes_2020(Fleet(s, [plant]))
             assert probes.value()[0] == probes.value()[1] > 0.0
             decisions = invest("g1", {"g1": 5_000.0}, probes)
-            assert [d.technology for d in decisions] == [catalog[0].name]
+            assert [s.technologies[k].name for k, _, _ in decisions] == [catalog[0].name]
 
 
 class TestYearProbes:
@@ -397,11 +402,14 @@ class TestYearProbes:
         probes = YearProbes(2020, forecast, fleet)
         budgets = {"g0": budget, "g2": budget}
         first = invest("g0", budgets, probes)
-        alone = invest("g2", {"g2": budget}, YearProbes(2020, forecast, Fleet(s, fleet.plants)))
+        rebuilt = Fleet(s, fleet_plants(fleet))
+        alone = invest("g2", {"g2": budget}, YearProbes(2020, forecast, rebuilt))
         shared = invest("g2", budgets, probes)
         assert first  # so the second company values a state the market grew into
         assert shared == alone
-        assert budgets["g2"] == budget - sum(d.capital_cost for d in shared)
+        assert fleet_columns(fleet) == fleet_columns(rebuilt)
+        assert budgets["g2"] == budget - sum(s.technologies[k].capital_cost
+                                             * s.technologies[k].capacity_mw for k, _, _ in shared)
         assert valued == list(range(1, len(fleet) + 1))  # every state valued exactly once
 
     @given(
@@ -462,16 +470,17 @@ class TestYearProbes:
             DaySegment(4.0, demand, 0.5, 0.5) for demand in (25.0, 45.0, 65.0, 85.0, 105.0, 125.0)
         ))
         s = make_scenario([coal, gas], [coal_plant], days=(day,))
-        fleet = Fleet(s, [coal_plant])
+        plants = [coal_plant]
+        fleet = Fleet(s, plants)
         forecast = fit_carbon_forecast([(2019, 10.0), (2020, 50.0)])
         probes = YearProbes(2020, forecast, fleet)
         looked_up = []  # (fleet length, NPVs) of each lookup
         for bought in (0, 1, 2, 1, 0):  # two at once, then a state valued twice
-            fleet.extend([
-                PowerPlant(id=f"g{len(fleet) + k}", technology=gas, owner="g1",
-                           commission_year=2021, unit_count=1)
-                for k in range(bought)
-            ])
+            batch = [PowerPlant(id=f"g{len(fleet) + k}", technology=gas, owner="g1",
+                                commission_year=2021, unit_count=1)
+                     for k in range(bought)]
+            fleet.extend(batch)
+            plants += batch
             looked_up.append((len(fleet), probes.value()))
         assert built == [probes.market]
         assert valued == [1, 2, 4, 5]  # each length valued exactly once
@@ -479,5 +488,5 @@ class TestYearProbes:
         states = dict(looked_up)
         assert list(states) == [1, 2, 4, 5]
         for n, npvs in states.items():
-            assert npvs == YearProbes(2020, forecast, Fleet(s, fleet.plants[:n])).value()
+            assert npvs == YearProbes(2020, forecast, Fleet(s, plants[:n])).value()
         assert len({npvs[s.technologies.index(gas)] for npvs in states.values()}) == 4

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from carbonopt import dispatch, investment
 from carbonopt.dispatch import CANDIDATE_ID, Fleet, MarketYear, run_year
 from carbonopt.errors import ConfigurationError, GenomeError
+from carbonopt.investment import Event
 from carbonopt.policy import FREE, CarbonPolicy, bounds, decode, parse_policy_spec
 from carbonopt.scenario import (
     DaySegment,
@@ -203,6 +204,33 @@ class TestEvaluateObjectives:
         run_simulation(uk_scenario, parse_policy_spec("linear:8,100", uk_scenario.horizon_years),
                        seed=0)
         assert cleared == list(range(uk_scenario.start_year, final_year + 1))
+
+    def test_builds_no_per_purchase_object(self, uk_scenario, monkeypatch):
+        # a purchase is a fleet row and a record: scoring genomes that buy units
+        # builds no PowerPlant and no Event; only a run's event log builds events
+        counts = {"PowerPlant": 0, "Event": 0, "buy": 0}
+
+        def count(owner, name, label):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                counts[label] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(PowerPlant, "__init__", "PowerPlant")
+        count(Event, "__init__", "Event")
+        count(Fleet, "buy", "buy")
+        n = uk_scenario.horizon_years
+        genomes = [("linear", [8.0, 100.0]), ("linear", [-14.0, 250.0]), ("free", [0.0] * n),
+                   ("free", [250.0] * n)]
+        for kind, genome in genomes:
+            evaluate_objectives(uk_scenario, genome, kind, seed=0)
+        assert counts["PowerPlant"] == counts["Event"] == 0
+        assert counts["buy"] > 50 * len(genomes)  # about 94 units a run
+        result = run_simulation(uk_scenario, decode([8.0, 100.0], "linear", n), seed=0)
+        assert counts["Event"] == len(result.events) > 0  # the counter counts
 
     @pytest.mark.parametrize("buyers", ["broke", "none"])
     def test_no_buyer_builds_no_probe_market(self, uk_scenario, gas_tech, monkeypatch, buyers):

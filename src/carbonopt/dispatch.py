@@ -14,17 +14,15 @@ appended as a row, with no object of its own), the tables no market-year
 changes, and the scenario the fleet was built from, whose fuel prices,
 demand growth and loss-of-load price a market-year reads. SRMC depends
 on the year and the carbon price, not on the segment, so a build prices
-each catalog technology once: SRMC and a merit rank standing for (SRMC,
-emission factor). It then turns the columns it reads into arrays and
-takes an active mask, a gather of those by technology index, and one
-stable ``np.lexsort`` on (id, rank): the merit order, as an (offer x
-segment) availability matrix. Each offer also gets an integer merit
-key, its rank plus whether its id sorts after ``CANDIDATE_ID``. The keys
-and the offers' fleet rows are kept as Python lists, so bisecting the
-keys places a plant bought later (``MarketYear.add``, then among the
-offers of its key by id, with ``list.insert``) and a probed unit, whose
-key is its technology's rank, as a stable sort of ``fleet + [unit]``
-would.
+each catalog technology once. Every offer has one merit key, the tuple
+``merit_order_key`` sorts bids by: (SRMC, emission factor, id). A build
+sorts the active rows by it, the row breaking ties, and keeps the keys,
+sorted, beside the offers' fleet rows as Python lists. So one
+``bisect_right`` places a plant bought later (``MarketYear.add``, with
+``list.insert``) and a probed unit, keyed by ``CANDIDATE_ID``, where a
+stable sort of ``fleet + [unit]`` would. A gather of the columns by
+technology index turns the merit order into an (offer x segment)
+availability matrix.
 
 The demand each segment has left before each offer is
 ``np.subtract.accumulate`` over demand and offers. That accumulate
@@ -47,7 +45,7 @@ the tests hold the kernel to them with ``==``.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,9 +170,8 @@ class Fleet:
 
     ``extend`` adds external plants, a batch checked whole before any of
     it is appended. A plant whose technology is not the catalog's entry of
-    its name is refused, and so is an id holding U+0000: numpy strings drop
-    trailing NULs, so a build's sort would tie ``"a"`` with ``"a\\x00"``,
-    which Python's order (``add``'s, and the oracle's) keeps apart.
+    its name is refused, and so is an id holding U+0000, which Python
+    3.10 cannot read back from the event log (see ``scenario._RULES``).
     ``buy`` appends a purchase, one unit of a catalog technology, as a row
     and nothing else: its technology is a catalog index, and its id is
     built from a validated company id and technology name, so there is
@@ -265,15 +262,12 @@ class MarketYear:
     growth and the loss-of-load price from ``fleet.scenario``, the
     scenario the fleet was built from, so no market pairs a fleet with
     another scenario's prices. A build prices every technology of the
-    catalog once, in arrays by catalog index: ``srmc``, and rank, 2 x the
-    index of its (SRMC, emission factor) among the catalog's distinct
-    pairs in ascending order. It then sorts the rows of ``fleet`` active
-    in the market-year by one stable ``np.lexsort``. Each offer has an
-    integer merit key, its technology's rank plus whether its id sorts
-    after ``CANDIDATE_ID``: keys ascend in merit order and order plants up
-    to their ids, so bisecting the list of keys finds where a plant bought
-    later or a probed unit, whose key is its rank, goes. ``fleet`` is
-    read, not copied: ``add`` places the rows it gained since.
+    catalog once, ``srmc`` by catalog index. It then sorts the rows of
+    ``fleet`` active in the market-year by their merit keys, the tuples
+    (SRMC, emission factor, id) of ``merit_order_key``, the row breaking
+    ties, and keeps the keys in that sorted list: bisecting it finds where
+    a plant bought later or a probed unit goes. ``fleet`` is read, not
+    copied: ``add`` places the rows it gained since.
     """
 
     def __init__(self, fleet: Fleet, year: int, carbon_price: float, demand_scale: float = 1.0):
@@ -281,25 +275,23 @@ class MarketYear:
         self.year = year
         self._demand = fleet.demand_mw * (s.demand_scale(year) * demand_scale)
 
-        # The catalog, priced: per technology its SRMC and merit rank.
-        pairs = [(srmc(tech, _fuel_price(tech, year, s), carbon_price), tech.emission_factor)
-                 for tech in fleet.catalog]
-        ranked = sorted(set(pairs))
-        self.srmc = np.array([cost for cost, _ in pairs])
-        self._rank = [2 * bisect_left(ranked, pair) for pair in pairs]
+        # The catalog, priced: per technology its (SRMC, emission factor), the head of
+        # the merit key of each of its offers.
+        self._pair = [(srmc(tech, _fuel_price(tech, year, s), carbon_price), tech.emission_factor)
+                      for tech in fleet.catalog]
+        self.srmc = np.array([cost for cost, _ in self._pair])
 
         # The build: the plants active in the market-year in merit order, by one stable
-        # sort. Per offer its fleet row and merit key, as lists, and its SRMC (loss of
-        # load's last), and the demand, then each offer's MW.
+        # sort (the row breaks ties). Per offer its merit key and fleet row, as lists,
+        # and its SRMC (loss of load's last), and the demand, then each offer's MW.
         self._seen = len(fleet)  # the fleet rows looked at
-        active = (np.array(fleet.commission) <= year) & (year < np.array(fleet.retirement))
-        rows = np.flatnonzero(active)
-        tech, ids = np.array(fleet.tech, np.intp)[rows], np.array(fleet.ids, str)[rows]
-        rank = np.array(self._rank, np.intp)[tech]
-        order = np.lexsort((ids, rank))
-        rows, tech = rows[order], tech[order]
-        self._rows: list[int] = rows.tolist()
-        self._key: list[int] = (rank[order] + (ids[order] > CANDIDATE_ID)).tolist()
+        keys = [(*self._pair[k], plant_id) for k, plant_id in zip(fleet.tech, fleet.ids)]
+        active = [row for row, (start, end) in enumerate(zip(fleet.commission, fleet.retirement))
+                  if start <= year < end]
+        self._rows: list[int] = sorted(active, key=keys.__getitem__)
+        self._keys: list[tuple] = [keys[row] for row in self._rows]
+        rows = np.array(self._rows, np.intp)
+        tech = np.array(fleet.tech, np.intp)[rows]
         self._cost = np.concatenate((self.srmc[tech], [s.loss_of_load_price]))
         mw = np.array(fleet.mw)[rows, None]
         self._stack = np.concatenate((self._demand[None], fleet.factors[tech] * mw,
@@ -310,24 +302,19 @@ class MarketYear:
         """Place each plant the fleet gained since the last look.
 
         Each one active in the market-year goes in after every offer of a
-        merit key <= its own, where a stable sort of the fleet by merit key
-        puts it: bisecting the key list finds the offers of its (SRMC,
-        emission factor) on its side of ``CANDIDATE_ID``, which are sorted
-        by id, and bisecting their ids its place among them. The row and
-        key go into their lists; only the SRMC vector and the availability
-        stack are spliced.
+        merit key <= its own (one ``bisect_right``), where a stable sort of
+        the fleet by merit key puts it. The row and key go into their
+        lists; only the SRMC vector and the availability stack are spliced.
         """
-        fleet, rows, keys = self.fleet, self._rows, self._key
+        fleet = self.fleet
         for row in range(self._seen, len(fleet)):
             if not fleet.commission[row] <= self.year < fleet.retirement[row]:
                 continue
-            tech, plant_id = fleet.tech[row], fleet.ids[row]
-            key = self._rank[tech] + (plant_id > CANDIDATE_ID)
-            lo = bisect_left(keys, key)
-            hi = bisect_right(keys, key, lo)
-            at = bisect_right(rows, plant_id, lo, hi, key=fleet.ids.__getitem__)
-            rows.insert(at, row)
-            keys.insert(at, key)
+            tech = fleet.tech[row]
+            key = (*self._pair[tech], fleet.ids[row])
+            at = bisect_right(self._keys, key)
+            self._keys.insert(at, key)
+            self._rows.insert(at, row)
             self._cost = _spliced(self._cost, at, self.srmc[tech, None])
             self._stack = _spliced(self._stack, at + 1, (fleet.factors[tech] * fleet.mw[row])[None])
         self._avail = self._stack[1:]
@@ -388,16 +375,17 @@ class MarketYear:
         dispatched). One call values the whole catalog.
 
         A stable sort of ``fleet + [unit]`` puts a unit after every offer of
-        a key <= its rank (a bisection of the key list), so the demand left
-        before it is the market's own accumulate there. Where the unit is
-        short (gives all it has), the fill goes on past it: one
+        a key <= its own, (SRMC, emission factor, ``CANDIDATE_ID``): one
+        bisection of the key list. So the demand left before it is the
+        market's own accumulate there. Where the unit is short (gives all
+        it has), the fill goes on past it: one
         ``np.subtract.accumulate`` down an (offer x unit x segment) grid,
         from the demand left after each unit, finds the first offer after
         which nothing is left, which sets the price. Elsewhere the unit's
         SRMC does.
         """
         available, hours = self.fleet.unit_mw, self.fleet.hours
-        at = np.array([bisect_right(self._key, rank) for rank in self._rank])
+        at = np.array([bisect_right(self._keys, (*pair, CANDIDATE_ID)) for pair in self._pair])
         remaining = np.subtract.accumulate(self._stack)[at]  # demand left before each unit
         # A unit's grid column: the demand left after it, then the offers after it up to
         # loss of load, which ``take`` repeats past the end (its -inf stays <= 0).

@@ -22,9 +22,8 @@ from pathlib import Path
 
 from .nsga2 import FrontArchive
 from .errors import CarbonOptError
-from .investment import Event
 from .scenario import _unique_keys
-from .simulation import SimulationResult
+from .simulation import Event, SimulationResult
 
 
 def _cell(value) -> str:

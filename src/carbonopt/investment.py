@@ -15,10 +15,10 @@ a ``MarketYear`` that reads its scenario from the fleet, built by the
 first valuation, so a year in which no company can buy builds none. Its
 ``value`` asks ``estimate_yearly_revenue`` once for the yearly flows of
 the whole catalog, then works out the catalog's NPVs in one numpy pass,
-bit for bit as ``npv`` adds them. The market prices the scenario's catalog once
-(SRMC and merit rank), by catalog index, and its ``probe`` values one
-more unit of every catalog technology in one numpy pass without clearing
-the market. ``invest`` picks the best affordable unit by catalog index
+bit for bit as ``npv`` adds them. The market prices the scenario's
+catalog once, by catalog index, and its ``probe`` values one more unit
+of every catalog technology in one numpy pass without clearing the
+market. ``invest`` picks the best affordable unit by catalog index
 and appends it to the fleet as a row (``Fleet.buy``), recording the
 purchase as a plain (catalog index, plant id, NPV) tuple: no plant or
 event object is built, and only ``simulation.run_simulation`` turns the
@@ -53,20 +53,6 @@ class CarbonForecast:
 
     def predict(self, year: int) -> float:
         return self.slope * year + self.intercept
-
-
-@dataclass(frozen=True)
-class Event:
-    """One entry of the per-year event log (investments, commissionings, retirements)."""
-
-    year: int
-    kind: str  # "invest" | "commission" | "retire"
-    genco: str
-    technology: str
-    plant_id: str
-    unit_count: int
-    capital_cost: float | None = None
-    npv: float | None = None
 
 
 def fit_carbon_forecast(history: list[tuple[int, float]]) -> CarbonForecast:

@@ -175,8 +175,9 @@ _RULES = {
     "in [0, 1]": lambda v: 0 <= v <= 1,
     "in (0, 2]": lambda v: 0 < v <= 2,
     "non-empty": lambda v: len(v) > 0,
-    # a run's ``Fleet`` refuses a plant id holding U+0000 (see there), and a bought
-    # plant's id is "<genco>:<technology>:<year>:<n>"
+    # names and ids go into events.csv, whose lines Python 3.10's csv reader refuses
+    # when they hold U+0000; a run's ``Fleet`` refuses such a plant id too, and a
+    # bought plant's id is "<genco>:<technology>:<year>:<n>"
     "not contain U+0000": lambda v: "\0" not in v,
 }
 

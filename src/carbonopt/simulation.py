@@ -35,9 +35,23 @@ import numpy as np
 
 from .dispatch import Fleet, YearResult, run_year
 from .errors import ConfigurationError
-from .investment import Event, YearProbes, fit_carbon_forecast, invest
+from .investment import YearProbes, fit_carbon_forecast, invest
 from .policy import CarbonPolicy, check_bounds, decode
 from .scenario import Scenario
+
+
+@dataclass(frozen=True)
+class Event:
+    """One entry of the per-year event log (investments, commissionings, retirements)."""
+
+    year: int
+    kind: str  # "invest" | "commission" | "retire"
+    genco: str
+    technology: str
+    plant_id: str
+    unit_count: int
+    capital_cost: float | None = None
+    npv: float | None = None
 
 
 @dataclass(frozen=True)

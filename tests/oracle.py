@@ -19,9 +19,9 @@ import math
 import numpy as np
 
 from carbonopt.dispatch import CANDIDATE_ID, Bid, YearResult, _fuel_price, clear_segment, srmc
-from carbonopt.investment import REVENUE_PROBE_YEARS, Event, fit_carbon_forecast, npv
+from carbonopt.investment import REVENUE_PROBE_YEARS, fit_carbon_forecast, npv
 from carbonopt.scenario import PowerPlant
-from carbonopt.simulation import SimulationResult
+from carbonopt.simulation import Event, SimulationResult
 
 
 def active_in(plant, year):

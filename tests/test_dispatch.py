@@ -173,8 +173,8 @@ class TestFleet:
 
     def test_an_id_holding_nul_is_refused(self):
         # wind "a\0" and solar "a" tie on SRMC and emission factor, so their ids order
-        # them. numpy strings drop trailing NULs: a build's sort tied the two and
-        # dispatched wind first, where Python's order (the oracle's) puts solar first.
+        # them, solar first. A fleet refuses the id "a\0" all the same: ids go into
+        # events.csv (see ``scenario._RULES``).
         wind, solar = (make_tech(name=name, capacity_mw=60.0, fuel_kind=None, efficiency=1.0,
                                  variable_om=0.0, emission_factor=0.0)
                        for name in ("wind", "solar"))
@@ -547,6 +547,31 @@ class TestProbeMarket:
         expected = reference_year(fleet + plants, year, carbon_price, s)
         assert result == expected
         assert list(result.energy_by_technology) == list(expected.energy_by_technology)
+
+    def test_an_id_holding_nul_keeps_python_string_order(self):
+        # unchecked purchase rows: wind "a\0" and solar "a" tie on SRMC and emission
+        # factor, so their ids order them, and "a" < "a\0" puts solar first in a built
+        # market, a market grown by ``add`` and the probes alike, as in the oracle
+        wind, solar = (make_tech(name=name, capacity_mw=60.0, fuel_kind=None, efficiency=1.0,
+                                 variable_om=0.0, emission_factor=0.0, construction_lag_years=0)
+                       for name in ("wind", "solar"))
+        s = make_scenario([wind, solar], [])
+        built, grown = Fleet(s), MarketYear(Fleet(s), 2020, 0.0)
+        for fleet in (built, grown.fleet):
+            fleet.buy("g1", 0, "a\0", 2000)
+            fleet.buy("g1", 1, "a", 2000)
+        grown.add()
+        plants = fleet_plants(built)
+        expected = reference_year(plants, 2020, 0.0, s)
+        assert list(expected.energy_by_technology.items()) == [("solar", 525600.0),
+                                                               ("wind", 175200.0)]
+        for market in (MarketYear(built, 2020, 0.0), grown):
+            result = market.clear()
+            assert result == expected
+            assert list(result.energy_by_technology) == list(expected.energy_by_technology)
+            energy, revenue = market.probe()
+            for k, unit in enumerate(candidates(s, 2020)):
+                assert (energy[k], revenue[k]) == reference_probe(plants, unit, 2020, 0.0, s)
 
     @given(case=probe_markets())
     @settings(max_examples=100, deadline=None)

@@ -11,7 +11,6 @@ from carbonopt.dispatch import Fleet, MarketYear
 from carbonopt.investment import (
     REVENUE_PROBE_YEARS,
     CarbonForecast,
-    Event,
     YearProbes,
     estimate_yearly_revenue,
     fit_carbon_forecast,
@@ -20,7 +19,7 @@ from carbonopt.investment import (
 )
 from carbonopt.scenario import DaySegment, GenCo, PowerPlant, RepresentativeDay
 
-from carbonopt.simulation import _event_log
+from carbonopt.simulation import Event, _event_log
 
 from conftest import fleet_columns, fleet_plants, make_scenario, make_tech, plant_ids, probe_markets
 from oracle import reference_yearly_revenue

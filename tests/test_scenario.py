@@ -226,8 +226,8 @@ class TestValidate:
         assert validate_scenario(dataclasses.replace(s, initial_fleet=plants)) == []
 
     def test_a_plant_id_holding_nul_is_refused(self, static_fossil_scenario, tmp_path):
-        # numpy strings drop trailing NULs, so the market's sort would tie "coal-a\0"
-        # with "coal-a" (see ``dispatch.Fleet``)
+        # plant ids go into events.csv, which Python 3.10's csv reader refuses with a
+        # U+0000 in it (see ``scenario._RULES``)
         s = static_fossil_scenario
         plants = (dataclasses.replace(s.initial_fleet[0], id="own\0"), *s.initial_fleet)
         violations = validate_scenario(dataclasses.replace(s, initial_fleet=plants))

@@ -11,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 from carbonopt import dispatch, investment
 from carbonopt.dispatch import CANDIDATE_ID, Fleet, MarketYear, run_year
 from carbonopt.errors import ConfigurationError, GenomeError
-from carbonopt.investment import Event
 from carbonopt.policy import FREE, CarbonPolicy, bounds, decode, parse_policy_spec
 from carbonopt.scenario import (
     DaySegment,
@@ -21,7 +20,7 @@ from carbonopt.scenario import (
     bundled_scenario_path,
     load_scenario,
 )
-from carbonopt.simulation import SimulationResult, evaluate_objectives, run_simulation
+from carbonopt.simulation import Event, SimulationResult, evaluate_objectives, run_simulation
 
 from conftest import FULL_DAY, make_scenario, make_tech
 from oracle import reference_simulation

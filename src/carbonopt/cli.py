@@ -49,6 +49,7 @@ from .exports import (
     write_manifest,
     write_output_set,
 )
+from .investment import Valuations
 from .nsga2 import MUTATION_KINDS, FrontArchive, GAConfig, evolve
 from .policy import bounds as policy_bounds, parse_policy_spec
 from .scenario import bundled_scenario_path, load_scenario
@@ -120,8 +121,9 @@ def run_optimize(args: dict) -> tuple[int, dict[str, str | Iterator[str]], list[
     kind = args["kind"]
     box = policy_bounds(kind, n_years=scenario.horizon_years)  # refuses an unknown kind
     cfg = _ga_config(args)
+    # one memo of investment states for the search; a pool's chunks each start their own
     fitness = functools.partial(
-        evaluate_objectives, scenario, policy_kind=kind, seed=args["seed"]
+        evaluate_objectives, scenario, policy_kind=kind, seed=args["seed"], memo=Valuations()
     )
 
     if jobs == 1:

@@ -36,8 +36,18 @@ segment-by-segment fill produces them in; ``np.sum`` would add pairwise
 and round differently. ``MarketYear.probe`` values one more unit of every
 catalog technology in one call: each unit finds the demand left before it
 in the market's own accumulate, and one accumulate down an (offer x
-technology x segment) grid of the offers after each unit finds the price
-where the unit runs short.
+technology x segment) grid of the offers after each unit finds the offer
+that sets the price where the unit runs short.
+
+A probe has two steps. ``MarketYear.units`` is free of prices: per
+(technology, segment), the unit's MWh and the catalog index of the offer
+that sets its price (``len(catalog)`` for loss of load). Offers are kept
+by catalog index, not by cost, and the SRMCs enter only through the merit
+order, so markets whose catalogs rank their (SRMC, emission factor) pairs
+alike give the same units. ``price_units`` then turns them into energy and
+revenue totals at a price vector (each SRMC, then the loss-of-load
+price). ``investment.Valuations`` keeps the units of the investment
+states a search values, and prices a state valued again without a market.
 
 ``Bid`` and ``clear_segment`` clear one segment the plain way, bid by bid;
 the tests hold the kernel to them with ``==``.
@@ -87,6 +97,20 @@ def srmc(tech: Technology, fuel_price: float, carbon_price: float) -> float:
     """
     fuel_term = fuel_price / tech.efficiency if tech.fuel_kind else 0.0
     return fuel_term + tech.variable_om + tech.emission_factor * carbon_price
+
+
+def price_catalog(fleet: Fleet, year: int, carbon_price: float):
+    """``fleet``'s catalog priced in ``year`` at ``carbon_price``, as a ``MarketYear`` reads it.
+
+    Returns, per catalog technology, its (SRMC, emission factor), the head
+    of the merit key of each of its offers; and the price vector
+    ``price_units`` reads: each technology's SRMC, then the loss-of-load
+    price.
+    """
+    s = fleet.scenario
+    pairs = [(srmc(tech, _fuel_price(tech, year, s), carbon_price), tech.emission_factor)
+             for tech in fleet.catalog]
+    return pairs, np.array([cost for cost, _ in pairs] + [s.loss_of_load_price])
 
 
 def _fuel_price(tech: Technology, year: int, s: Scenario) -> float:
@@ -158,8 +182,8 @@ class Fleet:
     (duration x day weight); per technology of ``catalog``, the scenario's
     technologies, ``factors`` (its weather profile's capacity factor per
     segment, 1.0 when firm), ``unit_mw`` (one unit's MW per segment),
-    ``ef``, its emission factor, and ``fixed_om``, one unit's fixed O&M
-    cost per year.
+    ``ef``, its emission factor, ``fixed_om``, one unit's fixed O&M
+    cost per year, and ``own``, its catalog index, as a column.
 
     The fleet only grows, one row per plant at the end, and a
     ``MarketYear`` reads the rows that were there when it last looked.
@@ -194,6 +218,7 @@ class Fleet:
         self.unit_mw = self.factors * np.reshape([tech.capacity_mw for tech in catalog], (-1, 1))
         self.ef = np.array([tech.emission_factor for tech in catalog])
         self.fixed_om = np.array([tech.fixed_om * tech.capacity_mw for tech in catalog])
+        self.own = np.arange(len(catalog))[:, None]
         self.tech: list[int] = []
         self.mw: list[float] = []
         self.commission: list[int] = []
@@ -262,7 +287,10 @@ class MarketYear:
     growth and the loss-of-load price from ``fleet.scenario``, the
     scenario the fleet was built from, so no market pairs a fleet with
     another scenario's prices. A build prices every technology of the
-    catalog once, ``srmc`` by catalog index. It then sorts the rows of
+    catalog once (``price_catalog``; or takes ``priced``, the catalog
+    priced so by its caller already): ``prices``, by catalog index, with
+    the loss-of-load price last, and ``srmc``, all but that last. Each
+    offer keeps its catalog index, not its cost. It then sorts the rows of
     ``fleet`` active in the market-year by their merit keys, the tuples
     (SRMC, emission factor, id) of ``merit_order_key``, the row breaking
     ties, and keeps the keys in that sorted list: bisecting it finds where
@@ -270,20 +298,22 @@ class MarketYear:
     copied: ``add`` places the rows it gained since.
     """
 
-    def __init__(self, fleet: Fleet, year: int, carbon_price: float, demand_scale: float = 1.0):
+    def __init__(self, fleet: Fleet, year: int, carbon_price: float, demand_scale: float = 1.0,
+                 priced: tuple[list[tuple[float, float]], np.ndarray] | None = None):
         self.fleet, s = fleet, fleet.scenario
         self.year = year
         self._demand = fleet.demand_mw * (s.demand_scale(year) * demand_scale)
 
-        # The catalog, priced: per technology its (SRMC, emission factor), the head of
-        # the merit key of each of its offers.
-        self._pair = [(srmc(tech, _fuel_price(tech, year, s), carbon_price), tech.emission_factor)
-                      for tech in fleet.catalog]
-        self.srmc = np.array([cost for cost, _ in self._pair])
+        # The catalog, priced (unless ``priced`` holds it priced already): per technology
+        # its (SRMC, emission factor), the head of the merit key of each of its offers, and
+        # the price vector, each SRMC and then the loss-of-load price.
+        self._pair, self.prices = priced or price_catalog(fleet, year, carbon_price)
+        self.srmc = self.prices[:-1]
 
         # The build: the plants active in the market-year in merit order, by one stable
         # sort (the row breaks ties). Per offer its merit key and fleet row, as lists,
-        # and its SRMC (loss of load's last), and the demand, then each offer's MW.
+        # and its catalog index (loss of load's, len(catalog), last), and the demand,
+        # then each offer's MW.
         self._seen = len(fleet)  # the fleet rows looked at
         keys = [(*self._pair[k], plant_id) for k, plant_id in zip(fleet.tech, fleet.ids)]
         active = [row for row, (start, end) in enumerate(zip(fleet.commission, fleet.retirement))
@@ -292,7 +322,7 @@ class MarketYear:
         self._keys: list[tuple] = [keys[row] for row in self._rows]
         rows = np.array(self._rows, np.intp)
         tech = np.array(fleet.tech, np.intp)[rows]
-        self._cost = np.concatenate((self.srmc[tech], [s.loss_of_load_price]))
+        self._index = np.concatenate((tech, [len(fleet.catalog)]))
         mw = np.array(fleet.mw)[rows, None]
         self._stack = np.concatenate((self._demand[None], fleet.factors[tech] * mw,
                                       np.full((1, len(self._demand)), np.inf)))
@@ -315,7 +345,7 @@ class MarketYear:
             at = bisect_right(self._keys, key)
             self._keys.insert(at, key)
             self._rows.insert(at, row)
-            self._cost = _spliced(self._cost, at, self.srmc[tech, None])
+            self._index = _spliced(self._index, at, [tech])
             self._stack = _spliced(self._stack, at + 1, (fleet.factors[tech] * fleet.mw[row])[None])
         self._avail = self._stack[1:]
         self._seen = len(fleet)
@@ -334,14 +364,14 @@ class MarketYear:
         # The loss-of-load offer, last, is dispatched exactly where the segment runs
         # short, so the marginal offer sets the price; -1 where there is no demand.
         last = (left <= 0.0).argmax(axis=0) - 1
-        price = np.where(last >= 0, self._cost[last], 0.0)
+        price = np.where(last >= 0, self.prices[self._index[last]], 0.0)
         unserved = np.where(left[n] > 0.0, left[n], 0.0)
         left, avail = left[:n].T, self._avail[:n].T  # segment-major, as the totals add up
         dispatched = (left > 0.0) & (avail > 0.0)
         energy = np.where(dispatched, np.where(avail < left, avail, left) * fleet.hours[:, None], 0.0)
 
         # ``np.add.at`` adds each technology's MWh in the order given, segment-major
-        tech = np.array(fleet.tech, np.intp)[self._rows]
+        tech = self._index[:n]
         by_tech = np.zeros(len(fleet.catalog))
         np.add.at(by_tech, tech[None].repeat(len(energy), axis=0).ravel(), energy.ravel())
         by_tech = by_tech.tolist()
@@ -372,7 +402,23 @@ class MarketYear:
         equals, with ``==``, the totals of a unit of catalog technology
         ``k`` with id ``CANDIDATE_ID`` over a segment-by-segment
         ``clear_segment`` of ``fleet + [unit]`` (0.0 when it is never
-        dispatched). One call values the whole catalog.
+        dispatched). One call values the whole catalog, in two steps: the
+        price-free ``units`` and ``price_units`` at the market's
+        ``prices``. A caller that has a state's ``units`` already (see
+        ``investment.Valuations``) prices them with ``price_units`` alone.
+        """
+        return price_units(*self.units(), self.prices)
+
+    def units(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per (catalog technology, segment), one more unit's MWh and the offer setting its price.
+
+        The offer is given by its catalog index: the unit's own where it is
+        not short (its SRMC sets the price), ``len(catalog)`` where loss of
+        load does. Both (technology x segment) arrays are free of prices:
+        the bisections, the availability stack, the demand and the
+        accumulates read the merit order and MW, not the SRMCs. So two
+        markets of the same fleet rows and year whose catalogs rank their
+        (SRMC, emission factor) pairs alike give equal arrays, bit for bit.
 
         A stable sort of ``fleet + [unit]`` puts a unit after every offer of
         a key <= its own, (SRMC, emission factor, ``CANDIDATE_ID``): one
@@ -381,31 +427,41 @@ class MarketYear:
         it has), the fill goes on past it: one
         ``np.subtract.accumulate`` down an (offer x unit x segment) grid,
         from the demand left after each unit, finds the first offer after
-        which nothing is left, which sets the price. Elsewhere the unit's
-        SRMC does.
+        which nothing is left, which sets the price. Elsewhere the unit
+        sets it. The unit is dispatched where the demand left and its MW
+        are both > 0; elsewhere it takes 0 MWh, which adds nothing to the
+        totals.
         """
-        available, hours = self.fleet.unit_mw, self.fleet.hours
-        at = np.array([bisect_right(self._keys, (*pair, CANDIDATE_ID)) for pair in self._pair])
+        available = self.fleet.unit_mw
+        places = [bisect_right(self._keys, (*pair, CANDIDATE_ID)) for pair in self._pair]
+        at = np.array(places)
         remaining = np.subtract.accumulate(self._stack)[at]  # demand left before each unit
         # A unit's grid column: the demand left after it, then the offers after it up to
         # loss of load, which ``take`` repeats past the end (its -inf stays <= 0).
-        steps = at + np.arange(-1, len(self._avail) - at.min())[:, None]
+        steps = at + np.arange(-1, len(self._avail) - min(places))[:, None]
         grid = self._avail.take(steps, axis=0, mode="clip")
         np.subtract(remaining, available, out=grid[0])
         np.subtract.accumulate(grid, out=grid)
         # the offer after which nothing is left (row j of the grid follows offer
         # at - 1 + j); where the unit is not short, unread
-        marginal = self._cost.take((grid <= 0.0).argmax(axis=0) + steps[0][:, None], mode="clip")
-        # dispatched where the demand left and the unit's MW are both > 0 (elsewhere
-        # it takes 0 MWh, which adds nothing to the totals); each total added up
-        # strictly in order, as ``_total`` does
-        totals = np.empty((2, *available.shape))
-        energy = np.multiply(np.maximum(np.minimum(available, remaining), 0.0), hours,
-                             out=totals[0])
-        np.multiply(energy, np.where(available < remaining, marginal, self.srmc[:, None]),
-                    out=totals[1])
-        energy, revenue = np.add.accumulate(totals, axis=-1, out=totals)[..., -1] + 0.0
-        return energy, revenue
+        marginal = self._index.take((grid <= 0.0).argmax(axis=0) + steps[0][:, None], mode="clip")
+        energy = np.multiply(np.maximum(np.minimum(available, remaining), 0.0), self.fleet.hours)
+        return energy, np.where(available < remaining, marginal, self.fleet.own)
+
+
+def price_units(energy: np.ndarray, index: np.ndarray, prices: np.ndarray):
+    """The totals of ``MarketYear.units``: energy (MWh) and revenue (£) per catalog technology.
+
+    ``prices`` holds each catalog technology's SRMC and then the
+    loss-of-load price, so ``prices[index]`` is the price each unit earns
+    per segment. Each total is added up strictly in order, segment by
+    segment, as ``_total`` does; ``+ 0.0`` turns a -0.0 into 0.0.
+    """
+    totals = np.empty((2, *energy.shape))
+    totals[0] = energy
+    np.multiply(energy, prices.take(index), out=totals[1])
+    energy, revenue = np.add.accumulate(totals, axis=-1, out=totals)[..., -1] + 0.0
+    return energy, revenue
 
 
 def _spliced(a: np.ndarray, at: int, rows) -> np.ndarray:

@@ -11,20 +11,32 @@ budget lasts.
 An investment state (decision year, fleet) is valued one way only, in
 one call: ``YearProbes``, built over the run's ``Fleet`` (see
 ``dispatch.Fleet``) for a decision year, holds the year's future market,
-a ``MarketYear`` that reads its scenario from the fleet, built by the
-first valuation, so a year in which no company can buy builds none. Its
-``value`` asks ``estimate_yearly_revenue`` once for the yearly flows of
-the whole catalog, then works out the catalog's NPVs in one numpy pass,
-bit for bit as ``npv`` adds them. The market prices the scenario's
-catalog once, by catalog index, and its ``probe`` values one more unit
-of every catalog technology in one numpy pass without clearing the
-market. ``invest`` picks the best affordable unit by catalog index
-and appends it to the fleet as a row (``Fleet.buy``), recording the
-purchase as a plain (catalog index, plant id, NPV) tuple: no plant or
-event object is built, and only ``simulation.run_simulation`` turns the
-records into events. The year's market places the plants added since it
-was built with ``MarketYear.add``. The figures equal those of
-clearing ``fleet + [candidate]`` from scratch bit for bit. A company
+a ``MarketYear`` that reads its scenario from the fleet, built when a
+state first needs it, so a year in which no company can buy builds none.
+Its ``value`` asks ``estimate_yearly_revenue`` once for the yearly flows
+of the whole catalog, handing it the probes themselves, then works out
+the catalog's NPVs in one numpy pass, bit for bit as ``npv`` adds them.
+The probes price the scenario's catalog once, by catalog index, and hand
+the prices to the market, whose ``probe`` values one more unit of every
+catalog technology in one numpy pass without clearing the market: the
+price-free ``MarketYear.units``, priced by ``dispatch.price_units``.
+
+A search shares one ``Valuations`` memo across its genomes. It keeps
+each state's units, keyed by (decision year, history of purchases,
+merit order of the catalog at the forecast carbon price), so a state
+that another genome valued already is only priced, at this genome's own
+SRMCs, through the same ``price_units``: no market is built or grown,
+and the figures are the same bits. The memo empties itself once it holds
+``MEMO_STATES`` states. It lives in one process: each chunk of genomes a
+pool's worker scores starts an empty one. ``run_simulation`` uses none.
+
+``invest`` picks the best affordable unit by catalog index and appends
+it to the fleet as a row (``Fleet.buy``), recording the purchase as a
+plain (catalog index, plant id, NPV) tuple: no plant or event object is
+built, and only ``simulation.run_simulation`` turns the records into
+events. The year's market places the plants added since it was built
+with ``MarketYear.add``. The figures equal those of clearing
+``fleet + [candidate]`` from scratch bit for bit. A company
 whose budget is below the catalog's cheapest unit values nothing: it
 could buy nothing whatever the NPVs, so they would never be read.
 """
@@ -37,7 +49,7 @@ from operator import add
 
 import numpy as np
 
-from .dispatch import Fleet, MarketYear
+from .dispatch import Fleet, MarketYear, price_catalog, price_units
 from .scenario import Scenario, Technology
 
 # How far ahead the revenue-probe market is simulated.
@@ -105,7 +117,7 @@ def _npv_terms(technologies: tuple[Technology, ...], discount_rate: float):
 
 
 def estimate_yearly_revenue(
-    market: MarketYear,
+    market,
     decision_year: int,
     s: Scenario,
     fleet: Fleet,
@@ -113,16 +125,83 @@ def estimate_yearly_revenue(
     """Net yearly cash flow of one more unit of each catalog technology, in catalog order.
 
     ``market`` is the future market of the investment state (``decision_year``,
-    ``fleet``), as ``YearProbes`` builds it: the market of ``decision_year`` + 10 at
-    the forecast carbon price. A unit's revenue there at clearing prices minus its
-    running costs (its SRMC there, ``MarketYear.srmc``, and its fixed O&M,
-    ``Fleet.fixed_om``) stands in for every operating year of its life.
-    ``YearProbes`` passes ``fleet.scenario`` as ``s``;
-    ``perfbench/spans.py`` counts probed states from the positional ``decision_year``
-    and ``fleet``, which are not read here.
+    ``fleet``): the market of ``decision_year`` + 10 at the forecast carbon price, a
+    ``MarketYear`` or the state's ``YearProbes``, which probes it as one. A unit's
+    revenue there at clearing prices minus its running costs (its SRMC there,
+    ``srmc``, and its fixed O&M, ``Fleet.fixed_om``) stands in for every operating
+    year of its life. ``YearProbes`` calls it once per state valued, passing itself
+    and ``fleet.scenario`` as ``s``; ``perfbench/spans.py`` counts probed states from
+    the positional ``decision_year`` and ``fleet``, which are not read here.
     """
     energy, revenue = market.probe()
     return revenue - energy * market.srmc - market.fleet.fixed_om
+
+
+def merit_ranks(pairs: list[tuple[float, float]]) -> tuple[int, ...]:
+    """The dense rank of each (SRMC, emission factor) pair among ``pairs``; equal pairs share one."""
+    rank = {pair: r for r, pair in enumerate(sorted(set(pairs)))}
+    return tuple(rank[pair] for pair in pairs)
+
+
+# How many investment states a ``Valuations`` memo holds before it empties itself.
+MEMO_STATES = 8192
+
+
+class Valuations:
+    """The price-free ``MarketYear.units`` of investment states, shared by one search's genomes.
+
+    Genomes of one search start from the same fleet, the scenario's
+    initial one, and often value the same state: the same decision year,
+    the same purchases so far and the same merit order of the catalog at
+    the forecast carbon price. The units of a state depend on the carbon
+    price only through that order, so a state valued again is only priced
+    (``dispatch.price_units``) at the genome's own SRMCs: no market is
+    built or grown, and the figures are those of a fresh probe bit for bit.
+
+    A state's key is (decision year, history, catalog order):
+    - the history names the purchases so far. The initial fleet's is 0;
+      ``history`` interns a fleet's after one more purchase, by its parent
+      history and the plant id bought (which names the company, the
+      technology and the year). Each new history takes the next number of
+      a counter that never repeats, so no number ever names two histories;
+    - the catalog order is the ``merit_ranks`` of the technologies'
+      (SRMC, emission factor) pairs, so equal pairs share a rank.
+
+    The memo empties itself, histories and states alike, before it would
+    hold more than ``MEMO_STATES`` states; a genome in flight then only
+    misses, since its history's number is never given out again. A memo
+    belongs to one scenario. Pickled, it crosses to another process
+    empty: each chunk of a pool's ``map`` unpickles its own.
+    """
+
+    def __init__(self):
+        self.histories: dict[tuple[int, str], int] = {}  # (parent, plant id) -> history
+        self.states: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}  # key -> units
+        self.last_history = 0
+        self.hits = self.misses = 0
+
+    def __reduce__(self):
+        return Valuations, ()
+
+    def history(self, parent: int, plant_id: str) -> int:
+        """The history of fleet history ``parent`` after it buys ``plant_id``."""
+        history = self.histories.get((parent, plant_id))
+        if history is None:
+            self.last_history = history = self.histories[parent, plant_id] = self.last_history + 1
+        return history
+
+    def units(self, key: tuple, market) -> tuple[np.ndarray, np.ndarray]:
+        """The units of state ``key``; on a miss, ``market().units()``, kept."""
+        units = self.states.get(key)
+        if units is not None:
+            self.hits += 1
+            return units
+        self.misses += 1
+        if len(self.states) >= MEMO_STATES:
+            self.histories.clear()
+            self.states.clear()
+        units = self.states[key] = market().units()
+        return units
 
 
 class YearProbes:
@@ -131,11 +210,20 @@ class YearProbes:
     Within a decision year the fleet only grows: each purchase appends
     one plant. So one future market covers the whole year: the market of
     ``decision_year`` + 10 at the forecast carbon price, ``market``, built
-    by the first ``value`` (None until then) and grown by ``MarketYear.add``
-    with the plants bought since for each later state. Built late, it holds
-    what a build at the start of the year grown by ``add`` would. Only the
-    fleet's last length can be looked up again, so only the last state
-    valued is kept: its fleet length and its NPVs.
+    by the first state that needs it (None until then) and grown by
+    ``MarketYear.add`` with the plants bought since for each later state.
+    Built late, it holds what a build at the start of the year grown by
+    ``add`` would. The first state valued prices the catalog there once
+    (``dispatch.price_catalog``), and the market is handed those prices.
+    Only the fleet's last length can be looked up again, so only the last
+    state valued is kept: its fleet length and its NPVs.
+
+    With a ``memo`` (a search's ``Valuations``), ``probe`` looks the state
+    up there first and builds or grows the market only on a miss.
+    ``lineage`` is (fleet rows, history): the rows a history of the memo
+    accounts for, and that history. The default is the fleet as given, as
+    history 0, the scenario's initial fleet; the next year's probes start
+    from this one's ``lineage``.
 
     The catalog's NPVs are worked out together, equal to ``npv`` bit for
     bit: one ``np.add.accumulate`` adds each row of a (technology x year)
@@ -144,10 +232,14 @@ class YearProbes:
     ``+ 0.0`` turns a -0.0 into the 0.0 that ``npv`` starts from.
     """
 
-    def __init__(self, decision_year: int, forecast: CarbonForecast, fleet: Fleet):
+    def __init__(self, decision_year: int, forecast: CarbonForecast, fleet: Fleet,
+                 memo: Valuations | None = None, lineage: tuple[int, int] | None = None):
         s = fleet.scenario
-        self.decision_year, self.forecast, self.fleet = decision_year, forecast, fleet
-        self.market: MarketYear | None = None  # built by the first ``value``
+        self.decision_year, self.forecast, self.fleet, self.memo = decision_year, forecast, fleet, memo
+        self.lineage = (len(fleet), 0) if lineage is None else lineage
+        self.market: MarketYear | None = None  # built by the first state that needs it
+        # the catalog priced, its prices, its SRMCs and its order, set by the first state valued
+        self.priced = self.prices = self.srmc = self.order = None
         self.idle, self.fixed, self.factors, self.capital = _npv_terms(
             s.technologies, s.discount_rate)
         self.cheapest = min(self.capital)
@@ -157,16 +249,45 @@ class YearProbes:
         """NPV of one more unit of each catalog technology added to the fleet, in catalog order."""
         fleet = self.fleet
         if self.valued[0] != len(fleet):
-            if self.market is None:
-                future_year = self.decision_year + REVENUE_PROBE_YEARS
-                self.market = MarketYear(fleet, future_year, self.forecast.predict(future_year))
-            self.market.add()
-            yearly = estimate_yearly_revenue(self.market, self.decision_year, fleet.scenario, fleet)
+            if self.priced is None:
+                self._price_catalog()
+            yearly = estimate_yearly_revenue(self, self.decision_year, fleet.scenario, fleet)
             flows = np.divide.outer(yearly, self.factors)
             np.copyto(flows, self.fixed, where=self.idle)
             np.add.accumulate(flows, axis=1, out=flows)
             self.valued = len(fleet), (flows[:, -1] + 0.0).tolist()
         return self.valued[1]
+
+    def probe(self) -> tuple[np.ndarray, np.ndarray]:
+        """``MarketYear.probe`` of the state's future market, through the memo if there is one."""
+        if self.memo is None:
+            return self._market().probe()
+        rows, history = self.lineage
+        for plant_id in self.fleet.ids[rows:]:
+            history = self.memo.history(history, plant_id)
+        self.lineage = len(self.fleet), history
+        units = self.memo.units((self.decision_year, history, self.order), self._market)
+        return price_units(*units, self.prices)
+
+    def _price_catalog(self) -> None:
+        """The catalog priced in the future year at the forecast: ``priced`` (its (SRMC,
+        emission factor) pairs and ``prices``), ``srmc`` and, for the memo, ``order``,
+        their ``merit_ranks``."""
+        future_year = self.decision_year + REVENUE_PROBE_YEARS
+        self.priced = price_catalog(self.fleet, future_year, self.forecast.predict(future_year))
+        pairs, self.prices = self.priced
+        self.srmc = self.prices[:-1]
+        if self.memo is not None:
+            self.order = merit_ranks(pairs)
+
+    def _market(self) -> MarketYear:
+        """The future market, built by the first call and grown to the fleet."""
+        if self.market is None:
+            future_year = self.decision_year + REVENUE_PROBE_YEARS
+            self.market = MarketYear(self.fleet, future_year, self.forecast.predict(future_year),
+                                     priced=self.priced)
+        self.market.add()
+        return self.market
 
 
 def invest(

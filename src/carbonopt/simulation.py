@@ -35,7 +35,7 @@ import numpy as np
 
 from .dispatch import Fleet, YearResult, run_year
 from .errors import ConfigurationError
-from .investment import YearProbes, fit_carbon_forecast, invest
+from .investment import Valuations, YearProbes, fit_carbon_forecast, invest
 from .policy import CarbonPolicy, check_bounds, decode
 from .scenario import Scenario
 
@@ -79,13 +79,14 @@ Purchases = list[tuple[str, list[tuple[int, str, float]]]]
 
 
 def _invest_over_horizon(
-    s: Scenario, policy: CarbonPolicy, seed: int, rounds: int
+    s: Scenario, policy: CarbonPolicy, seed: int, rounds: int, memo: Valuations | None = None
 ) -> tuple[Fleet, list[Purchases], list[float], list[float]]:
     """The investment pass: the final fleet, and each year's purchases, tax and demand factor.
 
     Companies invest in the first ``rounds`` years of the horizon only; a
     year past them has no purchases. Budgets and the fleet are run-local:
-    the scenario is never changed.
+    the scenario is never changed. Each year's probes look investment
+    states up in ``memo`` first, if given (see ``investment.Valuations``).
     """
     if seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
@@ -95,14 +96,16 @@ def _invest_over_horizon(
     history: list[tuple[int, float]] = []
     noise: list[float] = []
     rng = np.random.default_rng(seed) if s.demand_noise_std > 0 else None
+    lineage = None  # the first year's probes take the initial fleet as the memo's history 0
 
     for year_index in range(1, s.horizon_years + 1):
         year = s.start_year + year_index - 1
         history.append((year, policy.price_at(year_index)))
         purchases: Purchases = []
         if year_index <= rounds:
-            probes = YearProbes(year, fit_carbon_forecast(history), fleet)
+            probes = YearProbes(year, fit_carbon_forecast(history), fleet, memo, lineage)
             purchases = [(genco, invest(genco, budgets, probes)) for genco in sorted(budgets)]
+            lineage = probes.lineage
         bought.append(purchases)
         noise.append(1.0 if rng is None else max(0.0, 1.0 + rng.normal(0.0, s.demand_noise_std)))
 
@@ -168,18 +171,21 @@ def run_simulation(s: Scenario, policy: CarbonPolicy, seed: int) -> SimulationRe
 
 
 def evaluate_objectives(
-    s: Scenario, genome, policy_kind: str, seed: int
+    s: Scenario, genome, policy_kind: str, seed: int, memo: Valuations | None = None
 ) -> tuple[float, float]:
     """Fitness function for the optimizer: genome -> (price, relative carbon intensity).
 
     The objectives of ``run_simulation``, from the investment pass and a
     clear of the final spot market-year alone. When every catalog
     technology takes a year or more to build, nothing bought in the final
-    year runs in it, so the pass skips that year's investment round.
+    year runs in it, so the pass skips that year's investment round. A
+    search passes every genome the same ``memo`` (see
+    ``investment.Valuations``), which changes no result.
     """
     policy = decode(genome, policy_kind, n_years=s.horizon_years)
     final_round = any(tech.construction_lag_years < 1 for tech in s.technologies)
-    fleet, _, taxes, noise = _invest_over_horizon(s, policy, seed, s.horizon_years - 1 + final_round)
+    fleet, _, taxes, noise = _invest_over_horizon(s, policy, seed, s.horizon_years - 1 + final_round,
+                                                  memo)
     objectives = _objectives(run_year(fleet, s.final_year, taxes[-1], demand_scale=noise[-1]), s)
     if not all(math.isfinite(v) for v in objectives):
         raise ConfigurationError(f"non-finite objectives {objectives} for genome {genome}")

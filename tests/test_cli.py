@@ -309,14 +309,18 @@ class TestOptimize:
         assert not out.exists()
 
     def test_jobs_do_not_change_results(self, fossil_path, tmp_path):
-        out_serial, out_parallel = tmp_path / "s", tmp_path / "p"
-        for out, jobs in ((out_serial, "1"), (out_parallel, "2")):
-            assert main([
-                "optimize", "--scenario", str(fossil_path), "--kind", "linear",
-                "--pop", "4", "--gens", "1", "--seed", "3", "--jobs", jobs, "--out", str(out),
-            ]) == 0
-        assert (out_serial / "generations.csv").read_bytes() == (out_parallel / "generations.csv").read_bytes()
-        assert (out_serial / "pareto.json").read_bytes() == (out_parallel / "pareto.json").read_bytes()
+        # the free search shares investment states between genomes serially, and
+        # between the genomes of one chunk in a pool
+        cases = {
+            "linear": [str(fossil_path), "--kind", "linear", "--pop", "4", "--gens", "1", "--seed", "3"],
+            "free": ["uk_synthetic", "--kind", "free", "--pop", "8", "--gens", "2", "--seed", "0"],
+        }
+        for label, argv in cases.items():
+            out_serial, out_parallel = tmp_path / label / "s", tmp_path / label / "p"
+            for out, jobs in ((out_serial, "1"), (out_parallel, "2")):
+                assert main(["optimize", "--scenario", *argv, "--jobs", jobs, "--out", str(out)]) == 0
+            for name in ("generations.csv", "pareto.json"):
+                assert (out_serial / name).read_bytes() == (out_parallel / name).read_bytes(), label
 
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -30,6 +30,11 @@ CASES = {
         "optimize", "--scenario", "uk_synthetic", "--kind", "linear",
         "--pop", "4", "--gens", "1", "--seed", "0", "--jobs", "1",
     ],
+    # the paper's own encoding, one tax per year
+    "optimize-free": [
+        "optimize", "--scenario", "uk_synthetic", "--kind", "free",
+        "--pop", "8", "--gens", "2", "--seed", "0", "--jobs", "1",
+    ],
     # the optimizer alone: truncation, tournaments and both mutation kinds over 10 and 8
     # generations on the analytic problems
     "ga-zdt1": ["benchmark", "--problem", "zdt1", "--pop", "20", "--gens", "10", "--seed", "3"],
@@ -77,6 +82,10 @@ GOLDEN = {
         "objectives.json": "8522c70a2e4a32495860c562e7643764f299bd9acb22685a49860277231d93e3",
         "per_year.csv": "65ff1099322eb64dc1c39c36609c9706077f893acbe231065953854061a946a4",
         "year_summary.csv": "2cf1aca5055799487206143bb61a9a01344164838b9850900370e5cd16770693",
+    },
+    "optimize-free": {
+        "generations.csv": "091090a0df559be480cf3e2dd395d097c30baaba6c1502faa4e3d2edfad5e437",
+        "pareto.json": "1e6942fe976edd5314781efaa08aa273fd81a258fbaf31b2f8e5efc2c937e0fc",
     },
     "optimize-linear": {
         "generations.csv": "e640638c803909bd9eb7473bc719544afc8db501ef44dc320a0673081468a0a5",

@@ -2,24 +2,30 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import carbonopt.investment as investment
-from carbonopt.dispatch import Fleet, MarketYear
+from carbonopt import cli
+from carbonopt.dispatch import Fleet, MarketYear, price_catalog, price_units
 from carbonopt.investment import (
     REVENUE_PROBE_YEARS,
     CarbonForecast,
+    Valuations,
     YearProbes,
     estimate_yearly_revenue,
     fit_carbon_forecast,
     invest,
+    merit_ranks,
     npv,
 )
+from carbonopt.policy import bounds, decode
 from carbonopt.scenario import DaySegment, GenCo, PowerPlant, RepresentativeDay
 
-from carbonopt.simulation import Event, _event_log
+from carbonopt.simulation import Event, _event_log, _invest_over_horizon
 
 from conftest import fleet_columns, fleet_plants, make_scenario, make_tech, plant_ids, probe_markets
 from oracle import reference_yearly_revenue
@@ -489,3 +495,102 @@ class TestYearProbes:
         for n, npvs in states.items():
             assert npvs == YearProbes(2020, forecast, Fleet(s, plants[:n])).value()
         assert len({npvs[s.technologies.index(gas)] for npvs in states.values()}) == 4
+
+
+def bits(arrays) -> list[bytes]:
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+class TestValuations:
+    @given(case=probe_markets(), other=st.floats(-300.0, 300.0), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_units_depend_on_the_catalog_order_alone(self, case, other, data):
+        # two carbon prices that rank the catalog alike give the same units, bit
+        # for bit, and either market's units priced at the other's prices probe it
+        s, fleet, year, carbon_price = case
+        pairs = [price_catalog(Fleet(s, ()), year, price)[0] for price in (carbon_price, other)]
+        assume(merit_ranks(pairs[0]) == merit_ranks(pairs[1]))
+        markets = [MarketYear(Fleet(s, fleet), year, price) for price in (carbon_price, other)]
+        bought = data.draw(st.sampled_from(s.technologies))
+        for market in markets:  # and after a purchase the markets place by bisection
+            market.fleet.buy("g2", s.technologies.index(bought), "g2:x:2020:1", year - 1)
+            market.add()
+        units = [market.units() for market in markets]
+        assert bits(units[0]) == bits(units[1])
+        for market, (energy, index) in zip(markets, units[::-1]):
+            assert bits(price_units(energy, index, market.prices)) == bits(market.probe())
+
+    @staticmethod
+    def genomes(s, count, seed):
+        """``count`` uniform genomes of each kind, linear first."""
+        rng = np.random.default_rng(seed)
+        drawn = []
+        for kind in ("linear", "free"):
+            low, high = np.array(bounds(kind, s.horizon_years)).T
+            drawn += [(kind, genome) for genome in rng.uniform(low, high, (count, len(low))).tolist()]
+        return drawn
+
+    @staticmethod
+    def passes(s, genomes, memo):
+        """Each genome's purchases (NPVs by ``repr``) and final fleet, through ``memo``."""
+        out = []
+        for kind, genome in genomes:
+            policy = decode(genome, kind, s.horizon_years)
+            fleet, bought, _, _ = _invest_over_horizon(s, policy, 0, s.horizon_years, memo)
+            out.append((repr(bought), fleet_columns(fleet)))
+        return out
+
+    def test_genomes_through_one_memo_buy_as_without_it(self, uk_scenario):
+        genomes = self.genomes(uk_scenario, 4, seed=5)
+        genomes += [("free", [0.0] * uk_scenario.horizon_years)] * 2  # a genome scored again
+        memo = Valuations()
+        assert self.passes(uk_scenario, genomes, memo) == self.passes(uk_scenario, genomes, None)
+        assert memo.hits > 0 and memo.misses == len(memo.states)
+
+    def test_a_memo_that_empties_itself_mid_search_changes_nothing(self, uk_scenario, monkeypatch):
+        # a history number given out before the memo emptied itself must never
+        # name another history after it: the genome in flight still holds it
+        # (a counter restarted at each emptying gives these genomes wrong purchases)
+        genomes = self.genomes(uk_scenario, 3, seed=6)
+        genomes += genomes[::-1]  # the last genome twice in a row, so some states hit
+        plain = self.passes(uk_scenario, genomes, None)
+        monkeypatch.setattr(investment, "MEMO_STATES", 200)
+        memo = Valuations()
+        assert self.passes(uk_scenario, genomes, memo) == plain
+        assert len(memo.states) <= 200 and memo.misses > 4 * 200 and memo.hits > 0
+
+    def test_a_search_pins_its_work(self, tmp_path, monkeypatch):
+        # the benchmark's optimize-linear search, 9 distinct genomes of 16: the states
+        # valued, the memo's hits and misses, and the probe markets built
+        memos, built, valued = [], [], []
+
+        class CountedValuations(Valuations):
+            def __init__(self):
+                memos.append(self)
+                super().__init__()
+
+        class CountedMarketYear(MarketYear):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        def counted(market, decision_year, s, fleet):
+            valued.append(decision_year)
+            return estimate(market, decision_year, s, fleet)
+
+        estimate = investment.estimate_yearly_revenue
+        monkeypatch.setattr(cli, "Valuations", CountedValuations)
+        monkeypatch.setattr(investment, "MarketYear", CountedMarketYear)
+        monkeypatch.setattr(investment, "estimate_yearly_revenue", counted)
+        assert cli.main(["optimize", "--scenario", "uk_synthetic", "--kind", "linear",
+                         "--pop", "4", "--gens", "3", "--seed", "3", "--jobs", "1",
+                         "--out", str(tmp_path)]) == 0
+        (memo,) = memos
+        assert (len(valued), memo.hits, memo.misses, len(built)) == (886, 340, 546, 95)
+
+    def test_a_memo_is_pickled_empty(self, uk_scenario):
+        memo = Valuations()
+        self.passes(uk_scenario, self.genomes(uk_scenario, 1, seed=5), memo)
+        again = pickle.loads(pickle.dumps(memo))
+        assert memo.states and not again.states and not again.histories
+        assert (again.hits, again.misses, again.last_history) == (0, 0, 0)

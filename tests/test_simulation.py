@@ -204,6 +204,26 @@ class TestEvaluateObjectives:
                        seed=0)
         assert cleared == list(range(uk_scenario.start_year, final_year + 1))
 
+    def test_values_no_state_in_the_final_year(self, uk_scenario, monkeypatch):
+        # every uk_synthetic technology takes a year or more to build, so a fitness
+        # evaluation skips the final round, whose purchases a run does value
+        valued = []  # the decision year of each state valued
+
+        def counted(market, decision_year, s, fleet):
+            valued.append(decision_year)
+            return estimate(market, decision_year, s, fleet)
+
+        estimate = investment.estimate_yearly_revenue
+        monkeypatch.setattr(investment, "estimate_yearly_revenue", counted)
+        n, final_year = uk_scenario.horizon_years, uk_scenario.final_year
+        for genome in ([8.0, 100.0], [14.0, 0.0]):  # rising taxes: companies buy to the end
+            run_simulation(uk_scenario, decode(genome, "linear", n), seed=0)
+            assert final_year in valued
+            valued.clear()
+            evaluate_objectives(uk_scenario, genome, "linear", seed=0)
+            assert final_year - 1 in valued and final_year not in valued
+            valued.clear()
+
     def test_builds_no_per_purchase_object(self, uk_scenario, monkeypatch):
         # a purchase is a fleet row and a record: scoring genomes that buy units
         # builds no PowerPlant and no Event; only a run's event log builds events

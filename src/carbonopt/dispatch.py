@@ -17,12 +17,11 @@ on the year and the carbon price, not on the segment, so a build prices
 each catalog technology once. Every offer has one merit key, the tuple
 ``merit_order_key`` sorts bids by: (SRMC, emission factor, id). A build
 sorts the active rows by it, the row breaking ties, and keeps the keys,
-sorted, beside the offers' fleet rows as Python lists. So one
-``bisect_right`` places a plant bought later (``MarketYear.add``, with
-``list.insert``) and a probed unit, keyed by ``CANDIDATE_ID``, where a
-stable sort of ``fleet + [unit]`` would. A gather of the columns by
-technology index turns the merit order into an (offer x segment)
-availability matrix.
+sorted, as a Python list. So one ``bisect_right`` places a plant bought
+later (``MarketYear.add``, with ``list.insert``) and a probed unit, keyed
+by ``CANDIDATE_ID``, where a stable sort of ``fleet + [unit]`` would. A
+gather of the columns by technology index turns the merit order into an
+(offer x segment) availability matrix.
 
 The demand each segment has left before each offer is
 ``np.subtract.accumulate`` over demand and offers. That accumulate
@@ -192,14 +191,13 @@ class Fleet:
     and ``retirement``, the years it starts and stops running; ``ids``;
     ``owner``, its company's id; and ``units``, its unit count.
 
-    ``extend`` adds external plants, a batch checked whole before any of
-    it is appended. A plant whose technology is not the catalog's entry of
-    its name is refused, and so is an id holding U+0000, which Python
-    3.10 cannot read back from the event log (see ``scenario._RULES``).
-    ``buy`` appends a purchase, one unit of a catalog technology, as a row
-    and nothing else: its technology is a catalog index, and its id is
-    built from a validated company id and technology name, so there is
-    nothing to check.
+    ``extend`` appends plants as they are, each mapped to the catalog
+    index of its technology's name: it checks nothing. Plants come from a
+    scenario that passed ``validate_scenario`` (``load_scenario`` runs
+    it), which refuses a plant whose technology is not the catalog's entry
+    of its name and an id holding U+0000; a scenario built in Python must
+    pass it first. ``buy`` appends a purchase, one unit of a catalog
+    technology, as a row and nothing else.
     """
 
     def __init__(self, s: Scenario, plants=()):
@@ -233,15 +231,7 @@ class Fleet:
 
     def extend(self, plants) -> None:
         plants = list(plants)
-        techs = [self.index.get(plant.technology.name) for plant in plants]
-        for plant, i in zip(plants, techs):
-            tech = plant.technology
-            if i is None or tech is not self.catalog[i] and tech != self.catalog[i]:
-                raise ConfigurationError(f"plant {plant.id!r}: technology {tech.name!r} is not "
-                                         "the catalog's entry of that name")
-            if "\0" in plant.id:
-                raise ConfigurationError(f"plant {plant.id!r}: id contains U+0000")
-        self.tech += techs
+        self.tech += [self.index[plant.technology.name] for plant in plants]
         self.mw += [plant.technology.capacity_mw * plant.unit_count for plant in plants]
         self.commission += [plant.commission_year for plant in plants]
         self.retirement += [plant.retirement_year for plant in plants]
@@ -269,7 +259,7 @@ class Fleet:
 class MarketYear:
     """A fleet's market-year: cleared as a whole, or pricing one added unit per technology.
 
-    It keeps the fleet rows of its offers in merit order and an
+    It keeps the merit keys of its offers in merit order and an
     (offer x segment) availability matrix, closed by a loss-of-load offer
     of unlimited MW at the loss-of-load price. The demand each segment has
     left before each offer, ``np.subtract.accumulate`` over its demand and
@@ -311,16 +301,16 @@ class MarketYear:
         self.srmc = self.prices[:-1]
 
         # The build: the plants active in the market-year in merit order, by one stable
-        # sort (the row breaks ties). Per offer its merit key and fleet row, as lists,
-        # and its catalog index (loss of load's, len(catalog), last), and the demand,
+        # sort (the row breaks ties). Per offer its merit key, as a list, and its
+        # catalog index (loss of load's, len(catalog), last), and the demand,
         # then each offer's MW.
         self._seen = len(fleet)  # the fleet rows looked at
         keys = [(*self._pair[k], plant_id) for k, plant_id in zip(fleet.tech, fleet.ids)]
         active = [row for row, (start, end) in enumerate(zip(fleet.commission, fleet.retirement))
                   if start <= year < end]
-        self._rows: list[int] = sorted(active, key=keys.__getitem__)
-        self._keys: list[tuple] = [keys[row] for row in self._rows]
-        rows = np.array(self._rows, np.intp)
+        order = sorted(active, key=keys.__getitem__)
+        self._keys: list[tuple] = [keys[row] for row in order]
+        rows = np.array(order, np.intp)
         tech = np.array(fleet.tech, np.intp)[rows]
         self._index = np.concatenate((tech, [len(fleet.catalog)]))
         mw = np.array(fleet.mw)[rows, None]
@@ -333,8 +323,9 @@ class MarketYear:
 
         Each one active in the market-year goes in after every offer of a
         merit key <= its own (one ``bisect_right``), where a stable sort of
-        the fleet by merit key puts it. The row and key go into their
-        lists; only the SRMC vector and the availability stack are spliced.
+        the fleet by merit key puts it. The key goes into the key list;
+        only the catalog-index vector and the availability stack are
+        spliced.
         """
         fleet = self.fleet
         for row in range(self._seen, len(fleet)):
@@ -344,7 +335,6 @@ class MarketYear:
             key = (*self._pair[tech], fleet.ids[row])
             at = bisect_right(self._keys, key)
             self._keys.insert(at, key)
-            self._rows.insert(at, row)
             self._index = _spliced(self._index, at, [tech])
             self._stack = _spliced(self._stack, at + 1, (fleet.factors[tech] * fleet.mw[row])[None])
         self._avail = self._stack[1:]
@@ -359,7 +349,7 @@ class MarketYear:
         dispatched add nothing) and ``energy_by_technology`` keeps its
         first-dispatch key order.
         """
-        fleet, n = self.fleet, len(self._rows)
+        fleet, n = self.fleet, len(self._keys)
         left = np.subtract.accumulate(self._stack)
         # The loss-of-load offer, last, is dispatched exactly where the segment runs
         # short, so the marginal offer sets the price; -1 where there is no demand.

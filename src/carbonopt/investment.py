@@ -22,9 +22,10 @@ catalog technology in one numpy pass without clearing the market: the
 price-free ``MarketYear.units``, priced by ``dispatch.price_units``.
 
 A search shares one ``Valuations`` memo across its genomes. It keeps
-each state's units, keyed by (decision year, history of purchases,
-merit order of the catalog at the forecast carbon price), so a state
-that another genome valued already is only priced, at this genome's own
+each state's units, keyed by the decision year, the history of
+purchases (each named by its catalog index and plant id) and the merit
+order of the catalog at the forecast carbon price. So a state that
+another genome valued already is only priced, at this genome's own
 SRMCs, through the same ``price_units``: no market is built or grown,
 and the figures are the same bits. The memo empties itself once it holds
 ``MEMO_STATES`` states. It lives in one process: each chunk of genomes a
@@ -161,9 +162,13 @@ class Valuations:
     A state's key is (decision year, history, catalog order):
     - the history names the purchases so far. The initial fleet's is 0;
       ``history`` interns a fleet's after one more purchase, by its parent
-      history and the plant id bought (which names the company, the
-      technology and the year). Each new history takes the next number of
-      a counter that never repeats, so no number ever names two histories;
+      history, the catalog index of the technology bought and the plant
+      id, ``"<company>:<technology>:<year>:<n>"``. A company id and a
+      technology name may hold ``:``, so the id alone can name two
+      purchases; with the catalog index, its last two fields give the
+      year and the count, and the row is pinned down. Each new history
+      takes the next number of a counter that never repeats, so no number
+      ever names two histories;
     - the catalog order is the ``merit_ranks`` of the technologies'
       (SRMC, emission factor) pairs, so equal pairs share a rank.
 
@@ -175,7 +180,7 @@ class Valuations:
     """
 
     def __init__(self):
-        self.histories: dict[tuple[int, str], int] = {}  # (parent, plant id) -> history
+        self.histories: dict[tuple[int, int, str], int] = {}  # (parent, index, id) -> history
         self.states: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}  # key -> units
         self.last_history = 0
         self.hits = self.misses = 0
@@ -183,11 +188,12 @@ class Valuations:
     def __reduce__(self):
         return Valuations, ()
 
-    def history(self, parent: int, plant_id: str) -> int:
-        """The history of fleet history ``parent`` after it buys ``plant_id``."""
-        history = self.histories.get((parent, plant_id))
+    def history(self, parent: int, k: int, plant_id: str) -> int:
+        """The history of ``parent`` after it buys ``plant_id``, of catalog technology ``k``."""
+        key = parent, k, plant_id
+        history = self.histories.get(key)
         if history is None:
-            self.last_history = history = self.histories[parent, plant_id] = self.last_history + 1
+            self.last_history = history = self.histories[key] = self.last_history + 1
         return history
 
     def units(self, key: tuple, market) -> tuple[np.ndarray, np.ndarray]:
@@ -263,8 +269,8 @@ class YearProbes:
         if self.memo is None:
             return self._market().probe()
         rows, history = self.lineage
-        for plant_id in self.fleet.ids[rows:]:
-            history = self.memo.history(history, plant_id)
+        for k, plant_id in zip(self.fleet.tech[rows:], self.fleet.ids[rows:]):
+            history = self.memo.history(history, k, plant_id)
         self.lineage = len(self.fleet), history
         units = self.memo.units((self.decision_year, history, self.order), self._market)
         return price_units(*units, self.prices)

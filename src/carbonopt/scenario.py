@@ -176,8 +176,9 @@ _RULES = {
     "in (0, 2]": lambda v: 0 < v <= 2,
     "non-empty": lambda v: len(v) > 0,
     # names and ids go into events.csv, whose lines Python 3.10's csv reader refuses
-    # when they hold U+0000; a run's ``Fleet`` refuses such a plant id too, and a
-    # bought plant's id is "<genco>:<technology>:<year>:<n>"
+    # when they hold U+0000, and a bought plant's id is "<genco>:<technology>:<year>:<n>";
+    # a run's ``Fleet`` checks no plant, so a scenario built in Python must pass
+    # ``validate_scenario`` first
     "not contain U+0000": lambda v: "\0" not in v,
 }
 

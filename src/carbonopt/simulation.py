@@ -149,10 +149,11 @@ def _event_log(fleet: Fleet, bought: list[Purchases]) -> tuple[Event, ...]:
 def run_simulation(s: Scenario, policy: CarbonPolicy, seed: int) -> SimulationResult:
     """Simulate the full horizon under one carbon tax trajectory.
 
-    The scenario is expected to be valid (see ``validate_scenario``);
-    the policy's genes are re-checked against their box here. Every year's
-    spot market is cleared after the investment pass, from the run's
-    final ``Fleet``.
+    The scenario must have passed ``validate_scenario``, which
+    ``load_scenario`` runs: a scenario built in Python must pass it first,
+    since nothing here checks its plants again. The policy's genes are
+    re-checked against their box here. Every year's spot market is
+    cleared after the investment pass, from the run's final ``Fleet``.
     """
     check_bounds(policy, s.horizon_years)
     fleet, bought, taxes, noise = _invest_over_horizon(s, policy, seed, s.horizon_years)
@@ -180,7 +181,9 @@ def evaluate_objectives(
     technology takes a year or more to build, nothing bought in the final
     year runs in it, so the pass skips that year's investment round. A
     search passes every genome the same ``memo`` (see
-    ``investment.Valuations``), which changes no result.
+    ``investment.Valuations``), which changes no result. As for
+    ``run_simulation``, a scenario built in Python must pass
+    ``validate_scenario`` first.
     """
     policy = decode(genome, policy_kind, n_years=s.horizon_years)
     final_round = any(tech.construction_lag_years < 1 for tech in s.technologies)

@@ -122,31 +122,12 @@ class TestBuildBids:
 
 
 class TestFleet:
-    def test_a_plant_outside_the_catalog_is_refused(self, static_fossil_scenario):
+    def test_an_equal_copy_of_a_catalog_technology_is_its_entry(self, static_fossil_scenario):
         s = static_fossil_scenario
-        gas = s.technologies[0]
         fleet = Fleet(s, s.initial_fleet)
-        for tech in (make_tech(name="oil", fuel_kind="oil"), dataclasses.replace(gas, variable_om=50.0)):
-            plant = PowerPlant(id="p9", technology=tech, owner="g1", commission_year=2000, unit_count=1)
-            with pytest.raises(ConfigurationError, match=f"plant 'p9': technology '{tech.name}'"):
-                fleet.extend([plant])
-            with pytest.raises(ConfigurationError, match="'p9'"):
-                Fleet(s, [*s.initial_fleet, plant])
-        assert fleet_columns(fleet) == fleet_columns(Fleet(s, s.initial_fleet))  # nothing appended
         fleet.extend([dataclasses.replace(s.initial_fleet[0], id="p9",
-                                          technology=dataclasses.replace(gas))])
-        assert fleet.tech == [0, 0]  # an equal copy is the catalog's entry
-
-    def test_a_refused_batch_appends_nothing(self, static_fossil_scenario):
-        s = static_fossil_scenario
-        fleet = Fleet(s, s.initial_fleet)
-        good = dataclasses.replace(s.initial_fleet[0], id="p8")
-        oil = make_tech(name="oil", fuel_kind="oil")
-        for refused in (dataclasses.replace(good, id="p9", technology=oil),
-                        dataclasses.replace(good, id="p9\0")):
-            with pytest.raises(ConfigurationError, match="plant 'p9"):
-                fleet.extend([good, refused, dataclasses.replace(good, id="p10")])
-            assert fleet_columns(fleet) == ([0], [100.0], [2000], [2030], ["gas-1"], ["g1"], [1])
+                                          technology=dataclasses.replace(s.technologies[0]))])
+        assert fleet.tech == [0, 0]
 
     def test_a_purchase_row_is_the_row_of_its_plant(self):
         # a purchase appends, column for column and type for type, what ``extend``
@@ -171,24 +152,25 @@ class TestFleet:
         assert bought.commission[:4] == [2020, 2031, 2025, 2036]
         assert bought.retirement[:4] == [2050, 2061, 2065, 2076]
 
-    def test_an_id_holding_nul_is_refused(self):
+    def test_an_id_holding_nul_is_cleared_in_python_string_order(self):
         # wind "a\0" and solar "a" tie on SRMC and emission factor, so their ids order
-        # them, solar first. A fleet refuses the id "a\0" all the same: ids go into
-        # events.csv (see ``scenario._RULES``).
+        # them, solar first. ``validate_scenario`` refuses the id (see
+        # ``scenario._RULES``); a fleet checks nothing and clears it as the oracle does
         wind, solar = (make_tech(name=name, capacity_mw=60.0, fuel_kind=None, efficiency=1.0,
                                  variable_om=0.0, emission_factor=0.0)
                        for name in ("wind", "solar"))
         plants = [PowerPlant(id=plant_id, technology=tech, owner="g1", commission_year=2000,
                              unit_count=1) for plant_id, tech in (("a\0", wind), ("a", solar))]
         s = make_scenario([wind, solar], plants[1:])
-        assert reference_year(plants, 2020, 0.0, s).energy_by_technology == {
-            "solar": 525600.0, "wind": 175200.0}
-        with pytest.raises(ConfigurationError, match=r"plant 'a\\x00': id contains U\+0000"):
-            Fleet(s, plants)
-        fleet = Fleet(s, plants[1:])
-        with pytest.raises(ConfigurationError, match=r"'a\\x00'"):
-            fleet.extend(plants[:1])
-        assert fleet.ids == ["a"]
+        expected = reference_year(plants, 2020, 0.0, s)
+        assert list(expected.energy_by_technology.items()) == [("solar", 525600.0),
+                                                               ("wind", 175200.0)]
+        extended = Fleet(s, plants[1:])
+        extended.extend(plants[:1])
+        for fleet in (Fleet(s, plants), extended):
+            result = run_year(fleet, 2020, 0.0)
+            assert result == expected
+            assert list(result.energy_by_technology) == list(expected.energy_by_technology)
 
     def test_the_market_tables_are_read_from_its_scenario(self):
         solar = make_tech(name="solar", capacity_mw=10.0, fuel_kind=None, efficiency=1.0,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import pickle
 
 import numpy as np
@@ -23,7 +24,15 @@ from carbonopt.investment import (
     npv,
 )
 from carbonopt.policy import bounds, decode
-from carbonopt.scenario import DaySegment, GenCo, PowerPlant, RepresentativeDay
+from carbonopt.scenario import (
+    DaySegment,
+    GenCo,
+    PowerPlant,
+    RepresentativeDay,
+    scenario_from_dict,
+    scenario_to_dict,
+    validate_scenario,
+)
 
 from carbonopt.simulation import Event, _event_log, _invest_over_horizon
 
@@ -587,6 +596,26 @@ class TestValuations:
                          "--out", str(tmp_path)]) == 0
         (memo,) = memos
         assert (len(valued), memo.hits, memo.misses, len(built)) == (886, 340, 546, 95)
+
+    def test_purchases_of_one_plant_id_are_different_histories(self, uk_scenario):
+        # a plant id is "<genco>:<technology>:<year>:<n>", and a company id or a
+        # technology name may hold ':'. Company "d" buying "w:solar" and company "d:w"
+        # buying "solar" in 2018 both buy "d:w:solar:2018:1", but not the same unit
+        text = json.dumps(scenario_to_dict(uk_scenario))
+        for old, new in (("delta", "d"), ("gamma", "d:w"), ("onshore_wind", "w:solar")):
+            text = text.replace(f'"{old}"', f'"{new}"')  # every id, name and reference
+        s = scenario_from_dict(json.loads(text))
+        assert validate_scenario(s) == []
+        forecast, memo, valued = CarbonForecast(slope=0.0, intercept=0.0), Valuations(), []
+        for owner, name in (("d", "w:solar"), ("d:w", "solar")):
+            fleet = Fleet(s, s.initial_fleet)
+            probes = YearProbes(2018, forecast, fleet, memo)  # history 0: the initial fleet
+            fleet.buy(owner, fleet.index[name], f"{owner}:{name}:2018:1", 2018)
+            assert fleet.ids[-1] == "d:w:solar:2018:1"
+            shared = probes.value()
+            assert shared == YearProbes(2018, forecast, fleet).value()
+            valued.append(shared)
+        assert valued[0] != valued[1] and memo.hits == 0
 
     def test_a_memo_is_pickled_empty(self, uk_scenario):
         memo = Valuations()

@@ -19,6 +19,9 @@ from carbonopt.scenario import (
     RepresentativeDay,
     bundled_scenario_path,
     load_scenario,
+    scenario_from_dict,
+    scenario_to_dict,
+    validate_scenario,
 )
 from carbonopt.simulation import Event, SimulationResult, evaluate_objectives, run_simulation
 
@@ -115,6 +118,50 @@ class TestRunSimulation:
         assert a == a2
         energy = lambda r: sum(r.per_year[0].energy_by_technology.values())  # noqa: E731
         assert energy(a) != energy(b)
+
+    def test_demand_noise_draws_from_a_generator_only_when_enabled(self, uk_scenario,
+                                                                    monkeypatch):
+        # a noise-free run builds no generator; a noisy one builds one, from its seed
+        default_rng, seeds = np.random.default_rng, []
+
+        def refused(seed):
+            raise AssertionError(f"a noise-free run built a generator from seed {seed}")
+
+        def recorded(seed):
+            seeds.append(seed)
+            return default_rng(seed)
+
+        n = uk_scenario.horizon_years
+        noisy = dataclasses.replace(uk_scenario, demand_noise_std=0.05)
+        for s, rng in ((uk_scenario, refused), (noisy, recorded)):
+            monkeypatch.setattr(np.random, "default_rng", rng)
+            run_simulation(s, flat(10.0, n), seed=3)
+            evaluate_objectives(s, [10.0] * n, "free", seed=3)
+        assert seeds == [3, 3]
+
+    def test_a_price_of_negative_zero_is_reported_as_zero(self, uk_scenario):
+        # a scenario file can hold -0.0 wherever a rule reads ">= 0": here every
+        # segment clears at an SRMC of -0.0, and each sum of prices or emissions is
+        # -0.0 until ``dispatch._total`` adds 0.0; a probe's revenue likewise until
+        # ``dispatch.price_units`` does
+        raw = scenario_to_dict(uk_scenario)
+        (ccgt,) = [tech for tech in raw["technologies"] if tech["name"] == "ccgt"]
+        raw["technologies"] = [{**ccgt, "variable_om": -0.0, "emission_factor": -0.0}]
+        raw["initial_fleet"] = [{"id": "ccgt-a", "technology": "ccgt", "owner": "alpha",
+                                 "commission_year": 2010, "unit_count": 200}]
+        raw["gencos"] = [{**genco, "budget": 0.0} for genco in raw["gencos"]]
+        raw["fuel_prices"]["gas"] = dict.fromkeys(raw["fuel_prices"]["gas"], -0.0)
+        s = scenario_from_dict(raw)
+        assert validate_scenario(s) == []
+        n = s.horizon_years
+        market = MarketYear(Fleet(s, s.initial_fleet), s.start_year, 10.0)
+        assert repr(market.srmc.tolist()) == "[-0.0]"
+        assert repr(market.probe()[1].tolist()) == "[0.0]"
+        result = run_simulation(s, parse_policy_spec("flat:10", n), seed=0)
+        assert repr((result.objective_price, result.objective_rci)) == "(0.0, 0.0)"
+        assert repr({(year.average_price, year.emissions_t) for year in result.per_year}) == (
+            "{(0.0, 0.0)}")
+        assert repr(evaluate_objectives(s, [10.0] * n, "free", seed=0)) == "(0.0, 0.0)"
 
 
 class TestEvaluateObjectives:

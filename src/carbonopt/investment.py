@@ -16,10 +16,11 @@ state first needs it, so a year in which no company can buy builds none.
 Its ``value`` asks ``estimate_yearly_revenue`` once for the yearly flows
 of the whole catalog, handing it the probes themselves, then works out
 the catalog's NPVs in one numpy pass, bit for bit as ``npv`` adds them.
-The probes price the scenario's catalog once, by catalog index, and hand
-the prices to the market, whose ``probe`` values one more unit of every
-catalog technology in one numpy pass without clearing the market: the
-price-free ``MarketYear.units``, priced by ``dispatch.price_units``.
+When built, the probes price the scenario's catalog once, by catalog
+index, and rank it for the memo. They hand the prices to the market,
+whose ``probe`` values one more unit of every catalog technology in one
+numpy pass without clearing the market: the price-free
+``MarketYear.units``, priced by ``dispatch.price_units``.
 
 A search shares one ``Valuations`` memo across its genomes. It keeps
 each state's units, keyed by the decision year, the history of
@@ -27,9 +28,12 @@ purchases (each named by its catalog index and plant id) and the merit
 order of the catalog at the forecast carbon price. So a state that
 another genome valued already is only priced, at this genome's own
 SRMCs, through the same ``price_units``: no market is built or grown,
-and the figures are the same bits. The memo empties itself once it holds
-``MEMO_STATES`` states. It lives in one process: each chunk of genomes a
-pool's worker scores starts an empty one. ``run_simulation`` uses none.
+and the figures are the same bits. A memo history starts at the
+scenario's initial fleet, so a memo should be shared only among fleets
+grown from that fleet by ``Fleet.buy``, as those of
+``_invest_over_horizon`` are. The memo empties itself once it holds ``MEMO_STATES`` states. It
+lives in one process: each chunk of genomes a pool's worker scores
+starts an empty one. ``run_simulation`` uses none.
 
 ``invest`` picks the best affordable unit by catalog index and appends
 it to the fleet as a row (``Fleet.buy``), recording the purchase as a
@@ -160,7 +164,10 @@ class Valuations:
     built or grown, and the figures are those of a fresh probe bit for bit.
 
     A state's key is (decision year, history, catalog order):
-    - the history names the purchases so far. The initial fleet's is 0;
+    - the history names the purchases so far. The scenario's initial
+      fleet's is 0, so a memo should be shared only among fleets grown
+      from it by ``Fleet.buy``, as those of
+      ``simulation._invest_over_horizon`` are;
       ``history`` interns a fleet's after one more purchase, by its parent
       history, the catalog index of the technology bought and the plant
       id, ``"<company>:<technology>:<year>:<n>"``. A company id and a
@@ -219,17 +226,20 @@ class YearProbes:
     by the first state that needs it (None until then) and grown by
     ``MarketYear.add`` with the plants bought since for each later state.
     Built late, it holds what a build at the start of the year grown by
-    ``add`` would. The first state valued prices the catalog there once
+    ``add`` would. When built, the probes price the catalog there once
     (``dispatch.price_catalog``), and the market is handed those prices.
     Only the fleet's last length can be looked up again, so only the last
     state valued is kept: its fleet length and its NPVs.
 
-    With a ``memo`` (a search's ``Valuations``), ``probe`` looks the state
-    up there first and builds or grows the market only on a miss.
-    ``lineage`` is (fleet rows, history): the rows a history of the memo
-    accounts for, and that history. The default is the fleet as given, as
-    history 0, the scenario's initial fleet; the next year's probes start
-    from this one's ``lineage``.
+    With a ``memo`` (a search's ``Valuations``), the probes also rank the
+    catalog's (SRMC, emission factor) pairs when built (``merit_ranks``),
+    and ``probe`` looks the state up there first and builds or grows the
+    market only on a miss. ``lineage`` is (fleet rows, history): the rows
+    a history of the memo accounts for, and that history. The default is
+    the scenario's initial fleet, as history 0, so the plants the fleet
+    holds past it are interned as purchases: the memo should be shared
+    only among fleets grown from the initial fleet by ``Fleet.buy``. The
+    next year's probes start from this one's ``lineage``.
 
     The catalog's NPVs are worked out together, equal to ``npv`` bit for
     bit: one ``np.add.accumulate`` adds each row of a (technology x year)
@@ -241,11 +251,17 @@ class YearProbes:
     def __init__(self, decision_year: int, forecast: CarbonForecast, fleet: Fleet,
                  memo: Valuations | None = None, lineage: tuple[int, int] | None = None):
         s = fleet.scenario
-        self.decision_year, self.forecast, self.fleet, self.memo = decision_year, forecast, fleet, memo
-        self.lineage = (len(fleet), 0) if lineage is None else lineage
+        self.decision_year, self.fleet, self.memo = decision_year, fleet, memo
+        self.lineage = (len(s.initial_fleet), 0) if lineage is None else lineage
+        self.future_year = decision_year + REVENUE_PROBE_YEARS
+        self.carbon_price = forecast.predict(self.future_year)
+        # the catalog priced in the future year at the forecast: its (SRMC, emission
+        # factor) pairs and prices, its SRMCs and, for the memo, their merit_ranks
+        self.priced = price_catalog(fleet, self.future_year, self.carbon_price)
+        pairs, self.prices = self.priced
+        self.srmc = self.prices[:-1]
+        self.order = None if memo is None else merit_ranks(pairs)
         self.market: MarketYear | None = None  # built by the first state that needs it
-        # the catalog priced, its prices, its SRMCs and its order, set by the first state valued
-        self.priced = self.prices = self.srmc = self.order = None
         self.idle, self.fixed, self.factors, self.capital = _npv_terms(
             s.technologies, s.discount_rate)
         self.cheapest = min(self.capital)
@@ -255,8 +271,6 @@ class YearProbes:
         """NPV of one more unit of each catalog technology added to the fleet, in catalog order."""
         fleet = self.fleet
         if self.valued[0] != len(fleet):
-            if self.priced is None:
-                self._price_catalog()
             yearly = estimate_yearly_revenue(self, self.decision_year, fleet.scenario, fleet)
             flows = np.divide.outer(yearly, self.factors)
             np.copyto(flows, self.fixed, where=self.idle)
@@ -275,22 +289,10 @@ class YearProbes:
         units = self.memo.units((self.decision_year, history, self.order), self._market)
         return price_units(*units, self.prices)
 
-    def _price_catalog(self) -> None:
-        """The catalog priced in the future year at the forecast: ``priced`` (its (SRMC,
-        emission factor) pairs and ``prices``), ``srmc`` and, for the memo, ``order``,
-        their ``merit_ranks``."""
-        future_year = self.decision_year + REVENUE_PROBE_YEARS
-        self.priced = price_catalog(self.fleet, future_year, self.forecast.predict(future_year))
-        pairs, self.prices = self.priced
-        self.srmc = self.prices[:-1]
-        if self.memo is not None:
-            self.order = merit_ranks(pairs)
-
     def _market(self) -> MarketYear:
         """The future market, built by the first call and grown to the fleet."""
         if self.market is None:
-            future_year = self.decision_year + REVENUE_PROBE_YEARS
-            self.market = MarketYear(self.fleet, future_year, self.forecast.predict(future_year),
+            self.market = MarketYear(self.fleet, self.future_year, self.carbon_price,
                                      priced=self.priced)
         self.market.add()
         return self.market

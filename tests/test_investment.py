@@ -568,9 +568,14 @@ class TestValuations:
         assert self.passes(uk_scenario, genomes, memo) == plain
         assert len(memo.states) <= 200 and memo.misses > 4 * 200 and memo.hits > 0
 
-    def test_a_search_pins_its_work(self, tmp_path, monkeypatch):
-        # the benchmark's optimize-linear search, 9 distinct genomes of 16: the states
-        # valued, the memo's hits and misses, and the probe markets built
+    @pytest.mark.parametrize("search, work", [
+        # the benchmark's optimize-linear search, 9 distinct genomes of 16
+        (["--kind", "linear", "--pop", "4", "--gens", "3", "--seed", "3"], (886, 340, 546, 95)),
+        # the golden optimize-free search, in the paper's encoding
+        (["--kind", "free", "--pop", "8", "--gens", "2", "--seed", "0"], (2082, 963, 1119, 176)),
+    ])
+    def test_a_search_pins_its_work(self, tmp_path, monkeypatch, search, work):
+        # the states valued, the memo's hits and misses, and the probe markets built
         memos, built, valued = [], [], []
 
         class CountedValuations(Valuations):
@@ -591,11 +596,10 @@ class TestValuations:
         monkeypatch.setattr(cli, "Valuations", CountedValuations)
         monkeypatch.setattr(investment, "MarketYear", CountedMarketYear)
         monkeypatch.setattr(investment, "estimate_yearly_revenue", counted)
-        assert cli.main(["optimize", "--scenario", "uk_synthetic", "--kind", "linear",
-                         "--pop", "4", "--gens", "3", "--seed", "3", "--jobs", "1",
+        assert cli.main(["optimize", "--scenario", "uk_synthetic", *search, "--jobs", "1",
                          "--out", str(tmp_path)]) == 0
         (memo,) = memos
-        assert (len(valued), memo.hits, memo.misses, len(built)) == (886, 340, 546, 95)
+        assert (len(valued), memo.hits, memo.misses, len(built)) == work
 
     def test_purchases_of_one_plant_id_are_different_histories(self, uk_scenario):
         # a plant id is "<genco>:<technology>:<year>:<n>", and a company id or a
@@ -616,6 +620,17 @@ class TestValuations:
             assert shared == YearProbes(2018, forecast, fleet).value()
             valued.append(shared)
         assert valued[0] != valued[1] and memo.hits == 0
+
+    def test_probes_over_a_grown_fleet_intern_its_purchases(self, uk_scenario):
+        # probes built after a purchase start their history at the initial fleet, not
+        # at the fleet as given: two fleets that bought different units share no state
+        forecast, memo = CarbonForecast(slope=0.0, intercept=0.0), Valuations()
+        for name in ("ccgt", "onshore_wind"):
+            fleet = Fleet(uk_scenario, uk_scenario.initial_fleet)
+            fleet.buy("alpha", fleet.index[name], f"alpha:{name}:2018:1", 2018)
+            shared = YearProbes(2018, forecast, fleet, memo).value()
+            assert shared == YearProbes(2018, forecast, fleet).value()
+        assert memo.hits == 0
 
     def test_a_memo_is_pickled_empty(self, uk_scenario):
         memo = Valuations()

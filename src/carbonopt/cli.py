@@ -121,7 +121,7 @@ def run_optimize(args: dict) -> tuple[int, dict[str, str | Iterator[str]], list[
     kind = args["kind"]
     box = policy_bounds(kind, n_years=scenario.horizon_years)  # refuses an unknown kind
     cfg = _ga_config(args)
-    # one memo of investment states for the search; a pool's chunks each start their own
+    # one memo of investment states for the search; a pool's workers each keep one of it
     fitness = functools.partial(
         evaluate_objectives, scenario, policy_kind=kind, seed=args["seed"], memo=Valuations()
     )

@@ -11,17 +11,21 @@ market of each simulated year (``run_year``) and the investment probes'
 future markets. It reads everything from a ``Fleet``: a run's plants in
 the order they joined, one list per column (a unit a company buys is
 appended as a row, with no object of its own), the tables no market-year
-changes, and the scenario the fleet was built from, whose fuel prices,
-demand growth and loss-of-load price a market-year reads. SRMC depends
-on the year and the carbon price, not on the segment, so a build prices
-each catalog technology once. Every offer has one merit key, the tuple
-``merit_order_key`` sorts bids by: (SRMC, emission factor, id). A build
-sorts the active rows by it, the row breaking ties, and keeps the keys,
+changes, and the scenario the fleet was built from, which gives a
+market-year its fuel prices, demand growth and loss-of-load price. SRMC depends
+on the year and the carbon price, not on the segment, so
+``price_catalog`` prices each catalog technology once, and ranks it: a
+technology's merit rank is the dense rank of its (SRMC, emission factor)
+pair in the catalog, equal pairs sharing one. A market-year takes those
+ranks and prices as given. Every offer has one merit key, (rank, id).
+The oracle's ``merit_order_key`` sorts bids by (SRMC, emission factor,
+id), an equivalent form: ranks order as the pairs do. A build sorts the
+active rows by the key, the row breaking ties, and keeps the keys,
 sorted, as a Python list. So one ``bisect_right`` places a plant bought
 later (``MarketYear.add``, with ``list.insert``) and a probed unit, keyed
-by ``CANDIDATE_ID``, where a stable sort of ``fleet + [unit]`` would. A
-gather of the columns by technology index turns the merit order into an
-(offer x segment) availability matrix.
+(rank, ``CANDIDATE_ID``), where a stable sort of ``fleet + [unit]``
+would. A gather of the columns by technology index turns the merit order
+into an (offer x segment) availability matrix.
 
 The demand each segment has left before each offer is
 ``np.subtract.accumulate`` over demand and offers. That accumulate
@@ -41,15 +45,14 @@ that sets the price where the unit runs short.
 A probe has two steps. ``MarketYear.units`` is free of prices: per
 (technology, segment), the unit's MWh and the catalog index of the offer
 that sets its price (``len(catalog)`` for loss of load). Offers are kept
-by catalog index, not by cost, and the SRMCs enter only through the merit
-order, so markets whose catalogs rank their (SRMC, emission factor) pairs
-alike give the same units. ``price_units`` then turns them into energy and
-revenue totals at a price vector (each SRMC, then the loss-of-load
-price). ``investment.Valuations`` keeps the units of the investment
+by catalog index, not by cost, and the units read the ranks, not the
+prices, so markets of equal ranks give the same units. ``price_units``
+then turns them into energy and revenue totals at a price vector (each
+SRMC, then the loss-of-load price). ``investment.Valuations`` keeps the units of the investment
 states a search values, and prices a state valued again without a market.
 
 ``Bid`` and ``clear_segment`` clear one segment the plain way, bid by bid;
-the tests hold the kernel to them with ``==``.
+the tests hold the kernel to them bit for bit.
 """
 
 from __future__ import annotations
@@ -99,17 +102,19 @@ def srmc(tech: Technology, fuel_price: float, carbon_price: float) -> float:
 
 
 def price_catalog(fleet: Fleet, year: int, carbon_price: float):
-    """``fleet``'s catalog priced in ``year`` at ``carbon_price``, as a ``MarketYear`` reads it.
+    """``fleet``'s catalog priced in ``year`` at ``carbon_price``: its merit ranks and prices.
 
-    Returns, per catalog technology, its (SRMC, emission factor), the head
-    of the merit key of each of its offers; and the price vector
-    ``price_units`` reads: each technology's SRMC, then the loss-of-load
-    price.
+    Returns, per catalog technology, its merit rank, the dense rank of its
+    (SRMC, emission factor) pair among the catalog's, equal pairs sharing
+    one, which heads the merit key of each of its offers; and the price
+    vector ``price_units`` reads: each technology's SRMC, then the
+    loss-of-load price.
     """
     s = fleet.scenario
-    pairs = [(srmc(tech, _fuel_price(tech, year, s), carbon_price), tech.emission_factor)
-             for tech in fleet.catalog]
-    return pairs, np.array([cost for cost, _ in pairs] + [s.loss_of_load_price])
+    costs = [srmc(tech, _fuel_price(tech, year, s), carbon_price) for tech in fleet.catalog]
+    pairs = list(zip(costs, fleet.ef.tolist()))
+    rank = {pair: r for r, pair in enumerate(sorted(set(pairs)))}
+    return tuple(rank[pair] for pair in pairs), np.array(costs + [s.loss_of_load_price])
 
 
 def _fuel_price(tech: Technology, year: int, s: Scenario) -> float:
@@ -122,7 +127,7 @@ def _fuel_price(tech: Technology, year: int, s: Scenario) -> float:
         raise ConfigurationError(str(exc)) from exc
 
 
-# The plant id a probed unit sorts by among offers of equal SRMC and emission factor.
+# The plant id a probed unit sorts by among offers of its merit rank.
 CANDIDATE_ID = "__candidate__"
 
 
@@ -168,14 +173,14 @@ def run_year(
     factor, used by the demand-noise hook). Energies are weighted by segment
     duration and day weight so they sum to a full year.
     """
-    return MarketYear(fleet, year, carbon_price, demand_scale).clear()
+    return MarketYear(fleet, year, *price_catalog(fleet, year, carbon_price), demand_scale).clear()
 
 
 class Fleet:
     """A run's plants in the order they joined, and the market tables no market-year changes.
 
     A fleet carries the scenario ``s`` it was built from as ``scenario``,
-    and every market-year of it reads its prices there. Built, it reads
+    and ``price_catalog`` prices every market-year of it there. Built, it reads
     the tables every market-year of the run shares: per segment of ``s``'s
     representative days, in day order, ``demand_mw`` and ``hours``
     (duration x day weight); per technology of ``catalog``, the scenario's
@@ -273,39 +278,31 @@ class MarketYear:
 
     A market takes its days and catalog from ``fleet``, whose tables
     (segment demand and hours; per technology availability factors, one
-    unit's MW and emission factor) it reads, and fuel prices, demand
-    growth and the loss-of-load price from ``fleet.scenario``, the
-    scenario the fleet was built from, so no market pairs a fleet with
-    another scenario's prices. A build prices every technology of the
-    catalog once (``price_catalog``; or takes ``priced``, the catalog
-    priced so by its caller already): ``prices``, by catalog index, with
-    the loss-of-load price last, and ``srmc``, all but that last. Each
-    offer keeps its catalog index, not its cost. It then sorts the rows of
-    ``fleet`` active in the market-year by their merit keys, the tuples
-    (SRMC, emission factor, id) of ``merit_order_key``, the row breaking
-    ties, and keeps the keys in that sorted list: bisecting it finds where
-    a plant bought later or a probed unit goes. ``fleet`` is read, not
-    copied: ``add`` places the rows it gained since.
+    unit's MW and emission factor) it reads, and demand growth from
+    ``fleet.scenario``, the scenario the fleet was built from. Its only
+    price input is the catalog priced by ``price_catalog`` for the
+    market-year: ``ranks``, each technology's merit rank, and ``prices``,
+    by catalog index, with the loss-of-load price last. Each offer keeps
+    its catalog index, not its cost. A build sorts the rows of ``fleet``
+    active in the market-year by their merit keys, (rank, id), the row
+    breaking ties, and keeps the keys in that sorted list: bisecting it
+    finds where a plant bought later or a probed unit goes. The order is
+    the one ``merit_order_key``'s (SRMC, emission factor, id) gives.
+    ``fleet`` is read, not copied: ``add`` places the rows it gained
+    since.
     """
 
-    def __init__(self, fleet: Fleet, year: int, carbon_price: float, demand_scale: float = 1.0,
-                 priced: tuple[list[tuple[float, float]], np.ndarray] | None = None):
-        self.fleet, s = fleet, fleet.scenario
-        self.year = year
-        self._demand = fleet.demand_mw * (s.demand_scale(year) * demand_scale)
-
-        # The catalog, priced (unless ``priced`` holds it priced already): per technology
-        # its (SRMC, emission factor), the head of the merit key of each of its offers, and
-        # the price vector, each SRMC and then the loss-of-load price.
-        self._pair, self.prices = priced or price_catalog(fleet, year, carbon_price)
-        self.srmc = self.prices[:-1]
+    def __init__(self, fleet: Fleet, year: int, ranks: tuple[int, ...], prices: np.ndarray,
+                 demand_scale: float = 1.0):
+        self.fleet, self.year, self.ranks, self.prices = fleet, year, ranks, prices
+        self._demand = fleet.demand_mw * (fleet.scenario.demand_scale(year) * demand_scale)
 
         # The build: the plants active in the market-year in merit order, by one stable
         # sort (the row breaks ties). Per offer its merit key, as a list, and its
         # catalog index (loss of load's, len(catalog), last), and the demand,
         # then each offer's MW.
         self._seen = len(fleet)  # the fleet rows looked at
-        keys = [(*self._pair[k], plant_id) for k, plant_id in zip(fleet.tech, fleet.ids)]
+        keys = [(ranks[k], plant_id) for k, plant_id in zip(fleet.tech, fleet.ids)]
         active = [row for row, (start, end) in enumerate(zip(fleet.commission, fleet.retirement))
                   if start <= year < end]
         order = sorted(active, key=keys.__getitem__)
@@ -332,7 +329,7 @@ class MarketYear:
             if not fleet.commission[row] <= self.year < fleet.retirement[row]:
                 continue
             tech = fleet.tech[row]
-            key = (*self._pair[tech], fleet.ids[row])
+            key = (self.ranks[tech], fleet.ids[row])
             at = bisect_right(self._keys, key)
             self._keys.insert(at, key)
             self._index = _spliced(self._index, at, [tech])
@@ -388,7 +385,7 @@ class MarketYear:
     def probe(self) -> tuple[np.ndarray, np.ndarray]:
         """Energy (MWh) and revenue (£) of one more unit of each catalog technology.
 
-        Both arrays are in catalog order, the order of ``srmc``. Entry ``k``
+        Both arrays are in catalog order, the order of ``prices``. Entry ``k``
         equals, with ``==``, the totals of a unit of catalog technology
         ``k`` with id ``CANDIDATE_ID`` over a segment-by-segment
         ``clear_segment`` of ``fleet + [unit]`` (0.0 when it is never
@@ -406,12 +403,13 @@ class MarketYear:
         not short (its SRMC sets the price), ``len(catalog)`` where loss of
         load does. Both (technology x segment) arrays are free of prices:
         the bisections, the availability stack, the demand and the
-        accumulates read the merit order and MW, not the SRMCs. So two
-        markets of the same fleet rows and year whose catalogs rank their
-        (SRMC, emission factor) pairs alike give equal arrays, bit for bit.
+        accumulates read the ranks and MW, not ``prices``. So two markets
+        of the same fleet rows, year and ranks give equal arrays, bit for
+        bit.
 
         A stable sort of ``fleet + [unit]`` puts a unit after every offer of
-        a key <= its own, (SRMC, emission factor, ``CANDIDATE_ID``): one
+        a key <= its own, (rank, ``CANDIDATE_ID``), which orders as the
+        oracle's (SRMC, emission factor, ``CANDIDATE_ID``) does: one
         bisection of the key list. So the demand left before it is the
         market's own accumulate there. Where the unit is short (gives all
         it has), the fill goes on past it: one
@@ -423,7 +421,7 @@ class MarketYear:
         totals.
         """
         available = self.fleet.unit_mw
-        places = [bisect_right(self._keys, (*pair, CANDIDATE_ID)) for pair in self._pair]
+        places = [bisect_right(self._keys, (rank, CANDIDATE_ID)) for rank in self.ranks]
         at = np.array(places)
         remaining = np.subtract.accumulate(self._stack)[at]  # demand left before each unit
         # A unit's grid column: the demand left after it, then the offers after it up to

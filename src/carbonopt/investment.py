@@ -16,24 +16,27 @@ state first needs it, so a year in which no company can buy builds none.
 Its ``value`` asks ``estimate_yearly_revenue`` once for the yearly flows
 of the whole catalog, handing it the probes themselves, then works out
 the catalog's NPVs in one numpy pass, bit for bit as ``npv`` adds them.
-When built, the probes price the scenario's catalog once, by catalog
-index, and rank it for the memo. They hand the prices to the market,
-whose ``probe`` values one more unit of every catalog technology in one
-numpy pass without clearing the market: the price-free
+When built, the probes price the scenario's catalog once
+(``dispatch.price_catalog``): each technology's merit rank, the dense
+rank of its (SRMC, emission factor) pair, and its price. They hand both
+to the market, which keys its offers by (rank, id), the form the
+oracle's ``merit_order_key`` (SRMC, emission factor, id) takes there,
+and whose ``probe`` values one more unit of every catalog technology in
+one numpy pass without clearing the market: the price-free
 ``MarketYear.units``, priced by ``dispatch.price_units``.
 
 A search shares one ``Valuations`` memo across its genomes. It keeps
 each state's units, keyed by the decision year, the history of
-purchases (each named by its catalog index and plant id) and the merit
-order of the catalog at the forecast carbon price. So a state that
-another genome valued already is only priced, at this genome's own
-SRMCs, through the same ``price_units``: no market is built or grown,
-and the figures are the same bits. A memo history starts at the
-scenario's initial fleet, so a memo should be shared only among fleets
-grown from that fleet by ``Fleet.buy``, as those of
-``_invest_over_horizon`` are. The memo empties itself once it holds ``MEMO_STATES`` states. It
-lives in one process: each chunk of genomes a pool's worker scores
-starts an empty one. ``run_simulation`` uses none.
+purchases (each named by its catalog index and plant id) and the same
+merit ranks. So a state that another genome valued already is only
+priced, at this genome's own SRMCs, through the same ``price_units``: no
+market is built or grown, and the figures are the same bits. A memo
+history starts at the scenario's initial fleet, so a memo should be
+shared only among fleets grown from that fleet by ``Fleet.buy``, as
+those of ``_invest_over_horizon`` are. The memo empties itself once it
+holds ``MEMO_STATES`` states. Pickled to a pool's worker, it loads as
+that worker's one memo of the search, kept from chunk to chunk.
+``run_simulation`` uses none.
 
 ``invest`` picks the best affordable unit by catalog index and appends
 it to the fleet as a row (``Fleet.buy``), recording the purchase as a
@@ -48,6 +51,8 @@ could buy nothing whatever the NPVs, so they would never be read.
 
 from __future__ import annotations
 
+import itertools
+import os
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import add
@@ -132,20 +137,15 @@ def estimate_yearly_revenue(
     ``market`` is the future market of the investment state (``decision_year``,
     ``fleet``): the market of ``decision_year`` + 10 at the forecast carbon price, a
     ``MarketYear`` or the state's ``YearProbes``, which probes it as one. A unit's
-    revenue there at clearing prices minus its running costs (its SRMC there,
-    ``srmc``, and its fixed O&M, ``Fleet.fixed_om``) stands in for every operating
-    year of its life. ``YearProbes`` calls it once per state valued, passing itself
-    and ``fleet.scenario`` as ``s``; ``perfbench/spans.py`` counts probed states from
-    the positional ``decision_year`` and ``fleet``, which are not read here.
+    revenue there at clearing prices minus its running costs (its SRMC there, in
+    ``prices`` before the loss-of-load price, and its fixed O&M, ``Fleet.fixed_om``)
+    stands in for every operating year of its life. ``YearProbes`` calls it once per
+    state valued, passing itself and ``fleet.scenario`` as ``s``; ``perfbench/spans.py``
+    counts probed states from the positional ``decision_year`` and ``fleet``, which
+    are not read here.
     """
     energy, revenue = market.probe()
-    return revenue - energy * market.srmc - market.fleet.fixed_om
-
-
-def merit_ranks(pairs: list[tuple[float, float]]) -> tuple[int, ...]:
-    """The dense rank of each (SRMC, emission factor) pair among ``pairs``; equal pairs share one."""
-    rank = {pair: r for r, pair in enumerate(sorted(set(pairs)))}
-    return tuple(rank[pair] for pair in pairs)
+    return revenue - energy * market.prices[:-1] - market.fleet.fixed_om
 
 
 # How many investment states a ``Valuations`` memo holds before it empties itself.
@@ -157,13 +157,17 @@ class Valuations:
 
     Genomes of one search start from the same fleet, the scenario's
     initial one, and often value the same state: the same decision year,
-    the same purchases so far and the same merit order of the catalog at
-    the forecast carbon price. The units of a state depend on the carbon
-    price only through that order, so a state valued again is only priced
+    the same purchases so far and the same merit ranks of the catalog at
+    the forecast carbon price (``dispatch.price_catalog``). The units of a
+    state depend on the carbon price only through those ranks, which key
+    the market's offers as (rank, id), the form the oracle's
+    ``merit_order_key`` (SRMC, emission factor, id) takes in a
+    ``dispatch.MarketYear``. So a state valued again is only priced
     (``dispatch.price_units``) at the genome's own SRMCs: no market is
-    built or grown, and the figures are those of a fresh probe bit for bit.
+    built or grown, and the figures are those of a fresh probe bit for
+    bit.
 
-    A state's key is (decision year, history, catalog order):
+    A state's key is (decision year, history, ranks):
     - the history names the purchases so far. The scenario's initial
       fleet's is 0, so a memo should be shared only among fleets grown
       from it by ``Fleet.buy``, as those of
@@ -176,14 +180,21 @@ class Valuations:
       year and the count, and the row is pinned down. Each new history
       takes the next number of a counter that never repeats, so no number
       ever names two histories;
-    - the catalog order is the ``merit_ranks`` of the technologies'
-      (SRMC, emission factor) pairs, so equal pairs share a rank.
+    - the ranks are each technology's merit rank, the dense rank of its
+      (SRMC, emission factor) pair, so equal pairs share a rank.
+
+    A state's units are its energy and, in the smallest unsigned dtype
+    that holds ``len(catalog)``, its price indices.
 
     The memo empties itself, histories and states alike, before it would
     hold more than ``MEMO_STATES`` states; a genome in flight then only
     misses, since its history's number is never given out again. A memo
-    belongs to one scenario. Pickled, it crosses to another process
-    empty: each chunk of a pool's ``map`` unpickles its own.
+    belongs to one scenario and one search, named by its ``token``, the
+    creating process's id and a count. Pickled, it crosses to another
+    process empty: it loads as the memo that process holds for the token,
+    made empty by the first load, so each pool worker keeps one memo for
+    the search across the chunks of genomes it scores. A process holds one
+    search's memo: a load of another token replaces it.
     """
 
     def __init__(self):
@@ -191,9 +202,10 @@ class Valuations:
         self.states: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}  # key -> units
         self.last_history = 0
         self.hits = self.misses = 0
+        self.token = os.getpid(), next(_tokens)
 
     def __reduce__(self):
-        return Valuations, ()
+        return _held_memo, (self.token,)
 
     def history(self, parent: int, k: int, plant_id: str) -> int:
         """The history of ``parent`` after it buys ``plant_id``, of catalog technology ``k``."""
@@ -204,7 +216,7 @@ class Valuations:
         return history
 
     def units(self, key: tuple, market) -> tuple[np.ndarray, np.ndarray]:
-        """The units of state ``key``; on a miss, ``market().units()``, kept."""
+        """The units of state ``key``; on a miss, ``market().units()``, kept (see above)."""
         units = self.states.get(key)
         if units is not None:
             self.hits += 1
@@ -213,8 +225,20 @@ class Valuations:
         if len(self.states) >= MEMO_STATES:
             self.histories.clear()
             self.states.clear()
-        units = self.states[key] = market().units()
+        energy, index = market().units()
+        # a row per catalog technology: the smallest unsigned dtype that holds
+        # len(energy) holds every index, loss of load's len(catalog) too
+        units = self.states[key] = energy, index.astype(np.min_scalar_type(len(energy)))
         return units
+
+
+_tokens = itertools.count()  # numbers the memos this process makes
+
+
+@lru_cache(maxsize=1)  # one search's memo at a time: a new token evicts the last
+def _held_memo(token: tuple[int, int]) -> Valuations:
+    """The memo this process holds for the search of ``token``, made empty by the first load."""
+    return Valuations()
 
 
 class YearProbes:
@@ -227,19 +251,22 @@ class YearProbes:
     ``MarketYear.add`` with the plants bought since for each later state.
     Built late, it holds what a build at the start of the year grown by
     ``add`` would. When built, the probes price the catalog there once
-    (``dispatch.price_catalog``), and the market is handed those prices.
-    Only the fleet's last length can be looked up again, so only the last
-    state valued is kept: its fleet length and its NPVs.
+    (``dispatch.price_catalog``): ``ranks``, each technology's merit rank,
+    the dense rank of its (SRMC, emission factor) pair, and ``prices``.
+    The market is handed both, and keys its offers by (rank, id), the
+    form the oracle's (SRMC, emission factor, id) takes there. Only the
+    fleet's last length can be looked up again, so only the last state
+    valued is kept: its fleet length and its NPVs.
 
-    With a ``memo`` (a search's ``Valuations``), the probes also rank the
-    catalog's (SRMC, emission factor) pairs when built (``merit_ranks``),
-    and ``probe`` looks the state up there first and builds or grows the
-    market only on a miss. ``lineage`` is (fleet rows, history): the rows
-    a history of the memo accounts for, and that history. The default is
-    the scenario's initial fleet, as history 0, so the plants the fleet
-    holds past it are interned as purchases: the memo should be shared
-    only among fleets grown from the initial fleet by ``Fleet.buy``. The
-    next year's probes start from this one's ``lineage``.
+    With a ``memo`` (a search's ``Valuations``), the same ranks key the
+    state there, and ``probe`` looks the state up first and builds or
+    grows the market only on a miss. ``lineage`` is (fleet rows,
+    history): the rows a history of the memo accounts for, and that
+    history. The default is the scenario's initial fleet, as history 0,
+    so the plants the fleet holds past it are interned as purchases: the
+    memo should be shared only among fleets grown from the initial fleet
+    by ``Fleet.buy``. The next year's probes start from this one's
+    ``lineage``.
 
     The catalog's NPVs are worked out together, equal to ``npv`` bit for
     bit: one ``np.add.accumulate`` adds each row of a (technology x year)
@@ -254,13 +281,9 @@ class YearProbes:
         self.decision_year, self.fleet, self.memo = decision_year, fleet, memo
         self.lineage = (len(s.initial_fleet), 0) if lineage is None else lineage
         self.future_year = decision_year + REVENUE_PROBE_YEARS
-        self.carbon_price = forecast.predict(self.future_year)
-        # the catalog priced in the future year at the forecast: its (SRMC, emission
-        # factor) pairs and prices, its SRMCs and, for the memo, their merit_ranks
-        self.priced = price_catalog(fleet, self.future_year, self.carbon_price)
-        pairs, self.prices = self.priced
-        self.srmc = self.prices[:-1]
-        self.order = None if memo is None else merit_ranks(pairs)
+        # the catalog priced in the future year at the forecast: its merit ranks and prices
+        self.ranks, self.prices = price_catalog(fleet, self.future_year,
+                                                forecast.predict(self.future_year))
         self.market: MarketYear | None = None  # built by the first state that needs it
         self.idle, self.fixed, self.factors, self.capital = _npv_terms(
             s.technologies, s.discount_rate)
@@ -286,14 +309,13 @@ class YearProbes:
         for k, plant_id in zip(self.fleet.tech[rows:], self.fleet.ids[rows:]):
             history = self.memo.history(history, k, plant_id)
         self.lineage = len(self.fleet), history
-        units = self.memo.units((self.decision_year, history, self.order), self._market)
+        units = self.memo.units((self.decision_year, history, self.ranks), self._market)
         return price_units(*units, self.prices)
 
     def _market(self) -> MarketYear:
         """The future market, built by the first call and grown to the fleet."""
         if self.market is None:
-            self.market = MarketYear(self.fleet, self.future_year, self.carbon_price,
-                                     priced=self.priced)
+            self.market = MarketYear(self.fleet, self.future_year, self.ranks, self.prices)
         self.market.add()
         return self.market
 

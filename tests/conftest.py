@@ -3,10 +3,12 @@ small markets the market kernel and the cash flows are held to the oracle on."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import strategies as st
 
-from carbonopt.dispatch import CANDIDATE_ID
+from carbonopt.dispatch import CANDIDATE_ID, MarketYear, price_catalog
 from carbonopt.scenario import (
     DaySegment,
     GenCo,
@@ -108,6 +110,28 @@ def static_fossil_scenario():
         id="gas-1", technology=tech, owner="g1", commission_year=2000, unit_count=1
     )
     return make_scenario([tech], [plant])
+
+
+def market_year(fleet, year, carbon_price, demand_scale=1.0) -> MarketYear:
+    """``fleet``'s market-year, its catalog priced at ``carbon_price``, as ``run_year`` builds it."""
+    return MarketYear(fleet, year, *price_catalog(fleet, year, carbon_price), demand_scale)
+
+
+def float_bits(value):
+    """``value`` with each float in it spelled by ``float.hex``, so ``==`` compares bits.
+
+    It looks into tuples, lists, dict values and dataclass fields; ``-0.0``
+    and ``0.0`` differ, as ``repr`` tells them apart in the result files.
+    """
+    if isinstance(value, float):
+        return value.hex()
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, float_bits(dataclasses.asdict(value))
+    if isinstance(value, dict):
+        return {key: float_bits(item) for key, item in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [float_bits(item) for item in value]
+    return value
 
 
 def fleet_columns(fleet) -> tuple[list, ...]:

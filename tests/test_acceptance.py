@@ -18,7 +18,7 @@ import pytest
 
 from carbonopt.benchmarks import BENCHMARKS, generational_distance
 from carbonopt.cli import main
-from carbonopt.dispatch import Fleet, MarketYear, clear_segment, merit_order_key
+from carbonopt.dispatch import Fleet, clear_segment, merit_order_key
 from carbonopt.investment import fit_carbon_forecast, npv
 from carbonopt import nsga2
 from carbonopt.nsga2 import GAConfig, evolve, fast_non_dominated_sort
@@ -26,6 +26,7 @@ from carbonopt.policy import FREE, CarbonPolicy
 from carbonopt.scenario import DaySegment, RepresentativeDay, Scenario
 from carbonopt.simulation import run_simulation
 
+from conftest import market_year
 from test_dispatch import brute_force_min_cost, mk_bid
 
 
@@ -110,7 +111,7 @@ def one_hour_market(demand: float, bids, voll: float):
         base_carbon_intensity=1.0,
         loss_of_load_price=voll,
     )
-    return MarketYear(Fleet(s, fleet), 2020, 0.0).clear()
+    return market_year(Fleet(s, fleet), 2020, 0.0).clear()
 
 
 def test_criterion_3_dispatch_properties():

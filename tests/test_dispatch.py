@@ -12,7 +12,6 @@ from carbonopt.dispatch import (
     CANDIDATE_ID,
     Bid,
     Fleet,
-    MarketYear,
     clear_segment,
     merit_order_key,
     run_year,
@@ -25,9 +24,11 @@ from carbonopt.scenario import DaySegment, PowerPlant, RepresentativeDay
 from conftest import (
     FULL_DAY,
     fleet_columns,
+    float_bits,
     fleet_plants,
     make_scenario,
     make_tech,
+    market_year,
     plant_ids,
     probe_markets,
 )
@@ -385,7 +386,7 @@ class TestRunYear:
         assert result.carbon_intensity == pytest.approx(350400.0 * 0.2 / 876000.0)
         # "a" earns the 10 £/MWh set by "b" on all it runs
         # "cheap" is catalog entry 0
-        energy, revenue = MarketYear(Fleet(s, [p2]), 2020, 0.0).probe()
+        energy, revenue = market_year(Fleet(s, [p2]), 2020, 0.0).probe()
         assert (energy[0], revenue[0]) == pytest.approx((525600.0, 525600.0 * 10.0))
 
     def test_demand_growth_scales_each_year(self, static_fossil_scenario):
@@ -421,9 +422,10 @@ class TestProbeMarket:
     @settings(max_examples=300, deadline=None)
     def test_probe_equals_full_clearing_exactly(self, case):
         s, fleet, year, carbon_price = case
-        energy, revenue = MarketYear(Fleet(s, fleet), year, carbon_price).probe()
+        energy, revenue = market_year(Fleet(s, fleet), year, carbon_price).probe()
         for k, unit in enumerate(candidates(s, year)):
-            assert (energy[k], revenue[k]) == reference_probe(fleet, unit, year, carbon_price, s)
+            expected = float_bits(reference_probe(fleet, unit, year, carbon_price, s))
+            assert float_bits((energy[k], revenue[k])) == expected
 
     @given(case=probe_markets(), data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -442,17 +444,17 @@ class TestProbeMarket:
             for _ in range(data.draw(st.integers(1, 4)))
         ]
         split = data.draw(st.integers(0, len(plants)))
-        market = MarketYear(Fleet(s, fleet), year, carbon_price)
+        market = market_year(Fleet(s, fleet), year, carbon_price)
         for batch in (plants[:split], plants[split:]):
             market.fleet.extend(batch)
             market.add()
         (energy, revenue), (fresh_energy, fresh_revenue) = (
-            market.probe(), MarketYear(Fleet(s, fleet + plants), year, carbon_price).probe()
+            market.probe(), market_year(Fleet(s, fleet + plants), year, carbon_price).probe()
         )
         for k, unit in enumerate(candidates(s, year)):
-            expected = reference_probe(fleet + plants, unit, year, carbon_price, s)
-            assert (energy[k], revenue[k]) == expected
-            assert (fresh_energy[k], fresh_revenue[k]) == expected
+            expected = float_bits(reference_probe(fleet + plants, unit, year, carbon_price, s))
+            assert float_bits((energy[k], revenue[k])) == expected
+            assert float_bits((fresh_energy[k], fresh_revenue[k])) == expected
 
     @given(case=probe_markets(), data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -460,7 +462,7 @@ class TestProbeMarket:
         # units bought as fleet rows over several adds: some inactive in the year, ids
         # on both sides of the fleet's and of the probe's, keys tied with the fleet's
         s, fleet, year, carbon_price = case
-        market = MarketYear(Fleet(s, fleet), year, carbon_price)
+        market = market_year(Fleet(s, fleet), year, carbon_price)
         for _ in range(data.draw(st.integers(1, 3))):
             for _ in range(data.draw(st.integers(0, 3))):
                 market.fleet.buy(data.draw(st.sampled_from(["g1", "g2"])),
@@ -468,7 +470,7 @@ class TestProbeMarket:
                                  data.draw(plant_ids),
                                  data.draw(st.sampled_from([1990, 2016, 2019, 2020, 2021])))
             market.add()
-        fresh = MarketYear(Fleet(s, fleet_plants(market.fleet)), year, carbon_price)
+        fresh = market_year(Fleet(s, fleet_plants(market.fleet)), year, carbon_price)
         assert [a.tolist() for a in market.probe()] == [a.tolist() for a in fresh.probe()]
         result, expected = market.clear(), fresh.clear()
         assert result == expected
@@ -490,16 +492,17 @@ class TestProbeMarket:
             )
             for _ in range(data.draw(st.integers(1, 4)))
         ]
-        market = MarketYear(Fleet(s, fleet), year, carbon_price)
+        market = market_year(Fleet(s, fleet), year, carbon_price)
         energy, revenue = market.probe()
         for k, unit in enumerate(candidates(s, year)):
-            assert (energy[k], revenue[k]) == reference_probe(fleet, unit, year, carbon_price, s)
+            expected = float_bits(reference_probe(fleet, unit, year, carbon_price, s))
+            assert float_bits((energy[k], revenue[k])) == expected
         market.fleet.extend(plants)
         market.add()
         energy, revenue = market.probe()
         for k, unit in enumerate(candidates(s, year)):
-            expected = reference_probe(fleet + plants, unit, year, carbon_price, s)
-            assert (energy[k], revenue[k]) == expected
+            expected = float_bits(reference_probe(fleet + plants, unit, year, carbon_price, s))
+            assert float_bits((energy[k], revenue[k])) == expected
         result = market.clear()
         expected = reference_year(fleet + plants, year, carbon_price, s)
         assert result == expected
@@ -516,15 +519,15 @@ class TestProbeMarket:
                        owner="g1", commission_year=year, unit_count=data.draw(st.integers(1, 3)))
             for _ in range(data.draw(st.integers(2, 5)))
         ]
-        market = MarketYear(Fleet(s, fleet), year, carbon_price)
+        market = market_year(Fleet(s, fleet), year, carbon_price)
         for batch in (plants[:1], plants[1:]):
             market.fleet.extend(batch)
             market.add()
         energy, revenue = market.probe()
         for k, unit in enumerate(candidates(s, year)):
-            assert (energy[k], revenue[k]) == reference_probe(
+            assert float_bits((energy[k], revenue[k])) == float_bits(reference_probe(
                 fleet + plants, unit, year, carbon_price, s
-            )
+            ))
         result = market.clear()
         expected = reference_year(fleet + plants, year, carbon_price, s)
         assert result == expected
@@ -538,7 +541,7 @@ class TestProbeMarket:
                                  variable_om=0.0, emission_factor=0.0, construction_lag_years=0)
                        for name in ("wind", "solar"))
         s = make_scenario([wind, solar], [])
-        built, grown = Fleet(s), MarketYear(Fleet(s), 2020, 0.0)
+        built, grown = Fleet(s), market_year(Fleet(s), 2020, 0.0)
         for fleet in (built, grown.fleet):
             fleet.buy("g1", 0, "a\0", 2000)
             fleet.buy("g1", 1, "a", 2000)
@@ -547,13 +550,14 @@ class TestProbeMarket:
         expected = reference_year(plants, 2020, 0.0, s)
         assert list(expected.energy_by_technology.items()) == [("solar", 525600.0),
                                                                ("wind", 175200.0)]
-        for market in (MarketYear(built, 2020, 0.0), grown):
+        for market in (market_year(built, 2020, 0.0), grown):
             result = market.clear()
             assert result == expected
             assert list(result.energy_by_technology) == list(expected.energy_by_technology)
             energy, revenue = market.probe()
             for k, unit in enumerate(candidates(s, 2020)):
-                assert (energy[k], revenue[k]) == reference_probe(plants, unit, 2020, 0.0, s)
+                probed = float_bits(reference_probe(plants, unit, 2020, 0.0, s))
+                assert float_bits((energy[k], revenue[k])) == probed
 
     @given(case=probe_markets())
     @settings(max_examples=100, deadline=None)
@@ -567,7 +571,7 @@ class TestProbeMarket:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dispatch, "srmc", counted)
-            market = MarketYear(Fleet(s, fleet), year, carbon_price)
+            market = market_year(Fleet(s, fleet), year, carbon_price)
             market.fleet.extend(candidates(s, year))
             market.add()
             market.probe()
@@ -584,10 +588,11 @@ class TestProbeMarket:
                                emission_factor=0.0, capacity_mw=capacity)
             busy = dataclasses.replace(FULL_DAY, segments=(DaySegment(24.0, 150.0, 0.5, 0.5),))
             s_busy = make_scenario([s.technologies[0], peaker], fleet, days=(busy,))
-            market = MarketYear(Fleet(s_busy, fleet), 2020, 0.0)
+            market = market_year(Fleet(s_busy, fleet), 2020, 0.0)
             (unit,) = candidates(s_busy, 2020)[1:]
             (_, energy), (_, revenue) = market.probe()  # the peaker is catalog entry 1
-            assert (energy, revenue) == reference_probe(fleet, unit, 2020, 0.0, s_busy)
+            expected = float_bits(reference_probe(fleet, unit, 2020, 0.0, s_busy))
+            assert float_bits((energy, revenue)) == expected
             assert energy == min(capacity, 50.0) * 8760.0
             assert revenue == energy * price
 
@@ -598,9 +603,10 @@ class TestProbeMarket:
             DaySegment(8.0, 1000.0, 0.5, 0.5), DaySegment(16.0, 500.0, 0.5, 0.5),
         ))
         s_short = make_scenario(list(s.technologies), fleet, days=(starved,))
-        market = MarketYear(Fleet(s_short, fleet), 2020, 10.0)
+        market = market_year(Fleet(s_short, fleet), 2020, 10.0)
         (unit,) = candidates(s_short, 2020)
         (energy,), (revenue,) = market.probe()
-        assert (energy, revenue) == reference_probe(fleet, unit, 2020, 10.0, s_short)
+        expected = float_bits(reference_probe(fleet, unit, 2020, 10.0, s_short))
+        assert float_bits((energy, revenue)) == expected
         assert energy == 100.0 * 8.0 * 365.0 + 100.0 * 16.0 * 365.0
         assert revenue == pytest.approx(energy * VOLL)

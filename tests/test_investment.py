@@ -20,7 +20,6 @@ from carbonopt.investment import (
     estimate_yearly_revenue,
     fit_carbon_forecast,
     invest,
-    merit_ranks,
     npv,
 )
 from carbonopt.policy import bounds, decode
@@ -36,7 +35,9 @@ from carbonopt.scenario import (
 
 from carbonopt.simulation import Event, _event_log, _invest_over_horizon
 
-from conftest import fleet_columns, fleet_plants, make_scenario, make_tech, plant_ids, probe_markets
+from conftest import (
+    fleet_columns, fleet_plants, make_scenario, make_tech, market_year, plant_ids, probe_markets,
+)
 from oracle import reference_yearly_revenue
 
 
@@ -163,7 +164,7 @@ def yearly_revenue(candidate, s, fleet, forecast, decision_year=2020):
     """The candidate's entry of ``estimate_yearly_revenue`` in the future market ``YearProbes``
     builds for the state."""
     future_year = decision_year + REVENUE_PROBE_YEARS
-    market = MarketYear(fleet, future_year, forecast.predict(future_year))
+    market = market_year(fleet, future_year, forecast.predict(future_year))
     return estimate_yearly_revenue(market, decision_year, s, fleet)[s.technologies.index(candidate)]
 
 
@@ -240,7 +241,7 @@ class TestEstimateRevenue:
             )
             for _ in range(data.draw(st.integers(1, 4)))
         ]
-        market = MarketYear(Fleet(s, fleet), year, carbon_price)
+        market = market_year(Fleet(s, fleet), year, carbon_price)
         for state in (fleet, fleet + plants):
             market.fleet.extend(state[len(market.fleet):])  # nothing, then the plants
             market.add()
@@ -517,9 +518,9 @@ class TestValuations:
         # two carbon prices that rank the catalog alike give the same units, bit
         # for bit, and either market's units priced at the other's prices probe it
         s, fleet, year, carbon_price = case
-        pairs = [price_catalog(Fleet(s, ()), year, price)[0] for price in (carbon_price, other)]
-        assume(merit_ranks(pairs[0]) == merit_ranks(pairs[1]))
-        markets = [MarketYear(Fleet(s, fleet), year, price) for price in (carbon_price, other)]
+        ranks = [price_catalog(Fleet(s, ()), year, price)[0] for price in (carbon_price, other)]
+        assume(ranks[0] == ranks[1])
+        markets = [market_year(Fleet(s, fleet), year, price) for price in (carbon_price, other)]
         bought = data.draw(st.sampled_from(s.technologies))
         for market in markets:  # and after a purchase the markets place by bisection
             market.fleet.buy("g2", s.technologies.index(bought), "g2:x:2020:1", year - 1)
@@ -555,6 +556,8 @@ class TestValuations:
         memo = Valuations()
         assert self.passes(uk_scenario, genomes, memo) == self.passes(uk_scenario, genomes, None)
         assert memo.hits > 0 and memo.misses == len(memo.states)
+        # 7 technologies: a price index, loss of load's 7 too, is kept in one byte
+        assert {index.dtype for _, index in memo.states.values()} == {np.dtype(np.uint8)}
 
     def test_a_memo_that_empties_itself_mid_search_changes_nothing(self, uk_scenario, monkeypatch):
         # a history number given out before the memo emptied itself must never
@@ -631,6 +634,28 @@ class TestValuations:
             shared = YearProbes(2018, forecast, fleet, memo).value()
             assert shared == YearProbes(2018, forecast, fleet).value()
         assert memo.hits == 0
+
+    def test_a_process_loads_one_memo_per_search(self, uk_scenario):
+        # a pool's worker unpickles the search's memo once per chunk of genomes: every
+        # load of one search's memo is the one memo the process holds, empty at first
+        memo = Valuations()
+        self.passes(uk_scenario, self.genomes(uk_scenario, 1, seed=5), memo)
+        pickled = pickle.dumps(memo)
+        held = pickle.loads(pickled)
+        assert held is not memo and not held.states and not held.histories
+        genomes = self.genomes(uk_scenario, 1, seed=6)
+        plain = self.passes(uk_scenario, genomes, None)
+        assert self.passes(uk_scenario, genomes, held) == plain
+        valued, hits = dict(held.states), held.hits
+        assert valued
+        again = pickle.loads(pickled)
+        assert again is held and again.states == valued
+        assert self.passes(uk_scenario, genomes, again) == plain  # the next chunk only hits
+        assert again.misses == len(valued) and again.hits > hits
+        # a new search's memo replaces it: the first search's loads empty again
+        other = pickle.loads(pickle.dumps(Valuations()))
+        assert other is not held and not other.states
+        assert not pickle.loads(pickled).states
 
     def test_a_memo_is_pickled_empty(self, uk_scenario):
         memo = Valuations()

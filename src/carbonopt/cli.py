@@ -13,7 +13,8 @@ generation at a time, as it is written); ``_run`` writes them
 with a ``manifest.json`` that records the fully resolved configuration,
 the output directory and checksums of the scenario and of the package
 code. Replaying a manifest reproduces the result files byte for byte
-(the manifest's own timing block is the only thing that varies), and is
+(the manifest's own timing block is the only thing that varies, and its
+host block names the Python and numpy versions that ran it), and is
 refused when the code or the scenario has changed. Exit codes: 0
 success, 1 invalid input, 2 runtime failure, 3 benchmark quality gate
 failed.
@@ -26,11 +27,14 @@ import datetime
 import functools
 import math
 import os
+import platform
 import sys
 import time
 import typing
 from collections.abc import Iterator
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .benchmarks import BENCHMARKS, generational_distance
@@ -246,6 +250,8 @@ def _run(command: str, args: dict) -> int:
                 "args": args,
                 **inputs,
                 "outputs": outputs,
+                # what ran it, for the reader: replay compares none of it, as hosts differ
+                "host": {"python": platform.python_version(), "numpy": np.__version__},
                 "timings": {
                     "started_utc": started.isoformat(timespec="seconds"),
                     "elapsed_seconds": round(time.perf_counter() - t0, 3),

@@ -242,7 +242,8 @@ MANIFEST_NAME = "manifest.json"
 
 
 def write_manifest(out_dir: Path, manifest: dict) -> None:
-    """Write the record of one run; its ``timings`` are all that varies between identical runs."""
+    """Write the record of one run; its ``timings`` are all that varies between identical runs
+    on one machine."""
     _write_all_or_nothing(Path(out_dir), {MANIFEST_NAME: json.dumps(manifest, indent=2) + "\n"})
 
 

@@ -288,7 +288,15 @@ def validate_scenario(s: Scenario) -> list[Violation]:
         if {f"{path}.capacity_mw", f"{path}.capital_cost"} & refused:
             continue
         unit = tech.capital_cost * tech.capacity_mw
-        if richest > MAX_PURCHASES * unit:
+        if unit == 0.0:  # a free unit is affordable to every budget, 0 included, forever
+            out.append(
+                Violation(
+                    f"{path}.capacity_mw",
+                    f"one unit's cost, capital_cost x capacity_mw = {tech.capital_cost:g} x "
+                    f"{tech.capacity_mw:g}, underflows to 0",
+                )
+            )
+        elif richest > MAX_PURCHASES * unit:
             out.append(
                 Violation(
                     f"{path}.capacity_mw",

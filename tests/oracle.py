@@ -9,7 +9,8 @@ from scratch, with no market shared between states.
 
 The optimizer oracles are pairwise Python loops: ``dominates`` and the
 front sorts built on it, per-member crowding, and the child loop that
-draws and varies one pair at a time.
+draws and varies one pair at a time. ``reference_generational_distance``
+scores a whole front in one (points x reference x objectives) tensor.
 """
 
 from __future__ import annotations
@@ -202,6 +203,16 @@ def brute_force_fronts(objectives):
         fronts.append(front)
         remaining = [i for i in remaining if i not in front]
     return fronts
+
+
+def reference_generational_distance(points, reference):
+    """Generational distance from one whole-front difference tensor: the oracle for the
+    blocked score."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    reference = np.asarray(reference, dtype=float)
+    diffs = points[:, None, :] - reference[None, :, :]
+    nearest = np.sqrt((diffs**2).sum(axis=2)).min(axis=1)
+    return float(np.sqrt((nearest**2).sum()) / nearest.shape[0])
 
 
 def reference_sort(objs):

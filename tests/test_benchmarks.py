@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carbonopt.benchmarks import (
     BENCHMARKS,
@@ -15,6 +18,21 @@ from carbonopt.benchmarks import (
     zdt1_front,
 )
 from carbonopt.nsga2 import GAConfig, evolve
+from conftest import float_bits
+from oracle import reference_generational_distance
+
+
+@st.composite
+def fronts_and_references(draw):
+    """A reference front and an obtained front of 1-300 points in 2 or 3 objectives. The
+    obtained points repeat rows of a small pool that mixes reference points with others."""
+    dims = draw(st.sampled_from([2, 3]))
+    row = st.lists(st.floats(-10.0, 10.0, width=64), min_size=dims, max_size=dims)
+    reference = draw(st.lists(row, min_size=1, max_size=40))
+    pool = draw(st.lists(st.one_of(st.sampled_from(reference), row), min_size=1, max_size=20))
+    size = draw(st.integers(1, 300))
+    points = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+    return np.array(points), np.array(reference)
 
 
 class TestProblems:
@@ -56,6 +74,32 @@ class TestGenerationalDistance:
         points = np.tile([3.0, 4.0], (4, 1))
         # sqrt(4 * 25) / 4 = 2.5
         assert generational_distance(points, reference) == pytest.approx(2.5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(fronts_and_references())
+    def test_blocks_equal_the_whole_front_tensor_exactly(self, case):
+        points, reference = case
+        assert float_bits(generational_distance(points, reference)) == float_bits(
+            reference_generational_distance(points, reference)
+        )
+
+    def test_a_1000_point_front_traces_under_2_mb(self):
+        # One whole-front tensor of 1,000 points x 1,024 samples x 2 objectives
+        # would take 16 MB, and its square as much again.
+        points = np.random.default_rng(0).random((1000, 2))
+        reference = zdt1_front()
+        tracemalloc.start()
+        try:
+            generational_distance(points, reference)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+    @pytest.mark.parametrize("points", [np.empty((0, 2)), []])
+    def test_empty_front_is_refused(self, points):
+        with pytest.raises(ValueError, match="front is empty"):
+            generational_distance(points, zdt1_front())
 
     def test_zdt1_front_shape(self):
         front = zdt1_front(256)

@@ -7,11 +7,13 @@ import dataclasses
 import json
 import math
 import os
+import platform
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import carbonopt
@@ -594,11 +596,13 @@ class TestManifest:
             ),
         }[command]
         assert main([command, *argv, "--out", out + "/"]) == 0  # recorded without the slash
-        args = json.loads((tmp_path / "out" / "manifest.json").read_text())["args"]
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        args = manifest["args"]
         assert list(args) == list(expected)
         assert args == expected
         # 15 == 15.0, so the values alone would let an int-typed float flag pass
         assert [type(v) for v in args.values()] == [type(v) for v in expected.values()]
+        assert manifest["host"] == {"python": platform.python_version(), "numpy": np.__version__}
 
     @pytest.mark.parametrize("command", ["simulate", "optimize", "benchmark"])
     def test_identical_runs_and_a_replay_write_the_same_manifest(self, command, fossil_path, tmp_path):
@@ -606,7 +610,8 @@ class TestManifest:
             # only the timings vary between identical runs; the text keeps the key order
             manifest = json.loads((out / "manifest.json").read_text())
             assert list(manifest) == [
-                "command", "args", "version", "scenario_sha256", "code_sha256", "outputs", "timings",
+                "command", "args", "version", "scenario_sha256", "code_sha256", "outputs", "host",
+                "timings",
             ]
             del manifest["timings"]
             if drop_out:
@@ -626,6 +631,18 @@ class TestManifest:
         assert text(out_a) == first
         assert main(["replay", str(out_a / "manifest.json"), "--out", str(out_b)]) == 0
         assert text(out_b, drop_out=True) == text(out_a, drop_out=True)
+
+    def test_a_manifest_from_another_host_replays(self, tmp_path):
+        # hosts differ, so the recorded host is never compared
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main(["benchmark", "--problem", "schaffer", "--pop", "8", "--gens", "2",
+                     "--seed", "2", "--out", str(out_a)]) == 0
+        manifest = json.loads((out_a / "manifest.json").read_text())
+        manifest["host"]["numpy"] = "0.0.0"
+        (out_a / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["replay", str(out_a / "manifest.json"), "--out", str(out_b)]) == 0
+        for name in ("generations.csv", "pareto.json"):
+            assert (out_b / name).read_bytes() == (out_a / name).read_bytes()
 
     def test_a_manifest_without_a_top_level_seed_replays(self, tmp_path):
         # the run's seed is args.seed, the value a replay runs with

@@ -429,6 +429,17 @@ class TestNumericGuards:
         paths = [v.path for v in validate_scenario(scenario_from_dict(raw))]
         assert paths == (["technologies[solar].capacity_mw"] if refused else [])
 
+    def test_a_unit_whose_cost_underflows_is_refused(self):
+        # each factor is > 0, but their product is 0.0, which every budget affords, even 0
+        raw = two_year_uk()
+        ocgt = next(t for t in raw["technologies"] if t["name"] == "ocgt")
+        ocgt.update(capital_cost=1e-200, capacity_mw=1e-200)
+        for genco in raw["gencos"]:
+            genco["budget"] = 0.0
+        violations = validate_scenario(scenario_from_dict(raw))
+        assert [v.path for v in violations] == ["technologies[ocgt].capacity_mw"]
+        assert "underflows to 0" in violations[0].message
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, 2.5])
     def test_non_integer_count_is_named(self, tmp_path, value):
         data = copy.deepcopy(MINIMAL)

@@ -14,10 +14,12 @@ random draw, in the order of the contract below, and records it: no draw
 depends on a genome value. Then crossover and the resets run once on
 (pairs x genes) arrays.
 
-Fronts are sorted from a numpy dominance matrix, one objective column at
-a time, and peeled by vectorised dominator counts. Their member order is
-that of the classic pairwise sort (F1 by row; a later front by the
-position of each member's last dominator in the front before, then by
+Fronts are sorted from a numpy dominance matrix, built from one ``<``
+comparison per objective column and its transpose, and peeled by
+vectorised dominator counts. Selection peels only the fronts that fill
+the next population: the fronts past them are never ranked. Their member
+order is that of the classic pairwise sort (F1 by row; a later front by
+the position of each member's last dominator in the front before, then by
 row), because crowding and truncation tie-break on it.
 
 Reproducibility contract: every random draw comes from one seeded
@@ -33,6 +35,7 @@ parallel evaluation cannot perturb the stream.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +58,10 @@ class GAConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("population_size", "generations", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.population_size < 4 or self.population_size % 2:
             raise ValueError(
                 f"population size must be even and >= 4, got {self.population_size}"
@@ -101,35 +108,37 @@ class FrontArchive:
         return GenerationSnapshot(last.generation, *(a[keep] for a in arrays))
 
 
-def fast_non_dominated_sort(objectives) -> list[np.ndarray]:
+def fast_non_dominated_sort(objectives, limit: int | None = None) -> list[np.ndarray]:
     """Layer the rows of an (N, M) objective array into fronts F1, F2, ... of row indices.
 
     F1 is the non-dominated set; each later front is the non-dominated
-    set once earlier fronts are removed. The fronts partition the rows.
+    set once earlier fronts are removed. With no ``limit`` the fronts
+    partition the rows; with one, the peel stops at the shortest prefix
+    of them that holds at least ``limit`` rows (none for a limit of 0).
 
-    ``dom[i, j]`` (i dominates j) is built one objective column at a
-    time: i is strictly better than j on some column and worse on none;
-    a NaN compares neither way, so its column counts for neither row.
-    Each front is peeled from the remaining dominator counts. Member
-    order is part of the contract, because crowding and truncation
-    tie-break on it: F1 is in row order, and a later front orders its
-    members by the position, in the front before, of their last
-    dominator there, then by row.
+    ``better[i, j]`` (i is strictly better than j on some column) is one
+    ``<`` comparison per objective column, and i dominates j when
+    ``better[i, j]`` and not ``better[j, i]``: a NaN compares neither
+    way, so its column counts for neither row. Each front is peeled from
+    the remaining dominator counts. Member order is part of the contract,
+    because crowding and truncation tie-break on it: F1 is in row order,
+    and a later front orders its members by the position, in the front
+    before, of their last dominator there, then by row.
     """
     objs = np.asarray(objectives, dtype=float)
     n = len(objs)
     better = np.zeros((n, n), dtype=bool)
-    worse = np.zeros((n, n), dtype=bool)
     for c in objs.T:
         better |= c[:, None] < c
-        worse |= c[:, None] > c
-    dom = better & ~worse
+    dom = better & ~better.T
     counts = dom.sum(0)
 
     fronts: list[np.ndarray] = []
+    left = n if limit is None else limit
     current = np.flatnonzero(counts == 0)
-    while current.size:
+    while current.size and left > 0:
         fronts.append(current)
+        left -= current.size
         beaten = dom[current]
         hits = beaten.sum(0)
         nxt = np.flatnonzero((hits > 0) & (counts == hits))
@@ -300,13 +309,14 @@ def _score(
 
 def _select(objectives: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The best ``n`` rows, front by front, the overflowing front cut by descending
-    crowding then row; plus every row's rank and crowding (0 beyond the fronts used)."""
+    crowding then row; plus every row's rank and crowding (0 beyond the fronts used).
+
+    Only the fronts used are sorted: the peel stops once they hold ``n`` rows.
+    """
     ranks = np.zeros(len(objectives), dtype=int)
     crowding = np.zeros(len(objectives))
     chosen, room = [np.empty(0, dtype=int)], n
-    for rank, front in enumerate(fast_non_dominated_sort(objectives), start=1):
-        if room == 0:
-            break
+    for rank, front in enumerate(fast_non_dominated_sort(objectives, limit=n), start=1):
         ranks[front] = rank
         crowding[front] = crowding_distance(objectives[front])
         if front.size > room:
@@ -316,22 +326,36 @@ def _select(objectives: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.
     return np.concatenate(chosen), ranks, crowding
 
 
+def _bound_box(bounds) -> tuple[np.ndarray, np.ndarray]:
+    """The lower and upper bound arrays of a box of ``(low, high)`` pairs, one per gene;
+    an empty box, a non-finite bound or a low above its high is refused by gene index."""
+    lows = np.array([b[0] for b in bounds], dtype=float)
+    highs = np.array([b[1] for b in bounds], dtype=float)
+    if lows.size == 0:
+        raise ValueError("the bound box holds no gene")
+    for gene, (low, high) in enumerate(zip(lows.tolist(), highs.tolist())):
+        if not (math.isfinite(low) and math.isfinite(high)):
+            raise ValueError(f"gene {gene}'s bounds must be finite, got ({low}, {high})")
+        if low > high:
+            raise ValueError(f"gene {gene}'s lower bound {low} exceeds its upper bound {high}")
+    return lows, highs
+
+
 def evolve(fitness, cfg: GAConfig, bounds, map_fn=None) -> FrontArchive:
     """Run the full loop and archive every generation (initial population included).
 
-    ``fitness`` maps a genome array to a tuple of finite objectives to
-    minimize; it must be defined over the whole bound box and pure: a
-    child equal byte for byte to a current population member, or to an
-    earlier child of its generation, reuses that genome's objectives
-    instead of being scored again. ``map_fn`` may be a parallel
+    ``bounds`` holds one finite ``(low, high)`` pair per gene, low <= high; a
+    bad box is refused before anything is drawn or scored. ``fitness`` maps
+    a genome array to a tuple of finite objectives to minimize; it must be
+    defined over the whole bound box and pure: a child equal byte for byte
+    to a current population member, or to an earlier child of its
+    generation, reuses that genome's objectives instead of being scored
+    again. ``map_fn`` may be a parallel
     order-preserving map; results are merged in submission order. A
     failing evaluation aborts the run and reports the offending genome.
     """
+    lows, highs = _bound_box(bounds)
     rng = np.random.default_rng(cfg.seed)
-    lows = np.array([b[0] for b in bounds], dtype=float)
-    highs = np.array([b[1] for b in bounds], dtype=float)
-    if np.any(lows > highs):
-        raise ValueError("lower bound exceeds upper bound")
     mapper = map_fn if map_fn is not None else map
     n = cfg.population_size
 
@@ -344,7 +368,7 @@ def evolve(fitness, cfg: GAConfig, bounds, map_fn=None) -> FrontArchive:
     for generation in range(1, cfg.generations + 1):
         children = _offspring(pop, rng, cfg, lows, highs)
         # children that copy a current member (or an earlier child) are not rescored
-        known = {g.tobytes(): tuple(o) for g, o in zip(pop.genomes, pop.objectives)}
+        known = {g.tobytes(): o for g, o in zip(pop.genomes, map(tuple, pop.objectives.tolist()))}
         child_objectives = _score(fitness, list(children), mapper, known)
 
         # rows 0..n-1 are the population, n.. its children: the row is the tie-break

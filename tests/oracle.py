@@ -8,9 +8,10 @@ way: every candidate unit is valued by clearing ``fleet + [candidate]``
 from scratch, with no market shared between states.
 
 The optimizer oracles are pairwise Python loops: ``dominates`` and the
-front sorts built on it, per-member crowding, and the child loop that
-draws and varies one pair at a time. ``reference_generational_distance``
-scores a whole front in one (points x reference x objectives) tensor.
+front sorts built on it, per-member crowding, the selection cut built on
+those two, and the child loop that draws and varies one pair at a time.
+``reference_generational_distance`` scores a whole front in one (points x
+reference x objectives) tensor.
 """
 
 from __future__ import annotations
@@ -264,6 +265,23 @@ def reference_crowding(front):
             if dists[k] != math.inf:
                 dists[k] += (values[order[pos + 1]] - values[order[pos - 1]]) / span
     return dists
+
+
+def reference_select(objs, n):
+    """The best ``n`` rows front by front from ``reference_sort`` and ``reference_crowding``,
+    the overflowing front cut by (-crowding, row): the oracle for ``_select``. Returns the
+    chosen rows, and every row's rank and crowding (0 beyond the fronts used), as lists."""
+    ranks, crowding, chosen = [0] * len(objs), [0.0] * len(objs), []
+    for rank, front in enumerate(reference_sort(objs), start=1):
+        room = n - len(chosen)
+        if room == 0:
+            break
+        for i, dist in zip(front, reference_crowding([objs[i] for i in front])):
+            ranks[i], crowding[i] = rank, dist
+        if len(front) > room:
+            front = sorted(front, key=lambda i: (-crowding[i], i))[:room]
+        chosen += front
+    return chosen, ranks, crowding
 
 
 def reference_tournament(ranks, crowding, rng):

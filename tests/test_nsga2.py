@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,11 +24,13 @@ from carbonopt.nsga2 import (
     mutate,
     sbx_crossover,
 )
+from conftest import float_bits
 from oracle import (
     brute_force_fronts,
     dominates,
     reference_crowding,
     reference_offspring,
+    reference_select,
     reference_sort,
 )
 
@@ -123,6 +126,18 @@ class TestFastNonDominatedSort:
             _, ranks, _ = nsga2._select(objs, n)
             assert ranks.tolist() == ranks_of(expected, n)
 
+    def test_a_limit_stops_at_the_shortest_prefix_that_holds_it(self):
+        rng = np.random.default_rng(20261021)
+        for n in [0, 1, 2, 120] + rng.integers(0, 41, size=150).tolist():
+            objs = random_objectives(rng, n, int(rng.integers(1, 5)))
+            expected = reference_sort([tuple(row) for row in objs.tolist()])
+            held = np.cumsum([0] + [len(front) for front in expected])  # rows of the first k
+            for limit in range(n + 2):
+                fronts = fast_non_dominated_sort(objs, limit=limit)
+                # the fewest fronts holding ``limit`` rows; all of them past n
+                k = int(np.searchsorted(held, limit))
+                assert [front.tolist() for front in fronts] == expected[:k]
+
     def test_no_member_dominates_within_a_front(self):
         rng = np.random.default_rng(99)
         objs = rows(*[tuple(rng.random(3)) for _ in range(80)])
@@ -197,6 +212,21 @@ class PickedPair:
     def integers(self, high):
         assert max(self.picks) < high
         return self.picks.pop(0)
+
+
+class TestSelect:
+    def test_the_cut_equals_the_reference_selection_exactly(self):
+        rng = np.random.default_rng(20261022)
+        for trial in range(400):
+            n = int(rng.integers(1, 81))
+            objs = random_objectives(rng, n, int(rng.integers(1, 5)))
+            objs[np.isnan(objs)] = 0.0  # evolve's objectives are finite
+            # every other trial cuts half the rows, as evolve does its merged pool
+            keep = n // 2 if trial % 2 else int(rng.integers(0, n))
+            chosen, ranks, crowding = nsga2._select(objs, keep)
+            expected = reference_select([tuple(row) for row in objs.tolist()], keep)
+            got = (chosen.tolist(), ranks.tolist(), crowding.tolist())
+            assert float_bits(got) == float_bits(expected), (objs, keep)
 
 
 class TestBinaryTournament:
@@ -407,12 +437,20 @@ class TestGAConfig:
             dict(eta_crossover=0.0),
             dict(mutation_kind="gaussian"),
             dict(seed=-1),
+            dict(population_size=10.0),
+            dict(population_size=True),
+            dict(generations=1.5),
+            dict(generations=True),
+            dict(seed=True),
+            dict(generations=np.float64(2.0)),
+            dict(seed="1"),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         base = dict(population_size=10, generations=2)
         base.update(kwargs)
-        with pytest.raises(ValueError):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name.replace("_", "[_ ]")):
             GAConfig(**base)
 
 
@@ -485,6 +523,33 @@ class TestEvolve:
         front = archive.final_front  # rank-1 members of the initial population
         assert len(front.genomes) == len(front.objectives) == len(front.ranks) > 0
         assert all(rank == 1 for rank in front.ranks)
+
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            ([], "the bound box holds no gene"),
+            ([(math.nan, 1.0)], "gene 0's bounds must be finite, got (nan, 1.0)"),
+            ([(-math.inf, 1.0)], "gene 0's bounds must be finite, got (-inf, 1.0)"),
+            ([(0.0, math.nan)], "gene 0's bounds must be finite, got (0.0, nan)"),
+            ([(0.0, 1.0), (0.0, math.inf)], "gene 1's bounds must be finite"),
+            ([(0.0, 1.0), (2.0, 1.0)], "gene 1's lower bound 2.0 exceeds its upper bound 1.0"),
+        ],
+    )
+    def test_a_bad_bound_box_is_refused_before_any_evaluation(self, bounds, message):
+        calls = []
+
+        def fitness(genome):
+            calls.append(genome)
+            return (0.0, 0.0)
+
+        cfg = GAConfig(population_size=4, generations=1, seed=0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            evolve(fitness, cfg, bounds)
+        assert calls == []
+
+    def test_a_box_of_equal_bounds_is_kept(self):
+        archive = evolve(schaffer, GAConfig(population_size=4, generations=1), [(2.0, 2.0)])
+        assert all(np.all(snap.genomes == 2.0) for snap in archive.snapshots)
 
     def test_failing_fitness_reports_offending_genome(self):
         def fitness(genome):

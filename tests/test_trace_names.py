@@ -49,3 +49,21 @@ def test_a_traced_simulation_counts_the_pinned_valuations(spans, tmp_path, capsy
     metrics = spans.layer_metrics(tracer, 1)
     assert metrics["investment.valuation_reuse_ratio"] == 0.33519553072625696
     assert metrics["investment.calls"] == 209
+
+
+def test_a_traced_benchmark_counts_the_pinned_search(spans, tmp_path, capsys):
+    # the golden zdt1 command: 1 initial scoring + 10 generations; nsga2 spans are
+    # 1 evolve, 11 sorts, 21 crowding calls, 200 tournaments, 10 crossovers and 200
+    # mutation draws; benchmarks spans are 216 zdt1 calls (4 of the 220 genomes copy one
+    # already scored), zdt1_front and generational_distance
+    from carbonopt import cli
+
+    tracer = spans.Tracer()
+    with tracer.installed():
+        argv = ["benchmark", "--problem", "zdt1", "--pop", "20", "--gens", "10", "--seed", "3"]
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    metrics = spans.layer_metrics(tracer, 1)
+    assert metrics["nsga2.generations"] == 10
+    assert metrics["nsga2.calls"] == 443
+    assert metrics["benchmarks.calls"] == 218
+    assert metrics["nsga2.distinct_genome_ratio"] == 1.0

@@ -190,6 +190,8 @@ def run_replay(manifest_path: str, out_override: str | None) -> int:
     The run writes to ``out_override``, else to the recorded directory, and records
     the directory it wrote, so that replaying its own manifest writes there again.
     """
+    if out_override is not None:
+        _check_out(out_override)
     manifest = load_manifest(Path(manifest_path))
     command, recorded = manifest["command"], manifest["args"]
     parser = build_parser()[1].get(command) if isinstance(command, str) else None
@@ -218,15 +220,29 @@ def run_replay(manifest_path: str, out_override: str | None) -> int:
                 f"manifest {key} {manifest.get(key)!r} differs from this run's {value!r}: "
                 "the run would not be the same; rerun the command instead"
             )
-    args["out"] = out_override or args["out"]
+    if out_override is not None:
+        args["out"] = out_override
     return _run(command, args)
+
+
+def _check_out(out: str) -> None:
+    """Refuse an output directory no run could write into: empty, a file, or under a file."""
+    if not out:
+        raise CarbonOptError("--out must name a directory, got ''")
+    path = Path(os.path.abspath(out))
+    for part in (path, *path.parents):
+        if part.exists():
+            if not part.is_dir():
+                raise CarbonOptError(f"--out {out!r} is not a directory: {str(part)!r} is a file")
+            return
 
 
 def _run(command: str, args: dict) -> int:
     """Run a command and write its files with the manifest that replays them: ``simulate``
     and ``optimize`` to ``args["out"]``, else ``$CARBONOPT_OUT``, else ``carbonopt-out``;
-    ``benchmark`` only when ``args["out"]`` names a directory. The run's summary is
-    printed last, once its files are written (see ``_print``)."""
+    ``benchmark`` only when ``args["out"]`` names a directory. An output directory that
+    is empty, a file or under a file is refused before the run starts. The run's summary
+    is printed last, once its files are written (see ``_print``)."""
     started = datetime.datetime.now(datetime.timezone.utc)
     t0 = time.perf_counter()
     # a file is recorded by its absolute path and a bundled scenario by its name, so a
@@ -236,6 +252,7 @@ def _run(command: str, args: dict) -> int:
     if args["out"] is None and command != "benchmark":
         args["out"] = os.environ.get(OUT_DIR_ENV, "carbonopt-out")
     if args["out"] is not None:
+        _check_out(args["out"])
         args["out"] = os.path.abspath(args["out"])
     # taken before the run reads the scenario, and only for a run that records them
     inputs = {} if args["out"] is None else _inputs(args)

@@ -10,8 +10,9 @@ One kernel, ``MarketYear``, clears every production market: the spot
 market of each simulated year (``run_year``) and the investment probes'
 future markets. It reads everything from a ``Fleet``: a run's plants in
 the order they joined, one list per column (a unit a company buys is
-appended as a row, with no object of its own), the tables no market-year
-changes, and the scenario the fleet was built from, which gives a
+appended as a row, with no object of its own), those rows kept in merit
+order, the tables no market-year changes, and the scenario the fleet
+was built from, which gives a
 market-year its fuel prices, demand growth and loss-of-load price. SRMC depends
 on the year and the carbon price, not on the segment, so
 ``price_catalog`` prices each catalog technology once, and ranks it: a
@@ -19,13 +20,20 @@ technology's merit rank is the dense rank of its (SRMC, emission factor)
 pair in the catalog, equal pairs sharing one. A market-year takes those
 ranks and prices as given. Every offer has one merit key, (rank, id).
 The oracle's ``merit_order_key`` sorts bids by (SRMC, emission factor,
-id), an equivalent form: ranks order as the pairs do. A build sorts the
-active rows by the key, the row breaking ties, and keeps the keys,
-sorted, as a Python list. So one ``bisect_right`` places a plant bought
-later (``MarketYear.add``, with ``list.insert``) and a probed unit, keyed
-(rank, ``CANDIDATE_ID``), where a stable sort of ``fleet + [unit]``
-would. A gather of the columns by technology index turns the merit order
-into an (offer x segment) availability matrix.
+id), an equivalent form: ranks order as the pairs do. The fleet keeps
+its rows in merit order for the last ranks a market asked for
+(``Fleet.merit``): sorted by (rank, id, row) when the ranks change, and
+otherwise each row appended since placed by one ``bisect_right``. Ranks
+seldom change within a run, so its spot years and a decision year's
+probe market mostly share one order. A build masks the rows active in
+its year out of that order and keeps their keys, in order, as a Python
+list: one ``bisect_right`` there places a plant bought later
+(``MarketYear.add``, with ``list.insert``). It also keeps, per catalog
+technology, the place of a probed unit keyed (rank, ``CANDIDATE_ID``),
+where a stable sort of ``fleet + [unit]`` puts it; ``add`` moves a place
+on by one for each added key <= the unit's. A gather of the columns by
+technology index turns the merit order into an (offer x segment)
+availability matrix.
 
 The demand each segment has left before each offer is
 ``np.subtract.accumulate`` over demand and offers. That accumulate
@@ -33,11 +41,13 @@ subtracts strictly in order, the same operations in the same order as
 the greedy fill's ``remaining -= take``, so it is bit-exact. ``demand -
 np.cumsum(...)`` is not: it adds the offers up first and subtracts once,
 ``d - (a + b)`` rather than ``(d - a) - b``, which rounds differently.
-Totals are likewise added strictly in order (``_total``), segment by
+Totals are likewise added strictly in order (``_totals``), segment by
 segment and in merit order within a segment, the order a
 segment-by-segment fill produces them in; ``np.sum`` would add pairwise
-and round differently. ``MarketYear.probe`` values one more unit of every
-catalog technology in one call: each unit finds the demand left before it
+and round differently. Totals of one shape are added up as the rows of
+one ``np.add.accumulate``, which adds each row left to right.
+``MarketYear.probe`` values one more unit of every catalog technology in
+one call: each unit finds the demand left before it
 in the market's own accumulate, and one accumulate down an (offer x
 technology x segment) grid of the offers after each unit finds the offer
 that sets the price where the unit runs short.
@@ -59,6 +69,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -196,6 +207,13 @@ class Fleet:
     and ``retirement``, the years it starts and stops running; ``ids``;
     ``owner``, its company's id; and ``units``, its unit count.
 
+    ``merit`` hands a market the rows in merit order for its ranks. The
+    fleet keeps that order, with each row's tech, MW, commission and
+    retirement as an array in it, for the last ranks asked for: it sorts
+    every row again only when the ranks change, and places the rows
+    appended since by bisection when they do not. Rows are only
+    appended, never changed, so a kept order stays right.
+
     ``extend`` appends plants as they are, each mapped to the catalog
     index of its technology's name: it checks nothing. Plants come from a
     scenario that passed ``validate_scenario`` (``load_scenario`` runs
@@ -222,6 +240,11 @@ class Fleet:
         self.ef = np.array([tech.emission_factor for tech in catalog])
         self.fixed_om = np.array([tech.fixed_om * tech.capacity_mw for tech in catalog])
         self.own = np.arange(len(catalog))[:, None]
+        self._table = np.empty((4, 0))  # per row: tech, MW, commission and retirement
+        self._ranks: tuple[int, ...] | None = None  # the ranks the merit order is kept for
+        self._order: list[int] = []  # the rows in merit order
+        self._keys: list[tuple] = []  # their merit keys
+        self._merit = self._table  # their columns
         self.tech: list[int] = []
         self.mw: list[float] = []
         self.commission: list[int] = []
@@ -260,6 +283,41 @@ class Fleet:
         self.owner.append(owner)
         self.units.append(1)
 
+    def merit(self, ranks: tuple[int, ...]) -> tuple[list[tuple], np.ndarray]:
+        """Every row in merit order under ``ranks``: the merit keys, and the rows' columns.
+
+        The keys are (rank, id), a list; the columns a (4 x row) array of
+        each row's ``tech``, ``mw``, ``commission`` and ``retirement`` (the
+        catalog indices and years are exact in float64). The order is kept
+        for the last ranks asked for. New ranks sort every row again by
+        (rank, id, row), the order a stable sort by merit key gives. Equal
+        ones place each row appended since after every key <= its own (one
+        ``bisect_right``), which is where that sort puts it.
+        """
+        if ranks == self._ranks and len(self._order) == len(self):
+            return self._keys, self._merit
+        if ranks != self._ranks:
+            self._sort(ranks)
+        else:
+            for row in range(len(self._order), len(self)):
+                key = ranks[self.tech[row]], self.ids[row]
+                at = bisect_right(self._keys, key)
+                self._keys.insert(at, key)
+                self._order.insert(at, row)
+        start = self._table.shape[1]
+        if start < len(self):  # the columns of the rows appended since
+            columns = (self.tech, self.mw, self.commission, self.retirement)
+            self._table = np.concatenate(
+                (self._table, [column[start:] for column in columns]), axis=1)
+        self._merit = self._table.take(self._order, axis=1)
+        return self._keys, self._merit
+
+    def _sort(self, ranks: tuple[int, ...]) -> None:
+        """Keep every row in merit order under ``ranks``: by (rank, id), the row breaking ties."""
+        keys = [(ranks[k], plant_id) for k, plant_id in zip(self.tech, self.ids)]
+        self._order = sorted(range(len(keys)), key=keys.__getitem__)
+        self._ranks, self._keys = ranks, [keys[row] for row in self._order]
+
 
 class MarketYear:
     """A fleet's market-year: cleared as a whole, or pricing one added unit per technology.
@@ -283,13 +341,16 @@ class MarketYear:
     price input is the catalog priced by ``price_catalog`` for the
     market-year: ``ranks``, each technology's merit rank, and ``prices``,
     by catalog index, with the loss-of-load price last. Each offer keeps
-    its catalog index, not its cost. A build sorts the rows of ``fleet``
-    active in the market-year by their merit keys, (rank, id), the row
-    breaking ties, and keeps the keys in that sorted list: bisecting it
-    finds where a plant bought later or a probed unit goes. The order is
-    the one ``merit_order_key``'s (SRMC, emission factor, id) gives.
-    ``fleet`` is read, not copied: ``add`` places the rows it gained
-    since.
+    its catalog index, not its cost. A build sorts nothing: it masks the
+    rows of ``fleet`` active in the market-year out of the fleet's kept
+    merit order for ``ranks`` (``Fleet.merit``), by merit key (rank, id),
+    the row breaking ties, and keeps their keys in that order as a list:
+    bisecting it finds where a plant bought later goes. The order is the
+    one ``merit_order_key``'s (SRMC, emission factor, id) gives. It also
+    keeps, per catalog technology, the place of a probed unit: the number
+    of offers of a key <= (rank, ``CANDIDATE_ID``). ``fleet`` is read,
+    not copied: ``add`` places the rows it gained since, and moves on the
+    places their keys precede.
     """
 
     def __init__(self, fleet: Fleet, year: int, ranks: tuple[int, ...], prices: np.ndarray,
@@ -297,32 +358,31 @@ class MarketYear:
         self.fleet, self.year, self.ranks, self.prices = fleet, year, ranks, prices
         self._demand = fleet.demand_mw * (fleet.scenario.demand_scale(year) * demand_scale)
 
-        # The build: the plants active in the market-year in merit order, by one stable
-        # sort (the row breaks ties). Per offer its merit key, as a list, and its
-        # catalog index (loss of load's, len(catalog), last), and the demand,
-        # then each offer's MW.
+        # The build: the fleet's rows in merit order, masked to those active in the
+        # market-year. Per offer its merit key, as a list, and its catalog index (loss
+        # of load's, len(catalog), last), and the demand, then each offer's MW. Per
+        # catalog technology, where its probed unit goes: after every key <= its own.
         self._seen = len(fleet)  # the fleet rows looked at
-        keys = [(ranks[k], plant_id) for k, plant_id in zip(fleet.tech, fleet.ids)]
-        active = [row for row, (start, end) in enumerate(zip(fleet.commission, fleet.retirement))
-                  if start <= year < end]
-        order = sorted(active, key=keys.__getitem__)
-        self._keys: list[tuple] = [keys[row] for row in order]
-        rows = np.array(order, np.intp)
-        tech = np.array(fleet.tech, np.intp)[rows]
+        keys, (tech, mw, commission, retirement) = fleet.merit(ranks)
+        active = (commission <= year) & (year < retirement)
+        self._keys: list[tuple] = list(compress(keys, active.tolist()))
+        tech = tech[active].astype(np.intp)
         self._index = np.concatenate((tech, [len(fleet.catalog)]))
-        mw = np.array(fleet.mw)[rows, None]
-        self._stack = np.concatenate((self._demand[None], fleet.factors[tech] * mw,
+        self._stack = np.concatenate((self._demand[None], fleet.factors[tech] * mw[active, None],
                                       np.full((1, len(self._demand)), np.inf)))
         self._avail = self._stack[1:]
+        self._candidates = [(rank, CANDIDATE_ID) for rank in ranks]
+        self._places = [bisect_right(self._keys, key) for key in self._candidates]
 
     def add(self) -> None:
         """Place each plant the fleet gained since the last look.
 
         Each one active in the market-year goes in after every offer of a
         merit key <= its own (one ``bisect_right``), where a stable sort of
-        the fleet by merit key puts it. The key goes into the key list;
-        only the catalog-index vector and the availability stack are
-        spliced.
+        the fleet by merit key puts it. The key goes into the key list, and
+        each probe place whose key, (rank, ``CANDIDATE_ID``), is >= it moves
+        on by one; only the catalog-index vector and the availability stack
+        are spliced.
         """
         fleet = self.fleet
         for row in range(self._seen, len(fleet)):
@@ -332,6 +392,8 @@ class MarketYear:
             key = (self.ranks[tech], fleet.ids[row])
             at = bisect_right(self._keys, key)
             self._keys.insert(at, key)
+            self._places = [place + (key <= candidate)
+                            for place, candidate in zip(self._places, self._candidates)]
             self._index = _spliced(self._index, at, [tech])
             self._stack = _spliced(self._stack, at + 1, (fleet.factors[tech] * fleet.mw[row])[None])
         self._avail = self._stack[1:]
@@ -369,16 +431,15 @@ class MarketYear:
         energy_by_tech = {  # in first-dispatch order
             names[k]: by_tech[k] for k in dict.fromkeys(tech[order].tolist())
         }
-        emissions = _total((energy * fleet.ef[tech]).ravel())
-        served_mwh = _total(energy.ravel())
-
+        emissions, served_mwh = _totals(energy * fleet.ef[tech], energy)
         seg_demand_mwh = self._demand * fleet.hours
-        demand_mwh = _total(seg_demand_mwh)
+        demand_mwh, priced_mwh, unserved_mwh = _totals(
+            seg_demand_mwh, price * seg_demand_mwh, unserved * fleet.hours)
         return YearResult(
             energy_by_technology=energy_by_tech,
             emissions_t=emissions,
-            average_price=_total(price * seg_demand_mwh) / demand_mwh if demand_mwh > 0 else 0.0,
-            unserved_mwh=_total(unserved * fleet.hours),
+            average_price=priced_mwh / demand_mwh if demand_mwh > 0 else 0.0,
+            unserved_mwh=unserved_mwh,
             carbon_intensity=emissions / served_mwh if served_mwh > 0 else 0.0,
         )
 
@@ -402,16 +463,16 @@ class MarketYear:
         The offer is given by its catalog index: the unit's own where it is
         not short (its SRMC sets the price), ``len(catalog)`` where loss of
         load does. Both (technology x segment) arrays are free of prices:
-        the bisections, the availability stack, the demand and the
+        the kept places, the availability stack, the demand and the
         accumulates read the ranks and MW, not ``prices``. So two markets
         of the same fleet rows, year and ranks give equal arrays, bit for
         bit.
 
         A stable sort of ``fleet + [unit]`` puts a unit after every offer of
         a key <= its own, (rank, ``CANDIDATE_ID``), which orders as the
-        oracle's (SRMC, emission factor, ``CANDIDATE_ID``) does: one
-        bisection of the key list. So the demand left before it is the
-        market's own accumulate there. Where the unit is short (gives all
+        oracle's (SRMC, emission factor, ``CANDIDATE_ID``) does: its kept
+        place, the number of such offers. So the demand left before it is
+        the market's own accumulate there. Where the unit is short (gives all
         it has), the fill goes on past it: one
         ``np.subtract.accumulate`` down an (offer x unit x segment) grid,
         from the demand left after each unit, finds the first offer after
@@ -421,12 +482,11 @@ class MarketYear:
         totals.
         """
         available = self.fleet.unit_mw
-        places = [bisect_right(self._keys, (rank, CANDIDATE_ID)) for rank in self.ranks]
-        at = np.array(places)
+        at = np.array(self._places)
         remaining = np.subtract.accumulate(self._stack)[at]  # demand left before each unit
         # A unit's grid column: the demand left after it, then the offers after it up to
         # loss of load, which ``take`` repeats past the end (its -inf stays <= 0).
-        steps = at + np.arange(-1, len(self._avail) - min(places))[:, None]
+        steps = at + np.arange(-1, len(self._avail) - min(self._places))[:, None]
         grid = self._avail.take(steps, axis=0, mode="clip")
         np.subtract(remaining, available, out=grid[0])
         np.subtract.accumulate(grid, out=grid)
@@ -443,7 +503,7 @@ def price_units(energy: np.ndarray, index: np.ndarray, prices: np.ndarray):
     ``prices`` holds each catalog technology's SRMC and then the
     loss-of-load price, so ``prices[index]`` is the price each unit earns
     per segment. Each total is added up strictly in order, segment by
-    segment, as ``_total`` does; ``+ 0.0`` turns a -0.0 into 0.0.
+    segment, as ``_totals`` does; ``+ 0.0`` turns a -0.0 into 0.0.
     """
     totals = np.empty((2, *energy.shape))
     totals[0] = energy
@@ -457,9 +517,14 @@ def _spliced(a: np.ndarray, at: int, rows) -> np.ndarray:
     return np.concatenate((a[:at], rows, a[at:]))
 
 
-def _total(x: np.ndarray):
-    """``x`` added up strictly in order along its last axis, as Python floats.
+def _totals(*rows: np.ndarray) -> list[float]:
+    """Each of ``rows`` added up strictly in order, as Python floats; 0.0 when empty.
 
-    ``+ 0.0``: a Python sum starts from 0.0, so it never ends at -0.0.
+    The rows, of one shape, are added up as the rows of one array, by one
+    ``np.add.accumulate``. ``+ 0.0``: a Python sum starts from 0.0, so it
+    never ends at -0.0.
     """
-    return (np.add.accumulate(x, axis=-1)[..., -1] + 0.0).tolist() if x.size else 0.0
+    stacked = np.array(rows).reshape(len(rows), -1)
+    if not stacked.shape[1]:
+        return [0.0] * len(rows)
+    return (np.add.accumulate(stacked, axis=1)[:, -1] + 0.0).tolist()

@@ -558,6 +558,64 @@ class TestOutDirDefault:
         assert (target / "objectives.json").exists()
 
 
+class TestOutRefused:
+    """An ``--out`` no run could write into is refused before any model call."""
+
+    ARGV = {
+        "simulate": ["simulate", "--policy", "flat:1"],
+        "optimize": ["optimize", "--kind", "linear", "--pop", "4", "--gens", "1", "--jobs", "1"],
+        "benchmark": ["benchmark", "--problem", "schaffer", "--pop", "4", "--gens", "1"],
+    }
+
+    @pytest.mark.parametrize("bad", ["empty", "file", "under-file"])
+    @pytest.mark.parametrize("command", ["simulate", "optimize", "benchmark", "replay"])
+    def test_an_unusable_out_exits_1_before_any_model_call(self, command, bad, fossil_path,
+                                                           tmp_path, monkeypatch, capsys):
+        import carbonopt.cli as cli
+
+        recorded = "benchmark" if command == "benchmark" else "simulate"
+        if command == "replay":  # a replay of a good run, to a bad --out
+            argv = [*self.ARGV[recorded], "--scenario", str(fossil_path)]
+            assert main([*argv, "--out", str(tmp_path / "first")]) == 0
+            argv = ["replay", str(tmp_path / "first" / "manifest.json")]
+        else:
+            argv = [*self.ARGV[command]]
+            if command != "benchmark":
+                argv += ["--scenario", str(fossil_path)]
+        calls = []
+
+        def model(name):
+            def call(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} was called")
+            return call
+
+        for name in ("load_scenario", "run_simulation", "evolve"):
+            monkeypatch.setattr(cli, name, model(name))
+        work = tmp_path / "work"
+        work.mkdir()
+        (work / "taken").write_text("not a directory")
+        monkeypatch.chdir(work)
+        out = {"empty": "", "file": "taken", "under-file": str(work / "taken" / "out")}[bad]
+        capsys.readouterr()
+        assert main([*argv, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out ")
+        assert ("got ''" if bad == "empty" else f"{str(work / 'taken')!r} is a file") in err
+        assert calls == []
+        assert sorted(p.name for p in work.iterdir()) == ["taken"]
+        assert (work / "taken").read_text() == "not a directory"
+
+    def test_an_empty_out_dir_from_the_environment_is_refused(self, fossil_path, tmp_path,
+                                                              monkeypatch, capsys):
+        monkeypatch.setenv("CARBONOPT_OUT", "")
+        monkeypatch.chdir(tmp_path)
+        code = main(["simulate", "--scenario", str(fossil_path), "--policy", "flat:0"])
+        assert code == 1
+        assert "--out must name a directory, got ''" in capsys.readouterr().err
+        assert output_files(tmp_path) == ["fossil.scenario"]
+
+
 class TestManifest:
     def test_manifest_records_resolved_config(self, fossil_path, tmp_path):
         out = tmp_path / "out"

@@ -533,6 +533,32 @@ class TestProbeMarket:
         assert float_bits(result) == float_bits(expected)
         assert list(result.energy_by_technology) == list(expected.energy_by_technology)
 
+    @given(case=probe_markets(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_markets_of_changing_ranks_over_one_growing_fleet_equal_the_oracle(self, case, data):
+        # builds of one fleet at two carbon prices, drawn anew for each build, so its
+        # kept merit order is sorted again or only placed into. Between builds the
+        # fleet buys rows: some inactive in the year, some with ids tied to the
+        # fleet's or the probe's, some holding NUL
+        s, plants, year, carbon_price = case
+        other = [price for price in (-100.0, -12.5, 0.0, 12.5, 200.0) if price != carbon_price]
+        prices = (carbon_price, data.draw(st.sampled_from(other)))
+        ids = st.one_of(plant_ids, st.sampled_from(["\0", "a\0", "a", CANDIDATE_ID + "\0"]))
+        fleet = Fleet(s, plants)
+        for _ in range(data.draw(st.integers(2, 4))):
+            price = data.draw(st.sampled_from(prices))
+            market, grown = market_year(fleet, year, price), fleet_plants(fleet)
+            result, expected = market.clear(), reference_year(grown, year, price, s)
+            assert float_bits(result) == float_bits(expected)
+            assert list(result.energy_by_technology) == list(expected.energy_by_technology)
+            energy, revenue = market.probe()
+            for k, unit in enumerate(candidates(s, year)):
+                expected = float_bits(reference_probe(grown, unit, year, price, s))
+                assert float_bits((energy[k], revenue[k])) == expected
+            for _ in range(data.draw(st.integers(0, 3))):
+                fleet.buy("g2", data.draw(st.integers(0, len(s.technologies) - 1)),
+                          data.draw(ids), data.draw(st.sampled_from([1980, 2016, 2019, 2020, 2021])))
+
     def test_an_id_holding_nul_keeps_python_string_order(self):
         # unchecked purchase rows: wind "a\0" and solar "a" tie on SRMC and emission
         # factor, so their ids order them, and "a" < "a\0" puts solar first in a built

@@ -24,6 +24,8 @@ CASES = {
     "flat-250": ["simulate", "--scenario", "uk_synthetic", "--policy", "flat:250"],
     "linear-8-100": ["simulate", "--scenario", "uk_synthetic", "--policy", "linear:8,100"],
     "linear-m14-250": ["simulate", "--scenario", "uk_synthetic", "--policy", "linear:-14,250"],
+    # simulate-sweep's "rising" run: its probe markets' merit ranks change partway through
+    "linear-6-40": ["simulate", "--scenario", "uk_synthetic", "--policy", "linear:6,40"],
     "stepped": ["simulate", "--scenario", "uk_synthetic", "--policy", f"free:{STEPPED}"],
     "noisy": ["simulate", "--scenario", "{noisy}", "--policy", "linear:8,100", "--seed", "11"],
     "optimize-linear": [
@@ -64,6 +66,12 @@ GOLDEN = {
     "ga-zdt1": {
         "generations.csv": "1bb227afa21e3a4238ab30933dead08659bcd99164f1ece696d376e01775c151",
         "pareto.json": "d378c1d889f20636f715269848df4df19da12701663f74a501100b90f5306d6d",
+    },
+    "linear-6-40": {
+        "events.csv": "f706b94647eead4ef381881ed537fbce915f3ee63058b8d1934cbc6c565122d1",
+        "objectives.json": "d20efec7ffef71f17aefd708d0a78899590ebda8a70d032b6817b633c31287be",
+        "per_year.csv": "54bf7c08764525e365cfe33fd65f78b0f44c50f585ce5d18e58dec00b3f93253",
+        "year_summary.csv": "0189af7c01fb4c5252d5c25fafe06e4a552287c00268debe3645ff263e8b93c6",
     },
     "linear-8-100": {
         "events.csv": "5eb1ccbbacc0d57cff77d27c6f6f87c860b594e8349442e73819782bc7727ff3",

@@ -142,7 +142,7 @@ class TestRunSimulation:
     def test_a_price_of_negative_zero_is_reported_as_zero(self, uk_scenario):
         # a scenario file can hold -0.0 wherever a rule reads ">= 0": here every
         # segment clears at an SRMC of -0.0, and each sum of prices or emissions is
-        # -0.0 until ``dispatch._total`` adds 0.0; a probe's revenue likewise until
+        # -0.0 until ``dispatch._totals`` adds 0.0; a probe's revenue likewise until
         # ``dispatch.price_units`` does
         raw = scenario_to_dict(uk_scenario)
         (ccgt,) = [tech for tech in raw["technologies"] if tech["name"] == "ccgt"]
@@ -297,6 +297,25 @@ class TestEvaluateObjectives:
         assert counts["buy"] > 50 * len(genomes)  # about 94 units a run
         result = run_simulation(uk_scenario, decode([8.0, 100.0], "linear", n), seed=0)
         assert counts["Event"] == len(result.events) > 0  # the counter counts
+
+    @pytest.mark.parametrize("policy, sorts, builds", [("flat:0", 1, 31),
+                                                       ("linear:-14,250", 9, 34)])
+    def test_a_run_sorts_its_fleet_only_when_the_ranks_change(self, uk_scenario, monkeypatch,
+                                                              policy, sorts, builds):
+        # every market-year masks its rows out of the fleet's kept merit order: a flat
+        # tax keeps one rank vector for the whole run, probes and spot years alike
+        counts = {"sort": 0, "build": 0}
+
+        def counted(label, original):
+            def call(*args):
+                counts[label] += 1
+                return original(*args)
+            return call
+
+        monkeypatch.setattr(Fleet, "_sort", counted("sort", Fleet._sort))
+        monkeypatch.setattr(MarketYear, "__init__", counted("build", MarketYear.__init__))
+        run_simulation(uk_scenario, parse_policy_spec(policy, uk_scenario.horizon_years), seed=0)
+        assert counts == {"sort": sorts, "build": builds}
 
     @pytest.mark.parametrize("buyers", ["broke", "none"])
     def test_no_buyer_builds_no_probe_market(self, uk_scenario, gas_tech, monkeypatch, buyers):

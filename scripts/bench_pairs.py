@@ -39,7 +39,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     )
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
-        raise RuntimeError(f"{checkout}: {workload} exited {done.returncode}: {done.stderr[-500:]}")
+        raise RuntimeError(f"{checkout}: {workload} exited {done.returncode}: "
+                           f"{done.stderr[-500:]}")
     return json.loads(lines[-1])
 
 

@@ -368,8 +368,9 @@ class MarketYear:
         self._keys: list[tuple] = list(compress(keys, active.tolist()))
         tech = tech[active].astype(np.intp)
         self._index = np.concatenate((tech, [len(fleet.catalog)]))
-        self._stack = np.concatenate((self._demand[None], fleet.factors[tech] * mw[active, None],
-                                      np.full((1, len(self._demand)), np.inf)))
+        self._stack = np.empty((len(tech) + 2, len(self._demand)))
+        self._stack[0], self._stack[-1] = self._demand, np.inf
+        np.multiply(fleet.factors.take(tech, axis=0), mw[active, None], out=self._stack[1:-1])
         self._avail = self._stack[1:]
         self._candidates = [(rank, CANDIDATE_ID) for rank in ranks]
         self._places = [bisect_right(self._keys, key) for key in self._candidates]

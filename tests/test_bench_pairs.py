@@ -1,4 +1,4 @@
-"""``scripts/bench_pairs.py``: its summary of canned runs, and the files and pair order it writes."""
+"""``scripts/bench_pairs.py``: its summary of canned runs, the files it writes, the pair order."""
 
 from __future__ import annotations
 

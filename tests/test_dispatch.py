@@ -556,8 +556,9 @@ class TestProbeMarket:
                 expected = float_bits(reference_probe(grown, unit, year, price, s))
                 assert float_bits((energy[k], revenue[k])) == expected
             for _ in range(data.draw(st.integers(0, 3))):
-                fleet.buy("g2", data.draw(st.integers(0, len(s.technologies) - 1)),
-                          data.draw(ids), data.draw(st.sampled_from([1980, 2016, 2019, 2020, 2021])))
+                k = data.draw(st.integers(0, len(s.technologies) - 1))
+                fleet.buy("g2", k, data.draw(ids),
+                          data.draw(st.sampled_from([1980, 2016, 2019, 2020, 2021])))
 
     def test_an_id_holding_nul_keeps_python_string_order(self):
         # unchecked purchase rows: wind "a\0" and solar "a" tie on SRMC and emission
